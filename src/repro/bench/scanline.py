@@ -26,11 +26,14 @@ never by the active-list population, and never worse than the per-size
 the counters must be identical for every strip engine, the check doubles
 as an engine-parity probe CI can run without timing flakiness.
 
-``--profile`` adds one profiled run per (size, engine) through the
-host's per-phase timers (``schedule`` / ``expire`` / ``insert`` /
-``strip`` / ``finalize``, see :data:`~repro.core.scanline.PROFILE_PHASES`)
-and writes the breakdown both into each report row and into a sibling
-``<out-stem>_profile.json`` artifact.  See docs/SCANLINE_PERF.md.
+``--profile`` adds ``--repeats`` profiled runs per (size, engine)
+through the host's per-phase timers (``schedule`` / ``expire`` /
+``insert`` / ``strip`` / ``finalize``, see
+:data:`~repro.core.scanline.PROFILE_PHASES`), keeps the fastest, and
+writes its breakdown and its own wall clock both into each report row
+and into a sibling ``<out-stem>_profile.json`` artifact; ``--check``
+then also requires the phases to add up to at most
+:data:`PROFILE_SLACK` times that wall.  See docs/SCANLINE_PERF.md.
 """
 
 from __future__ import annotations
@@ -69,6 +72,10 @@ DEFAULT_STREAM_SIZES = (32, 64, 128)
 #: Chip-height divisors for the ``--stream`` band sweep: a few fat
 #: bands, then progressively finer slicing.
 DEFAULT_STREAM_DIVISORS = (4, 16, 64)
+
+#: ``--check`` bound on a profiled row's phase sum over its own wall:
+#: the phases are disjoint sections of one run, so more is a timer bug.
+PROFILE_SLACK = 1.05
 
 #: Committed capture of the pre-event-heap engine, relative to repo root.
 BASELINE_PATH = Path("benchmarks") / "results" / "scanline_baseline.json"
@@ -180,11 +187,13 @@ def bench_scanline(
     ``1.0`` (the identity comparison), so report consumers can assert
     the column uniformly instead of special-casing nulls.
 
-    With ``profile=True`` each pair runs once more with the host's
-    per-phase profiler enabled; that run's wall clock is **not** folded
-    into ``seconds`` (the timer instrumentation, however light, would
-    taint the headline number) and its breakdown lands in the row's
-    ``profile`` mapping.
+    With ``profile=True`` each pair runs ``repeats`` more times with
+    the host's per-phase profiler enabled.  The fastest profiled run is
+    kept, best-of like the headline number: its breakdown lands in the
+    row's ``profile`` mapping and its own wall clock in
+    ``profile_seconds``.  Profiled walls are **not** folded into
+    ``seconds`` (the timer instrumentation, however light, would taint
+    the headline number).
     """
     if baseline is None:
         baseline = load_baseline()
@@ -211,14 +220,15 @@ def bench_scanline(
             stream = GeometryStream(layout)
             engine = ScanlineEngine(tech, engine=engine_name)
             tracked = timed(engine.run, stream, track_alloc=True)
-            phases: "dict[str, float] | None" = None
-            if profile:
+            best: "tuple[float, dict[str, float]] | None" = None
+            for _ in range(max(1, repeats) if profile else 0):
                 stream = GeometryStream(layout)
                 profiled = ScanlineEngine(
                     tech, engine=engine_name, profile=True
                 )
-                timed(profiled.run, stream)
-                phases = dict(profiled.stats.profile or {})
+                wall = timed(profiled.run, stream).seconds
+                if best is None or wall < best[0]:
+                    best = (wall, dict(profiled.stats.profile or {}))
             if engine_name == "python":
                 python_seconds = seconds
             stats = engine.stats
@@ -252,8 +262,8 @@ def bench_scanline(
                     "max_stop_overhead": stats.max_stop_overhead,
                 },
             }
-            if phases is not None:
-                row["profile"] = phases
+            if best is not None:
+                row["profile_seconds"], row["profile"] = best
             rows.append(row)
     return rows
 
@@ -328,7 +338,7 @@ def bench_stream(
                     mem,
                     report.stats,
                     engine=engine_name,
-                    devices=len(report.circuit.devices),
+                    devices=report.circuit.device_count(),
                     tracked_layers=tracked_layers,
                     python_seconds=python_secs.get(("memory", None)),
                 )
@@ -436,7 +446,10 @@ def check_rows(
       ``max_stop_overhead`` from the committed baseline capture), a
       fresh run must not schedule worse per stop than the capture did —
       the counter is deterministic, so any excess is a real regression,
-      not noise.
+      not noise;
+    * profile reconciliation: a profiled row's phases are disjoint
+      sections of one run, so they add up to at most
+      :data:`PROFILE_SLACK` times that run's own wall clock.
     """
     problems = []
     overhead_bounds = overhead_bounds or {}
@@ -462,6 +475,14 @@ def check_rows(
             problems.append(
                 f"n={n}: max per-stop overhead {c['max_stop_overhead']}"
                 f" exceeds the committed baseline bound {bound}"
+            )
+        phase_sum = sum(row.get("profile", {}).values())
+        wall = row.get("profile_seconds", 0.0)
+        if phase_sum > PROFILE_SLACK * wall:
+            problems.append(
+                f"n={n} {row['engine']}: profiled phases add up to "
+                f"{phase_sum:.4f}s, more than {PROFILE_SLACK:.2f} x the "
+                f"profiled run's {wall:.4f}s wall"
             )
         budget = c["heap_pops"] + 2 * layers * row["stops"]
         if c["intervals_scanned"] > budget:
@@ -517,9 +538,10 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--profile", action="store_true",
-        help="run each (size, engine) once more with the host's "
-        "per-phase profiler and write the schedule/expire/insert/strip/"
-        "finalize breakdown to <out-stem>_profile.json next to --out",
+        help="also run each (size, engine) --repeats times with the "
+        "host's per-phase profiler and write the fastest run's "
+        "schedule/expire/insert/strip/finalize breakdown and wall to "
+        "<out-stem>_profile.json next to --out",
     )
     parser.add_argument(
         "--stream", action="store_true",
@@ -584,6 +606,7 @@ def main(argv=None) -> int:
                             "n": row["n"],
                             "engine": row["engine"],
                             "seconds": row["seconds"],
+                            "profile_seconds": row.get("profile_seconds"),
                             "profile": row.get("profile", {}),
                         }
                         for row in rows

@@ -76,7 +76,7 @@ def run_suite(
         row = SuiteRow(
             name=name,
             paper_devices=spec.paper_devices,
-            devices=len(report.circuit.devices),
+            devices=report.circuit.device_count(),
             boxes=art.boxes,
             ace_seconds=ace.seconds,
             ace_stats=report.stats,
@@ -91,6 +91,6 @@ def run_suite(
             result = hext.result
             circuit = result.circuit  # resolve, so timers fill in
             row.hext_stats = result.stats
-            row.hext_devices = len(circuit.devices)
+            row.hext_devices = circuit.device_count()
         rows.append(row)
     return rows

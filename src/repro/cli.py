@@ -12,7 +12,7 @@ import argparse
 import sys
 import time
 
-from .analysis import circuit_stats, static_check
+from .analysis import static_check
 from .cif import parse_file
 from .core import extract_report
 from .core.stripengine import ENGINE_CHOICES, EngineUnavailable
@@ -334,10 +334,10 @@ def _run_extraction(args, tech, layout, name, drc_checker, started) -> int:
         sys.stdout.write(text)
 
     if args.stats:
-        summary = circuit_stats(circuit)
-        rate = summary.devices / elapsed if elapsed else 0.0
+        devices = circuit.device_count()
+        rate = devices / elapsed if elapsed else 0.0
         print(
-            f"{summary.devices} devices, {summary.nets} nets in "
+            f"{devices} devices, {circuit.net_count()} nets in "
             f"{elapsed:.2f}s ({rate:.0f} devices/sec)",
             file=sys.stderr,
         )

@@ -36,13 +36,11 @@ stays batch.  See docs/ENGINES.md for the full contract.
 
 from __future__ import annotations
 
-from itertools import repeat
-
 import numpy as np
 
 from ..frontend.stream import GeometryStream
 from ..geometry import Box
-from .netlist import Device
+from .netlist import DeviceColumns, NetColumns
 from .sizing import size_device
 
 from . import scanline as _scan
@@ -177,12 +175,63 @@ def _subtract_spans(
     return starts[keep], ends[keep], piece_seg[keep]
 
 
+def _concat(chunks: list) -> "list[np.ndarray]":
+    """Column-wise concatenation of a list of equal-width array tuples."""
+    return [np.concatenate(column) for column in zip(*chunks)]
+
+
+def _group_max(
+    roots: "np.ndarray", ys: "np.ndarray", nxs: "np.ndarray"
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """Per root, its largest ``(y, nx)`` key -- the python engine's
+    tuple-max; roots ascending."""
+    order = _sort3(roots, ys, nxs)
+    r_s, y_s, nx_s = roots[order], ys[order], nxs[order]
+    last = np.append(np.nonzero(np.diff(r_s))[0], r_s.shape[0] - 1)
+    return r_s[last], y_s[last], nx_s[last]
+
+
+def _canonical(
+    roots: "np.ndarray", ys: "np.ndarray", nxs: "np.ndarray"
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """Location-folded rows in canonical order: topmost, then leftmost,
+    then root id.
+
+    When no root repeats -- a union-free sweep, where the touch filter
+    leaves one row per root -- the fold is the identity and the sort by
+    root is skipped.
+    """
+    if roots.shape[0] and int(np.bincount(roots).max()) > 1:
+        roots, ys, nxs = _group_max(roots, ys, nxs)
+    out = _sort3(-ys, -nxs, roots)
+    return roots[out], ys[out], nxs[out]
+
+
+def _csr(
+    group: "np.ndarray", roots: "np.ndarray", n: int
+) -> "tuple[np.ndarray, np.ndarray]":
+    """CSR pointers and gather rows for root-grouped entries.
+
+    ``group`` holds each entry's device root, ascending; ``roots`` is
+    the device order.  Returns ``ptr`` (one offset per device plus one)
+    and the entry rows that list each device's entries in that order.
+    """
+    counts = np.bincount(group, minlength=n)
+    first = (np.cumsum(counts) - counts)[roots]
+    count = counts[roots]
+    ptr = np.zeros(roots.shape[0] + 1, dtype=np.int64)
+    np.cumsum(count, out=ptr[1:])
+    rows = np.repeat(first - ptr[:-1], count) + np.arange(
+        ptr[-1], dtype=np.int64
+    )
+    return ptr, rows
+
+
 class NumpyStripEngine(StripEngine):
     """Step 2.c and the finalize folds as numpy batch passes."""
 
     name = "numpy"
     supports_runs = True
-    wants_index_of = False
 
     def __init__(self, host) -> None:
         super().__init__(host)
@@ -206,8 +255,6 @@ class NumpyStripEngine(StripEngine):
         self._term_chunks: list[tuple] = []  # (dev[], net[], length[])
         #: find-at-append-time device geometry (keep_geometry replay)
         self._dev_geo: dict[int, list[Box]] = {}
-        self._net_parent: "np.ndarray | None" = None
-        self._order_roots: "np.ndarray | None" = None
 
     # ------------------------------------------------------------------
     # layer materialization
@@ -871,108 +918,26 @@ class NumpyStripEngine(StripEngine):
     # finalize folds (step 3)
     # ------------------------------------------------------------------
 
-    def net_order(self) -> "tuple[list[int], list[tuple[int, int]]]":
+    def finalize(
+        self, kinds: "tuple[str, str]"
+    ) -> "tuple[list[int], NetColumns, list[int], DeviceColumns]":
         h = self.host
-        n_nets = len(h._nets)
-        parent = np.array(h._nets.parent_snapshot(), dtype=np.int64)
-        if parent.shape[0]:
-            parent = _resolve_parents(parent)
-        self._net_parent = parent
-
-        chunks = list(self._tn_chunks)
-        if self._tn_scalar:
-            scalar = np.array(self._tn_scalar, dtype=np.int64)
-            chunks.append((scalar[:, 0], scalar[:, 1], scalar[:, 2]))
-        if not chunks or n_nets == 0:
-            return [], []
-        ids = np.concatenate([c[0] for c in chunks])
-        ys = np.concatenate([c[1] for c in chunks])
-        nxs = np.concatenate([c[2] for c in chunks])
-        roots = parent[ids]
-        # Group-max location per root: sort by (root, y, -x) and keep
-        # each group's last row -- the python engine's tuple-max.  On a
-        # union-free sweep the touched-filter leaves exactly one row per
-        # root: the engine-chunk prefix and the host-scalar tail are each
-        # strictly increasing and disjoint, every root appears once, and
-        # grouping is the identity (the canonical sort below does not
-        # care about pre-order, so no merge is needed either).
-        n_c = roots.shape[0] - len(self._tn_scalar)
-        roots_c, roots_s = roots[:n_c], roots[n_c:]
-        if (
-            bool(np.all(roots_c[1:] > roots_c[:-1]))
-            and bool(np.all(roots_s[1:] > roots_s[:-1]))
-            and (
-                roots_s.shape[0] == 0
-                or roots_c.shape[0] == 0
-                or not bool(
-                    (
-                        roots_c[
-                            np.minimum(
-                                np.searchsorted(roots_c, roots_s),
-                                roots_c.shape[0] - 1,
-                            )
-                        ]
-                        == roots_s
-                    ).any()
-                )
-            )
-        ):
-            g_root, g_y, g_nx = roots, ys, nxs
-        else:
-            order = _sort3(roots, ys, nxs)
-            r_s, y_s, nx_s = roots[order], ys[order], nxs[order]
-            last = np.append(np.nonzero(np.diff(r_s))[0], r_s.shape[0] - 1)
-            g_root, g_y, g_nx = r_s[last], y_s[last], nx_s[last]
-        # Canonical net order: key (-ymax, -(-xmin), root) ascending.
-        out = _sort3(-g_y, -g_nx, g_root)
-        self._order_roots = g_root[out]
-        roots_list = self._order_roots.tolist()
-        locations = list(
-            zip(np.negative(g_nx[out]).tolist(), g_y[out].tolist())
-        )
-        return roots_list, locations
-
-    def build_devices(
-        self,
-        index_of: "dict[int, int]",
-        kind_enh: str,
-        kind_dep: str,
-        boundary_dev_roots: "set[int]",
-    ) -> "tuple[list[Device], dict[int, int], list[str]]":
-        h = self.host
+        nparent, order_roots, nets = self._net_columns()
         n_dev = len(h._devs)
         if n_dev == 0:
-            return [], {}, []
+            return order_roots.tolist(), nets, [], DeviceColumns(kinds)
         dparent = _resolve_parents(
             np.array(h._devs.parent_snapshot(), dtype=np.int64)
         )
-        nparent = self._net_parent
-        assert nparent is not None, "net_order must run before device_rows"
 
         # location fold -> canonical device order
-        l_ids = np.concatenate([c[0] for c in self._loc_chunks])
-        l_y = np.concatenate([c[1] for c in self._loc_chunks])
-        l_nx = np.concatenate([c[2] for c in self._loc_chunks])
-        l_root = dparent[l_ids]
-        # Same strictly-increasing shortcut as the net fold: channel ids
-        # allocate in strip order, so a union-free sweep needs no sort.
-        if bool(np.all(l_root[1:] > l_root[:-1])):
-            g_root, g_y, g_nx = l_root, l_y, l_nx
-        else:
-            order = _sort3(l_root, l_y, l_nx)
-            r_s, y_s, nx_s = l_root[order], l_y[order], l_nx[order]
-            last = np.append(np.nonzero(np.diff(r_s))[0], r_s.shape[0] - 1)
-            g_root, g_y, g_nx = r_s[last], y_s[last], nx_s[last]
-        out = _sort3(-g_y, -g_nx, g_root)
-        order_roots = g_root[out]
-        loc_y = g_y[out]
-        loc_nx = g_nx[out]
+        l_ids, l_y, l_nx = _concat(self._loc_chunks)
+        dev_roots, loc_y, loc_nx = _canonical(dparent[l_ids], l_y, l_nx)
 
         # area / implant folds (raw ids -> final roots).  bincount sums
         # in float64, which is exact for these magnitudes (areas are far
         # below 2**53), so the int64 round-trip loses nothing.
-        a_ids = np.concatenate([c[0] for c in self._area_chunks])
-        a_vals = np.concatenate([c[1] for c in self._area_chunks])
+        a_ids, a_vals = _concat(self._area_chunks)
         areas = np.bincount(
             dparent[a_ids], weights=a_vals, minlength=n_dev
         ).astype(np.int64)
@@ -980,35 +945,17 @@ class NumpyStripEngine(StripEngine):
         for ids in self._impl_chunks:
             impl[dparent[ids]] = True
 
-        # net root -> 1-based wirelist index, as an array.  The host
-        # builds index_of by enumerating net_order's roots 1-based, so
-        # when the stashed order array matches we scatter an arange
-        # instead of round-tripping the dict through fromiter.
-        n_nets = nparent.shape[0]
-        net_index = np.zeros(max(n_nets, 1), dtype=np.int64)
-        order_roots_net = self._order_roots
-        n_order = (
-            order_roots_net.shape[0] if index_of is None else len(index_of)
-        )
-        if order_roots_net is not None and (
-            index_of is None or order_roots_net.shape[0] == len(index_of)
-        ):
-            net_index[order_roots_net] = np.arange(
-                1, n_order + 1, dtype=np.int64
-            )
-        elif index_of:
-            keys = np.fromiter(index_of.keys(), np.int64, len(index_of))
-            vals = np.fromiter(index_of.values(), np.int64, len(index_of))
-            net_index[keys] = vals
+        # net root -> 1-based wirelist index, scattered from the order
+        n_order = order_roots.shape[0]
+        net_index = np.zeros(max(nparent.shape[0], 1), dtype=np.int64)
+        net_index[order_roots] = np.arange(1, n_order + 1, dtype=np.int64)
         mult = n_order + 2
 
         # gates: unique (device root, gate net index) pairs, ascending --
         # identical to the python engine's sorted gate-index list.
         if self._gate_chunks:
-            gd = dparent[np.concatenate([c[0] for c in self._gate_chunks])]
-            gn = net_index[
-                nparent[np.concatenate([c[1] for c in self._gate_chunks])]
-            ]
+            gd, gn = _concat(self._gate_chunks)
+            gd, gn = dparent[gd], net_index[nparent[gn]]
             known = gn > 0
             g_all = gd[known] * mult + gn[known]
             if g_all.shape[0] > 1 and bool(np.all(g_all[1:] > g_all[:-1])):
@@ -1029,11 +976,8 @@ class NumpyStripEngine(StripEngine):
 
         # terminals: perimeter sums grouped by (device root, net index)
         if self._term_chunks:
-            td = dparent[np.concatenate([c[0] for c in self._term_chunks])]
-            tn = net_index[
-                nparent[np.concatenate([c[1] for c in self._term_chunks])]
-            ]
-            tl = np.concatenate([c[2] for c in self._term_chunks])
+            td, tn, tl = _concat(self._term_chunks)
+            td, tn = dparent[td], net_index[nparent[tn]]
             known = tn > 0
             td, tn, tl = td[known], tn[known], tl[known]
         else:
@@ -1052,248 +996,111 @@ class NumpyStripEngine(StripEngine):
         else:
             t_dev = t_idx = t_sum = _EMPTY
 
-        # Per-device slices into the grouped gate/terminal arrays.  Both
-        # grouped arrays are sorted by device root, so one bincount plus
-        # an exclusive prefix sum gives every root's slice in a single
-        # linear pass instead of four binary-search sweeps.
-        if t_dev.shape[0]:
-            t_cnt = np.bincount(t_dev, minlength=n_dev)
-            t_off = np.cumsum(t_cnt) - t_cnt
-            t_lo = t_off[order_roots]
-            t_hi = t_lo + t_cnt[order_roots]
-        else:
-            t_lo = t_hi = np.zeros(order_roots.shape[0], dtype=np.int64)
-        if g_dev.shape[0]:
-            g_cnt_all = np.bincount(g_dev, minlength=n_dev)
-            g_off = np.cumsum(g_cnt_all) - g_cnt_all
-            g_lo = g_off[order_roots]
-            g_hi = g_lo + g_cnt_all[order_roots]
-        else:
-            g_lo = g_hi = np.zeros(order_roots.shape[0], dtype=np.int64)
+        # CSR in device order: both grouped arrays are sorted by device
+        # root, so a bincount plus exclusive prefix sum gives each root's
+        # slice, gathered into canonical order in one fancy index.
+        t_ptr, t_rows = _csr(t_dev, dev_roots, n_dev)
+        g_ptr, g_rows = _csr(g_dev, dev_roots, n_dev)
+        term_net, term_len = t_idx[t_rows], t_sum[t_rows]
+        gate_net = g_idx[g_rows]
+        t_count = np.diff(t_ptr)
+        g_count = np.diff(g_ptr)
 
         # vectorized two-terminal sizing (the overwhelming common case);
-        # other terminal counts fall back to size_device per row.
-        n_out = order_roots.shape[0]
-        area_out = areas[order_roots]
-        t_count = t_hi - t_lo
-        if t_idx.shape[0]:
-            guard = t_idx.shape[0] - 1
-            i0 = np.minimum(t_lo, guard)
-            i1 = np.minimum(t_lo + 1, guard)
-            n1, p1 = t_idx[i0], t_sum[i0]
-            n2, p2 = t_idx[i1], t_sum[i1]
+        # other terminal counts are re-sized per row below.
+        n_out = dev_roots.shape[0]
+        area_out = areas[dev_roots]
+        if term_net.shape[0]:
+            guard = term_net.shape[0] - 1
+            i0 = np.minimum(t_ptr[:-1], guard)
+            i1 = np.minimum(t_ptr[:-1] + 1, guard)
+            n1, p1 = term_net[i0], term_len[i0]
+            n2, p2 = term_net[i1], term_len[i1]
             swap = p1 < p2  # grouped ascending by net index: n1 < n2
-            src2 = np.where(swap, n2, n1)
-            drn2 = np.where(swap, n1, n2)
-            width2 = (p1 + p2) / 2.0
-            length2 = np.divide(
+            source = np.where(swap, n2, n1)
+            drain = np.where(swap, n1, n2)
+            width = (p1 + p2) / 2.0
+            length = np.divide(
                 area_out,
-                width2,
+                width,
                 out=np.zeros(n_out, dtype=np.float64),
-                where=width2 > 0,
+                where=width > 0,
             )
         else:
-            src2 = drn2 = np.zeros(n_out, dtype=np.int64)
-            width2 = length2 = np.zeros(n_out, dtype=np.float64)
+            source = drain = np.zeros(n_out, dtype=np.int64)
+            width = length = np.zeros(n_out, dtype=np.float64)
+        if gate_net.shape[0]:
+            gate = np.where(
+                g_count > 0,
+                gate_net[np.minimum(g_ptr[:-1], gate_net.shape[0] - 1)],
+                0,
+            )
+        else:
+            gate = np.zeros(n_out, dtype=np.int64)
 
-        # geometry fold (keep_geometry replay): concatenate per raw key
-        # ascending, the reference engine's record-table fold order.
-        geo_fold: dict[int, list[Box]] = {}
+        devices = DeviceColumns(
+            kinds,
+            impl[dev_roots].tolist(),
+            gate.tolist(),
+            source.tolist(),
+            drain.tolist(),
+            length.tolist(),
+            width.tolist(),
+            np.negative(loc_nx).tolist(),
+            loc_y.tolist(),
+            area_out.tolist(),
+            t_ptr.tolist(),
+            term_net.tolist(),
+            term_len.tolist(),
+            g_ptr.tolist(),
+            gate_net.tolist(),
+        )
+        # rows outside the two-terminal template
+        for row in np.nonzero(t_count != 2)[0].tolist():
+            sized = size_device(
+                devices.area[row], devices.device(row).terminals
+            )
+            devices.source[row] = sized.source or 0
+            devices.drain[row] = sized.drain or 0
+            devices.length[row] = sized.length
+            devices.width[row] = sized.width
+
+        dev_roots_l = dev_roots.tolist()
         if self._dev_geo:
+            # find-at-append-time geometry, concatenated per raw key
+            # ascending: the reference engine's record-table fold order
             dev_find = h._devs.find
+            geo_fold: dict[int, list[Box]] = {}
             for key in sorted(self._dev_geo):
                 geo_fold.setdefault(dev_find(key), []).extend(
                     self._dev_geo[key]
                 )
+            for row, root in enumerate(dev_roots_l):
+                if geo_fold.get(root):
+                    devices.geometry[row] = geo_fold[root]
+        return order_roots.tolist(), nets, dev_roots_l, devices
 
-        area_l = area_out.tolist()
-        impl_out = impl[order_roots]
-        locs = list(
-            zip(np.negative(loc_nx).tolist(), loc_y.tolist())
-        )
-        g_cnt = g_hi - g_lo
+    def _net_columns(self) -> "tuple[np.ndarray, np.ndarray, NetColumns]":
+        """Resolved net parents, net roots in canonical order, and their
+        location columns."""
+        parent = np.array(self.host._nets.parent_snapshot(), dtype=np.int64)
+        if parent.shape[0]:
+            parent = _resolve_parents(parent)
+        chunks = self._touch_chunks()
+        if not chunks or parent.shape[0] == 0:
+            return parent, _EMPTY, NetColumns()
+        ids, ys, nxs = _concat(chunks)
+        roots, ys, nxs = _canonical(parent[ids], ys, nxs)
+        return parent, roots, NetColumns(np.negative(nxs).tolist(), ys.tolist())
 
-        if geo_fold or boundary_dev_roots:
-            return self._build_devices_rowwise(
-                kind_enh, kind_dep, boundary_dev_roots, geo_fold,
-                order_roots.tolist(), area_l, impl_out, locs,
-                t_lo, t_hi, t_idx, t_sum,
-                g_lo, g_hi, g_idx,
-                src2, drn2, width2, length2,
-            )
-
-        # Bulk materialization: every per-device python object (the
-        # Device itself, its terminals dict, gates list, location
-        # tuple) is built by C-level map/zip passes; the rare rows that
-        # do not fit the one-gate/two-terminal template are patched
-        # afterwards.  One python iteration per device costs more than
-        # the whole array pipeline at mesh scale.
-        kinds = [kind_enh] * n_out
-        impl_idx = (
-            np.nonzero(impl_out)[0].tolist() if impl_out.any() else []
-        )
-        for i in impl_idx:
-            kinds[i] = kind_dep
-        if g_idx.shape[0]:
-            g_first = g_idx[np.minimum(g_lo, g_idx.shape[0] - 1)]
-            gate_l = g_first.tolist()
-            gates_l = g_first.reshape(-1, 1).tolist()
-        else:
-            gate_l = [None] * n_out
-            gates_l = list(map(list, repeat((), n_out)))
-        if t_idx.shape[0]:
-            # dict displays over four flat lists beat building and
-            # re-walking an (n_out, 2, 2) nested tolist block
-            terms_l = [
-                {a: b, c: d}
-                for a, b, c, d in zip(
-                    n1.tolist(), p1.tolist(), n2.tolist(), p2.tolist()
-                )
-            ]
-        else:
-            terms_l = list(map(dict, repeat((), n_out)))
-        devices = list(
-            map(
-                Device,
-                range(n_out),
-                kinds,
-                gate_l,
-                src2.tolist(),
-                drn2.tolist(),
-                length2.tolist(),
-                width2.tolist(),
-                area_l,
-                locs,
-                terms_l,
-                gates_l,
-            )
-        )
-        # geometry/touches_boundary take their dataclass defaults (the
-        # bulk path never runs with kept geometry or a window); only the
-        # rare depletion rows need patching.
-        for i in impl_idx:
-            devices[i].depletion = True
-
-        # patch rows outside the two-terminal template
-        for i in np.nonzero(t_count != 2)[0].tolist():
-            lo, hi = int(t_lo[i]), int(t_hi[i])
-            terms = dict(
-                zip(t_idx[lo:hi].tolist(), t_sum[lo:hi].tolist())
-            )
-            sized = size_device(area_l[i], terms)
-            d = devices[i]
-            d.terminals = terms
-            d.source, d.drain = sized.source, sized.drain
-            d.length, d.width = sized.length, sized.width
-        # patch rows outside the single-gate template
-        for i in np.nonzero(g_cnt != 1)[0].tolist():
-            lst = g_idx[int(g_lo[i]):int(g_hi[i])].tolist()
-            d = devices[i]
-            d.gates = lst
-            d.gate = lst[0] if lst else None
-
-        warnings: list[str] = []
-        warn_mask = (g_cnt != 1) | (t_count < 2)
-        if warn_mask.any():
-            for i in np.nonzero(warn_mask)[0].tolist():
-                d = devices[i]
-                warnings.append(
-                    f"malformed transistor at {d.location}: "
-                    f"{len(d.gates)} gate nets, "
-                    f"{len(d.terminals)} terminals"
-                )
-        # The root -> index map only feeds window boundary records;
-        # whole-chip extraction never reads it.
-        dev_index_of = (
-            dict(zip(order_roots.tolist(), range(n_out)))
-            if h.window is not None
-            else {}
-        )
-        return devices, dev_index_of, warnings
-
-    def _build_devices_rowwise(
-        self,
-        kind_enh: str,
-        kind_dep: str,
-        boundary_dev_roots: "set[int]",
-        geo_fold: "dict[int, list[Box]]",
-        roots_l: "list[int]",
-        area_l: "list[int]",
-        impl_out,
-        locs: "list[tuple[int, int]]",
-        t_lo, t_hi, t_idx, t_sum,
-        g_lo, g_hi, g_idx,
-        src2, drn2, width2, length2,
-    ) -> "tuple[list[Device], dict[int, int], list[str]]":
-        """Per-row construction for runs that keep geometry or carry a
-        window boundary -- small layouts where clarity beats batching.
-        """
-        devices: list[Device] = []
-        dev_index_of: dict[int, int] = {}
-        warnings: list[str] = []
-        t_idx_l, t_sum_l = t_idx.tolist(), t_sum.tolist()
-        g_idx_l = g_idx.tolist()
-        get_geo = geo_fold.get
-        for (
-            i,
-            (root, area, is_impl, loc, lo_t, hi_t, lo_g, hi_g,
-             source, drain, width, length),
-        ) in enumerate(
-            zip(
-                roots_l,
-                area_l,
-                impl_out.tolist(),
-                locs,
-                t_lo.tolist(),
-                t_hi.tolist(),
-                g_lo.tolist(),
-                g_hi.tolist(),
-                src2.tolist(),
-                drn2.tolist(),
-                width2.tolist(),
-                length2.tolist(),
-            )
-        ):
-            if hi_t - lo_t == 2:
-                terms = {
-                    t_idx_l[lo_t]: t_sum_l[lo_t],
-                    t_idx_l[lo_t + 1]: t_sum_l[lo_t + 1],
-                }
-            else:
-                terms = dict(zip(t_idx_l[lo_t:hi_t], t_sum_l[lo_t:hi_t]))
-                sized = size_device(area, terms)
-                source, drain = sized.source, sized.drain
-                width, length = sized.width, sized.length
-            gate_indices = g_idx_l[lo_g:hi_g]
-            on_boundary = root in boundary_dev_roots
-            device = Device(
-                i,
-                kind_dep if is_impl else kind_enh,
-                gate_indices[0] if gate_indices else None,
-                source,
-                drain,
-                length,
-                width,
-                area,
-                loc,
-                terms,
-                gate_indices,
-                get_geo(root) or [] if geo_fold else [],
-                on_boundary,
-                is_impl,
-            )
-            devices.append(device)
-            dev_index_of[root] = i
-            if not on_boundary and (
-                source is None
-                or drain is None
-                or len(gate_indices) != 1
-            ):
-                warnings.append(
-                    f"malformed transistor at {device.location}: "
-                    f"{len(gate_indices)} gate nets, {len(terms)} terminals"
-                )
-        return devices, dev_index_of, warnings
+    def _touch_chunks(self) -> list:
+        """Net location touches: the engine's chunks plus the host's
+        scalar sightings as one more chunk."""
+        chunks = list(self._tn_chunks)
+        if self._tn_scalar:
+            scalar = np.array(self._tn_scalar, dtype=np.int64)
+            chunks.append((scalar[:, 0], scalar[:, 1], scalar[:, 2]))
+        return chunks
 
     # ------------------------------------------------------------------
     # banded streaming hooks (docs/STREAMING.md)
@@ -1345,23 +1152,12 @@ class NumpyStripEngine(StripEngine):
         # valid because max-of-max is the same max -- which is what keeps
         # the accumulators O(live) between bands.
         dead_locs: dict[int, tuple[int, int]] = {}
-        chunks = list(self._tn_chunks)
-        if self._tn_scalar:
-            scalar = np.array(self._tn_scalar, dtype=np.int64)
-            chunks.append((scalar[:, 0], scalar[:, 1], scalar[:, 2]))
+        chunks = self._touch_chunks()
         self._tn_scalar = []
         self._tn_chunks = []
         if chunks:
-            ids = np.concatenate([c[0] for c in chunks])
-            ys = np.concatenate([c[1] for c in chunks])
-            nxs = np.concatenate([c[2] for c in chunks])
-            roots = nparent[ids]
-            order = _sort3(roots, ys, nxs)
-            r_s, y_s, nx_s = roots[order], ys[order], nxs[order]
-            last = np.append(
-                np.nonzero(np.diff(r_s))[0], r_s.shape[0] - 1
-            )
-            g_root, g_y, g_nx = r_s[last], y_s[last], nx_s[last]
+            ids, ys, nxs = _concat(chunks)
+            g_root, g_y, g_nx = _group_max(nparent[ids], ys, nxs)
             alive = net_live[g_root]
             dead = ~alive
             for r, y, nx in zip(
@@ -1393,78 +1189,43 @@ class NumpyStripEngine(StripEngine):
                 }
             return rec
 
+        def dead_rows(chunks: list) -> "tuple[list[int], list, list]":
+            """Split a chunk list by its rows' device-root liveness: the
+            dead rows' roots and other columns, and the live rows as one
+            compacted chunk (none when every row is dead)."""
+            ids, *cols = _concat(chunks)
+            roots = dparent[ids]
+            alive = dev_live[roots]
+            kept = [(ids[alive], *(c[alive] for c in cols))] if alive.any() else []
+            dead = ~alive
+            return roots[dead].tolist(), [c[dead] for c in cols], kept
+
         if self._area_chunks:
-            ids = np.concatenate([c[0] for c in self._area_chunks])
-            vals = np.concatenate([c[1] for c in self._area_chunks])
-            roots = dparent[ids]
-            alive = dev_live[roots]
-            dead = ~alive
-            for d, v in zip(roots[dead].tolist(), vals[dead].tolist()):
+            roots, (vals,), self._area_chunks = dead_rows(self._area_chunks)
+            for d, v in zip(roots, vals.tolist()):
                 rec_for(d)["area"] += v
-            self._area_chunks = (
-                [(ids[alive], vals[alive])] if alive.any() else []
-            )
         if self._gate_chunks:
-            ids = np.concatenate([c[0] for c in self._gate_chunks])
-            gnets = np.concatenate([c[1] for c in self._gate_chunks])
-            roots = dparent[ids]
-            alive = dev_live[roots]
-            dead = ~alive
-            for d, g in zip(
-                roots[dead].tolist(), nparent[gnets[dead]].tolist()
-            ):
+            roots, (gnets,), self._gate_chunks = dead_rows(self._gate_chunks)
+            for d, g in zip(roots, nparent[gnets].tolist()):
                 rec_for(d)["gates"].add(g)
-            self._gate_chunks = (
-                [(ids[alive], gnets[alive])] if alive.any() else []
-            )
         if self._loc_chunks:
-            ids = np.concatenate([c[0] for c in self._loc_chunks])
-            ys = np.concatenate([c[1] for c in self._loc_chunks])
-            nxs = np.concatenate([c[2] for c in self._loc_chunks])
-            roots = dparent[ids]
-            alive = dev_live[roots]
-            dead = ~alive
-            for d, y, nx in zip(
-                roots[dead].tolist(),
-                ys[dead].tolist(),
-                nxs[dead].tolist(),
-            ):
+            roots, (ys, nxs), self._loc_chunks = dead_rows(self._loc_chunks)
+            for d, loc in zip(roots, zip(ys.tolist(), nxs.tolist())):
                 rec = rec_for(d)
-                loc = (y, nx)
                 if rec["loc"] is None or loc > rec["loc"]:
                     rec["loc"] = loc
-            self._loc_chunks = (
-                [(ids[alive], ys[alive], nxs[alive])]
-                if alive.any()
-                else []
-            )
         if self._impl_chunks:
-            ids = np.concatenate(self._impl_chunks)
-            roots = dparent[ids]
-            alive = dev_live[roots]
-            dead = ~alive
-            for d in roots[dead].tolist():
+            roots, _, kept = dead_rows([(ids,) for ids in self._impl_chunks])
+            for d in roots:
                 rec_for(d)["impl"] = True
-            self._impl_chunks = [ids[alive]] if alive.any() else []
+            self._impl_chunks = [ids for (ids,) in kept]
         if self._term_chunks:
-            ids = np.concatenate([c[0] for c in self._term_chunks])
-            tnets = np.concatenate([c[1] for c in self._term_chunks])
-            lens = np.concatenate([c[2] for c in self._term_chunks])
-            roots = dparent[ids]
-            alive = dev_live[roots]
-            dead = ~alive
-            for d, n, ln in zip(
-                roots[dead].tolist(),
-                nparent[tnets[dead]].tolist(),
-                lens[dead].tolist(),
-            ):
+            roots, (tnets, lens), self._term_chunks = dead_rows(
+                self._term_chunks
+            )
+            for d, n, ln in zip(roots, nparent[tnets].tolist(), lens.tolist()):
                 terms = rec_for(d)["terms"]
                 terms[n] = terms.get(n, 0) + ln
-            self._term_chunks = (
-                [(ids[alive], tnets[alive], lens[alive])]
-                if alive.any()
-                else []
-            )
         if self._dev_geo:
             dev_find = h._devs.find
             keep_geo: dict[int, list[Box]] = {}

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from ..frontend.stream import GeometryStream
 from ..geometry import Box
-from .netlist import Device
-from .sizing import size_device
+from .assemble import fold_columns, fold_locations, fold_records
+from .netlist import DeviceColumns, NetColumns
 
 from . import scanline as _scan
 from .scanline import (
@@ -310,108 +310,13 @@ class PythonStripEngine(StripEngine):
     # finalize folds (step 3)
     # ------------------------------------------------------------------
 
-    def net_order(self) -> "tuple[list[int], list[tuple[int, int]]]":
-        find = self.host._nets.find
-        locations: dict[int, tuple[int, int]] = {}
-        for ident, loc in self._net_loc.items():
-            root = find(ident)
-            if root not in locations or loc > locations[root]:
-                locations[root] = loc
-        # Canonical net order: topmost, then leftmost, location first.
-        roots = sorted(
-            locations,
-            key=lambda r: (-locations[r][0], -locations[r][1], r),
-        )
-        return roots, [
-            (-locations[r][1], locations[r][0]) for r in roots
-        ]
-
-    def build_devices(
-        self,
-        index_of: "dict[int, int]",
-        kind_enh: str,
-        kind_dep: str,
-        boundary_dev_roots: "set[int]",
-    ) -> "tuple[list[Device], dict[int, int], list[str]]":
+    def finalize(
+        self, kinds: "tuple[str, str]"
+    ) -> "tuple[list[int], NetColumns, list[int], DeviceColumns]":
         h = self.host
-        find = h._nets.find
-        dev_find = h._devs.find
-
-        # Fold device records by device root.
-        dev_roots: dict[int, dict] = {}
-        for ident, rec in self._dev.items():
-            root = dev_find(ident)
-            into = dev_roots.get(root)
-            if into is None or into is rec:
-                dev_roots[root] = rec
-                continue
-            into["area"] += rec["area"]
-            into["gates"] |= rec["gates"]
-            for net, length in rec["terms"].items():
-                into["terms"][net] = into["terms"].get(net, 0) + length
-            into["geo"].extend(rec["geo"])
-            if rec["loc"] is not None and (
-                into["loc"] is None or rec["loc"] > into["loc"]
-            ):
-                into["loc"] = rec["loc"]
-            into["impl"] = into["impl"] or rec["impl"]
-
-        order = sorted(
-            dev_roots,
-            key=lambda r: (
-                (-dev_roots[r]["loc"][0], -dev_roots[r]["loc"][1])
-                if dev_roots[r]["loc"]
-                else (0, 0),
-                r,
-            ),
+        return fold_columns(
+            self._net_loc, self._dev, h._nets.find, h._devs.find, kinds
         )
-        devices: list[Device] = []
-        dev_index_of: dict[int, int] = {}
-        warnings: list[str] = []
-        for i, root in enumerate(order):
-            rec = dev_roots[root]
-            terms: dict[int, int] = {}
-            for net, length in rec["terms"].items():
-                idx = index_of.get(find(net))
-                if idx is not None:
-                    terms[idx] = terms.get(idx, 0) + length
-            gate_roots = {find(g) for g in rec["gates"]}
-            gate_indices = [
-                index_of[g] for g in gate_roots if g in index_of
-            ]
-            if len(gate_indices) > 1:
-                gate_indices.sort()
-            sized = size_device(rec["area"], terms)
-            loc = rec["loc"]
-            on_boundary = root in boundary_dev_roots
-            device = Device(
-                i,
-                kind_dep if rec["impl"] else kind_enh,
-                gate_indices[0] if gate_indices else None,
-                sized.source,
-                sized.drain,
-                sized.length,
-                sized.width,
-                rec["area"],
-                (-loc[1], loc[0]) if loc else None,
-                terms,
-                gate_indices,
-                rec["geo"],
-                on_boundary,
-                rec["impl"],
-            )
-            devices.append(device)
-            dev_index_of[root] = i
-            if not on_boundary and (
-                sized.source is None
-                or sized.drain is None
-                or len(gate_indices) != 1
-            ):
-                warnings.append(
-                    f"malformed transistor at {device.location}: "
-                    f"{len(gate_indices)} gate nets, {len(terms)} terminals"
-                )
-        return devices, dev_index_of, warnings
 
     # ------------------------------------------------------------------
     # banded streaming hooks (docs/STREAMING.md)
@@ -438,41 +343,21 @@ class PythonStripEngine(StripEngine):
         # location table O(live nets) instead of O(nets seen).
         dead_locs: dict[int, tuple[int, int]] = {}
         keep_locs: dict[int, tuple[int, int]] = {}
-        for ident, loc in self._net_loc.items():
-            root = find(ident)
-            target = keep_locs if root in live_nets else dead_locs
-            current = target.get(root)
-            if current is None or loc > current:
-                target[root] = loc
+        for root, loc in fold_locations(self._net_loc, find).items():
+            (keep_locs if root in live_nets else dead_locs)[root] = loc
         self._net_loc = keep_locs
 
         # Device records: dead roots fold in table insertion order (the
         # finalize fold restricted to them); live records stay keyed by
         # their raw ids so future lookups and geometry append order are
         # untouched.
-        dead_devs: dict[int, dict] = {}
         keep_devs: dict[int, dict] = {}
+        dead: dict[int, dict] = {}
         for ident, rec in self._dev.items():
-            root = dev_find(ident)
-            if root in live_devs:
-                keep_devs[ident] = rec
-                continue
-            into = dead_devs.get(root)
-            if into is None or into is rec:
-                dead_devs[root] = rec
-                continue
-            into["area"] += rec["area"]
-            into["gates"] |= rec["gates"]
-            for net, length in rec["terms"].items():
-                into["terms"][net] = into["terms"].get(net, 0) + length
-            into["geo"].extend(rec["geo"])
-            if rec["loc"] is not None and (
-                into["loc"] is None or rec["loc"] > into["loc"]
-            ):
-                into["loc"] = rec["loc"]
-            into["impl"] = into["impl"] or rec["impl"]
+            live = dev_find(ident) in live_devs
+            (keep_devs if live else dead)[ident] = rec
         self._dev = keep_devs
-        return dead_locs, dead_devs
+        return dead_locs, fold_records(dead, dev_find)
 
     def snapshot_state(self) -> dict:
         return {

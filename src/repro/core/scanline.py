@@ -66,8 +66,15 @@ from ..frontend.instantiate import PlacedLabel
 from ..frontend.stream import GeometryStream
 from ..geometry import Box
 from ..tech import Technology, scan_layers
+from .assemble import attach_net_payload
 from .columnar import NO_NET, LayerTable
-from .netlist import CHANNEL, BoundaryRecord, Circuit, Face
+from .netlist import (
+    CHANNEL,
+    BoundaryRecord,
+    Circuit,
+    Face,
+    malformed_warnings,
+)
 from .stats import PhaseTimer, ScanStats
 from .stripengine import CondSource, create_strip_engine
 from .unionfind import UnionFind
@@ -1046,97 +1053,57 @@ class ScanlineEngine:
     # ------------------------------------------------------------------
 
     def _finalize(self) -> Circuit:
-        from itertools import repeat
-
-        from .netlist import Net
-
         nets = self._nets
         for label in self._labels:  # below all geometry
             self._unattached.append(label)
         self._labels = []
 
-        names = nets.fold(self._net_names)
-        geometry = nets.fold(self._net_geo) if self.keep_geometry else {}
-
-        # The engine owns the location folds: canonical net order is
-        # topmost, then leftmost, location first.
-        roots, locations = self.strip_engine.net_order()
-        # A batch engine reconstructs root -> index from its own order
-        # arrays; the 66k-entry dict is only built when something here
-        # (window boundary mapping, a dict-driven engine) consumes it.
-        if self.strip_engine.wants_index_of or self._boundary:
-            index_of = dict(zip(roots, range(1, len(roots) + 1)))
-        else:
-            index_of = None
-
-        # Net materialization runs once per net (66k times on the n=256
-        # mesh), so the unlabeled/no-geometry bulk goes through C-level
-        # map/zip construction; only nets with names or kept geometry
-        # take the per-root python path.
-        if not names and not geometry:
-            net_objs = list(
-                map(
-                    Net,
-                    range(1, len(roots) + 1),
-                    map(list, repeat((), len(roots))),
-                    locations,
-                )
+        # The engine owns the location and device folds and hands back
+        # canonical-order columns; names, kept net artwork, and window
+        # boundary records are host state, mapped onto rows by root.
+        kinds = (self.tech.device_name(False), self.tech.device_name(True))
+        net_roots, net_cols, dev_roots, dev_cols = (
+            self.strip_engine.finalize(kinds)
+        )
+        geometry = self._net_geo if self.keep_geometry else {}
+        index_of: dict[int, int] = {}
+        if self._net_names or geometry or self._boundary:
+            index_of = dict(zip(net_roots, range(1, len(net_roots) + 1)))
+            attach_net_payload(
+                net_cols,
+                index_of,
+                nets.fold(self._net_names),
+                nets.fold(geometry),
             )
-        else:
-            net_objs = []
-            append_net = net_objs.append
-            get_names = names.get
-            get_geo = geometry.get
-            for i, root in enumerate(roots):
-                raw = get_names(root)
-                if raw:
-                    seen: set[str] = set()
-                    uniq = [
-                        n for n in raw if not (n in seen or seen.add(n))
-                    ]
-                else:
-                    uniq = []
-                append_net(
-                    Net(i + 1, uniq, locations[i], get_geo(root) or [])
-                )
 
-        boundary_devs = {
-            ident
-            for _, layer, _, _, ident in self._boundary
-            if layer == CHANNEL
-        }
-        boundary_dev_roots = {self._devs.find(d) for d in boundary_devs}
+        boundary = []
+        if self._boundary:
+            dev_find = self._devs.find
+            row_of = {root: row for row, root in enumerate(dev_roots)}
+            for face, layer, lo, hi, ident in self._boundary:
+                if layer == CHANNEL:
+                    mapped = row_of.get(dev_find(ident))
+                    if mapped is not None:
+                        dev_cols.boundary.add(mapped)
+                else:
+                    mapped = index_of.get(nets.find(ident))
+                if mapped is not None:
+                    boundary.append(
+                        BoundaryRecord(face, layer, lo, hi, mapped)
+                    )
 
         warnings = list(self._warnings)
-        kind_enh = self.tech.device_name(False)
-        kind_dep = self.tech.device_name(True)
-        devices, dev_index_of, dev_warnings = (
-            self.strip_engine.build_devices(
-                index_of, kind_enh, kind_dep, boundary_dev_roots
-            )
-        )
-        warnings.extend(dev_warnings)
-
+        warnings.extend(malformed_warnings(dev_cols))
         for label in self._unattached:
             warnings.append(
                 f"label {label.name!r} at ({label.x}, {label.y}) "
                 f"matches no conducting geometry"
             )
-
-        boundary = []
-        for face, layer, lo, hi, ident in self._boundary:
-            if layer == CHANNEL:
-                mapped = dev_index_of.get(self._devs.find(ident))
-            else:
-                mapped = index_of.get(nets.find(ident))
-            if mapped is not None:
-                boundary.append(BoundaryRecord(face, layer, lo, hi, mapped))
-
         return Circuit(
-            nets=net_objs,
-            devices=devices,
             boundary=_coalesce_boundary(boundary),
             warnings=warnings,
+            net_columns=net_cols,
+            device_columns=dev_cols,
         )
 
 

@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..frontend.stream import GeometryStream
+    from .netlist import DeviceColumns, NetColumns
     from .scanline import ScanlineEngine
 
 #: Valid values for every ``engine=`` / ``--engine`` knob in the stack.
@@ -86,7 +87,7 @@ class StripEngine:
     engine's accumulated per-strip state (previous strip's conducting
     spans and channels, net/device attribute accumulators).  The host
     guarantees ``process_strip`` is called once per strip, top to
-    bottom, and that ``net_order`` is called before ``build_devices``.
+    bottom, and that ``finalize`` is called once, after the sweep.
     """
 
     #: concrete engine name ("python" / "numpy")
@@ -96,12 +97,6 @@ class StripEngine:
     #: host defer side-effect-free stops and hand them over as one
     #: vectorized strip run (docs/ENGINES.md).
     supports_runs = False
-
-    #: False when the engine derives the net-root -> wirelist-index map
-    #: itself (from its own canonical-order arrays); the host then skips
-    #: building the ``index_of`` dict and passes ``None`` unless window
-    #: boundary records need it anyway.
-    wants_index_of = True
 
     def __init__(self, host: "ScanlineEngine") -> None:
         self.host = host
@@ -140,37 +135,20 @@ class StripEngine:
         """Record a net sighting for the topmost/leftmost location fold."""
         raise NotImplementedError
 
-    def net_order(
-        self,
-    ) -> "tuple[list[int], list[tuple[int, int]]]":
-        """Canonical net order after the sweep.
+    def finalize(
+        self, kinds: "tuple[str, str]"
+    ) -> "tuple[list[int], NetColumns, list[int], DeviceColumns]":
+        """The folded circuit as columns in canonical order.
 
-        Returns ``(roots, locations)``: net roots sorted topmost-then-
-        leftmost (the wirelist's net numbering) and, aligned with it,
-        each net's display location ``(xmin, ymax)``.
-        """
-        raise NotImplementedError
-
-    def build_devices(
-        self,
-        index_of: "dict[int, int]",
-        kind_enh: str,
-        kind_dep: str,
-        boundary_dev_roots: "set[int]",
-    ) -> "tuple[list, dict[int, int], list[str]]":
-        """Folded, ordered, fully materialized device records.
-
-        ``index_of`` maps net roots to 1-based wirelist indices; it is
-        ``None`` when the engine set :attr:`wants_index_of` False and
-        nothing else needed the dict -- such an engine reconstructs the
-        mapping from its own canonical net order.
-        Returns ``(devices, dev_index_of, warnings)``: the
-        :class:`~repro.core.netlist.Device` list in canonical order,
-        the device-root to device-index map the host needs for boundary
-        records, and the malformed-transistor warnings in device order.
-        The engine owns materialization so a batch back-end can build
-        the bulk of the objects with C-level ``map``/``zip`` passes
-        instead of one python iteration per device.
+        Returns ``(net_roots, nets, device_roots, devices)``: net roots
+        sorted topmost-then-leftmost (the wirelist's net numbering) with
+        the aligned location columns, and device roots in device order
+        with the sized device columns (``kinds`` names the enhancement
+        and depletion parts).  Device geometry is filled in when the
+        sweep kept it; net names, net artwork, and boundary flags are
+        host state, which the host attaches by root.  The columns are
+        plain lists, so a batch back-end converts each of its fold
+        arrays once instead of building one object per device.
         """
         raise NotImplementedError
 

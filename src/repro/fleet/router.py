@@ -651,11 +651,15 @@ class FleetRouter:
             )
         except UpstreamError:
             self.metrics.count("upstream_errors")
-            await self._rescue(job)
+            await self._shard_down(shard)
+            if job.shard is shard:
+                await self._rescue(job)
             return None
         if status == 404:
             # The shard restarted and forgot the job: same as death.
-            await self._rescue(job)
+            await self._shard_down(shard)
+            if job.shard is shard:
+                await self._rescue(job)
             return None
         if status != 200:
             return None
@@ -794,29 +798,44 @@ class FleetRouter:
     async def _health_loop(self) -> None:
         while True:
             await asyncio.sleep(self.config.health_interval)
-            for shard in list(self.shards.values()):
-                was_healthy = shard.healthy
-                try:
-                    status, _ = await self._upstream(
-                        shard,
-                        "GET",
-                        "/healthz",
-                        timeout=self.config.health_timeout,
-                    )
-                    ok = status == 200
-                except UpstreamError:
-                    ok = False
-                if ok:
-                    shard.healthy = True
-                    continue
-                shard.healthy = False
-                if was_healthy:
-                    self.metrics.count("shard_down")
-                    self.log(event="shard_down", shard=shard.name)
-                    # Proactive rescue: don't wait for a client poll to
-                    # notice the dead shard.
-                    for job in self.table.pending_on(shard):
-                        await self._rescue(job)
+            await self._check_health()
+
+    async def _check_health(self) -> None:
+        """Probe every shard's ``/healthz`` once."""
+        for shard in list(self.shards.values()):
+            was_healthy = shard.healthy
+            try:
+                status, _ = await self._upstream(
+                    shard,
+                    "GET",
+                    "/healthz",
+                    timeout=self.config.health_timeout,
+                )
+            except UpstreamError:
+                status = 0
+            if status != 200:
+                # Any HTTP answer marks the shard healthy in _upstream; an
+                # error answer is no recovery, so judge the transition
+                # from the state before the probe.
+                shard.healthy = was_healthy
+                await self._shard_down(shard)
+
+    async def _shard_down(self, shard: ShardState) -> None:
+        """The healthy-to-down transition, wherever it is noticed.
+
+        Counted and logged once per transition, however many health
+        probes and failed polls agree afterwards.  Jobs still pending on
+        the shard are rescued right away rather than when a client next
+        polls them.
+        """
+        if not shard.healthy:
+            return
+        shard.healthy = False
+        self.metrics.count("shard_down")
+        self.log(event="shard_down", shard=shard.name)
+        for job in self.table.pending_on(shard):
+            if job.shard is shard:  # a concurrent poll may have moved it
+                await self._rescue(job)
 
     def _health_payload(self) -> dict:
         return {

@@ -405,23 +405,31 @@ def _wrap_fragment(placed: Placed) -> Fragment:
 
 
 def _circuit_to_fragment(circuit: Circuit, window: Box) -> Fragment:
-    """Adapt the modified flat extractor's output to a Fragment."""
+    """Adapt the modified flat extractor's columns to a Fragment.
+
+    Column net indices are 1-based; fragment net ids are 0-based.
+    """
     fixed_of = {"L": window.xmin, "R": window.xmax, "T": window.ymax, "B": window.ymin}
+    nets = circuit.net_columns
+    devs = circuit.device_columns
+    tp, tn, tl = devs.term_ptr, devs.term_net, devs.term_len
+    gp, gn = devs.gate_ptr, devs.gate_net
     complete: list[DeviceRec] = []
     partial: list[DeviceRec] = []
-    partial_id: dict[int, int] = {}  # circuit device index -> partial id
-    for device in circuit.devices:
+    partial_id: dict[int, int] = {}  # circuit device row -> partial id
+    for row, (impl, x, y) in enumerate(zip(devs.depletion, devs.x, devs.y)):
         rec = DeviceRec(
-            area=device.area,
-            terms={net - 1: p for net, p in device.terminals.items()},
-            gates={g - 1 for g in device.gates},
-            impl=device.depletion,
-            loc=(device.location[1], -device.location[0])
-            if device.location
-            else None,
+            area=devs.area[row],
+            terms={
+                net - 1: p
+                for net, p in zip(tn[tp[row]:tp[row + 1]], tl[tp[row]:tp[row + 1]])
+            },
+            gates={g - 1 for g in gn[gp[row]:gp[row + 1]]},
+            impl=impl,
+            loc=None if x is None else (y, -x),
         )
-        if device.touches_boundary:
-            partial_id[device.index] = len(partial)
+        if row in devs.boundary:
+            partial_id[row] = len(partial)
             partial.append(rec)
         else:
             complete.append(rec)
@@ -446,19 +454,15 @@ def _circuit_to_fragment(circuit: Circuit, window: Box) -> Fragment:
                 )
             )
 
-    net_names = {
-        net.index - 1: list(net.names) for net in circuit.nets if net.names
-    }
-    net_locs = {
-        net.index - 1: (net.location[1], -net.location[0])
-        for net in circuit.nets
-        if net.location
-    }
     return Fragment(
         region=(window,),
-        net_count=len(circuit.nets),
-        net_names=net_names,
-        net_locs=net_locs,
+        net_count=len(nets),
+        net_names={row: list(names) for row, names in nets.names.items()},
+        net_locs={
+            row: (y, -x)
+            for row, (x, y) in enumerate(zip(nets.x, nets.y))
+            if x is not None
+        },
         devices=tuple(complete),
         partials=tuple(partial),
         interface=tuple(interface),

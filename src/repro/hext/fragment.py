@@ -155,14 +155,6 @@ class Fragment:
             max(r.ymax for r in self.region),
         )
 
-    def total_devices(self) -> int:
-        """Devices in this fragment counting children once (not per use)."""
-        return (
-            len(self.devices)
-            + len(self.partials)
-            + sum(c.fragment.total_devices() for c in self.children)
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class Placed:

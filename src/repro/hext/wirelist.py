@@ -89,19 +89,27 @@ def _level_referenced(frag: Fragment, is_top: bool) -> set[int]:
 
 
 def _topological(root: Fragment) -> list[Fragment]:
-    """Unique fragments with every parent before any of its children."""
+    """Unique fragments with every parent before any of its children.
+
+    The reverse of a depth-first postorder, children in composition
+    order.  The search keeps an explicit stack: compose chains are as
+    deep as the window tree is tall, which can exceed Python's
+    recursion limit on big chips.
+    """
     postorder: list[Fragment] = []
-    visited: set[int] = set()
-
-    def visit(frag: Fragment) -> None:
-        if id(frag) in visited:
-            return
-        visited.add(id(frag))
-        for child in frag.children:
-            visit(child.fragment)
-        postorder.append(frag)
-
-    visit(root)
+    visited = {id(root)}
+    stack = [(root, iter(root.children))]
+    while stack:
+        frag, children = stack[-1]
+        for child in children:
+            sub = child.fragment
+            if id(sub) not in visited:
+                visited.add(id(sub))
+                stack.append((sub, iter(sub.children)))
+                break
+        else:
+            stack.pop()
+            postorder.append(frag)
     postorder.reverse()
     return postorder
 

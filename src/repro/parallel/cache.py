@@ -51,6 +51,7 @@ from .serialize import (
     FORMAT_VERSION,
     SerializationError,
     canonical_json,
+    envelope_text,
     fragment_from_payload,
     fragment_payload,
 )
@@ -150,17 +151,20 @@ class JsonEnvelopeStore:
     def put_payload(self, key: str, payload: dict) -> None:
         """Store a JSON payload under ``key`` (atomic replace)."""
         body = canonical_json(payload)
-        envelope = {
-            "format": self.format_version,
-            "key": key,
-            "checksum": hashlib.sha256(body.encode()).hexdigest(),
-            self.payload_field: payload,
-        }
+        text = envelope_text(
+            {
+                "format": self.format_version,
+                "key": key,
+                "checksum": hashlib.sha256(body.encode()).hexdigest(),
+            },
+            self.payload_field,
+            body,
+        )
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
         with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(envelope, handle)
+            handle.write(text)
         os.replace(tmp, path)
         self.stats.stores += 1
         if self.max_entries is not None or self.max_bytes is not None:

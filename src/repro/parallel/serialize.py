@@ -46,6 +46,17 @@ def canonical_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def envelope_text(header: dict, field: str, body: str) -> str:
+    """JSON text of ``header`` plus ``field`` holding the JSON ``body``.
+
+    ``body`` is already serialized (the canonical text the checksum
+    covers), so the payload is encoded once, by the C encoder behind
+    ``json.dumps``, rather than again by ``json.dump``'s pure-python
+    streaming encoder.  ``header`` must not be empty.
+    """
+    return f"{json.dumps(header)[:-1]}, {json.dumps(field)}: {body}}}"
+
+
 def technology_fingerprint(tech: Technology) -> str:
     """Digest of every process rule that can influence extraction.
 

@@ -325,8 +325,8 @@ class ExtractionEngine:
             "diagnostics": diagnostics,
             "lint_errors": lint_errors,
             "warnings": list(circuit.warnings),
-            "devices": len(circuit.devices),
-            "nets": len(circuit.nets),
+            "devices": circuit.device_count(),
+            "nets": circuit.net_count(),
         }
         self.results.put(job.cache_key, result)
         self.metrics.count("cache_stores")

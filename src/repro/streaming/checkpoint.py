@@ -34,7 +34,7 @@ import os
 from pathlib import Path
 
 from ..cif import Layout, write as write_cif
-from ..parallel.serialize import canonical_json
+from ..parallel.serialize import canonical_json, envelope_text
 
 #: Bump to invalidate every older checkpoint on load.
 CHECKPOINT_FORMAT = 1
@@ -63,17 +63,20 @@ def run_key(digest: str, options: dict) -> str:
 def save_checkpoint(path: "str | os.PathLike", state: dict) -> None:
     """Atomically replace ``path`` with a checksummed envelope."""
     body = canonical_json(state)
-    envelope = {
-        "format": CHECKPOINT_FORMAT,
-        "checksum": hashlib.sha256(body.encode()).hexdigest(),
-        "state": state,
-    }
+    text = envelope_text(
+        {
+            "format": CHECKPOINT_FORMAT,
+            "checksum": hashlib.sha256(body.encode()).hexdigest(),
+        },
+        "state",
+        body,
+    )
     path = Path(path)
     if path.parent and not path.parent.exists():
         path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
     with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(envelope, handle)
+        handle.write(text)
     os.replace(tmp, path)
 
 

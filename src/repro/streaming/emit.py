@@ -1,39 +1,35 @@
 """Incremental wirelist emission from retired (spilled) sweep state.
 
-The in-memory pipeline materializes a full :class:`Circuit`, converts
-it to a :class:`Wirelist`, and renders that
-(:mod:`repro.wirelist.writer`).  A streamed sweep never holds the whole
-circuit: at the end of the sweep everything has been retired, and what
-remains in RAM are the order-key maps (net/device root -> location and
-spill band) plus the union-finds.  This module walks those maps in
-canonical wirelist order, pages each root's payload in from the
-:class:`~repro.streaming.spill.SpillStore`, and writes the flat
-single-DefPart format of Figure 3-4 directly to the output stream.
-
-Byte identity with ``write_wirelist(to_wirelist(circuit, ...))`` is the
-hard contract (the band-equivalence harness enforces it on every golden
-and fuzzed layout), so every formatting quirk of the in-memory path is
-reproduced deliberately: ``N<i>``-then-aliases name lists with
-first-occurrence dedup, ``(Location x y)`` suppressed only for ``None``,
-the two-space ``(Local  )`` of an empty chip, gate/terminal resolution
-through the *final* union-find, and malformed-transistor warnings in
-device order.
+The in-memory pipeline folds the whole circuit into columns and hands
+them to the flat writer (:func:`repro.wirelist.writer.write_flat`).  A
+streamed sweep never holds the whole circuit: at the end of the sweep
+everything has been retired, and what remains in RAM are the order-key
+maps (net/device root -> location and spill band) plus the union-finds.
+This module walks those maps in canonical wirelist order, pages each
+root's payload in from the :class:`~repro.streaming.spill.SpillStore`,
+and turns every :data:`CHUNK` rows into the same columns the in-memory
+finalize builds -- through the same record fold
+(:func:`repro.core.assemble.device_columns`) -- for the same writer.
+Byte identity with ``write_wirelist(to_wirelist(circuit, ...))`` follows
+from sharing both; the band-equivalence harness enforces it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import IO
+from typing import IO, Iterator
 
-from ..core.sizing import size_device
+from ..core.assemble import device_columns, device_order, net_columns, net_order
+from ..core.netlist import DeviceColumns, NetColumns, malformed_warnings
 from ..core.unionfind import UnionFind
-from ..wirelist.model import PRIMITIVE_PARTS
-from ..wirelist.writer import _num, geometry_to_cif
+from ..wirelist.writer import write_flat
 from .spill import SpillStore
 
-#: The flat format indents every body line one space (single DefPart
-#: whose name matches the wirelist).
-_INDENT = " "
+#: rows per column chunk: emission holds one chunk at a time
+CHUNK = 1024
+#: rows per chunk when artwork is written: each such row's text is
+#: O(its geometry), so chunks shrink to keep the buffer O(band)
+GEOMETRY_CHUNK = 16
 
 
 @dataclass
@@ -57,8 +53,7 @@ def emit_wirelist(
     net_bands: "dict[int, int]",
     dev_bands: "dict[int, int]",
     spill: SpillStore,
-    kind_enh: str,
-    kind_dep: str,
+    kinds: "tuple[str, str]",
     include_geometry: bool,
     primitives: "dict | None" = None,
 ) -> EmitResult:
@@ -69,111 +64,41 @@ def emit_wirelist(
     holds a root's heavy payload (roots with no names and no kept
     geometry have no spill entry at all).
     """
-    result = EmitResult()
-    net_find = nets.find
-    dev_find = devs.find
-
-    # Canonical net order: topmost, then leftmost, then root id -- the
-    # same sort the engines' net_order() performs at finalize.
-    roots = sorted(
-        net_locs, key=lambda r: (-net_locs[r][0], -net_locs[r][1], r)
-    )
+    roots = net_order(net_locs)
     index_of = {root: i + 1 for i, root in enumerate(roots)}
-    result.nets = len(roots)
+    dev_roots = device_order(dev_locs)
+    result = EmitResult(nets=len(roots), devices=len(dev_roots))
+    step = GEOMETRY_CHUNK if include_geometry else CHUNK
 
-    out.write(f'(DefPart "{name}"\n')
-    for kind, exports in (primitives or PRIMITIVE_PARTS).items():
-        out.write(f" (DefPart {kind} (Export {' '.join(exports)}))\n")
+    def device_chunks() -> Iterator[DeviceColumns]:
+        dev_find = devs.find
+        for lo in range(0, len(dev_roots), step):
+            # Terminal and gate ids were frozen at retire time, possibly
+            # before their nets stopped merging; the fold resolves them
+            # through the final union-find, as the in-memory finalize does.
+            records = [
+                spill.device_record(dev_bands[root], dev_find(root))
+                for root in dev_roots[lo:lo + step]
+            ]
+            chunk = device_columns(records, nets.find, index_of, kinds, lo)
+            result.warnings.extend(malformed_warnings(chunk))
+            yield chunk
 
-    # -- devices -------------------------------------------------------
+    def net_chunks() -> Iterator[NetColumns]:
+        for lo in range(0, len(roots), step):
+            part = roots[lo:lo + step]
+            chunk = net_columns(part, net_locs, start=lo)
+            for row, root in enumerate(part):
+                band = net_bands.get(root)
+                payload = None if band is None else spill.net_payload(band, root)
+                if payload and payload["names"]:
+                    chunk.names[row] = list(dict.fromkeys(payload["names"]))
+                if payload and payload["geo"]:
+                    chunk.geometry[row] = payload["geo"]
+            yield chunk
 
-    dev_order = sorted(
-        dev_locs,
-        key=lambda r: (
-            (-dev_locs[r][0], -dev_locs[r][1]) if dev_locs[r] else (0, 0),
-            r,
-        ),
+    write_flat(
+        out.write, name, primitives, device_chunks(), net_chunks(),
+        include_geometry,
     )
-    result.devices = len(dev_order)
-    for i, root in enumerate(dev_order):
-        rec = spill.device_record(dev_bands[root], dev_find(root))
-        # Terminal and gate ids were frozen at retire time, possibly
-        # before their nets stopped merging; resolve through the final
-        # union-find exactly as the in-memory finalize does.
-        terms: dict[int, int] = {}
-        for net, length in rec["terms"].items():
-            idx = index_of.get(net_find(net))
-            if idx is not None:
-                terms[idx] = terms.get(idx, 0) + length
-        gate_roots = {net_find(g) for g in rec["gates"]}
-        gate_indices = [index_of[g] for g in gate_roots if g in index_of]
-        if len(gate_indices) > 1:
-            gate_indices.sort()
-        sized = size_device(rec["area"], terms)
-        loc = rec["loc"]
-        location = (-loc[1], loc[0]) if loc else None
-        gate = gate_indices[0] if gate_indices else None
-
-        kind = kind_dep if rec["impl"] else kind_enh
-        out.write(f"{_INDENT}(Part {kind} (InstName D{i})")
-        if location:
-            out.write(f" (Location {location[0]} {location[1]})")
-        out.write("\n")
-        gate_name = f"N{gate}" if gate else None
-        source_name = f"N{sized.source}" if sized.source else None
-        drain_name = f"N{sized.drain}" if sized.drain else None
-        out.write(
-            f"{_INDENT} (T Gate {gate_name or 'NONE'})"
-            f" (T Source {source_name or 'NONE'})"
-            f" (T Drain {drain_name or 'NONE'})\n"
-        )
-        out.write(
-            f"{_INDENT} (Channel (Length {_num(sized.length)}) "
-            f"(Width {_num(sized.width)})"
-        )
-        if include_geometry and rec["geo"]:
-            cif = geometry_to_cif(
-                [("__channel__", box) for box in rec["geo"]],
-                channel_layer=True,
-            )
-            out.write(f'\n{_INDENT}  ( CIF " {cif} ")')
-        out.write(")")
-        out.write(")\n")
-
-        if sized.source is None or sized.drain is None or len(
-            gate_indices
-        ) != 1:
-            result.warnings.append(
-                f"malformed transistor at {location}: "
-                f"{len(gate_indices)} gate nets, {len(terms)} terminals"
-            )
-
-    # -- nets ----------------------------------------------------------
-
-    for i, root in enumerate(roots):
-        band = net_bands.get(root)
-        payload = (
-            spill.net_payload(band, root) if band is not None else None
-        )
-        names = [f"N{i + 1}"]
-        if payload:
-            seen: set[str] = set()
-            names.extend(
-                n
-                for n in payload["names"]
-                if not (n in seen or seen.add(n))
-            )
-        y, nx = net_locs[root]
-        out.write(f"{_INDENT}(Net {' '.join(names)}")
-        out.write(f" (Location {-nx} {y})")
-        if include_geometry and payload and payload["geo"]:
-            cif = geometry_to_cif(payload["geo"])
-            out.write(f'\n{_INDENT} ( CIF " {cif} ")')
-        out.write(")\n")
-
-    out.write(
-        f"{_INDENT}(Local "
-        f"{' '.join(f'N{i + 1}' for i in range(len(roots)))} )\n"
-    )
-    out.write(")\n")
     return result

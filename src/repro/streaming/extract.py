@@ -240,8 +240,7 @@ def stream_extract(
         net_bands=net_bands,
         dev_bands=dev_bands,
         spill=spill,
-        kind_enh=tech.device_name(False),
-        kind_dep=tech.device_name(True),
+        kinds=(tech.device_name(False), tech.device_name(True)),
         primitives=primitives_for(tech),
         include_geometry=keep_geometry,
     )

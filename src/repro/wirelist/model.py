@@ -56,11 +56,6 @@ class DeviceInstance:
     width: float | None = None
     channel_cif: str | None = None
 
-    def terminal(self, role: str) -> str | None:
-        return {"Gate": self.gate, "Source": self.source, "Drain": self.drain}[
-            role
-        ]
-
 
 @dataclass
 class SubpartInstance:
@@ -100,18 +95,6 @@ class DefPart:
     subparts: list[SubpartInstance] = field(default_factory=list)
     nets: list[NetDecl] = field(default_factory=list)
     locals_: list[str] = field(default_factory=list)
-
-    def all_net_names(self) -> set[str]:
-        names: set[str] = set(self.exports) | set(self.locals_)
-        for decl in self.nets:
-            names.update(decl.names)
-        for device in self.devices:
-            for net in (device.gate, device.source, device.drain):
-                if net is not None:
-                    names.add(net)
-        for sub in self.subparts:
-            names.update(sub.net_map.values())
-        return names
 
 
 @dataclass

@@ -1,25 +1,59 @@
 """Emit wirelists in the CMU LISP-like syntax, and build them from
 extraction results.
 
-:func:`to_wirelist` converts a :class:`~repro.core.netlist.Circuit` into
-the flat single-DefPart form of Figure 3-4; :func:`write_wirelist`
-renders any :class:`Wirelist` (flat or hierarchical) as text.
+:func:`to_wirelist` wraps a :class:`~repro.core.netlist.Circuit` as the
+flat single-DefPart form of Figure 3-4; :func:`write_wirelist` renders
+any :class:`Wirelist` (flat or hierarchical) as text.
+
+Flat text is formatted straight from circuit columns by
+:func:`write_flat`, one ``%`` format per row mapped over zipped columns;
+only rows that need something the common template lacks (a missing
+terminal or location, user names, kept geometry) go through the per-row
+helpers :func:`device_text` and :func:`net_text`, which the hierarchical
+DefParts use for every row.  The in-memory path writes one chunk of
+columns; streamed emission feeds chunks of spilled rows to the same
+writer.
 """
 
 from __future__ import annotations
 
 from io import StringIO
+from typing import Callable, Iterable
 
-from ..core.netlist import Circuit
+from ..core.netlist import Circuit, DeviceColumns, NetColumns
 from ..geometry import Box
-from .model import (
-    PRIMITIVE_PARTS,
-    DefPart,
-    DeviceInstance,
-    NetDecl,
-    Wirelist,
-    primitives_for,
-)
+from .model import PRIMITIVE_PARTS, DefPart, Wirelist, primitives_for
+
+
+class FlatWirelist(Wirelist):
+    """A flat wirelist still held as its circuit's columns.
+
+    :func:`write_wirelist` formats it directly from the columns; the
+    :class:`DefPart` model is parsed back from that text only if
+    something asks for ``defparts``.
+    """
+
+    def __init__(
+        self,
+        circuit: Circuit,
+        name: str,
+        include_geometry: bool,
+        primitives: "dict | None",
+    ) -> None:
+        self.name = self.top = name
+        self.primitives = primitives
+        self.circuit = circuit
+        self.include_geometry = include_geometry
+        self._defparts: "list[DefPart] | None" = None
+
+    @property
+    def defparts(self) -> "list[DefPart]":  # type: ignore[override]
+        if self._defparts is None:
+            from .parser import parse_wirelist
+
+            parsed = parse_wirelist(write_wirelist(self))
+            self._defparts = [p for p in parsed.defparts if p.name == self.name]
+        return self._defparts
 
 
 def to_wirelist(
@@ -35,51 +69,8 @@ def to_wirelist(
     strings) is included when the circuit was extracted with
     ``keep_geometry`` and ``include_geometry`` is left on.
     """
-    part = DefPart(name=name)
-    net_name = {net.index: f"N{net.index}" for net in circuit.nets}
-
-    for i, device in enumerate(circuit.devices):
-        channel_cif = None
-        if include_geometry and device.geometry:
-            channel_cif = geometry_to_cif(
-                [("__channel__", box) for box in device.geometry],
-                channel_layer=True,
-            )
-        part.devices.append(
-            DeviceInstance(
-                kind=device.kind,
-                inst_name=f"D{i}",
-                gate=net_name.get(device.gate) if device.gate else None,
-                source=net_name.get(device.source) if device.source else None,
-                drain=net_name.get(device.drain) if device.drain else None,
-                location=device.location,
-                length=device.length,
-                width=device.width,
-                channel_cif=channel_cif,
-            )
-        )
-
-    for net in circuit.nets:
-        cif = None
-        if include_geometry and net.geometry:
-            cif = geometry_to_cif(net.geometry)
-        part.nets.append(
-            NetDecl(
-                names=[net_name[net.index], *net.names],
-                location=net.location,
-                cif=cif,
-            )
-        )
-
-    # The flat format of Figure 3-4 lists every net as Local; user names
-    # appear as aliases in the Net declarations.
-    part.locals_ = [net_name[net.index] for net in circuit.nets]
-    return Wirelist(
-        name=name,
-        defparts=[part],
-        top=name,
-        primitives=None if tech is None else primitives_for(tech),
-    )
+    primitives = None if tech is None else primitives_for(tech)
+    return FlatWirelist(circuit, name, include_geometry, primitives)
 
 
 def geometry_to_cif(
@@ -105,10 +96,17 @@ def geometry_to_cif(
 
 def write_wirelist(wirelist: Wirelist) -> str:
     """Render a wirelist as text in the CMU format."""
+    if isinstance(wirelist, FlatWirelist):
+        parts: list[str] = []
+        circuit = wirelist.circuit
+        write_flat(
+            parts.append, wirelist.name, wirelist.primitives,
+            [circuit.device_columns], [circuit.net_columns],
+            wirelist.include_geometry,
+        )
+        return "".join(parts)
     out = StringIO()
-    out.write(f'(DefPart "{wirelist.name}"\n')
-    for kind, exports in (wirelist.primitives or PRIMITIVE_PARTS).items():
-        out.write(f" (DefPart {kind} (Export {' '.join(exports)}))\n")
+    out.write(_prolog(wirelist.name, wirelist.primitives))
     for part in wirelist.defparts:
         if len(wirelist.defparts) == 1 and part.name == wirelist.name:
             _write_body(out, part, indent=" ")
@@ -123,26 +121,175 @@ def write_wirelist(wirelist: Wirelist) -> str:
     return out.getvalue()
 
 
-def _write_body(out: StringIO, part: DefPart, indent: str) -> None:
-    for device in part.devices:
-        out.write(f"{indent}(Part {device.kind} (InstName {device.inst_name})")
-        if device.location:
-            out.write(f" (Location {device.location[0]} {device.location[1]})")
-        out.write("\n")
-        out.write(
-            f"{indent} (T Gate {device.gate or 'NONE'})"
-            f" (T Source {device.source or 'NONE'})"
-            f" (T Drain {device.drain or 'NONE'})\n"
+def write_flat(
+    write: Callable[[str], object],
+    name: str,
+    primitives: "dict | None",
+    devices: "Iterable[DeviceColumns]",
+    nets: "Iterable[NetColumns]",
+    include_geometry: bool = False,
+) -> None:
+    """Write a flat wirelist from chunks of columns, in row order.
+
+    ``devices`` and ``nets`` may be generators: each chunk is formatted
+    and handed to ``write`` before the next one is drawn, so a streamed
+    caller holds one chunk at a time.
+    """
+    write(_prolog(name, primitives))
+    for chunk in devices:
+        write(_device_rows(chunk, include_geometry))
+    count = 0
+    for chunk in nets:
+        write(_net_rows(chunk, include_geometry))
+        count += len(chunk)
+    write(f" (Local {' '.join(map('N{}'.format, range(1, count + 1)))} )\n)\n")
+
+
+def _prolog(name: str, primitives: "dict | None") -> str:
+    lines = [f'(DefPart "{name}"\n']
+    for kind, exports in (primitives or PRIMITIVE_PARTS).items():
+        lines.append(f" (DefPart {kind} (Export {' '.join(exports)}))\n")
+    return "".join(lines)
+
+
+def device_text(
+    indent: str,
+    kind: str,
+    inst_name: str,
+    location: "tuple[int, int] | None",
+    gate: "str | None",
+    source: "str | None",
+    drain: "str | None",
+    length: "float | None",
+    width: "float | None",
+    channel_cif: "str | None" = None,
+) -> str:
+    """One ``(Part ...)`` transistor instance."""
+    text = f"{indent}(Part {kind} (InstName {inst_name})"
+    if location:
+        text += f" (Location {location[0]} {location[1]})"
+    text += (
+        f"\n{indent} (T Gate {gate or 'NONE'})"
+        f" (T Source {source or 'NONE'})"
+        f" (T Drain {drain or 'NONE'})\n"
+    )
+    if length is not None and width is not None:
+        text += (
+            f"{indent} (Channel (Length {_num(length)}) "
+            f"(Width {_num(width)})"
         )
-        if device.length is not None and device.width is not None:
-            out.write(
-                f"{indent} (Channel (Length {_num(device.length)}) "
-                f"(Width {_num(device.width)})"
+        if channel_cif:
+            text += f'\n{indent}  ( CIF " {channel_cif} ")'
+        text += ")"
+    return text + ")\n"
+
+
+def net_text(
+    indent: str,
+    names: "list[str]",
+    location: "tuple[int, int] | None",
+    cif: "str | None" = None,
+) -> str:
+    """One ``(Net ...)`` declaration."""
+    text = f"{indent}(Net {' '.join(names)}"
+    if location:
+        text += f" (Location {location[0]} {location[1]})"
+    if cif:
+        text += f'\n{indent} ( CIF " {cif} ")'
+    return text + ")\n"
+
+
+#: The common flat rows -- every terminal present, located, no artwork --
+#: which :func:`device_text`/:func:`net_text` would render identically.
+_DEVICE_ROW = (
+    " (Part %s (InstName D%s) (Location %s %s)\n"
+    "  (T Gate N%s) (T Source N%s) (T Drain N%s)\n"
+    "  (Channel (Length %s) (Width %s)))\n"
+)
+_NET_ROW = " (Net N%s (Location %s %s))\n"
+
+
+def _net_name(index: int) -> "str | None":
+    return f"N{index}" if index else None
+
+
+def _device_rows(cols: DeviceColumns, include_geometry: bool) -> str:
+    start = cols.start
+    nums = {v: _num(v) for v in {*cols.length, *cols.width}}
+    rows = list(
+        map(
+            _DEVICE_ROW.__mod__,
+            zip(
+                map(cols.kinds.__getitem__, cols.depletion),
+                range(start, start + len(cols)),
+                cols.x,
+                cols.y,
+                cols.gate,
+                cols.source,
+                cols.drain,
+                map(nums.__getitem__, cols.length),
+                map(nums.__getitem__, cols.width),
+            ),
+        )
+    )
+    # Rows the template gets wrong, found by C-level scans first.
+    odd = set(cols.geometry) if include_geometry else set()
+    if 0 in cols.gate or 0 in cols.source or 0 in cols.drain:
+        terms = zip(cols.gate, cols.source, cols.drain)
+        odd.update(i for i, t in enumerate(terms) if 0 in t)
+    if None in cols.x:
+        odd.update(i for i, x in enumerate(cols.x) if x is None)
+    for i in odd:
+        geometry = cols.geometry.get(i) if include_geometry else None
+        rows[i] = device_text(
+            " ",
+            cols.kinds[cols.depletion[i]],
+            f"D{start + i}",
+            cols.location(i),
+            _net_name(cols.gate[i]),
+            _net_name(cols.source[i]),
+            _net_name(cols.drain[i]),
+            cols.length[i],
+            cols.width[i],
+            geometry_to_cif([("__channel__", b) for b in geometry], True)
+            if geometry
+            else None,
+        )
+    return "".join(rows)
+
+
+def _net_rows(cols: NetColumns, include_geometry: bool) -> str:
+    first = cols.start + 1
+    rows = list(
+        map(
+            _NET_ROW.__mod__,
+            zip(range(first, first + len(cols)), cols.x, cols.y),
+        )
+    )
+    odd = set(cols.names)
+    if include_geometry:
+        odd.update(cols.geometry)
+    if None in cols.x:
+        odd.update(i for i, x in enumerate(cols.x) if x is None)
+    for i in odd:
+        geometry = cols.geometry.get(i) if include_geometry else None
+        rows[i] = net_text(
+            " ",
+            [f"N{first + i}", *cols.names.get(i, ())],
+            None if cols.x[i] is None else (cols.x[i], cols.y[i]),
+            geometry_to_cif(geometry) if geometry else None,
+        )
+    return "".join(rows)
+
+
+def _write_body(out: StringIO, part: DefPart, indent: str) -> None:
+    for d in part.devices:
+        out.write(
+            device_text(
+                indent, d.kind, d.inst_name, d.location, d.gate, d.source,
+                d.drain, d.length, d.width, d.channel_cif,
             )
-            if device.channel_cif:
-                out.write(f'\n{indent}  ( CIF " {device.channel_cif} ")')
-            out.write(")")
-        out.write(")\n")
+        )
     for sub in part.subparts:
         out.write(f"{indent}(Part {sub.part} (Name {sub.inst_name})")
         if sub.loc_offset:
@@ -151,12 +298,7 @@ def _write_body(out: StringIO, part: DefPart, indent: str) -> None:
         for child, parent in sub.net_map.items():
             out.write(f"{indent}(Net {sub.inst_name}/{child} {parent})\n")
     for decl in part.nets:
-        out.write(f"{indent}(Net {' '.join(decl.names)}")
-        if decl.location:
-            out.write(f" (Location {decl.location[0]} {decl.location[1]})")
-        if decl.cif:
-            out.write(f'\n{indent} ( CIF " {decl.cif} ")')
-        out.write(")\n")
+        out.write(net_text(indent, decl.names, decl.location, decl.cif))
     out.write(f"{indent}(Local {' '.join(part.locals_)} )\n")
 
 

@@ -124,6 +124,41 @@ class TestCrossEngineParity:
             )
         assert texts[0] == texts[1]
 
+    @pytest.mark.parametrize(
+        "layout, window",
+        [
+            (poly_diff_mesh(6), None),
+            (nand2(), None),
+            (inverter(), Box(0, 0, 10, 14)),
+        ],
+        ids=["mesh", "nand2", "window"],
+    )
+    def test_finalize_columns_agree(self, layout, window):
+        # The column contract itself, not just the text it renders to:
+        # every column, the CSR lists, and the boundary rows.
+        cols = [
+            ScanlineEngine(TECH, window=window, engine=eng).run(
+                GeometryStream(layout)
+            )
+            for eng in ("python", "numpy")
+        ]
+        py, fast = (c.device_columns for c in cols)
+        for name in (
+            "kinds", "depletion", "gate", "source", "drain", "length",
+            "width", "x", "y", "area", "term_ptr", "gate_ptr", "gate_net",
+            "boundary",
+        ):
+            assert getattr(py, name) == getattr(fast, name), name
+        # Terminal order within a row is the engine's own; the sets match.
+        assert [py.device(i).terminals for i in range(len(py))] == [
+            fast.device(i).terminals for i in range(len(fast))
+        ]
+        py_nets, fast_nets = (c.net_columns for c in cols)
+        assert (py_nets.x, py_nets.y, py_nets.names) == (
+            fast_nets.x, fast_nets.y, fast_nets.names
+        )
+        assert cols[0].boundary == cols[1].boundary
+
     def test_hext_parity(self):
         layout = nand2()
         texts = [

@@ -1,5 +1,6 @@
 """The async front-end: API parity, coalescing, failover, admission."""
 
+import asyncio
 import threading
 
 import pytest
@@ -154,6 +155,52 @@ def test_submit_fails_over_to_surviving_shard(tmp_path):
         states = {s["name"]: s["healthy"] for s in health["shards"]}
         assert states["shard0"] is True
         assert states["shard1"] is False
+    finally:
+        router.close()
+        alive.close()
+
+
+def test_shard_down_counted_where_a_poll_fails():
+    """The poll that finds a shard dead counts it -- once -- with no
+    help from the periodic health check, which never fires here."""
+    alive = ExtractionService(ServiceConfig(port=0, workers=2, quiet=True))
+    alive.start()
+    # No workers: accepted jobs stay queued on the doomed shard.
+    doomed = ExtractionService(ServiceConfig(port=0, workers=0, quiet=True))
+    doomed.start()
+    router = FleetRouter(
+        [
+            ("shard0", "127.0.0.1", alive.port),
+            ("shard1", "127.0.0.1", doomed.port),
+        ],
+        RouterConfig(port=0, quiet=True, health_interval=3600.0),
+    )
+    router.start()
+    try:
+        client = ServiceClient(port=router.port, timeout=30.0)
+        receipts = [
+            client.submit(write_cif(poly_diff_mesh(2 + i)), name=f"d{i}.cif")[
+                "job"
+            ]
+            for i in range(6)
+        ]
+        assert router.table.pending_on(router.shards["shard1"])
+        for job in list(doomed.store._jobs):
+            doomed.store.cancel(job)
+        doomed.close()
+
+        for ident in receipts:
+            assert client.wait(ident, timeout=30.0)["state"] == "done"
+            assert "wirelist" in client.result(ident)
+        counters = client.metrics()["fleet"]["counters"]
+        assert counters["shard_down"] == 1
+        assert counters["failover"] >= 1
+        # A health check that agrees afterwards must not count again.
+        asyncio.run_coroutine_threadsafe(
+            router._check_health(), router._loop
+        ).result(timeout=30.0)
+        assert client.metrics()["fleet"]["counters"]["shard_down"] == 1
+        assert client.health()["shards"][1]["healthy"] is False
     finally:
         router.close()
         alive.close()

@@ -238,3 +238,16 @@ def test_corrupt_envelope_is_rejected_and_deleted(tmp_path):
     assert store.get_payload(key_for(0)) is None
     assert store.stats.invalid == 1
     assert not path.exists()
+
+
+def test_stored_payload_text_is_the_canonical_body(tmp_path):
+    from repro.parallel.serialize import canonical_json
+
+    store = JsonEnvelopeStore(tmp_path)
+    payload = {"zeta": [3, 1, 2], "alpha": {"b": 1, "a": "x"}, "n": None}
+    store.put_payload(key_for(0), payload)
+    text = store.path_for(key_for(0)).read_text()
+    # The checksummed body is written verbatim, not re-encoded.
+    assert text.endswith(f'"payload": {canonical_json(payload)}}}')
+    assert json.loads(text)["payload"] == payload
+    assert store.get_payload(key_for(0)) == payload

@@ -212,3 +212,14 @@ def test_resume_auto_starts_fresh_without_file(tmp_path):
     )
     assert not report.resumed
     assert report.text == expected_text(layout)
+
+
+def test_checkpoint_state_text_is_the_canonical_body(tmp_path):
+    from repro.parallel.serialize import canonical_json
+
+    state = {"band": 3, "floors": [9, None], "host": {"y": 1, "b": [2]}}
+    path = tmp_path / "sweep.ck"
+    save_checkpoint(path, state)
+    text = path.read_text()
+    assert text.endswith(f'"state": {canonical_json(state)}}}')
+    assert load_checkpoint(path) == state
