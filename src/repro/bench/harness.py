@@ -6,13 +6,14 @@ import gc
 import time
 import tracemalloc
 from dataclasses import dataclass
+from typing import Any
 
 
 @dataclass
 class Timed:
     """Result of timing one callable."""
 
-    result: object
+    result: Any
     seconds: float
     #: tracemalloc peak (bytes) over the call, when tracking was on.
     #: Allocator peak, not RSS: deterministic, per-call, and comparable

@@ -26,14 +26,13 @@ never by the active-list population, and never worse than the per-size
 the counters must be identical for every strip engine, the check doubles
 as an engine-parity probe CI can run without timing flakiness.
 
-``--profile`` adds ``--repeats`` profiled runs per (size, engine)
-through the host's per-phase timers (``schedule`` / ``expire`` /
-``insert`` / ``strip`` / ``finalize``, see
-:data:`~repro.core.scanline.PROFILE_PHASES`), keeps the fastest, and
-writes its breakdown and its own wall clock both into each report row
-and into a sibling ``<out-stem>_profile.json`` artifact; ``--check``
-then also requires the phases to add up to at most
-:data:`PROFILE_SLACK` times that wall.  See docs/SCANLINE_PERF.md.
+Every row carries the host lap clock's phases (``fetch`` / ``expire`` /
+``insert`` / ``schedule`` / ``strip`` / ``finalize``, see
+:data:`~repro.core.scanline.PROFILE_PHASES`) of its best timed run, and
+``--check`` requires them to add up to at most :data:`PROFILE_SLACK`
+times that run's wall.  ``--profile`` prints the breakdown and writes it
+to a sibling ``<out-stem>_profile.json`` artifact.  See
+docs/SCANLINE_PERF.md.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ import json
 import sys
 from pathlib import Path
 
-from ..core.extractor import extract_report
 from ..core.scanline import PROFILE_PHASES, ScanlineEngine
 from ..core.stripengine import (
     EngineUnavailable,
@@ -51,8 +49,8 @@ from ..core.stripengine import (
     resolve_engine,
 )
 from ..frontend.stream import GeometryStream
+from ..pipeline import JobOptions, run
 from ..tech import NMOS
-from ..wirelist import to_wirelist, write_wirelist
 from ..workloads.mesh import poly_diff_mesh
 from .harness import measured, timed
 
@@ -73,8 +71,8 @@ DEFAULT_STREAM_SIZES = (32, 64, 128)
 #: bands, then progressively finer slicing.
 DEFAULT_STREAM_DIVISORS = (4, 16, 64)
 
-#: ``--check`` bound on a profiled row's phase sum over its own wall:
-#: the phases are disjoint sections of one run, so more is a timer bug.
+#: ``--check`` bound on a row's phase sum over its own wall: the phases
+#: are disjoint sections of one run, so more is a timer bug.
 PROFILE_SLACK = 1.05
 
 #: Committed capture of the pre-event-heap engine, relative to repo root.
@@ -176,7 +174,6 @@ def bench_scanline(
     repeats: int = DEFAULT_REPEATS,
     baseline: dict[int, float] | None = None,
     engines: "list[str] | None" = None,
-    profile: bool = False,
 ) -> list[dict]:
     """Benchmark each (mesh size, strip engine); one JSON row per pair.
 
@@ -187,13 +184,8 @@ def bench_scanline(
     ``1.0`` (the identity comparison), so report consumers can assert
     the column uniformly instead of special-casing nulls.
 
-    With ``profile=True`` each pair runs ``repeats`` more times with
-    the host's per-phase profiler enabled.  The fastest profiled run is
-    kept, best-of like the headline number: its breakdown lands in the
-    row's ``profile`` mapping and its own wall clock in
-    ``profile_seconds``.  Profiled walls are **not** folded into
-    ``seconds`` (the timer instrumentation, however light, would taint
-    the headline number).
+    A row's ``profile`` mapping is the host clock's phase breakdown of
+    the run that set its ``seconds``.
     """
     if baseline is None:
         baseline = load_baseline()
@@ -213,22 +205,15 @@ def bench_scanline(
             for _ in range(max(1, repeats)):
                 stream = GeometryStream(layout)
                 engine = ScanlineEngine(tech, engine=engine_name)
-                seconds = min(seconds, timed(engine.run, stream).seconds)
+                wall = timed(engine.run, stream).seconds
+                if wall < seconds:
+                    seconds, phases = wall, engine.clock.seconds
             # One extra run under tracemalloc for the allocator peak;
             # its (slowed) wall clock is discarded so the timing stays
             # comparable to the untracked baseline capture.
             stream = GeometryStream(layout)
             engine = ScanlineEngine(tech, engine=engine_name)
             tracked = timed(engine.run, stream, track_alloc=True)
-            best: "tuple[float, dict[str, float]] | None" = None
-            for _ in range(max(1, repeats) if profile else 0):
-                stream = GeometryStream(layout)
-                profiled = ScanlineEngine(
-                    tech, engine=engine_name, profile=True
-                )
-                wall = timed(profiled.run, stream).seconds
-                if best is None or wall < best[0]:
-                    best = (wall, dict(profiled.stats.profile or {}))
             if engine_name == "python":
                 python_seconds = seconds
             stats = engine.stats
@@ -244,6 +229,7 @@ def bench_scanline(
                 "devices": stats.devices_created,
                 "peak_active": stats.peak_active,
                 "seconds": seconds,
+                "profile": phases,
                 "baseline_seconds": before,
                 "speedup": (before / seconds) if before else None,
                 "speedup_vs_python": (
@@ -262,29 +248,8 @@ def bench_scanline(
                     "max_stop_overhead": stats.max_stop_overhead,
                 },
             }
-            if best is not None:
-                row["profile_seconds"], row["profile"] = best
             rows.append(row)
     return rows
-
-
-def _memory_once(layout, tech, engine_name: str):
-    """One full in-memory extraction down to wirelist text."""
-    report = extract_report(layout, tech, engine=engine_name)
-    text = write_wirelist(to_wirelist(report.circuit, name="bench.cif"))
-    return report, text
-
-
-def _stream_once(layout, tech, engine_name: str, band_height: int):
-    from ..streaming import stream_extract
-
-    return stream_extract(
-        layout,
-        tech,
-        name="bench.cif",
-        engine=engine_name,
-        band_height=band_height,
-    )
 
 
 def bench_stream(
@@ -295,8 +260,8 @@ def bench_stream(
 ) -> list[dict]:
     """The banded-streaming axis: wall time and allocator peak per plan.
 
-    For each (mesh size, engine) the full in-memory extraction (parse to
-    wirelist text) is measured once as ``mode == "memory"``, then the
+    For each (mesh size, engine) the full in-memory pipeline run (parse
+    to wirelist text) is measured once as ``mode == "memory"``, then the
     streamed extraction at one band height per chip-height divisor as
     ``mode == "stream"`` rows.  Each configuration's allocator peak
     comes from one tracemalloc-tracked run whose wall clock is
@@ -324,9 +289,10 @@ def bench_stream(
         python_secs: "dict[tuple, float]" = {}
         for engine_name in engines:
             mem = measured(
-                _memory_once, layout, tech, engine_name, repeats=repeats
+                run, layout, tech, JobOptions(name="bench.cif"),
+                engine=engine_name, repeats=repeats,
             )
-            report, expected = mem.result
+            expected = mem.result.text
             if engine_name == "python":
                 python_secs[("memory", None)] = mem.seconds
             rows.append(
@@ -336,42 +302,41 @@ def bench_stream(
                     None,
                     1,
                     mem,
-                    report.stats,
+                    mem.result.stats,
                     engine=engine_name,
-                    devices=report.circuit.device_count(),
+                    devices=mem.result.devices,
                     tracked_layers=tracked_layers,
                     python_seconds=python_secs.get(("memory", None)),
                 )
             )
             for divisor in divisors:
                 band_height = max(1, height // divisor)
-                run = measured(
-                    _stream_once,
-                    layout,
-                    tech,
-                    engine_name,
-                    band_height,
-                    repeats=repeats,
+                streamed = measured(
+                    run, layout, tech,
+                    JobOptions(
+                        name="bench.cif", stream=True, band_height=band_height
+                    ),
+                    engine=engine_name, repeats=repeats,
                 )
-                sreport = run.result
-                if sreport.text != expected:
+                sresult = streamed.result
+                if sresult.text != expected:
                     raise RuntimeError(
                         f"streamed wirelist diverged from in-memory at "
                         f"n={n} engine={engine_name} "
                         f"band_height={band_height}"
                     )
                 if engine_name == "python":
-                    python_secs[("stream", band_height)] = run.seconds
+                    python_secs[("stream", band_height)] = streamed.seconds
                 rows.append(
                     _stream_row(
                         n,
                         "stream",
                         band_height,
-                        sreport.bands,
-                        run,
-                        sreport.stats,
+                        sresult.report.bands,
+                        streamed,
+                        sresult.stats,
                         engine=engine_name,
-                        devices=sreport.devices,
+                        devices=sresult.devices,
                         tracked_layers=tracked_layers,
                         python_seconds=python_secs.get(
                             ("stream", band_height)
@@ -386,7 +351,7 @@ def _stream_row(
     mode: str,
     band_height: "int | None",
     bands: int,
-    run,
+    timing,
     stats,
     *,
     engine: str,
@@ -397,7 +362,7 @@ def _stream_row(
     if engine == "python":
         speedup_vs_python: "float | None" = 1.0
     elif python_seconds is not None:
-        speedup_vs_python = python_seconds / run.seconds
+        speedup_vs_python = python_seconds / timing.seconds
     else:
         speedup_vs_python = None
     return {
@@ -410,8 +375,8 @@ def _stream_row(
         "stops": stats.stops,
         "devices": devices,
         "peak_active": stats.peak_active,
-        "seconds": run.seconds,
-        "peak_alloc": run.peak_alloc,
+        "seconds": timing.seconds,
+        "peak_alloc": timing.peak_alloc,
         "baseline_seconds": None,
         "speedup": None,
         "speedup_vs_python": speedup_vs_python,
@@ -447,9 +412,9 @@ def check_rows(
       fresh run must not schedule worse per stop than the capture did —
       the counter is deterministic, so any excess is a real regression,
       not noise;
-    * profile reconciliation: a profiled row's phases are disjoint
-      sections of one run, so they add up to at most
-      :data:`PROFILE_SLACK` times that run's own wall clock.
+    * phase reconciliation: a row's phases are disjoint sections of
+      its timed run, so they add up to at most :data:`PROFILE_SLACK`
+      times that run's wall clock.
     """
     problems = []
     overhead_bounds = overhead_bounds or {}
@@ -477,12 +442,11 @@ def check_rows(
                 f" exceeds the committed baseline bound {bound}"
             )
         phase_sum = sum(row.get("profile", {}).values())
-        wall = row.get("profile_seconds", 0.0)
-        if phase_sum > PROFILE_SLACK * wall:
+        if phase_sum > PROFILE_SLACK * row["seconds"]:
             problems.append(
-                f"n={n} {row['engine']}: profiled phases add up to "
+                f"n={n} {row['engine']}: phases add up to "
                 f"{phase_sum:.4f}s, more than {PROFILE_SLACK:.2f} x the "
-                f"profiled run's {wall:.4f}s wall"
+                f"timed run's {row['seconds']:.4f}s wall"
             )
         budget = c["heap_pops"] + 2 * layers * row["stops"]
         if c["intervals_scanned"] > budget:
@@ -538,9 +502,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--profile", action="store_true",
-        help="also run each (size, engine) --repeats times with the "
-        "host's per-phase profiler and write the fastest run's "
-        "schedule/expire/insert/strip/finalize breakdown and wall to "
+        help="print each row's fetch/expire/insert/schedule/strip/"
+        "finalize breakdown (from its best timed run) and write it to "
         "<out-stem>_profile.json next to --out",
     )
     parser.add_argument(
@@ -572,7 +535,6 @@ def main(argv=None) -> int:
         repeats=args.repeats,
         baseline=baseline,
         engines=engines,
-        profile=args.profile,
     )
     stream_rows: list[dict] = []
     if args.stream:
@@ -606,8 +568,7 @@ def main(argv=None) -> int:
                             "n": row["n"],
                             "engine": row["engine"],
                             "seconds": row["seconds"],
-                            "profile_seconds": row.get("profile_seconds"),
-                            "profile": row.get("profile", {}),
+                            "profile": row["profile"],
                         }
                         for row in rows
                     ],
@@ -652,8 +613,7 @@ def main(argv=None) -> int:
         print(f"{'n':>6}  {'engine':>6}  {header}")
         for row in rows:
             cells = "  ".join(
-                f"{row.get('profile', {}).get(phase, 0.0):>9.4f}"
-                for phase in PROFILE_PHASES
+                f"{row['profile'][phase]:>9.4f}" for phase in PROFILE_PHASES
             )
             print(f"n={row['n']:>4}  {row['engine']:>6}  {cells}")
     print(f"wrote {args.out}")

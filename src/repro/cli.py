@@ -10,16 +10,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
+from contextlib import contextmanager
+from typing import IO, Iterator
 
 from .analysis import static_check
-from .cif import parse_file
-from .core import extract_report
 from .core.stripengine import ENGINE_CHOICES, EngineUnavailable
-from .hext import hext_extract
-from .hext.wirelist import to_hierarchical_wirelist
+from .pipeline import JobOptions, run
 from .tech import NMOS
-from .wirelist import to_wirelist, write_wirelist
 
 
 def package_version() -> str:
@@ -147,9 +144,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--profile",
         action="store_true",
-        help="time the scanline host's phases (schedule/expire/insert/"
-        "strip/finalize) and print the per-phase breakdown to stderr "
-        "(flat and --stream modes)",
+        help="print where the run's time went to stderr: every stage "
+        "(parse/extract/wirelist/lint) with its phases, and the "
+        "unaccounted remainder",
     )
     parser.add_argument(
         "--check",
@@ -205,171 +202,93 @@ def main(argv: "list[str] | None" = None) -> int:
             message = exc.args[0] if exc.args else exc
             print(f"error: --deck {args.deck}: {message}", file=sys.stderr)
             return 2
-    layout = parse_file(args.cif)
-    name = args.cif.rsplit("/", 1)[-1]
-    drc_checker = None
-    if args.lint:
-        from .drc import DrcChecker
-
-        drc_checker = DrcChecker(tech)
-
-    if args.plot or args.svg:
-        from .plot import ascii_plot, svg_plot
-
-        if args.plot:
-            print(ascii_plot(layout), file=sys.stderr)
-        if args.svg:
-            svg_plot(layout, args.svg)
-
-    started = time.perf_counter()
-    try:
-        return _run_extraction(args, tech, layout, name, drc_checker, started)
-    except EngineUnavailable as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    if args.stream and args.hierarchical:
+        print(
+            "error: --stream is flat-only; it cannot be combined with "
+            "--hierarchical",
+            file=sys.stderr,
+        )
         return 2
-
-
-def _print_profile(stats) -> None:
-    """The ``--profile`` stderr line: per-phase seconds plus shares."""
-    profile = getattr(stats, "profile", None)
-    if not profile:
-        return
-    total = sum(profile.values())
-    parts = ", ".join(
-        f"{phase} {seconds:.3f}s"
-        f" ({100.0 * seconds / total:.0f}%)" if total else f"{phase} 0s"
-        for phase, seconds in profile.items()
-    )
-    print(f"ace profile: {parts}", file=sys.stderr)
-
-
-def _run_extraction(args, tech, layout, name, drc_checker, started) -> int:
-    if args.stream:
-        return _run_streaming(args, tech, layout, name, drc_checker, started)
-    if args.resume or args.checkpoint or args.band_height or args.spill:
+    if args.stream and args.check:
+        print(
+            "error: --check needs the in-memory circuit; run it without "
+            "--stream",
+            file=sys.stderr,
+        )
+        return 2
+    if not args.stream and (
+        args.resume or args.checkpoint or args.band_height or args.spill
+    ):
         print(
             "note: --band-height/--spill/--checkpoint/--resume only "
             "apply with --stream",
             file=sys.stderr,
         )
-    if args.hierarchical:
-        if args.profile:
-            print(
-                "note: --profile times the flat scanline host and does "
-                "not apply with --hierarchical",
-                file=sys.stderr,
-            )
-        result = hext_extract(
-            layout, tech, jobs=args.jobs, cache=args.cache,
-            engine=args.engine,
-        )
-        circuit = result.circuit
-        wirelist = to_hierarchical_wirelist(result, name=name)
-        if args.stats:
-            stats = result.stats
-            print(
-                f"hext: {stats.flat_calls} flat calls, "
-                f"{stats.compose_calls} composes, "
-                f"{stats.memo_hits} memo hits, "
-                f"front-end {stats.frontend_seconds:.2f}s, "
-                f"back-end {stats.backend_seconds:.2f}s",
-                file=sys.stderr,
-            )
-            if args.jobs is not None:
-                print(
-                    f"hext: {stats.jobs} jobs, in-worker extraction "
-                    f"{stats.worker_seconds:.2f}s",
-                    file=sys.stderr,
-                )
-            if args.cache is not None:
-                print(
-                    f"hext: fragment cache {stats.cache_hits} hits, "
-                    f"{stats.cache_misses} misses "
-                    f"({stats.cache_invalid} invalid), "
-                    f"hit rate {100 * stats.cache_hit_rate:.0f}%",
-                    file=sys.stderr,
-                )
-    else:
-        if args.jobs is not None or args.cache is not None:
-            print(
-                "note: --jobs/--cache parallelize unique-window "
-                "extraction and only apply with --hierarchical; the "
-                "flat scanline is serial",
-                file=sys.stderr,
-            )
-        report = extract_report(
-            layout, tech, keep_geometry=args.geometry,
-            jobs=args.jobs, cache=args.cache,
-            strip_consumers=(drc_checker,) if drc_checker else (),
-            engine=args.engine, profile=args.profile,
-        )
-        circuit = report.circuit
-        if args.profile:
-            _print_profile(report.stats)
-        wirelist = to_wirelist(
-            circuit, name=name, include_geometry=args.geometry, tech=tech
-        )
-        if args.stats:
-            scan = report.stats
-            print(
-                f"ace: {scan.boxes_in} boxes, {scan.stops} scanline stops, "
-                f"mean active {scan.mean_active:.1f}, "
-                f"peak active {scan.peak_active}",
-                file=sys.stderr,
-            )
-            print(
-                f"ace events: {scan.heap_pushes} heap pushes, "
-                f"{scan.heap_pops} pops ({scan.lazy_discards} lazy), "
-                f"{scan.expired} expired intervals, "
-                f"max {scan.max_stop_overhead} scans/stop beyond removals",
-                file=sys.stderr,
-            )
-    elapsed = time.perf_counter() - started
-
-    text = write_wirelist(wirelist)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-    if args.stats:
-        devices = circuit.device_count()
-        rate = devices / elapsed if elapsed else 0.0
+    if not args.hierarchical and (
+        args.jobs is not None or args.cache is not None
+    ):
         print(
-            f"{devices} devices, {circuit.net_count()} nets in "
-            f"{elapsed:.2f}s ({rate:.0f} devices/sec)",
+            "note: --jobs/--cache parallelize unique-window extraction "
+            "and only apply with --hierarchical; the flat scanline is "
+            "serial",
             file=sys.stderr,
         )
-    for warning in circuit.warnings:
+
+    options = JobOptions(
+        name=args.cif.rsplit("/", 1)[-1],
+        hext=args.hierarchical,
+        jobs=args.jobs,
+        lint=args.lint,
+        keep_geometry=args.geometry,
+        stream=args.stream,
+        band_height=args.band_height,
+    )
+    with open(args.cif) as handle:
+        text = handle.read()
+    try:
+        with _output(args.output) as out:
+            result = run(
+                text,
+                tech,
+                options,
+                engine=args.engine,
+                out=out,
+                cache=args.cache,
+                spill_dir=args.spill,
+                checkpoint=args.checkpoint,
+                resume="auto" if args.resume else False,
+            )
+    except EngineUnavailable as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+    if args.plot or args.svg:
+        from .plot import ascii_plot, svg_plot
+
+        if args.plot:
+            print(ascii_plot(result.layout), file=sys.stderr)
+        if args.svg:
+            svg_plot(result.layout, args.svg)
+    if args.profile:
+        _print_profile(result.trace)
+    if args.stats:
+        _print_stats(args, result)
+    for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
 
     failed = False
-    if drc_checker is not None:
-        from .diagnostics import SourceIndex, format_diagnostic
+    if result.lint is not None:
+        from .diagnostics import format_diagnostic
 
-        if args.hierarchical:
-            # The hierarchical extractor works window by window; the DRC
-            # needs the whole-chip strip feed, so run one flat pass.
-            extract_report(
-                layout, tech, strip_consumers=(drc_checker,),
-                engine=args.engine,
-            )
-        lint_report = drc_checker.report(artifact=name)
-        if lint_report.diagnostics:
-            lint_report = SourceIndex(layout).attribute(lint_report)
-        for diag in lint_report.diagnostics:
+        for diag in result.lint.diagnostics:
             print(format_diagnostic(diag), file=sys.stderr)
-        print(
-            f"lint: {len(lint_report.errors)} error(s)", file=sys.stderr
-        )
-        if not lint_report.ok:
-            failed = True
-
+        print(f"lint: {len(result.lint.errors)} error(s)", file=sys.stderr)
+        failed = not result.lint.ok
     if args.check:
+        assert result.circuit is not None  # --stream refuses --check
         erc = tech.deck.erc
         report = static_check(
-            circuit,
+            result.circuit,
             tech=tech,
             vdd_names=tuple(erc.vdd_names) + tuple(args.vdd or ()),
             gnd_names=tuple(erc.gnd_names) + tuple(args.gnd or ()),
@@ -381,102 +300,83 @@ def _run_extraction(args, tech, layout, name, drc_checker, started) -> int:
     return 1 if failed else 0
 
 
-def _run_streaming(args, tech, layout, name, drc_checker, started) -> int:
-    """The --stream path: banded out-of-core extraction."""
-    from .streaming import stream_extract
+@contextmanager
+def _output(path: "str | None") -> "Iterator[IO[str]]":
+    """The wirelist's destination: ``path``, or stdout."""
+    if path is None:
+        yield sys.stdout
+    else:
+        with open(path, "w") as handle:
+            yield handle
 
+
+def _print_profile(trace) -> None:
+    """The ``--profile`` stderr table: every stage, its phases, and the
+    unaccounted remainder, as seconds and shares of the run's wall."""
+    wall = trace.wall
+    print(f"ace profile: {wall:.4f}s wall", file=sys.stderr)
+    for depth, name, seconds in trace.rows():
+        share = 100.0 * seconds / wall if wall else 0.0
+        label = "  " * depth + name
+        print(f"  {label:<14} {seconds:8.4f}s {share:5.1f}%", file=sys.stderr)
+
+
+def _print_stats(args, result) -> None:
+    """The ``--stats`` stderr lines; the timing is the run's root wall."""
+    stats = result.stats
     if args.hierarchical:
         print(
-            "error: --stream is flat-only; it cannot be combined with "
-            "--hierarchical",
+            f"hext: {stats.flat_calls} flat calls, "
+            f"{stats.compose_calls} composes, "
+            f"{stats.memo_hits} memo hits, "
+            f"front-end {stats.frontend_seconds:.2f}s, "
+            f"back-end {stats.backend_seconds:.2f}s",
             file=sys.stderr,
         )
-        return 2
-    if args.check:
-        print(
-            "error: --check needs the in-memory circuit; run it without "
-            "--stream",
-            file=sys.stderr,
-        )
-        return 2
-    if args.jobs is not None or args.cache is not None:
-        print(
-            "note: --jobs/--cache only apply with --hierarchical; the "
-            "streamed scanline is serial",
-            file=sys.stderr,
-        )
-
-    def run(out) -> "tuple[int, int, list[str]]":
-        report = stream_extract(
-            layout,
-            tech,
-            name=name,
-            out=out,
-            keep_geometry=args.geometry,
-            engine=args.engine,
-            band_height=args.band_height,
-            spill_dir=args.spill,
-            checkpoint=args.checkpoint,
-            resume="auto" if args.resume else False,
-            strip_consumers=(drc_checker,) if drc_checker else (),
-            profile=args.profile,
-        )
-        if args.profile:
-            _print_profile(report.stats)
-        if args.stats:
-            scan = report.stats
+        if args.jobs is not None:
             print(
-                f"ace: {scan.boxes_in} boxes, {scan.stops} scanline "
-                f"stops, mean active {scan.mean_active:.1f}, "
-                f"peak active {scan.peak_active}",
+                f"hext: {stats.jobs} jobs, in-worker extraction "
+                f"{stats.worker_seconds:.2f}s",
                 file=sys.stderr,
             )
+        if args.cache is not None:
             print(
-                f"ace events: {scan.heap_pushes} heap pushes, "
-                f"{scan.heap_pops} pops ({scan.lazy_discards} lazy), "
-                f"{scan.expired} expired intervals, "
-                f"max {scan.max_stop_overhead} scans/stop beyond removals",
+                f"hext: fragment cache {stats.cache_hits} hits, "
+                f"{stats.cache_misses} misses "
+                f"({stats.cache_invalid} invalid), "
+                f"hit rate {100 * stats.cache_hit_rate:.0f}%",
                 file=sys.stderr,
             )
-            resumed = " (resumed)" if report.resumed else ""
-            print(
-                f"stream: {report.bands} bands, band height "
-                f"{args.band_height or 'whole-chip'}, "
-                f"engine {report.engine}{resumed}",
-                file=sys.stderr,
-            )
-        return report.devices, report.nets, report.warnings
-
-    if args.output:
-        with open(args.output, "w") as handle:
-            devices, nets, warnings = run(handle)
     else:
-        devices, nets, warnings = run(sys.stdout)
-
-    if args.stats:
-        elapsed = time.perf_counter() - started
-        rate = devices / elapsed if elapsed else 0.0
         print(
-            f"{devices} devices, {nets} nets in "
-            f"{elapsed:.2f}s ({rate:.0f} devices/sec)",
+            f"ace: {stats.boxes_in} boxes, {stats.stops} scanline stops, "
+            f"mean active {stats.mean_active:.1f}, "
+            f"peak active {stats.peak_active}",
             file=sys.stderr,
         )
-    for warning in warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-
-    failed = False
-    if drc_checker is not None:
-        from .diagnostics import SourceIndex, format_diagnostic
-
-        lint_report = drc_checker.report(artifact=name)
-        if lint_report.diagnostics:
-            lint_report = SourceIndex(layout).attribute(lint_report)
-        for diag in lint_report.diagnostics:
-            print(format_diagnostic(diag), file=sys.stderr)
-        print(f"lint: {len(lint_report.errors)} error(s)", file=sys.stderr)
-        if not lint_report.ok:
-            failed = True
-    return 1 if failed else 0
+        print(
+            f"ace events: {stats.heap_pushes} heap pushes, "
+            f"{stats.heap_pops} pops ({stats.lazy_discards} lazy), "
+            f"{stats.expired} expired intervals, "
+            f"max {stats.max_stop_overhead} scans/stop beyond removals",
+            file=sys.stderr,
+        )
+    if args.stream:
+        report = result.report
+        resumed = " (resumed)" if report.resumed else ""
+        print(
+            f"stream: {report.bands} bands, band height "
+            f"{args.band_height or 'whole-chip'}, "
+            f"engine {report.engine}{resumed}",
+            file=sys.stderr,
+        )
+    wall = result.trace.wall
+    rate = result.devices / wall if wall else 0.0
+    print(
+        f"{result.devices} devices, {result.nets} nets in "
+        f"{wall:.2f}s ({rate:.0f} devices/sec)",
+        file=sys.stderr,
+    )
 
 
 if __name__ == "__main__":  # pragma: no cover

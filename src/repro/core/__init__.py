@@ -8,19 +8,17 @@ from .extractor import (
 )
 from .netlist import CHANNEL, BoundaryRecord, Circuit, Device, Face, Net
 from .sizing import SizedDevice, size_device
-from .stats import PHASES, PhaseTimer, ScanStats
+from .stats import ScanStats
 from .unionfind import UnionFind
 
 __all__ = [
     "CHANNEL",
-    "PHASES",
     "BoundaryRecord",
     "Circuit",
     "Device",
     "ExtractionReport",
     "Face",
     "Net",
-    "PhaseTimer",
     "ScanStats",
     "SizedDevice",
     "UnionFind",

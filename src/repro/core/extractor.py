@@ -9,6 +9,7 @@ captures the window's boundary records).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from time import perf_counter
 
 from ..cif import Layout, parse
 from ..frontend import GeometryStream
@@ -16,16 +17,21 @@ from ..geometry import Box
 from ..tech import NMOS, Technology
 from .netlist import Circuit
 from .scanline import ScanlineEngine
-from .stats import PhaseTimer, ScanStats
+from .stats import ScanStats
 
 
 @dataclass
 class ExtractionReport:
-    """A circuit together with the run's timers and counters."""
+    """A circuit together with the run's phase seconds and counters.
+
+    ``phases`` holds the geometry-stream construction (``frontend``),
+    the host's construction with its strip-engine resolution
+    (``setup``), and the host's lap-clock phases.
+    """
 
     circuit: Circuit
-    timer: PhaseTimer
     stats: ScanStats
+    phases: dict[str, float] = field(default_factory=dict)
     frontend_stats: object = None
     options: dict = field(default_factory=dict)
 
@@ -70,56 +76,42 @@ def extract_report(
     keep_geometry: bool = False,
     resolution: int = 50,
     window: Box | None = None,
-    jobs: "int | None" = None,
-    cache: "str | None" = None,
     strip_consumers: tuple = (),
     engine: str = "auto",
-    profile: bool = False,
 ) -> ExtractionReport:
-    """Like :func:`extract` but returns timers and counters as well.
-
-    ``jobs`` and ``cache`` are recorded in the report's options so a
-    report mirrors the full CLI invocation that produced it.  The flat
-    scanline itself is inherently serial (each stop depends on the
-    active lists the previous stop left behind); the hierarchical
-    extractor is where they take effect, by fanning the independent
-    unique-window extractions out through :mod:`repro.parallel`.
+    """Like :func:`extract` but returns phase seconds and counters too.
 
     ``strip_consumers`` ride the same sweep
     (:class:`~repro.core.scanline.StripConsumer`); the design-rule
     checker attaches here so extraction and DRC share one pass.
-
-    ``profile`` arms the scanline host's per-phase wall-clock timers
-    (CLI: ``--profile``); the breakdown lands in
-    ``report.stats.profile`` keyed by
-    :data:`~repro.core.scanline.PROFILE_PHASES`.
     """
     tech = tech or NMOS()
-    timer = PhaseTimer()
-    timer.start("frontend")
     layout = parse(source) if isinstance(source, str) else source
+    started = perf_counter()
     stream = GeometryStream(layout, resolution=resolution)
+    streamed = perf_counter()
     scan = ScanlineEngine(
         tech,
         keep_geometry=keep_geometry,
         window=window,
-        timer=timer,
         strip_consumers=strip_consumers,
         engine=engine,
-        profile=profile,
     )
+    ready = perf_counter()
     circuit = scan.run(stream)
     return ExtractionReport(
         circuit=circuit,
-        timer=timer,
         stats=scan.stats,
+        phases={
+            "frontend": streamed - started,
+            "setup": ready - streamed,
+            **scan.clock.seconds,
+        },
         frontend_stats=stream.stats,
         options={
             "keep_geometry": keep_geometry,
             "resolution": resolution,
             "window": window,
-            "jobs": jobs,
-            "cache": cache,
             "engine": scan.engine_name,
         },
     )

@@ -51,15 +51,16 @@ the pure-python reference back-end or, when numpy is importable, a
 vectorized strip-batch back-end.  Both produce byte-identical wirelists;
 docs/ENGINES.md documents the split and the parity contract.
 
-Pass ``profile=True`` (CLI: ``--profile``) to accumulate wall-clock
-seconds per host phase -- ``schedule`` / ``expire`` / ``insert`` /
-``strip`` / ``finalize`` -- into :attr:`ScanStats.profile`.
+The host times itself with one always-on lap clock (:attr:`clock`),
+one clock read per phase boundary, billing the sweep to ``fetch`` /
+``expire`` / ``insert`` / ``schedule`` / ``strip`` / ``finalize``
+(:data:`PROFILE_PHASES`).  :mod:`repro.pipeline` nests these phases
+under its ``extract`` stage.
 """
 
 from __future__ import annotations
 
 import heapq
-import time
 from bisect import bisect_left, bisect_right
 
 from ..frontend.instantiate import PlacedLabel
@@ -75,12 +76,12 @@ from .netlist import (
     Face,
     malformed_warnings,
 )
-from .stats import PhaseTimer, ScanStats
+from .stats import LapClock, ScanStats
 from .stripengine import CondSource, create_strip_engine
 from .unionfind import UnionFind
 
-#: Host profiler phase keys (``ScanStats.profile``).
-PROFILE_PHASES = ("schedule", "expire", "insert", "strip", "finalize")
+#: The host lap clock's phases, in sweep order (``ScanlineEngine.clock``).
+PROFILE_PHASES = ("fetch", "expire", "insert", "schedule", "strip", "finalize")
 
 #: Deliberately broken scanline rules, set only by the differential
 #: harness's fault-injection self-test (:mod:`repro.difftest.faults`).
@@ -128,28 +129,17 @@ class ScanlineEngine:
         *,
         keep_geometry: bool = False,
         window: Box | None = None,
-        timer: PhaseTimer | None = None,
         strip_consumers: "tuple[StripConsumer, ...]" = (),
         engine: str = "auto",
-        profile: bool = False,
     ) -> None:
         self.tech = tech
         self.keep_geometry = keep_geometry
         self.window = window
-        self.timer = timer or PhaseTimer()
         self.stats = ScanStats()
         self.strip_consumers = tuple(strip_consumers)
-
-        #: per-phase wall clock, shared with ``stats.profile`` so the
-        #: bench and /metrics read it straight off the counters object
-        self._profile: dict[str, float] | None = (
-            {phase: 0.0 for phase in PROFILE_PHASES} if profile else None
-        )
-        self.stats.profile = self._profile
-        #: seconds spent inside :meth:`_flush_run` since construction;
-        #: phase sections subtract their delta so a flush fired from
-        #: within expire/insert bills to "strip", not the host phase
-        self._flush_spent = 0.0
+        #: wall seconds per host phase; never on ``stats``, which is
+        #: compared across engines and checkpointed
+        self.clock = LapClock(PROFILE_PHASES)
 
         roles = scan_layers(tech)
         self._metal = roles.metal
@@ -253,12 +243,14 @@ class ScanlineEngine:
         the engine is identical to an unbanded run.  Any open strip run
         is flushed before the method returns, so suspension state never
         contains deferred strips.
+
+        Each section of a stop ends with one lap of :attr:`clock`, so
+        the phases tile the sweep: whatever a section does, bookkeeping
+        included, is billed to it.
         """
-        timer = self.timer
         stats = self.stats
-        prof = self._profile
-        perf = time.perf_counter
-        timer.start("frontend")
+        lap = self.clock.lap
+        self.clock.start()
         if not self._primed:
             y = stream.next_top()
             if self._pending:
@@ -266,6 +258,7 @@ class ScanlineEngine:
                 y = top if y is None else max(y, top)
             self._y = y
             self._primed = True
+            lap("fetch")
         y = self._y
 
         strip_engine = self.strip_engine
@@ -283,17 +276,10 @@ class ScanlineEngine:
             self._stop += 1
             scanned_before = stats.intervals_scanned
             pops_before = stats.heap_pops
-            timer.start("insert")
-            if prof is None:
-                self._expire(y)
-            else:
-                fs = self._flush_spent
-                t0 = perf()
-                self._expire(y)
-                prof["expire"] += perf() - t0 - (self._flush_spent - fs)
-            timer.start("frontend")
+            self._expire(y)
+            lap("expire")
             new_boxes = stream.fetch(y)
-            timer.start("insert")
+            lap("fetch")
             if self._run_strips and (
                 (self._pending and -self._pending[0][0] == y)
                 or any(layer in net_layers for layer, _ in new_boxes)
@@ -303,37 +289,23 @@ class ScanlineEngine:
                 # must land first so union-find id order matches the
                 # stop-by-stop sequence exactly.
                 self._flush_run()
-            if prof is None:
-                self._enter_continuations(y)
-                for layer, box in new_boxes:
-                    stats.boxes_in += 1
-                    self._insert(
-                        layer, box.xmin, box.xmax, box.ymin, None, True, box
-                    )
-            else:
-                t0 = perf()
-                self._enter_continuations(y)
-                for layer, box in new_boxes:
-                    stats.boxes_in += 1
-                    self._insert(
-                        layer, box.xmin, box.xmax, box.ymin, None, True, box
-                    )
-                prof["insert"] += perf() - t0
-            if prof is None:
-                y_next = self._next_stop(stream, y)
-            else:
-                t0 = perf()
-                y_next = self._next_stop(stream, y)
-                prof["schedule"] += perf() - t0
+            self._enter_continuations(y)
+            for layer, box in new_boxes:
+                stats.boxes_in += 1
+                self._insert(
+                    layer, box.xmin, box.xmax, box.ymin, None, True, box
+                )
+            lap("insert")
+            y_next = self._next_stop(stream, y)
             overhead = (stats.intervals_scanned - scanned_before) - (
                 stats.heap_pops - pops_before
             )
             if overhead > stats.max_stop_overhead:
                 stats.max_stop_overhead = overhead
+            lap("schedule")
             if y_next is None:
                 y = None
                 break
-            timer.start("devices")
             total_active = self._active_count
             stats.observe_active(total_active)
             if total_active:
@@ -359,14 +331,9 @@ class ScanlineEngine:
             else:
                 if self._run_strips:
                     self._flush_run()
-                if prof is None:
-                    strip_engine.process_strip(y_next, y, stream)
-                else:
-                    t0 = perf()
-                    strip_engine.process_strip(y_next, y, stream)
-                    prof["strip"] += perf() - t0
+                strip_engine.process_strip(y_next, y, stream)
             self._last_strip_diff = len(diff_order)
-            timer.start("frontend")
+            lap("strip")
             y = y_next
 
         if self._run_strips:
@@ -376,61 +343,36 @@ class ScanlineEngine:
 
     def finish(self) -> Circuit:
         """Close the sweep: flush consumers and fold the circuit."""
-        timer = self.timer
-        timer.start("output")
+        self.clock.start()
         if self._run_strips:  # pragma: no cover - advance always flushes
             self._flush_run()
-        prof = self._profile
-        if prof is None:
-            for consumer in self.strip_consumers:
-                consumer.finish()
-            circuit = self._finalize()
-        else:
-            t0 = time.perf_counter()
-            for consumer in self.strip_consumers:
-                consumer.finish()
-            circuit = self._finalize()
-            prof["finalize"] += time.perf_counter() - t0
-        timer.stop()
+        for consumer in self.strip_consumers:
+            consumer.finish()
+        circuit = self._finalize()
+        self.clock.lap("finalize")
         return circuit
 
-    def _flush_run(self) -> None:
+    def _flush_run(self, phase: "str | None" = None) -> None:
         """Hand the deferred strip run to the engine in one call.
 
-        Billed to the ``devices`` timer phase (and the profiler's
-        ``strip`` bucket) regardless of which host phase triggered the
-        flush; the triggering phase subtracts the time via
-        ``_flush_spent``.
+        The run is billed to ``strip`` whichever section triggered the
+        flush; a caller in the middle of another phase names it, so the
+        time before the flush is lapped to that phase first.
         """
         strips = self._run_strips
         if not strips:
             return
-        timer = self.timer
-        prev = timer._active
-        timer.start("devices")
-        prof = self._profile
-        if prof is None:
-            self.strip_engine.process_run(
-                self._run_stop0,
-                strips,
-                self._run_diff_rows,
-                self._run_born_start,
-            )
-        else:
-            t0 = time.perf_counter()
-            self.strip_engine.process_run(
-                self._run_stop0,
-                strips,
-                self._run_diff_rows,
-                self._run_born_start,
-            )
-            dt = time.perf_counter() - t0
-            prof["strip"] += dt
-            self._flush_spent += dt
+        if phase is not None:
+            self.clock.lap(phase)
+        self.strip_engine.process_run(
+            self._run_stop0,
+            strips,
+            self._run_diff_rows,
+            self._run_born_start,
+        )
+        self.clock.lap("strip")
         self._run_strips = []
         self._run_diff_rows = []
-        if prev is not None and prev != "devices":
-            timer.start(prev)
 
     # ------------------------------------------------------------------
     # banded sweeps: liveness, retirement, checkpoint state
@@ -645,14 +587,6 @@ class ScanlineEngine:
         self._nets.restore(state["nets"])
         self._devs.restore(state["devs"])
         self.stats.restore(state["stats"])
-        if self._profile is not None:
-            # Re-link the shared profile dict: adopt restored timings
-            # when the snapshot carried them, keep accumulating into
-            # the same object either way.
-            if isinstance(self.stats.profile, dict):
-                self._profile = self.stats.profile
-            else:
-                self.stats.profile = self._profile
         self.strip_engine.restore_state(state["engine"])
 
     def _next_stop(self, stream: GeometryStream, y: int) -> int | None:
@@ -724,7 +658,7 @@ class ScanlineEngine:
                 if is_poly and self._run_strips:
                     # Deferred strips all lie above this expiry, so the
                     # run must replay against the pre-expiry poly view.
-                    self._flush_run()
+                    self._flush_run("expire")
                 stats.expired += 1
                 t.kill(rid, stop)
                 # Live intervals are disjoint, so x1 is unique: bisect

@@ -1,54 +1,45 @@
-"""Extraction statistics: phase timers and scanline counters.
+"""Extraction statistics: the host's lap clock and scanline counters.
 
 The paper reports a coarse distribution of extraction time (section 5:
 40% parse/sort, 15% list insertion, 20% device computation, 10% storage/
 IO/init, 15% miscellaneous) and an expected-complexity analysis in terms
-of scanline stops and active-list length.  This module is how the
-benchmarks observe both.
+of scanline stops and active-list length.  The scanline host times its
+phases with one always-on :class:`LapClock`; :mod:`repro.pipeline`
+nests those phases under its stages and derives the section 5 table
+from that record.  :class:`ScanStats` holds the counters, and only the
+counters: they are compared across engines and checkpointed, so no
+wall-clock value lives there.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-
-#: Phase keys, mirroring the paper's breakdown.
-PHASES = ("frontend", "insert", "devices", "output", "misc")
+from dataclasses import dataclass
+from time import perf_counter
 
 
-@dataclass
-class PhaseTimer:
-    """Accumulates wall-clock time per extraction phase."""
+class LapClock:
+    """An always-on wall clock that bills each lap to one phase.
 
-    seconds: dict[str, float] = field(
-        default_factory=lambda: {phase: 0.0 for phase in PHASES}
-    )
-    _started: float = 0.0
-    _active: str | None = None
+    :meth:`lap` charges the time since the previous lap (or since
+    :meth:`start`) to ``phase``: one clock read per phase boundary, so a
+    loop of consecutive sections pays one read per section and its
+    phases add up to the loop's wall time with no gaps.
+    """
 
-    def start(self, phase: str) -> None:
-        now = time.perf_counter()
-        if self._active is not None:
-            self.seconds[self._active] += now - self._started
-        self._active = phase
-        self._started = now
+    __slots__ = ("seconds", "_last")
 
-    def stop(self) -> None:
-        if self._active is not None:
-            self.seconds[self._active] += time.perf_counter() - self._started
-            self._active = None
+    def __init__(self, phases: "tuple[str, ...]") -> None:
+        self.seconds: dict[str, float] = dict.fromkeys(phases, 0.0)
+        self._last = 0.0
 
-    @property
-    def total(self) -> float:
-        return sum(self.seconds.values())
+    def start(self) -> None:
+        """Open a timed section; time before it is billed to no phase."""
+        self._last = perf_counter()
 
-    def percentages(self) -> dict[str, float]:
-        total = self.total
-        if total == 0:
-            return {phase: 0.0 for phase in self.seconds}
-        return {
-            phase: 100.0 * value / total for phase, value in self.seconds.items()
-        }
+    def lap(self, phase: str) -> None:
+        now = perf_counter()
+        self.seconds[phase] += now - self._last
+        self._last = now
 
 
 @dataclass
@@ -74,33 +65,14 @@ class ScanStats:
     intervals_scanned: int = 0  #: heap entries examined across all stops
     max_stop_overhead: int = 0  #: max per-stop examinations beyond removals
 
-    #: Wall-clock seconds per host phase (schedule / expire / insert /
-    #: strip / finalize), populated only when the host runs with
-    #: ``profile=True``; ``None`` otherwise so counter comparisons across
-    #: engines and checkpoint round-trips stay timing-free by default.
-    profile: "dict[str, float] | None" = None
-
     def as_dict(self) -> dict[str, int]:
-        """All counters as a plain dict (checkpoint payload).
-
-        The optional ``profile`` timings ride along only when profiling
-        is on; an unprofiled snapshot is byte-identical to the pre-
-        profiler schema.
-        """
-        out = dict(vars(self))
-        if out.get("profile") is None:
-            out.pop("profile", None)
-        else:
-            out["profile"] = dict(out["profile"])
-        return out
+        """All counters as a plain dict (checkpoint payload)."""
+        return dict(vars(self))
 
     def restore(self, values: dict[str, int]) -> None:
         """Restore counters captured by :meth:`as_dict`."""
         for key, value in values.items():
-            if key == "profile":
-                self.profile = {k: float(v) for k, v in value.items()}
-            else:
-                setattr(self, key, int(value))
+            setattr(self, key, int(value))
 
     @property
     def mean_active(self) -> float:

@@ -38,14 +38,12 @@ from ..core import Circuit, extract
 from ..core.stripengine import numpy_available
 from ..frontend import GeometryStream
 from ..hext import hext_extract
-from ..hext.wirelist import to_hierarchical_wirelist
+from ..pipeline import JobOptions, run
 from ..tech import Technology
-from ..wirelist import (
-    FlatCircuit,
-    circuit_to_flat,
-    to_wirelist,
-    write_wirelist,
-)
+from ..wirelist import FlatCircuit, circuit_to_flat
+
+#: The DefPart name every oracle's reference wirelist carries.
+NAME = "difftest.cif"
 
 
 @dataclass(frozen=True)
@@ -110,26 +108,21 @@ def _stream_extract_oracle(layout: Layout, tech: Technology) -> Circuit:
     layout thereby cross-checks band retirement, spill, and incremental
     emission against all other oracles.
     """
-    from ..streaming import stream_extract
-
-    reference = extract(layout, tech)
-    expected = write_wirelist(
-        to_wirelist(reference, name="difftest.cif", tech=tech)
-    )
+    reference = run(layout, tech, JobOptions(name=NAME))
+    expected = reference.text or ""
     stream = GeometryStream(layout)
     bbox = stream.chip_bbox
     height = (bbox.ymax - bbox.ymin) if bbox else 0
     for band_height in {max(1, height // 3), max(1, height // 13)}:
-        report = stream_extract(
-            layout, tech, name="difftest.cif", band_height=band_height
-        )
-        if report.text != expected:
+        options = JobOptions(name=NAME, stream=True, band_height=band_height)
+        text = run(layout, tech, options).text or ""
+        if text != expected:
             raise StreamParityError(
                 f"streamed wirelist at band height {band_height} differs "
-                f"from the in-memory one ({len(report.text)} vs "
+                f"from the in-memory one ({len(text)} vs "
                 f"{len(expected)} bytes)"
             )
-    return reference
+    return reference.circuit
 
 
 def _numpy_engine_extract(layout: Layout, tech: Technology) -> Circuit:
@@ -141,20 +134,15 @@ def _numpy_engine_extract(layout: Layout, tech: Technology) -> Circuit:
     raises :class:`EngineParityError` on any byte divergence before the
     driver ever sees the circuit.  Registered only when numpy imports.
     """
-    fast = extract(layout, tech, engine="numpy")
-    reference = extract(layout, tech, engine="python")
-    fast_text = write_wirelist(
-        to_wirelist(fast, name="difftest.cif", tech=tech)
-    )
-    ref_text = write_wirelist(
-        to_wirelist(reference, name="difftest.cif", tech=tech)
-    )
+    fast = run(layout, tech, JobOptions(name=NAME), engine="numpy")
+    reference = run(layout, tech, JobOptions(name=NAME), engine="python")
+    fast_text, ref_text = fast.text or "", reference.text or ""
     if fast_text != ref_text:
         raise EngineParityError(
             "numpy strip engine wirelist differs from the python "
             f"engine's ({len(fast_text)} vs {len(ref_text)} bytes)"
         )
-    return fast
+    return fast.circuit
 
 
 _SERVICE_CLIENT = None
@@ -181,25 +169,25 @@ def _service_client():
     return _SERVICE_CLIENT
 
 
-def _service_extract(layout: Layout, tech: Technology) -> Circuit:
-    """Round-trip through the daemon, then demand byte parity.
+def _round_trip(
+    client, error: "type[AssertionError]", layout: Layout, tech: Technology
+) -> Circuit:
+    """Serve ``layout`` through a daemon tier, then demand byte parity.
 
-    The daemon serves the layout with the same configuration as the
+    The tier serves the layout with the same configuration as the
     in-process ``hext-par`` oracle (hierarchical, 2 workers).  The two
     wirelists must agree *byte for byte* — not just up to renumbering —
-    because serving from a warm memo, a worker pool, or the result
-    cache may move time but never bytes.  Any divergence raises
-    :class:`ServiceParityError`, which the difftest driver reports like
-    any other oracle failure.
+    because serving from a warm memo, a worker pool, the result cache,
+    or whichever shard a router picks may move time but never bytes.
+    Any divergence raises ``error``, which the difftest driver reports
+    like any other oracle failure.
     """
-    local = hext_extract(layout, tech, jobs=2)
-    expected = write_wirelist(
-        to_hierarchical_wirelist(local, name="difftest.cif")
-    )
+    local = run(layout, tech, JobOptions(name=NAME, hext=True, jobs=2))
+    expected = local.text or ""
     deck = tech.deck
-    result = _service_client().extract(
+    result = client.extract(
         write_cif(layout),
-        name="difftest.cif",
+        name=NAME,
         hext=True,
         jobs=2,
         lambda_=tech.lambda_,
@@ -207,8 +195,8 @@ def _service_extract(layout: Layout, tech: Technology) -> Circuit:
         wait_timeout=120.0,
     )
     if result["wirelist"] != expected:
-        raise ServiceParityError(
-            "daemon wirelist differs from in-process hext-par "
+        raise error(
+            "served wirelist differs from in-process hext-par "
             f"({len(result['wirelist'])} vs {len(expected)} bytes)"
         )
     return local.circuit
@@ -254,36 +242,6 @@ class FleetParityError(AssertionError):
     """The fleet's wirelist bytes diverged from the in-process ones."""
 
 
-def _fleet_extract(layout: Layout, tech: Technology) -> Circuit:
-    """Round-trip through the sharded fleet, then demand byte parity.
-
-    The contract is the ``service`` oracle's, one tier up: routing a
-    job through the async front-end to whichever shard the hash ring
-    picks may move *where* the work runs but never the bytes that come
-    back.
-    """
-    local = hext_extract(layout, tech, jobs=2)
-    expected = write_wirelist(
-        to_hierarchical_wirelist(local, name="difftest.cif")
-    )
-    deck = tech.deck
-    result = _fleet_client().extract(
-        write_cif(layout),
-        name="difftest.cif",
-        hext=True,
-        jobs=2,
-        lambda_=tech.lambda_,
-        deck=deck.name if deck is not None else "nmos",
-        wait_timeout=120.0,
-    )
-    if result["wirelist"] != expected:
-        raise FleetParityError(
-            "fleet wirelist differs from in-process hext-par "
-            f"({len(result['wirelist'])} vs {len(expected)} bytes)"
-        )
-    return local.circuit
-
-
 ORACLES: dict[str, Oracle] = {
     oracle.name: oracle
     for oracle in (
@@ -316,7 +274,9 @@ ORACLES: dict[str, Oracle] = {
             "(byte-for-byte parity enforced)",
             grid_exact=True,
             sizes_exact=True,
-            runner=_service_extract,
+            runner=lambda layout, tech: _round_trip(
+                _service_client(), ServiceParityError, layout, tech
+            ),
             # The daemon protocol names decks; only builtin names can
             # cross the wire, so custom deck files are gated out here.
             decks=("nmos", "cmos"),
@@ -327,7 +287,9 @@ ORACLES: dict[str, Oracle] = {
             "hashing; byte-for-byte parity enforced)",
             grid_exact=True,
             sizes_exact=True,
-            runner=_fleet_extract,
+            runner=lambda layout, tech: _round_trip(
+                _fleet_client(), FleetParityError, layout, tech
+            ),
             decks=("nmos", "cmos"),
         ),
         *(

@@ -31,7 +31,6 @@ from .cli import add_version_argument
 from .core import extract_report
 from .diagnostics import (
     CheckReport,
-    SourceIndex,
     apply_baseline,
     format_text,
     load_baseline,
@@ -40,6 +39,7 @@ from .diagnostics import (
     write_sarif,
 )
 from .drc import ALL_RULES, DrcChecker, help_for, rules_for
+from .pipeline import attribute as attribute_sources
 from .tech import (
     BUILTIN_DECKS,
     DECK_RULE_HELP,
@@ -265,8 +265,8 @@ def lint_layout(
     report = CheckReport(artifact=artifact)
     if checker is not None:
         drc_report = checker.report(artifact=artifact)
-        if attribute and drc_report.diagnostics:
-            drc_report = SourceIndex(layout).attribute(drc_report)
+        if attribute:
+            drc_report = attribute_sources(drc_report, layout)
         report.extend(drc_report)
     if erc:
         erc_report = static_check(

@@ -14,6 +14,10 @@ state a one-shot CLI pays to rebuild on every invocation:
   digest, option facet), which short-circuits repeat submissions
   entirely.
 
+A job body is one :func:`repro.pipeline.run`; the engine supplies only
+what is the daemon's own -- cancellation, the warm hext step, band
+progress -- and folds the run's timing record into ``/metrics`` once.
+
 Cancellation is cooperative at two granularities.  Between stages
 (parse / extract / wirelist / lint) every job checks its cancel event
 and deadline.  Inside flat extraction a :class:`CancellationProbe`
@@ -29,23 +33,19 @@ import threading
 import time
 from typing import TYPE_CHECKING
 
-from ..cif import parse
-from ..core import extract_report
 from ..core.scanline import StripConsumer
-from ..diagnostics import SourceIndex
 from ..diagnostics.writers import diagnostic_to_json
 from ..hext.incremental import IncrementalExtractor
-from ..hext.wirelist import to_hierarchical_wirelist
 from ..parallel import PersistentPool, resolve_jobs
-from ..tech import NMOS, Technology, compile_deck, deck_by_name
-from ..wirelist import to_wirelist, write_wirelist
+from ..pipeline import run
+from ..tech import DEFAULT_LAMBDA, Technology, technology_by_name
 from .cache import ResultCache
 from .jobs import Job
 from .metrics import Metrics
 
 if TYPE_CHECKING:
     from ..cif import Layout
-    from ..drc import DrcChecker
+    from ..hext import HextResult
 
 
 class JobCancelled(Exception):
@@ -109,7 +109,6 @@ class ExtractionEngine:
         resolution: int = 50,
         metrics: "Metrics | None" = None,
         engine: str = "auto",
-        profile: bool = True,
     ) -> None:
         self.metrics = metrics if metrics is not None else Metrics()
         self.results = ResultCache(
@@ -131,25 +130,12 @@ class ExtractionEngine:
         # results are byte-identical across engines, so the engine name
         # stays out of the result-cache facet on purpose.
         self.engine = engine
-        # Arm the scanline host's per-phase profiler on flat jobs so
-        # /metrics can decompose the extract stage (scan_* rows); a
-        # handful of clock reads per stop, invisible next to the sweep.
-        self.profile = profile
         self._state_lock = threading.Lock()
         self._incremental: "dict[tuple[str, int], IncrementalExtractor]" = {}
         self._memo_locks: "dict[tuple[str, int], threading.Lock]" = {}
         self._pools: "dict[tuple[str, int, int], PersistentPool]" = {}
 
     # -- warm state ------------------------------------------------------
-
-    def _tech_for(
-        self, lambda_: "int | None", deck: str = "nmos"
-    ) -> Technology:
-        if deck == "nmos":
-            return NMOS(lambda_) if lambda_ is not None else NMOS()
-        return compile_deck(
-            deck_by_name(deck, lambda_) if lambda_ else deck_by_name(deck)
-        )
 
     @staticmethod
     def _tech_key(tech: Technology) -> "tuple[str, int]":
@@ -235,187 +221,66 @@ class ExtractionEngine:
 
         Raises :class:`JobCancelled` / :class:`JobTimeout` when the job
         aborts cooperatively; any other exception is an extraction
-        failure the worker records verbatim.
+        failure the worker records verbatim.  A streamed job reports
+        band progress two ways: the job's ``stage`` while running, and
+        the live ``streaming`` gauge in ``GET /metrics``.
         """
         options = job.options
-        tech = self._tech_for(options.lambda_, options.deck)
-        probe = CancellationProbe(job)
+        tech = technology_by_name(
+            options.deck, options.lambda_ or DEFAULT_LAMBDA
+        )
 
-        self._enter_stage(job, "parse")
-        started = time.perf_counter()
-        layout = parse(job.cif)
-        self.metrics.observe_stage("parse", time.perf_counter() - started)
-
-        if options.stream:
-            return self._run_streaming(job, tech, layout, probe)
-
-        self._enter_stage(job, "extract")
-        started = time.perf_counter()
-        if options.hext:
+        def hext(layout: "Layout") -> "HextResult":
             extractor, memo_lock = self._incremental_for(tech)
             pool = self._pool_for(tech, options.jobs)
             with memo_lock:
-                hext_result = extractor.extract(layout, pool=pool)
-                circuit = hext_result.circuit
-            self.metrics.fold_hext_stats(hext_result.stats)
-        else:
-            drc_inline = self._drc_checker(tech) if options.lint else None
-            consumers: "tuple[StripConsumer, ...]" = (
-                (probe, drc_inline) if drc_inline is not None else (probe,)
-            )
-            report = extract_report(
-                layout,
-                tech,
-                keep_geometry=options.keep_geometry,
-                resolution=self.resolution,
-                strip_consumers=consumers,
-                engine=self.engine,
-                profile=self.profile,
-            )
-            circuit = report.circuit
-            self.metrics.fold_scan_stats(report.stats)
-        self.metrics.observe_stage("extract", time.perf_counter() - started)
-
-        self._enter_stage(job, "wirelist")
-        started = time.perf_counter()
-        if options.hext:
-            wirelist = to_hierarchical_wirelist(hext_result, name=options.name)
-        else:
-            wirelist = to_wirelist(
-                circuit,
-                name=options.name,
-                include_geometry=options.keep_geometry,
-                tech=tech,
-            )
-        text = write_wirelist(wirelist)
-        self.metrics.observe_stage("wirelist", time.perf_counter() - started)
-
-        diagnostics: "list[dict]" = []
-        lint_errors = 0
-        if options.lint:
-            self._enter_stage(job, "lint")
-            started = time.perf_counter()
-            if options.hext:
-                # The hierarchical extractor works window by window; the
-                # DRC needs the whole-chip strip feed, so one flat pass.
-                drc = self._drc_checker(tech)
-                extract_report(
-                    layout,
-                    tech,
-                    resolution=self.resolution,
-                    strip_consumers=(probe, drc),
-                    engine=self.engine,
-                )
-            else:
-                drc = drc_inline
-            lint_report = drc.report(artifact=options.name)
-            if lint_report.diagnostics:
-                lint_report = SourceIndex(layout).attribute(lint_report)
-            diagnostics = [
-                diagnostic_to_json(d) for d in lint_report.diagnostics
-            ]
-            lint_errors = len(lint_report.errors)
-            self.metrics.observe_stage("lint", time.perf_counter() - started)
-
-        _raise_if_aborted(job)
-        result = {
-            "name": options.name,
-            "digest": job.digest,
-            "wirelist": text,
-            "diagnostics": diagnostics,
-            "lint_errors": lint_errors,
-            "warnings": list(circuit.warnings),
-            "devices": circuit.device_count(),
-            "nets": circuit.net_count(),
-        }
-        self.results.put(job.cache_key, result)
-        self.metrics.count("cache_stores")
-        return result
-
-    def _run_streaming(
-        self,
-        job: Job,
-        tech: Technology,
-        layout: "Layout",
-        probe: CancellationProbe,
-    ) -> dict:
-        """The streaming job body: banded sweep, incremental emission.
-
-        The streamed wirelist is byte-identical to the in-memory one, so
-        the result payload has the same shape and the same cache key as
-        a flat job's — a streamed submission can be served from (and
-        populate) the same cache entry.  Band progress is surfaced two
-        ways: the job's ``stage`` while running, and the live
-        ``streaming`` gauge in ``GET /metrics``.
-        """
-        from ..streaming import stream_extract
-
-        options = job.options
-        self._enter_stage(job, "extract")
-        self.metrics.count("stream_jobs")
-        started = time.perf_counter()
-        drc_inline = self._drc_checker(tech) if options.lint else None
-        consumers: "tuple[StripConsumer, ...]" = (
-            (probe, drc_inline) if drc_inline is not None else (probe,)
-        )
+                return extractor.extract(layout, pool=pool)
 
         def observe_band(band: int, bands: int, stats: object) -> None:
             job.stage = f"extract band {band}/{bands}"
             self.metrics.stream_progress(job.ident, band, bands)
 
+        if options.stream:
+            self.metrics.count("stream_jobs")
         try:
-            report = stream_extract(
-                layout,
+            result = run(
+                job.cif,
                 tech,
-                name=options.name,
-                keep_geometry=options.keep_geometry,
-                resolution=self.resolution,
+                options,
                 engine=self.engine,
-                band_height=options.band_height,
-                strip_consumers=consumers,
+                resolution=self.resolution,
+                consumers=(CancellationProbe(job),),
+                on_stage=lambda stage: self._enter_stage(job, stage),
+                hext=hext,
                 progress=observe_band,
-                profile=self.profile,
             )
         finally:
             self.metrics.stream_finished(job.ident)
-        self.metrics.fold_scan_stats(report.stats)
-        # Streaming emits the wirelist during the sweep, so extract and
-        # wirelist are one stage here.
-        self.metrics.observe_stage("extract", time.perf_counter() - started)
-
-        diagnostics: "list[dict]" = []
-        lint_errors = 0
-        if options.lint:
-            self._enter_stage(job, "lint")
-            started = time.perf_counter()
-            lint_report = drc_inline.report(artifact=options.name)
-            if lint_report.diagnostics:
-                lint_report = SourceIndex(layout).attribute(lint_report)
-            diagnostics = [
-                diagnostic_to_json(d) for d in lint_report.diagnostics
-            ]
-            lint_errors = len(lint_report.errors)
-            self.metrics.observe_stage("lint", time.perf_counter() - started)
+        if options.hext:
+            self.metrics.fold_hext_stats(result.stats)
+        else:
+            self.metrics.fold_scan_stats(result.stats)
+        self.metrics.fold_trace(result.trace, "hext" if options.hext else "scan")
 
         _raise_if_aborted(job)
-        result = {
+        lint = result.lint
+        payload = {
             "name": options.name,
             "digest": job.digest,
-            "wirelist": report.text,
-            "diagnostics": diagnostics,
-            "lint_errors": lint_errors,
-            "warnings": list(report.warnings),
-            "devices": report.devices,
-            "nets": report.nets,
+            "wirelist": result.text,
+            "diagnostics": (
+                [diagnostic_to_json(d) for d in lint.diagnostics]
+                if lint is not None
+                else []
+            ),
+            "lint_errors": len(lint.errors) if lint is not None else 0,
+            "warnings": result.warnings,
+            "devices": result.devices,
+            "nets": result.nets,
         }
-        self.results.put(job.cache_key, result)
+        self.results.put(job.cache_key, payload)
         self.metrics.count("cache_stores")
-        return result
-
-    def _drc_checker(self, tech: Technology) -> "DrcChecker":
-        from ..drc import DrcChecker
-
-        return DrcChecker(tech)
+        return payload
 
     def _enter_stage(self, job: Job, stage: str) -> None:
         job.stage = stage

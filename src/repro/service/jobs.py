@@ -1,7 +1,8 @@
 """Job model, options, and the bounded admission-controlled queue.
 
 A *job* is one extraction request: a CIF payload plus
-:class:`JobOptions`.  Jobs move through a strict lifecycle::
+:class:`~repro.pipeline.JobOptions` (defined with the pipeline that runs
+it, re-exported here).  Jobs move through a strict lifecycle::
 
     queued -> running -> done | failed
     queued -> cancelled            (cancel before a worker claims it)
@@ -24,6 +25,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
+from ..pipeline import JobOptions, OptionsError  # noqa: F401 - re-exported
+
 
 class JobState(str, Enum):
     QUEUED = "queued"
@@ -37,149 +40,6 @@ class JobState(str, Enum):
 TERMINAL_STATES = frozenset(
     {JobState.DONE, JobState.FAILED, JobState.CANCELLED}
 )
-
-
-class OptionsError(ValueError):
-    """The submitted options payload is malformed."""
-
-
-@dataclass(frozen=True)
-class JobOptions:
-    """Extraction options, mirroring the ``ace-extract`` surface.
-
-    ``jobs`` and ``timeout`` steer *how* a job runs, never what it
-    produces (parallel and serial extraction are wirelist-equivalent by
-    the guarantees of :mod:`repro.parallel`), so they are excluded from
-    the result-cache key (:meth:`cache_facet`).  ``stream`` and
-    ``band_height`` are excluded for the same reason: the banded
-    streaming pipeline (:mod:`repro.streaming`) is byte-identical to the
-    in-memory path at every band plan, so a streamed job may serve -- and
-    be served by -- a cached in-memory result.
-    """
-
-    name: str = "layout.cif"  #: DefPart name stamped into the wirelist
-    lambda_: "int | None" = None
-    deck: str = "nmos"  #: builtin technology deck name
-    hext: bool = False
-    jobs: "int | None" = None
-    lint: bool = False
-    keep_geometry: bool = False
-    timeout: "float | None" = None
-    stream: bool = False  #: out-of-core banded streaming extraction
-    band_height: "int | None" = None  #: band height in layout units
-
-    _FIELDS = frozenset(
-        {
-            "name",
-            "lambda",
-            "deck",
-            "hext",
-            "jobs",
-            "lint",
-            "keep_geometry",
-            "timeout",
-            "stream",
-            "band_height",
-        }
-    )
-
-    @classmethod
-    def from_payload(cls, data: object) -> "JobOptions":
-        """Validate and build options from a request's JSON object."""
-        if data is None:
-            return cls()
-        if not isinstance(data, dict):
-            raise OptionsError("options must be a JSON object")
-        unknown = sorted(set(data) - cls._FIELDS)
-        if unknown:
-            raise OptionsError(f"unknown option(s): {', '.join(unknown)}")
-
-        def _flag(key: str) -> bool:
-            value = data.get(key, False)
-            if not isinstance(value, bool):
-                raise OptionsError(f"option {key!r} must be a boolean")
-            return value
-
-        def _int(key: str) -> "int | None":
-            value = data.get(key)
-            if value is None:
-                return None
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise OptionsError(f"option {key!r} must be an integer")
-            if value < 0:
-                raise OptionsError(f"option {key!r} must be >= 0")
-            return value
-
-        name = data.get("name", "layout.cif")
-        if not isinstance(name, str) or not name:
-            raise OptionsError("option 'name' must be a non-empty string")
-        deck = data.get("deck", "nmos")
-        if not isinstance(deck, str) or not deck:
-            raise OptionsError("option 'deck' must be a non-empty string")
-        from ..tech import BUILTIN_DECKS
-
-        if deck not in BUILTIN_DECKS:
-            raise OptionsError(
-                f"unknown deck {deck!r}; the daemon serves builtin decks "
-                f"only: {', '.join(sorted(BUILTIN_DECKS))}"
-            )
-        timeout = data.get("timeout")
-        if timeout is not None:
-            if isinstance(timeout, bool) or not isinstance(
-                timeout, (int, float)
-            ):
-                raise OptionsError("option 'timeout' must be a number")
-            if timeout < 0:
-                raise OptionsError("option 'timeout' must be >= 0")
-            timeout = float(timeout)
-        stream = _flag("stream")
-        hext = _flag("hext")
-        if stream and hext:
-            raise OptionsError(
-                "options 'stream' and 'hext' are mutually exclusive"
-            )
-        band_height = _int("band_height")
-        if band_height is not None and band_height < 1:
-            raise OptionsError("option 'band_height' must be >= 1")
-        if band_height is not None and not stream:
-            raise OptionsError("option 'band_height' requires 'stream'")
-        return cls(
-            name=name,
-            lambda_=_int("lambda"),
-            deck=deck,
-            hext=hext,
-            jobs=_int("jobs"),
-            lint=_flag("lint"),
-            keep_geometry=_flag("keep_geometry"),
-            timeout=timeout,
-            stream=stream,
-            band_height=band_height,
-        )
-
-    def to_payload(self) -> dict:
-        return {
-            "name": self.name,
-            "lambda": self.lambda_,
-            "deck": self.deck,
-            "hext": self.hext,
-            "jobs": self.jobs,
-            "lint": self.lint,
-            "keep_geometry": self.keep_geometry,
-            "timeout": self.timeout,
-            "stream": self.stream,
-            "band_height": self.band_height,
-        }
-
-    def cache_facet(self) -> dict:
-        """The subset of options that can change the result bytes."""
-        return {
-            "name": self.name,
-            "lambda": self.lambda_,
-            "deck": self.deck,
-            "hext": self.hext,
-            "lint": self.lint,
-            "keep_geometry": self.keep_geometry,
-        }
 
 
 @dataclass

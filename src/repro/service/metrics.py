@@ -8,11 +8,13 @@ Everything the daemon exposes at ``GET /metrics`` funnels through one
   let hour-old outliers pin p99 forever; the ring gives a sliding
   window with O(size log size) snapshot cost and O(1) memory.
 * **Counters are monotonic** — scrape deltas, not levels, for rates.
-* **Per-stage timings fold the extractor's own accounting in** — flat
-  jobs contribute :class:`~repro.core.stats.ScanStats` event counters,
-  hierarchical jobs contribute
-  :class:`~repro.hext.extractor.HextStats` phase timers, so the service
-  view decomposes the same way the paper's Table 5 splits do.
+* **Per-stage timings are the pipeline's own record** — each job's
+  :class:`~repro.pipeline.Trace` folds in once: its stages as
+  ``parse``/``extract``/``wirelist``/``lint`` rows and the extract
+  stage's phases as ``scan_*`` (flat and streamed jobs) or ``hext_*``
+  rows, the same numbers ``ace-extract --profile`` prints.  Flat jobs
+  also contribute :class:`~repro.core.stats.ScanStats` event counters,
+  hierarchical jobs :class:`~repro.hext.extractor.HextStats` counters.
 """
 
 from __future__ import annotations
@@ -20,6 +22,10 @@ from __future__ import annotations
 import threading
 import time
 from collections import Counter
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from ..pipeline import Trace
 
 
 def quantile(ordered: "list[float]", q: float) -> float:
@@ -126,12 +132,6 @@ class Metrics:
         with self._lock:
             self._stream_active.pop(ident, None)
 
-    def observe_stage(self, stage: str, seconds: float) -> None:
-        with self._lock:
-            self.stage_seconds[stage] = (
-                self.stage_seconds.get(stage, 0.0) + seconds
-            )
-
     def observe_completion(
         self, latency_seconds: float, run_seconds: float
     ) -> None:
@@ -140,40 +140,38 @@ class Metrics:
             self.run_latency.observe(run_seconds)
 
     def fold_scan_stats(self, scan: object) -> None:
-        """Accumulate a flat run's ScanStats event counters.
-
-        When the run carried the host's per-phase profiler
-        (``ScanStats.profile``), the phase seconds fold into the stage
-        table as ``scan_<phase>`` rows, decomposing the ``extract``
-        stage the same way ``--profile`` does on the CLI.
-        """
+        """Accumulate a flat run's ScanStats event counters."""
         with self._lock:
             for name in _SCAN_COUNTERS:
                 self.scan[name] += int(getattr(scan, name, 0) or 0)
             self.peak_active = max(
                 self.peak_active, int(getattr(scan, "peak_active", 0) or 0)
             )
-            profile = getattr(scan, "profile", None)
-            if profile:
-                for phase, seconds in profile.items():
-                    key = f"scan_{phase}"
-                    self.stage_seconds[key] = self.stage_seconds.get(
-                        key, 0.0
-                    ) + float(seconds)
 
     def fold_hext_stats(self, stats: object) -> None:
-        """Accumulate a hierarchical run's HextStats counters/timers."""
+        """Accumulate a hierarchical run's HextStats counters."""
         with self._lock:
             for name in _HEXT_COUNTERS:
                 self.hext[name] += int(getattr(stats, name, 0) or 0)
-            for stage, attr in (
-                ("hext_frontend", "frontend_seconds"),
-                ("hext_execute", "flat_seconds"),
-                ("hext_compose", "compose_seconds"),
-            ):
-                self.stage_seconds[stage] = self.stage_seconds.get(
-                    stage, 0.0
-                ) + float(getattr(stats, attr, 0.0) or 0.0)
+
+    def fold_trace(self, trace: "Trace", prefix: str) -> None:
+        """Fold one job's timing record into the stage table.
+
+        Stages keep their names; the ``extract`` stage's phases land as
+        ``<prefix>_<phase>`` rows (``scan`` or ``hext``).
+        """
+        rows = [
+            *trace.stages.items(),
+            *(
+                (f"{prefix}_{phase}", seconds)
+                for phase, seconds in trace.phases.get("extract", {}).items()
+            ),
+        ]
+        with self._lock:
+            for key, seconds in rows:
+                self.stage_seconds[key] = (
+                    self.stage_seconds.get(key, 0.0) + seconds
+                )
 
     def mean_latency(self) -> float:
         with self._lock:

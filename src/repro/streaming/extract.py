@@ -38,11 +38,12 @@ import os
 import signal
 from dataclasses import dataclass, field
 from io import StringIO
+from time import perf_counter
 from typing import IO, Callable
 
 from ..cif import Layout, parse
 from ..core.scanline import ScanlineEngine
-from ..core.stats import PhaseTimer, ScanStats
+from ..core.stats import ScanStats
 from ..frontend.bands import BandFeed, BandSource, plan_bands
 from ..frontend.stream import GeometryStream
 from ..tech import NMOS, Technology
@@ -67,7 +68,11 @@ class StreamReport:
     """Outcome of one streaming extraction."""
 
     stats: ScanStats
-    timer: PhaseTimer
+    #: ``frontend``/``setup`` and the host's lap-clock phases as in
+    #: :class:`~repro.core.extractor.ExtractionReport`, with the band
+    #: bookkeeping (``spill``) and the emission (``emit``) in place of
+    #: the in-memory ``finalize``
+    phases: dict[str, float]
     frontend_stats: object
     warnings: list[str]
     nets: int
@@ -97,7 +102,6 @@ def stream_extract(
     prefetch: int = 1,
     strip_consumers: tuple = (),
     progress: "ProgressFn | None" = None,
-    profile: bool = False,
 ) -> StreamReport:
     """Extract ``source`` band by band, writing the wirelist to ``out``.
 
@@ -120,9 +124,6 @@ def stream_extract(
         prefetch: bands the producer thread pulls ahead (0 = pull
             inline on the consumer thread).
         progress: callback after each band, for job-status reporting.
-        profile: arm the scanline host's per-phase timers; the
-            breakdown rides ``report.stats.profile`` and survives
-            checkpoint/resume.
     """
     tech = tech or NMOS()
     if resume and checkpoint is None:
@@ -130,18 +131,17 @@ def stream_extract(
     if resume == "auto":
         resume = bool(checkpoint is not None and os.path.exists(checkpoint))
 
-    timer = PhaseTimer()
-    timer.start("frontend")
     layout = parse(source) if isinstance(source, str) else source
+    started = perf_counter()
     stream = GeometryStream(layout, resolution=resolution)
+    streamed = perf_counter()
     scan = ScanlineEngine(
         tech,
         keep_geometry=keep_geometry,
-        timer=timer,
         strip_consumers=strip_consumers,
         engine=engine,
-        profile=profile,
     )
+    ready = perf_counter()
 
     digest = ckpt.layout_digest(layout, resolution, tech.lambda_)
     options = {
@@ -203,7 +203,7 @@ def stream_extract(
     feed = BandFeed(bands)
 
     try:
-        _run_bands(
+        spill_seconds = _run_bands(
             scan,
             feed,
             floors,
@@ -216,7 +216,6 @@ def stream_extract(
             dev_locs=dev_locs,
             net_bands=net_bands,
             dev_bands=dev_bands,
-            timer=timer,
             progress=progress,
         )
     finally:
@@ -225,7 +224,7 @@ def stream_extract(
     # Close the sweep the way ScanlineEngine.finish does, minus the
     # in-memory finalize: consumers flush, then emission streams the
     # spilled state back in canonical order.
-    timer.start("output")
+    emit_started = perf_counter()
     for consumer in scan.strip_consumers:
         consumer.finish()
 
@@ -244,7 +243,14 @@ def stream_extract(
         primitives=primitives_for(tech),
         include_geometry=keep_geometry,
     )
-    timer.stop()
+    phases = {
+        "frontend": streamed - started,
+        "setup": ready - streamed,
+        **scan.clock.seconds,
+        "spill": spill_seconds,
+        "emit": perf_counter() - emit_started,
+    }
+    del phases["finalize"]
 
     # Warning order matches the in-memory finalize: host warnings, then
     # malformed-device warnings in device order, then unattached labels.
@@ -261,7 +267,7 @@ def stream_extract(
 
     return StreamReport(
         stats=scan.stats,
-        timer=timer,
+        phases=phases,
         frontend_stats=stream.stats,
         warnings=warnings,
         nets=emitted.nets,
@@ -294,17 +300,21 @@ def _run_bands(
     dev_locs: "dict[int, tuple[int, int] | None]",
     net_bands: "dict[int, int]",
     dev_bands: "dict[int, int]",
-    timer: PhaseTimer,
     progress: "ProgressFn | None",
-) -> None:
-    """The band loop: advance, retire, spill, checkpoint, repeat."""
+) -> float:
+    """The band loop: advance, retire, spill, checkpoint, repeat.
+
+    Returns the seconds spent between sweeps (retire, spill, progress,
+    checkpoint); the sweeps themselves are on the host's clock.
+    """
     kill_after = int(os.environ.get(KILL_AFTER_ENV, 0) or 0)
     kill_phase = os.environ.get(KILL_PHASE_ENV, "checkpoint")
     committed = 0  # bands committed by THIS process
+    spent = 0.0
 
     for band in range(start_band, len(floors)):
         more = scan.advance(feed, floors[band])
-        timer.start("output")
+        started = perf_counter()
         if more:
             live_nets = scan.live_net_roots()
             eng_nets, live_devs = scan.strip_engine.live_roots()
@@ -326,6 +336,7 @@ def _run_bands(
         if progress is not None:
             progress(band + 1, len(floors), scan.stats)
         if not more:
+            spent += perf_counter() - started
             break
         committed += 1
         if kill_after and committed >= kill_after and kill_phase == "spill":
@@ -352,4 +363,5 @@ def _run_bands(
             )
         if kill_after and committed >= kill_after and kill_phase != "spill":
             os.kill(os.getpid(), signal.SIGKILL)
-        timer.start("frontend")
+        spent += perf_counter() - started
+    return spent

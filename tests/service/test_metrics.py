@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.pipeline import Trace
 from repro.service.metrics import LatencyRing, Metrics, quantile
 
 
@@ -69,9 +70,6 @@ class _FakeHextStats:
     unique_windows = 3
     cache_hits = 1
     cache_misses = 2
-    frontend_seconds = 0.25
-    flat_seconds = 1.0
-    compose_seconds = 0.5
 
 
 class TestMetrics:
@@ -94,23 +92,31 @@ class TestMetrics:
         assert snap["scanline"]["boxes_in"] == 20
         assert snap["scanline"]["devices_created"] == 4
         assert snap["scanline"]["peak_active"] == 5  # max, not sum
-        # No profiler on these runs: no scan_* stage rows appear.
-        assert not any(k.startswith("scan_") for k in snap["stages"])
 
-    def test_fold_scan_stats_folds_profile_into_stages(self):
-        class _Profiled(_FakeScanStats):
-            profile = {"strip": 0.5, "finalize": 0.25}
-
+    def test_fold_trace_folds_scan_phases_into_stages(self):
+        trace = Trace(
+            wall=2.0,
+            stages={"parse": 0.25, "extract": 1.0, "wirelist": 0.5},
+            phases={"extract": {"strip": 0.5, "finalize": 0.25}},
+        )
         metrics = Metrics()
-        metrics.fold_scan_stats(_Profiled())
-        metrics.fold_scan_stats(_Profiled())
+        metrics.fold_trace(trace, "scan")
+        metrics.fold_trace(trace, "scan")
         snap = metrics.snapshot()
+        assert snap["stages"]["extract"] == pytest.approx(2.0)
+        assert snap["stages"]["wirelist"] == pytest.approx(1.0)
         assert snap["stages"]["scan_strip"] == pytest.approx(1.0)
         assert snap["stages"]["scan_finalize"] == pytest.approx(0.5)
 
-    def test_fold_hext_stats_feeds_stage_timers(self):
+    def test_fold_trace_folds_hext_phases_into_stages(self):
+        trace = Trace(
+            wall=2.0,
+            stages={"extract": 1.75},
+            phases={"extract": {"execute": 1.0, "compose": 0.5}},
+        )
         metrics = Metrics()
         metrics.fold_hext_stats(_FakeHextStats())
+        metrics.fold_trace(trace, "hext")
         snap = metrics.snapshot()
         assert snap["hext"]["memo_hits"] == 6
         assert snap["stages"]["hext_execute"] == pytest.approx(1.0)

@@ -36,7 +36,8 @@ class TestBenchScanline:
             # Python rows carry the identity comparison, never null, so
             # report consumers can bound the column uniformly.
             assert row["speedup_vs_python"] == 1.0
-            assert "profile" not in row  # only with profile=True
+            # Every row carries the phases of its own timed run.
+            assert set(row["profile"]) == set(PROFILE_PHASES)
 
     def test_invariants_hold_on_real_runs(self):
         rows = bench_scanline(sizes=(8, 16), repeats=1, baseline={})
@@ -89,8 +90,7 @@ class TestBenchScanline:
 
     def test_profile_rows_cover_every_phase(self):
         rows = bench_scanline(
-            sizes=(8,), repeats=1, baseline={}, engines=["python"],
-            profile=True,
+            sizes=(8,), repeats=1, baseline={}, engines=["python"]
         )
         profile = rows[0]["profile"]
         assert set(profile) == set(PROFILE_PHASES)
@@ -98,15 +98,15 @@ class TestBenchScanline:
 
     def test_profile_rows_reconcile_with_their_own_wall(self):
         rows = bench_scanline(
-            sizes=(8,), repeats=2, baseline={}, engines=["python"],
-            profile=True,
+            sizes=(8,), repeats=2, baseline={}, engines=["python"]
         )
         row = rows[0]
-        assert row["profile_seconds"] > 0.0
+        assert row["seconds"] > 0.0
+        assert 0.0 < sum(row["profile"].values()) <= row["seconds"]
         assert check_rows(rows) == []
-        # Phases that outgrow the profiled run's wall are a timer bug.
-        row["profile"]["strip"] += row["profile_seconds"]
-        assert any("profiled phases" in p for p in check_rows(rows))
+        # Phases that outgrow the timed run's wall are a timer bug.
+        row["profile"]["strip"] += row["seconds"]
+        assert any("phases add up" in p for p in check_rows(rows))
 
     def test_main_profile_writes_sibling_artifact(self, tmp_path):
         out = tmp_path / "BENCH_scanline.json"

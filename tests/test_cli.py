@@ -63,19 +63,46 @@ class TestFlat:
         assert "ace profile:" in captured.err
         for phase in ("schedule", "expire", "insert", "strip", "finalize"):
             assert phase in captured.err
+        for stage in ("parse", "extract", "wirelist", "unaccounted"):
+            assert stage in captured.err
         # The profiler must not leak into the wirelist itself.
         assert "profile" not in captured.out
 
     def test_profile_with_stream(self, inverter_cif, capsys):
         assert main([inverter_cif, "--stream", "--profile"]) == 0
-        assert "ace profile:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "ace profile:" in err
+        assert "emit" in err and "unaccounted" in err
 
-    def test_profile_hierarchical_notes_flat_only(
-        self, inverter_cif, capsys
-    ):
+    def test_profile_with_hierarchical(self, inverter_cif, capsys):
         assert main([inverter_cif, "--hierarchical", "--profile"]) == 0
         err = capsys.readouterr().err
-        assert "--profile" in err and "--hierarchical" in err
+        assert "ace profile:" in err
+        for phase in ("execute", "compose", "resolve", "unaccounted"):
+            assert phase in err
+
+    def test_stats_seconds_cover_wirelist_writing(
+        self, inverter_cif, tmp_path, capsys, monkeypatch
+    ):
+        # --stats prints the run's root wall in every mode, so formatting
+        # the flat wirelist text is inside it, as emission is for --stream.
+        import re
+        import time
+
+        from repro.wirelist import writer
+
+        original = writer.write_flat
+
+        def slow_write_flat(*args, **kwargs):
+            time.sleep(0.2)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(writer, "write_flat", slow_write_flat)
+        target = tmp_path / "out.wl"
+        assert main([inverter_cif, "--stats", "-o", str(target)]) == 0
+        err = capsys.readouterr().err
+        seconds = float(re.search(r"nets in ([0-9.]+)s", err).group(1))
+        assert seconds >= 0.2
 
     def test_engine_flag_byte_identical_output(self, inverter_cif, capsys):
         from repro.core.stripengine import numpy_available
