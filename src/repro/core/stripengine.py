@@ -80,6 +80,21 @@ def resolve_engine(name: str = "auto") -> str:
     return name
 
 
+def load_strip_engine(name: str = "auto") -> str:
+    """Resolve ``name`` and import its engine; returns the resolved name.
+
+    The first load is the expensive part of an engine (``auto`` imports
+    numpy); a caller that times its work calls this first, so the import
+    is billed as setup rather than to whatever runs the first sweep.
+    """
+    resolved = resolve_engine(name)
+    if resolved == "numpy":
+        from . import engine_numpy  # noqa: F401
+    else:
+        from . import engine_python  # noqa: F401
+    return resolved
+
+
 class StripEngine:
     """Interface every strip back-end implements.
 

@@ -20,6 +20,7 @@ from .fragment import (
     DeviceRec,
     Fragment,
     IfaceRec,
+    LineIndex,
     Placed,
 )
 from .windows import Content, WindowPlanner, content_key
@@ -36,6 +37,7 @@ __all__ = [
     "IncrementalExtractor",
     "IncrementalStats",
     "IfaceRec",
+    "LineIndex",
     "Placed",
     "WindowPlan",
     "WindowPlanner",

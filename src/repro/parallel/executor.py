@@ -25,7 +25,12 @@ import os
 import time
 from typing import Callable
 
-from ..hext.extractor import HextStats, WindowPlan, extract_primitive
+from ..hext.extractor import (
+    HextStats,
+    WindowPlan,
+    extract_primitive,
+    load_engine,
+)
 from ..tech import Technology
 from .cache import FragmentCache
 from .pool import PersistentPool, PoolUnavailable, extract_contents_parallel
@@ -121,6 +126,7 @@ def execute_plan_parallel(
                     progress(done, total)
             pending = []
 
+    setup = load_engine(engine, stats) if pending else 0.0
     for key, payload, cache_key in pending:
         content = plan.primitives[key]
         start = time.perf_counter()
@@ -134,7 +140,7 @@ def execute_plan_parallel(
         if progress is not None:
             progress(done, total)
 
-    stats.flat_seconds += time.perf_counter() - phase_start
+    stats.flat_seconds += time.perf_counter() - phase_start - setup
     stats.jobs = max(stats.jobs, workers)
     if store is not None:
         stats.cache_hits += store.stats.hits

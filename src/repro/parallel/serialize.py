@@ -27,7 +27,7 @@ import json
 
 from ..frontend.instantiate import PlacedLabel
 from ..geometry import Box
-from ..hext.fragment import DeviceRec, Fragment, IfaceRec
+from ..hext.fragment import CHANNEL, DeviceRec, Fragment, IfaceRec, LineIndex
 from ..hext.windows import Content
 from ..tech import Technology
 
@@ -199,9 +199,9 @@ def fragment_from_payload(payload: dict) -> Fragment:
             _device_from_payload(item, net_count)
             for item in payload["partials"]
         )
-        interface = tuple(
-            _iface_from_payload(item, net_count, len(partials))
-            for item in payload["interface"]
+        index = LineIndex.of(
+            _iface_from_payload(item, rank, net_count, len(partials))
+            for rank, item in enumerate(payload["interface"])
         )
     except SerializationError:
         raise
@@ -215,7 +215,7 @@ def fragment_from_payload(payload: dict) -> Fragment:
         net_locs=net_locs,
         devices=devices,
         partials=partials,
-        interface=interface,
+        index=index,
     )
 
 
@@ -243,12 +243,12 @@ def _device_from_payload(item: dict, net_count: int) -> DeviceRec:
     )
 
 
-def _iface_from_payload(item: list, net_count: int, partials: int) -> IfaceRec:
+def _iface_from_payload(
+    item: list, rank: int, net_count: int, partials: int
+) -> IfaceRec:
     face, layer, fixed, lo, hi, ident = item
     if face not in _FACES:
         raise SerializationError(f"bad interface face {face!r}")
-    from ..hext.fragment import CHANNEL
-
     limit = partials if layer == CHANNEL else net_count
     if not 0 <= _as_int(ident) < limit:
         raise SerializationError(
@@ -256,7 +256,7 @@ def _iface_from_payload(item: list, net_count: int, partials: int) -> IfaceRec:
         )
     return IfaceRec(
         str(face), str(layer), _as_int(fixed), _as_int(lo), _as_int(hi),
-        _as_int(ident),
+        _as_int(ident), rank,
     )
 
 

@@ -372,6 +372,7 @@ def run(
             stats = report.stats
             phases = {
                 "frontend": stats.frontend_seconds,
+                "setup": stats.setup_seconds,
                 "execute": stats.flat_seconds,
                 "compose": stats.compose_seconds,
                 "resolve": stats.resolve_seconds,

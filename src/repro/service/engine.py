@@ -280,6 +280,7 @@ class ExtractionEngine:
         }
         self.results.put(job.cache_key, payload)
         self.metrics.count("cache_stores")
+        job.trace = result.trace
         return payload
 
     def _enter_stage(self, job: Job, stage: str) -> None:

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from ..pipeline import JobOptions, OptionsError  # noqa: F401 - re-exported
+from ..pipeline import Trace
 
 
 class JobState(str, Enum):
@@ -59,6 +60,9 @@ class Job:
     finished_monotonic: "float | None" = None
     deadline: "float | None" = None  #: monotonic per-job deadline
     cached: bool = False  #: served straight from the result cache
+    #: the extraction's timing record; held here, never in the result
+    #: cache, so a cache hit (no extraction) has none
+    trace: "Trace | None" = None
     result: "dict | None" = None
     error: "str | None" = None
     error_kind: "str | None" = None  #: "timeout" | "cancelled" | "error"
@@ -117,6 +121,11 @@ class Job:
         if self.error is not None:
             payload["error"] = self.error
             payload["error_kind"] = self.error_kind
+        if self.trace is not None and self.state is JobState.DONE:
+            payload["trace"] = [
+                [depth, name, round(seconds, 6)]
+                for depth, name, seconds in self.trace.rows()
+            ]
         return payload
 
 

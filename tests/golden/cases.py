@@ -2,7 +2,9 @@
 
 Each case is a zero-argument factory returning a :class:`Layout`; the
 snapshot for case ``name`` lives next to this module as
-``name.wirelist``.  Regenerate all snapshots with::
+``name.wirelist``, and for a hierarchical case as ``name.hext`` (the
+HEXT wirelist, ``(Net a b)`` lines and all).  Regenerate all snapshots
+with::
 
     PYTHONPATH=src python tools/regen_golden.py
 
@@ -15,15 +17,21 @@ from __future__ import annotations
 from repro.cif import Layout
 from repro.core import extract
 from repro.diagnostics import format_text
+from repro.difftest.generator import generate_layout
+from repro.hext import hext_extract
+from repro.hext.wirelist import to_hierarchical_wirelist
 from repro.lint import lint_layout
 from repro.tech import CMOS, NMOS, Technology
 from repro.wirelist import to_wirelist, write_wirelist
 from repro.workloads.builder import LayoutBuilder
 from repro.workloads.cells import (
+    INVERTER_SIZE,
     build_chain_inverter_cell,
+    build_inverter_cell,
     inverter,
     nand2,
 )
+from repro.workloads.chips import build_chip
 from repro.workloads.cmos import (
     cmos_inverter,
     cmos_nand2,
@@ -100,6 +108,34 @@ def hier_pair() -> Layout:
     return b.done()
 
 
+def four_inverters() -> Layout:
+    """HEXT Figure 2-1: a 2x2 array of one inverter cell, built as pairs."""
+    b = LayoutBuilder()
+    cell = build_inverter_cell(b)
+    pair = b.new_symbol()
+    pair.call(cell, 0, 0)
+    pair.call(cell, INVERTER_SIZE[0], 0)
+    quad = b.new_symbol()
+    quad.call(pair, 0, 0)
+    quad.call(pair, 0, INVERTER_SIZE[1] + 2)
+    b.top.call(quad, 0, 0)
+    return b.done()
+
+
+def testram() -> Layout:
+    """The suite's testram chip at 1/32: an array HEXT composes row by row."""
+    return build_chip("testram", 1 / 32)
+
+
+def difftest_seed34() -> Layout:
+    """A fuzzed layout whose transistors straddle window edges.
+
+    Its composes merge partial transistors across the seam and complete
+    them there, the part of Compose the regular chips never reach.
+    """
+    return generate_layout(34).layout
+
+
 #: name -> layout factory; sorted emission order keeps regen diffs stable.
 GOLDEN_CASES: "dict[str, callable]" = {
     "inverter": inverter,
@@ -110,6 +146,15 @@ GOLDEN_CASES: "dict[str, callable]" = {
     "cmos_inverter": cmos_inverter,
     "cmos_nand2": cmos_nand2,
     "pseudo_nmos": pseudo_nmos_inverter,
+}
+
+#: Hierarchical snapshot cases, pinned as ``<case>.hext``: the byte
+#: order of every ``(Net a b)`` line is Compose's equivalence order.
+HEXT_CASES: "dict[str, callable]" = {
+    "hier_pair": hier_pair,
+    "four_inverters": four_inverters,
+    "testram": testram,
+    "difftest_seed34": difftest_seed34,
 }
 
 #: Cases extracted under a non-default deck; everything else is NMOS.
@@ -144,6 +189,12 @@ def render_case(name: str, engine: str = "auto") -> str:
     tech = tech_for(name)
     circuit = extract(layout, tech, keep_geometry=True, engine=engine)
     return write_wirelist(to_wirelist(circuit, name=name, tech=tech))
+
+
+def render_hext_case(name: str, engine: str = "auto") -> str:
+    """The hierarchical wirelist text a ``<case>.hext`` snapshot pins."""
+    result = hext_extract(HEXT_CASES[name](), tech_for(name), engine=engine)
+    return write_wirelist(to_hierarchical_wirelist(result, name=name))
 
 
 def render_lint_case(name: str) -> str:

@@ -7,7 +7,7 @@ complex windows).
 """
 
 from repro.geometry import Box
-from repro.hext import Fragment, IfaceRec, Placed, compose
+from repro.hext import Fragment, IfaceRec, LineIndex, Placed, compose
 from repro.tech import NMOS
 
 TECH = NMOS()
@@ -18,12 +18,12 @@ def _full_perimeter_window(w: int, h: int) -> Fragment:
     return Fragment(
         region=(Box(0, 0, w, h),),
         net_count=1,
-        interface=(
+        index=LineIndex.of([
             IfaceRec("L", "NM", 0, 0, h, 0),
             IfaceRec("R", "NM", w, 0, h, 0),
             IfaceRec("B", "NM", 0, 0, w, 0),
             IfaceRec("T", "NM", h, 0, w, 0),
-        ),
+        ]),
     )
 
 
@@ -98,3 +98,26 @@ class TestGapWindows:
         # Outline: one 30x10 rectangle; left and right outer faces only.
         lr = [r for r in merged.interface if r.face in ("L", "R")]
         assert sorted((r.face, r.fixed) for r in lr) == [("L", 0), ("R", 30)]
+
+
+class TestWalkOrder:
+    def test_child_lines_walk_in_first_appearance_order(self):
+        """Equivalences follow the child's flat boundary list.
+
+        In the L-shaped child, the third window consumes the first span
+        of the line y=10, so that line now first appears after the line
+        x=20: the child's lines are walked x=20 first even though y=10
+        was indexed earlier.
+        """
+        unit = _full_perimeter_window(10, 10)
+        row = compose(Placed(unit, 0, 0), Placed(unit, 10, 0), TECH)
+        ell = compose(Placed(row, 0, 0), Placed(unit, 0, 10), TECH)
+        assert [(r.face, r.fixed) for r in ell.interface] == [
+            ("L", 0), ("B", 0), ("R", 20), ("B", 0), ("T", 10),
+            ("L", 0), ("R", 10), ("T", 20),
+        ]
+        # Fill the notch and flank the row: one window touches the
+        # child's y=10 line from above, the other its x=20 line.
+        around = compose(Placed(unit, 10, 10), Placed(unit, 20, 0), TECH)
+        merged = compose(Placed(around, 0, 0), Placed(ell, 0, 0), TECH)
+        assert merged.equivalences == ((1, 3), (0, 3), (0, 4))

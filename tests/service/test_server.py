@@ -49,6 +49,26 @@ class TestExtraction:
         assert metrics["cache"]["hits"] == 1
         assert metrics["result_cache"]["hits"] == 1
 
+    @pytest.mark.parametrize("hext", [False, True])
+    def test_done_job_status_carries_its_trace(self, client, hext):
+        cif = write_cif(inverter())
+        receipt = client.submit(cif, name="inv.cif", hext=hext)
+        status = client.wait(receipt["job"], timeout=30.0)
+        assert status["state"] == "done" and status["cached"] is False
+        rows = status["trace"]
+        stages = [name for depth, name, _ in rows if depth == 0]
+        assert stages == ["parse", "extract", "wirelist", "unaccounted"]
+        assert rows[-1][:2] == [0, "unaccounted"]
+        phases = [name for depth, name, _ in rows if depth == 1]
+        assert ("execute" in phases) == hext
+        depth0 = sum(seconds for depth, _, seconds in rows if depth == 0)
+        assert depth0 <= status["latency_seconds"]
+        # A cache hit ran no extraction, so it has no trace to show.
+        again = client.submit(cif, name="inv.cif", hext=hext)
+        assert again["cached"] is True
+        assert "trace" not in again
+        assert "trace" not in client.status(again["job"])
+
     def test_jobs_option_is_cache_equivalent(self, client):
         cif = write_cif(transistor_array(4))
         client.extract(cif, name="array.cif", jobs=2)

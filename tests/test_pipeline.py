@@ -1,11 +1,13 @@
 """The one extraction pipeline: entry-point parity and its timing record."""
 
 import re
+import time
 
 import pytest
 
 from repro.cif import write
 from repro.cli import main
+from repro.core import stripengine
 from repro.pipeline import PAPER_PHASES, JobOptions, run
 from repro.service.cache import payload_digest, result_cache_key
 from repro.service.engine import ExtractionEngine
@@ -107,3 +109,26 @@ def test_stage_hook_sees_every_stage_and_can_abort():
 
     with pytest.raises(RuntimeError):
         run(write(inverter()), NMOS(), on_stage=abort)
+
+
+@pytest.mark.parametrize("jobs", [None, 2])
+def test_hext_bills_engine_loading_to_setup(jobs, monkeypatch):
+    """Loading the strip engine (numpy's import) is setup, not execute."""
+    real = stripengine.resolve_engine
+    calls = []
+
+    def slow_first_load(name="auto"):
+        if not calls:
+            time.sleep(0.3)  # a cold engine import
+        calls.append(name)
+        return real(name)
+
+    monkeypatch.setattr(stripengine, "resolve_engine", slow_first_load)
+    # One unique window: a pool gets too little work and the window is
+    # extracted in-process whatever ``jobs`` asks for.
+    result = run(write(inverter()), NMOS(), JobOptions(hext=True, jobs=jobs))
+    phases = result.trace.phases["extract"]
+    assert list(phases) == ["frontend", "setup", "execute", "compose", "resolve"]
+    assert phases["setup"] >= 0.3
+    assert phases["execute"] < 0.3
+    assert result.stats.backend_seconds < 0.3

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Regenerate the golden wirelist and lint-report snapshots under tests/golden/.
+"""Regenerate the golden wirelist, HEXT-wirelist and lint-report snapshots
+under tests/golden/.
 
 Usage::
 
@@ -21,8 +22,10 @@ sys.path.insert(0, str(REPO))
 
 from tests.golden.cases import (  # noqa: E402
     GOLDEN_CASES,
+    HEXT_CASES,
     LINT_CASES,
     render_case,
+    render_hext_case,
     render_lint_case,
 )
 
@@ -40,16 +43,20 @@ def _refresh(path: Path, text: str) -> None:
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    names = (argv if argv is not None else sys.argv[1:]) or sorted(LINT_CASES)
-    unknown = [n for n in names if n not in LINT_CASES]
+    known = sorted(set(LINT_CASES) | set(HEXT_CASES))
+    names = (argv if argv is not None else sys.argv[1:]) or known
+    unknown = [n for n in names if n not in known]
     if unknown:
         print(f"unknown case(s): {', '.join(unknown)}", file=sys.stderr)
-        print(f"known: {', '.join(sorted(LINT_CASES))}", file=sys.stderr)
+        print(f"known: {', '.join(known)}", file=sys.stderr)
         return 2
     for name in names:
         if name in GOLDEN_CASES:
             _refresh(GOLDEN_DIR / f"{name}.wirelist", render_case(name))
-        _refresh(GOLDEN_DIR / f"{name}.lint", render_lint_case(name))
+        if name in HEXT_CASES:
+            _refresh(GOLDEN_DIR / f"{name}.hext", render_hext_case(name))
+        if name in LINT_CASES:
+            _refresh(GOLDEN_DIR / f"{name}.lint", render_lint_case(name))
     return 0
 
 
