@@ -36,6 +36,10 @@ stays batch.  See docs/ENGINES.md for the full contract.
 
 from __future__ import annotations
 
+import operator
+from itertools import chain
+from typing import Callable, Iterator
+
 import numpy as np
 
 from ..frontend.stream import GeometryStream
@@ -44,7 +48,8 @@ from .netlist import DeviceColumns, NetColumns
 from .sizing import size_device
 
 from . import scanline as _scan
-from .stripengine import StripEngine
+from .stripengine import RetiredDevices, StripEngine
+from .unionfind import UnionFind
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -225,6 +230,165 @@ def _csr(
         ptr[-1], dtype=np.int64
     )
     return ptr, rows
+
+
+#: a spill band's per-row device columns, and each CSR pointer column
+#: with the value columns it indexes (geometry only when the sweep
+#: keeps artwork)
+_ROW_COLUMNS = ("area", "impl")
+_GEO_COLUMNS = ("geo_x1", "geo_y1", "geo_x2", "geo_y2")
+_CSR_COLUMNS = {
+    "term_ptr": ("term_net", "term_len"),
+    "gate_ptr": ("gate_net",),
+    "geo_ptr": _GEO_COLUMNS,
+}
+
+
+def _unique_pairs(
+    group: "np.ndarray", value: "np.ndarray", mult: int
+) -> "tuple[np.ndarray, np.ndarray]":
+    """The distinct ``(group, value)`` pairs, ascending; values lie in
+    ``[0, mult)``."""
+    keys = group * mult + value
+    if keys.shape[0] > 1 and bool(np.all(keys[1:] > keys[:-1])):
+        pass  # already strictly increasing: sorted and duplicate-free
+    elif keys.shape[0]:
+        keys = np.sort(keys)
+        keep = np.empty(keys.shape[0], dtype=bool)
+        keep[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+        keys = keys[keep]
+    return keys // mult, keys % mult
+
+
+def _sum_pairs(
+    group: "np.ndarray", value: "np.ndarray", weight: "np.ndarray", mult: int
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """Per distinct ``(group, value)`` pair, ascending, its summed
+    ``weight``; values lie in ``[0, mult)``."""
+    if group.shape[0] == 0:
+        return _EMPTY, _EMPTY, _EMPTY
+    keys = group * mult + value
+    order = np.argsort(keys, kind="stable")
+    k_s = keys[order]
+    starts = np.concatenate(([0], np.nonzero(np.diff(k_s))[0] + 1))
+    sums = np.add.reduceat(weight[order], starts)
+    k_u = k_s[starts]
+    return k_u // mult, k_u % mult, sums
+
+
+def _net_index(nparent: "np.ndarray", roots: "np.ndarray") -> "np.ndarray":
+    """Each net id's 1-based wirelist index: its resolved root's place
+    in ``roots`` (canonical order), 0 for a root not there."""
+    index = np.zeros(max(nparent.shape[0], 1), dtype=np.int64)
+    index[roots] = np.arange(1, roots.shape[0] + 1, dtype=np.int64)
+    return index[nparent]
+
+
+def _fold_devices(
+    kinds: "tuple[str, str]",
+    keys: "np.ndarray",
+    n_keys: int,
+    area: "np.ndarray",
+    impl: "np.ndarray",
+    loc_y: "np.ndarray",
+    loc_nx: "np.ndarray",
+    terms: "tuple[np.ndarray, np.ndarray, np.ndarray]",
+    gates: "tuple[np.ndarray, np.ndarray]",
+    n_nets: int,
+    start: int = 0,
+) -> DeviceColumns:
+    """Sized device columns, one row per entry of ``keys``.
+
+    ``keys`` names each row's device by a key in ``[0, n_keys)``;
+    ``area``, the implant flag ``impl`` and the ``(ymax, -xmin)``
+    location ``loc_y``/``loc_nx`` are already in row order.  ``terms``
+    holds ``(key, net, perimeter)`` contact entries and ``gates``
+    ``(key, net)`` entries, nets as 1-based wirelist indices up to
+    ``n_nets`` and 0 for a net outside the wirelist, which drops out.
+    Terminals sum per (device, net) and gate nets are made unique, both
+    ascending by net -- the python engine's record fold -- and
+    two-terminal devices are sized in one vectorized pass; any other
+    terminal count goes through :func:`size_device`.  The flat finalize
+    and streamed emission both fold through here.
+    """
+    mult = n_nets + 2
+    t_key, t_net, t_len = terms
+    known = t_net > 0
+    t_dev, t_idx, t_sum = _sum_pairs(
+        t_key[known], t_net[known], t_len[known], mult
+    )
+    g_key, g_net = gates
+    known = g_net > 0
+    g_dev, g_idx = _unique_pairs(g_key[known], g_net[known], mult)
+
+    # CSR in row order: both grouped arrays are sorted by key, so a
+    # bincount plus exclusive prefix sum gives each key's slice,
+    # gathered into row order in one fancy index.
+    t_ptr, t_rows = _csr(t_dev, keys, n_keys)
+    g_ptr, g_rows = _csr(g_dev, keys, n_keys)
+    term_net, term_len = t_idx[t_rows], t_sum[t_rows]
+    gate_net = g_idx[g_rows]
+    t_count = np.diff(t_ptr)
+    g_count = np.diff(g_ptr)
+
+    # vectorized two-terminal sizing (the overwhelming common case);
+    # other terminal counts are re-sized per row below.
+    n_out = keys.shape[0]
+    if term_net.shape[0]:
+        guard = term_net.shape[0] - 1
+        i0 = np.minimum(t_ptr[:-1], guard)
+        i1 = np.minimum(t_ptr[:-1] + 1, guard)
+        n1, p1 = term_net[i0], term_len[i0]
+        n2, p2 = term_net[i1], term_len[i1]
+        swap = p1 < p2  # grouped ascending by net index: n1 < n2
+        source = np.where(swap, n2, n1)
+        drain = np.where(swap, n1, n2)
+        width = (p1 + p2) / 2.0
+        length = np.divide(
+            area,
+            width,
+            out=np.zeros(n_out, dtype=np.float64),
+            where=width > 0,
+        )
+    else:
+        source = drain = np.zeros(n_out, dtype=np.int64)
+        width = length = np.zeros(n_out, dtype=np.float64)
+    if gate_net.shape[0]:
+        gate = np.where(
+            g_count > 0,
+            gate_net[np.minimum(g_ptr[:-1], gate_net.shape[0] - 1)],
+            0,
+        )
+    else:
+        gate = np.zeros(n_out, dtype=np.int64)
+
+    devices = DeviceColumns(
+        kinds,
+        impl.tolist(),
+        gate.tolist(),
+        source.tolist(),
+        drain.tolist(),
+        length.tolist(),
+        width.tolist(),
+        np.negative(loc_nx).tolist(),
+        loc_y.tolist(),
+        area.tolist(),
+        t_ptr.tolist(),
+        term_net.tolist(),
+        term_len.tolist(),
+        g_ptr.tolist(),
+        gate_net.tolist(),
+        start=start,
+    )
+    # rows outside the two-terminal template
+    for row in np.nonzero(t_count != 2)[0].tolist():
+        sized = size_device(devices.area[row], devices.device(row).terminals)
+        devices.source[row] = sized.source or 0
+        devices.drain[row] = sized.drain or 0
+        devices.length[row] = sized.length
+        devices.width[row] = sized.width
+    return devices
 
 
 class NumpyStripEngine(StripEngine):
@@ -945,125 +1109,21 @@ class NumpyStripEngine(StripEngine):
         for ids in self._impl_chunks:
             impl[dparent[ids]] = True
 
-        # net root -> 1-based wirelist index, scattered from the order
-        n_order = order_roots.shape[0]
-        net_index = np.zeros(max(nparent.shape[0], 1), dtype=np.int64)
-        net_index[order_roots] = np.arange(1, n_order + 1, dtype=np.int64)
-        mult = n_order + 2
-
-        # gates: unique (device root, gate net index) pairs, ascending --
-        # identical to the python engine's sorted gate-index list.
-        if self._gate_chunks:
-            gd, gn = _concat(self._gate_chunks)
-            gd, gn = dparent[gd], net_index[nparent[gn]]
-            known = gn > 0
-            g_all = gd[known] * mult + gn[known]
-            if g_all.shape[0] > 1 and bool(np.all(g_all[1:] > g_all[:-1])):
-                # already strictly increasing: sorted and duplicate-free
-                g_keys = g_all
-            elif g_all.shape[0]:
-                g_all.sort()
-                keep = np.empty(g_all.shape[0], dtype=bool)
-                keep[0] = True
-                np.not_equal(g_all[1:], g_all[:-1], out=keep[1:])
-                g_keys = g_all[keep]
-            else:
-                g_keys = g_all
-            g_dev = g_keys // mult
-            g_idx = g_keys % mult
-        else:
-            g_dev = g_idx = _EMPTY
-
-        # terminals: perimeter sums grouped by (device root, net index)
+        net_of = _net_index(nparent, order_roots)
         if self._term_chunks:
             td, tn, tl = _concat(self._term_chunks)
-            td, tn = dparent[td], net_index[nparent[tn]]
-            known = tn > 0
-            td, tn, tl = td[known], tn[known], tl[known]
+            terms = (dparent[td], net_of[tn], tl)
         else:
-            td = tn = tl = _EMPTY
-        if td.shape[0]:
-            t_keys = td * mult + tn
-            t_order = np.argsort(t_keys, kind="stable")
-            k_s = t_keys[t_order]
-            l_s = tl[t_order]
-            starts = np.concatenate(
-                ([0], np.nonzero(np.diff(k_s))[0] + 1)
-            )
-            t_sum = np.add.reduceat(l_s, starts)
-            t_dev = k_s[starts] // mult
-            t_idx = k_s[starts] % mult
+            terms = (_EMPTY, _EMPTY, _EMPTY)
+        if self._gate_chunks:
+            gd, gn = _concat(self._gate_chunks)
+            gates = (dparent[gd], net_of[gn])
         else:
-            t_dev = t_idx = t_sum = _EMPTY
-
-        # CSR in device order: both grouped arrays are sorted by device
-        # root, so a bincount plus exclusive prefix sum gives each root's
-        # slice, gathered into canonical order in one fancy index.
-        t_ptr, t_rows = _csr(t_dev, dev_roots, n_dev)
-        g_ptr, g_rows = _csr(g_dev, dev_roots, n_dev)
-        term_net, term_len = t_idx[t_rows], t_sum[t_rows]
-        gate_net = g_idx[g_rows]
-        t_count = np.diff(t_ptr)
-        g_count = np.diff(g_ptr)
-
-        # vectorized two-terminal sizing (the overwhelming common case);
-        # other terminal counts are re-sized per row below.
-        n_out = dev_roots.shape[0]
-        area_out = areas[dev_roots]
-        if term_net.shape[0]:
-            guard = term_net.shape[0] - 1
-            i0 = np.minimum(t_ptr[:-1], guard)
-            i1 = np.minimum(t_ptr[:-1] + 1, guard)
-            n1, p1 = term_net[i0], term_len[i0]
-            n2, p2 = term_net[i1], term_len[i1]
-            swap = p1 < p2  # grouped ascending by net index: n1 < n2
-            source = np.where(swap, n2, n1)
-            drain = np.where(swap, n1, n2)
-            width = (p1 + p2) / 2.0
-            length = np.divide(
-                area_out,
-                width,
-                out=np.zeros(n_out, dtype=np.float64),
-                where=width > 0,
-            )
-        else:
-            source = drain = np.zeros(n_out, dtype=np.int64)
-            width = length = np.zeros(n_out, dtype=np.float64)
-        if gate_net.shape[0]:
-            gate = np.where(
-                g_count > 0,
-                gate_net[np.minimum(g_ptr[:-1], gate_net.shape[0] - 1)],
-                0,
-            )
-        else:
-            gate = np.zeros(n_out, dtype=np.int64)
-
-        devices = DeviceColumns(
-            kinds,
-            impl[dev_roots].tolist(),
-            gate.tolist(),
-            source.tolist(),
-            drain.tolist(),
-            length.tolist(),
-            width.tolist(),
-            np.negative(loc_nx).tolist(),
-            loc_y.tolist(),
-            area_out.tolist(),
-            t_ptr.tolist(),
-            term_net.tolist(),
-            term_len.tolist(),
-            g_ptr.tolist(),
-            gate_net.tolist(),
+            gates = (_EMPTY, _EMPTY)
+        devices = _fold_devices(
+            kinds, dev_roots, n_dev, areas[dev_roots], impl[dev_roots],
+            loc_y, loc_nx, terms, gates, order_roots.shape[0],
         )
-        # rows outside the two-terminal template
-        for row in np.nonzero(t_count != 2)[0].tolist():
-            sized = size_device(
-                devices.area[row], devices.device(row).terminals
-            )
-            devices.source[row] = sized.source or 0
-            devices.drain[row] = sized.drain or 0
-            devices.length[row] = sized.length
-            devices.width[row] = sized.width
 
         dev_roots_l = dev_roots.tolist()
         if self._dev_geo:
@@ -1117,7 +1177,9 @@ class NumpyStripEngine(StripEngine):
 
     def retire(
         self, live_nets: "set[int]", live_devs: "set[int]"
-    ) -> "tuple[dict[int, tuple[int, int]], dict[int, dict]]":
+    ) -> "tuple[dict[int, tuple[int, int]], dict[str, np.ndarray]]":
+        """Dead device roots fold into one row each of a band's columns
+        (see :class:`ColumnDevices`)."""
         h = self.host
         n_nets = len(h._nets)
         n_devs = len(h._devs)
@@ -1171,25 +1233,10 @@ class NumpyStripEngine(StripEngine):
                     (g_root[alive], g_y[alive], g_nx[alive])
                 ]
 
-        # Device attribute columns: rows of dead roots fold into
-        # reference-format records; rows of live roots stay raw (their
+        # Device attribute columns: rows of dead roots fold into one
+        # spill row per root; rows of live roots stay raw (their
         # final-root resolution is unaffected by when it happens).
-        recs: dict[int, dict] = {}
-
-        def rec_for(root: int) -> dict:
-            rec = recs.get(root)
-            if rec is None:
-                rec = recs[root] = {
-                    "area": 0,
-                    "gates": set(),
-                    "terms": {},
-                    "geo": [],
-                    "loc": None,
-                    "impl": False,
-                }
-            return rec
-
-        def dead_rows(chunks: list) -> "tuple[list[int], list, list]":
+        def dead_rows(chunks: list) -> "tuple[np.ndarray, list, list]":
             """Split a chunk list by its rows' device-root liveness: the
             dead rows' roots and other columns, and the live rows as one
             compacted chunk (none when every row is dead)."""
@@ -1198,47 +1245,85 @@ class NumpyStripEngine(StripEngine):
             alive = dev_live[roots]
             kept = [(ids[alive], *(c[alive] for c in cols))] if alive.any() else []
             dead = ~alive
-            return roots[dead].tolist(), [c[dead] for c in cols], kept
+            return roots[dead], [c[dead] for c in cols], kept
 
-        if self._area_chunks:
-            roots, (vals,), self._area_chunks = dead_rows(self._area_chunks)
-            for d, v in zip(roots, vals.tolist()):
-                rec_for(d)["area"] += v
-        if self._gate_chunks:
-            roots, (gnets,), self._gate_chunks = dead_rows(self._gate_chunks)
-            for d, g in zip(roots, nparent[gnets].tolist()):
-                rec_for(d)["gates"].add(g)
+        # Every channel span adds a location row, so the dead location
+        # rows name every dead device: their roots, ascending, are the
+        # band's spill rows, and ``at`` maps a root to its row.
+        root = loc_y = loc_nx = _EMPTY
         if self._loc_chunks:
             roots, (ys, nxs), self._loc_chunks = dead_rows(self._loc_chunks)
-            for d, loc in zip(roots, zip(ys.tolist(), nxs.tolist())):
-                rec = rec_for(d)
-                if rec["loc"] is None or loc > rec["loc"]:
-                    rec["loc"] = loc
+            if roots.shape[0]:
+                root, loc_y, loc_nx = _group_max(roots, ys, nxs)
+        n = root.shape[0]
+        rows = np.arange(n, dtype=np.int64)
+
+        def at(roots: "np.ndarray") -> "np.ndarray":
+            return np.searchsorted(root, roots)
+
+        area = np.zeros(n, dtype=np.int64)
+        if self._area_chunks:
+            roots, (vals,), self._area_chunks = dead_rows(self._area_chunks)
+            area = np.bincount(
+                at(roots), weights=vals, minlength=n
+            ).astype(np.int64)
+        impl = np.zeros(n, dtype=np.int64)
         if self._impl_chunks:
             roots, _, kept = dead_rows([(ids,) for ids in self._impl_chunks])
-            for d in roots:
-                rec_for(d)["impl"] = True
+            impl[at(roots)] = 1
             self._impl_chunks = [ids for (ids,) in kept]
+        # Terminal and gate nets are keyed by their retire-time roots.
+        mult = n_nets + 1
+        t_row = t_net = t_len = _EMPTY
         if self._term_chunks:
             roots, (tnets, lens), self._term_chunks = dead_rows(
                 self._term_chunks
             )
-            for d, n, ln in zip(roots, nparent[tnets].tolist(), lens.tolist()):
-                terms = rec_for(d)["terms"]
-                terms[n] = terms.get(n, 0) + ln
-        if self._dev_geo:
+            t_row, t_net, t_len = _sum_pairs(
+                at(roots), nparent[tnets], lens, mult
+            )
+        g_row = g_net = _EMPTY
+        if self._gate_chunks:
+            roots, (gnets,), self._gate_chunks = dead_rows(self._gate_chunks)
+            g_row, g_net = _unique_pairs(at(roots), nparent[gnets], mult)
+        batch = {
+            "root": root,
+            "y": loc_y,
+            "nx": loc_nx,
+            "area": area,
+            "impl": impl,
+            "term_ptr": _csr(t_row, rows, n)[0],
+            "term_net": t_net,
+            "term_len": t_len,
+            "gate_ptr": _csr(g_row, rows, n)[0],
+            "gate_net": g_net,
+        }
+        if h.keep_geometry:
             dev_find = h._devs.find
             keep_geo: dict[int, list[Box]] = {}
+            geo: dict[int, list[Box]] = {}
             # Ascending raw-key order is the finalize fold order; dead
             # roots gain no future keys, so the restriction is exact.
             for key in sorted(self._dev_geo):
-                root = dev_find(key)
-                if dev_live[root]:
+                r = dev_find(key)
+                if dev_live[r]:
                     keep_geo[key] = self._dev_geo[key]
                 else:
-                    rec_for(root)["geo"].extend(self._dev_geo[key])
+                    geo.setdefault(r, []).extend(self._dev_geo[key])
             self._dev_geo = keep_geo
-        return dead_locs, recs
+            per_row = [geo.get(r, ()) for r in root.tolist()]
+            boxes = [b for row_boxes in per_row for b in row_boxes]
+            batch["geo_ptr"] = np.cumsum(
+                [0, *map(len, per_row)], dtype=np.int64
+            )
+            for name, side in zip(_GEO_COLUMNS, ("xmin", "ymin", "xmax", "ymax")):
+                batch[name] = np.array(
+                    [getattr(b, side) for b in boxes], dtype=np.int64
+                )
+        return dead_locs, batch
+
+    def retired_devices(self) -> "ColumnDevices":
+        return ColumnDevices()
 
     def snapshot_state(self) -> dict:
         def rows(*cols) -> list[list[int]]:
@@ -1319,3 +1404,131 @@ class NumpyStripEngine(StripEngine):
             int(key): [Box(x1, y1, x2, y2) for x1, y1, x2, y2 in boxes]
             for key, boxes in state["dev_geo"]
         }
+
+
+def _gather(
+    cols: "dict[str, np.ndarray]", ptr_name: str, rows: "np.ndarray",
+    at: "np.ndarray",
+) -> "tuple[np.ndarray, ...]":
+    """The CSR entries of band ``rows``: each entry's chunk position
+    (from ``at``, aligned with ``rows``), then its value columns."""
+    ptr = cols[ptr_name]
+    first = ptr[rows]
+    count = ptr[rows + 1] - first
+    idx = _flat_targets(first, count, int(count.sum()))
+    return (
+        np.repeat(at, count),
+        *(cols[name][idx] for name in _CSR_COLUMNS[ptr_name]),
+    )
+
+
+class ColumnDevices(RetiredDevices):
+    """The numpy engine's retired devices: int columns per spill band.
+
+    One row per dead device root, ascending by root: ``area``, the
+    implant flag ``impl``, CSR terminals (``term_ptr`` into
+    ``term_net``/``term_len``, summed per retire-time net root), CSR
+    gate nets (``gate_ptr`` into ``gate_net``, unique retire-time
+    roots) and, when the sweep keeps artwork, CSR channel boxes
+    (``geo_ptr`` into ``geo_x1``..``geo_y2``).  The location lives only
+    in the order keys.  Emission gathers each chunk's rows from their
+    bands, resolves their nets through the final union-find, and folds
+    them with :func:`_fold_devices`, the flat finalize's fold.
+    """
+
+    def add(self, band: int, batch: "dict[str, np.ndarray]") -> dict:
+        self._index(
+            band,
+            batch["root"].tolist(),
+            batch["y"].tolist(),
+            batch["nx"].tolist(),
+        )
+        return {
+            name: col.tolist()
+            for name, col in batch.items()
+            if name not in ("root", "y", "nx")
+        }
+
+    def check(self, payload) -> None:
+        if not isinstance(payload, dict):
+            raise ValueError("band devices are not columns")
+        csr = {
+            ptr: values
+            for ptr, values in _CSR_COLUMNS.items()
+            if ptr in payload or ptr != "geo_ptr"
+        }
+        for name in (*_ROW_COLUMNS, *csr, *chain.from_iterable(csr.values())):
+            if not isinstance(payload.get(name), list):
+                raise ValueError(f"device column {name} is missing")
+        n = len(payload["area"])
+        if len(payload["impl"]) != n:
+            raise ValueError("device columns area and impl differ in length")
+        for ptr_name, values in csr.items():
+            ptr = payload[ptr_name]
+            if (
+                len(ptr) != n + 1
+                or ptr[0] != 0
+                or {len(payload[v]) for v in values} != {ptr[-1]}
+                or not all(map(operator.le, ptr, ptr[1:]))
+            ):
+                raise ValueError(
+                    f"device column {ptr_name} does not index "
+                    f"{', '.join(values)}"
+                )
+
+    def decode(self, payload: dict) -> "dict[str, np.ndarray]":
+        return {
+            name: np.array(col, dtype=np.int64)
+            for name, col in payload.items()
+        }
+
+    def chunks(
+        self,
+        step: int,
+        band_rows: "Callable[[int], dict[str, np.ndarray]]",
+        nets: UnionFind,
+        net_roots: "list[int]",
+        kinds: "tuple[str, str]",
+    ) -> "Iterator[DeviceColumns]":
+        if not len(self):
+            return
+        root, y, nx, band, row = (
+            np.array(getattr(self, name), dtype=np.int64)
+            for name in self.KEYS
+        )
+        order = np.lexsort((root, -nx, -y))
+        nparent = np.array(nets.parent_snapshot(), dtype=np.int64)
+        net_of = _net_index(
+            _resolve_parents(nparent), np.array(net_roots, dtype=np.int64)
+        )
+        for lo in range(0, order.shape[0], step):
+            part = order[lo:lo + step]
+            m = part.shape[0]
+            chunk_bands, chunk_rows = band[part], row[part]
+            # Gather the chunk's rows band by band; every CSR entry
+            # carries its row's position in the chunk.
+            area = np.empty(m, dtype=np.int64)
+            impl = np.empty(m, dtype=bool)
+            terms, gates, boxes = [], [], []
+            for b in np.unique(chunk_bands).tolist():
+                at = np.nonzero(chunk_bands == b)[0]
+                cols = band_rows(b)
+                rows = chunk_rows[at]
+                area[at] = cols["area"][rows]
+                impl[at] = cols["impl"][rows] != 0
+                terms.append(_gather(cols, "term_ptr", rows, at))
+                gates.append(_gather(cols, "gate_ptr", rows, at))
+                if "geo_ptr" in cols:
+                    boxes.append(_gather(cols, "geo_ptr", rows, at))
+            t_pos, t_net, t_len = _concat(terms)
+            g_pos, g_net = _concat(gates)
+            devices = _fold_devices(
+                kinds, np.arange(m, dtype=np.int64), m, area, impl,
+                y[part], nx[part], (t_pos, net_of[t_net], t_len),
+                (g_pos, net_of[g_net]), len(net_roots), lo,
+            )
+            geometry = devices.geometry
+            for pos, *sides in boxes:
+                for p, *box in zip(pos.tolist(), *(c.tolist() for c in sides)):
+                    geometry.setdefault(p, []).append(Box(*box))
+            yield devices

@@ -10,9 +10,16 @@ form; when the two disagree, *this* file is the specification.
 
 from __future__ import annotations
 
+from typing import Callable, Iterator
+
 from ..frontend.stream import GeometryStream
 from ..geometry import Box
-from .assemble import fold_columns, fold_locations, fold_records
+from .assemble import (
+    device_columns,
+    fold_columns,
+    fold_locations,
+    fold_records,
+)
 from .netlist import DeviceColumns, NetColumns
 
 from . import scanline as _scan
@@ -21,7 +28,8 @@ from .scanline import (
     _subtract_channels,
     _subtract_diff,
 )
-from .stripengine import StripEngine
+from .stripengine import RetiredDevices, StripEngine
+from .unionfind import UnionFind
 
 
 class PythonStripEngine(StripEngine):
@@ -334,6 +342,8 @@ class PythonStripEngine(StripEngine):
     def retire(
         self, live_nets: "set[int]", live_devs: "set[int]"
     ) -> "tuple[dict[int, tuple[int, int]], dict[int, dict]]":
+        """Dead device roots fold into one attribute record each
+        (``area``/``gates``/``terms``/``geo``/``loc``/``impl``)."""
         h = self.host
         find = h._nets.find
         dev_find = h._devs.find
@@ -358,6 +368,9 @@ class PythonStripEngine(StripEngine):
             (keep_devs if live else dead)[ident] = rec
         self._dev = keep_devs
         return dead_locs, fold_records(dead, dev_find)
+
+    def retired_devices(self) -> "RecordDevices":
+        return RecordDevices()
 
     def snapshot_state(self) -> dict:
         return {
@@ -414,3 +427,73 @@ class PythonStripEngine(StripEngine):
             }
             for ident, rec in state["dev"]
         }
+
+
+class RecordDevices(RetiredDevices):
+    """The reference engine's retired devices: one record per spill row.
+
+    A band's payload is the list of its dead roots' folded records, in
+    the order :meth:`PythonStripEngine.retire` returned them.  Gate and
+    terminal net ids are whatever the engine held at retire time --
+    possibly non-root for nets that were still live then -- and
+    emission resolves them through the final union-find in
+    :func:`~repro.core.assemble.device_columns`, the fold the flat
+    finalize uses.
+    """
+
+    def add(self, band: int, batch: "dict[int, dict]") -> list:
+        locs = [rec["loc"] or (0, 0) for rec in batch.values()]
+        self._index(
+            band, list(batch), [y for y, _ in locs], [nx for _, nx in locs]
+        )
+        return [
+            {
+                "area": rec["area"],
+                "gates": sorted(rec["gates"]),
+                "terms": [
+                    [net, length] for net, length in rec["terms"].items()
+                ],
+                "geo": [[b.xmin, b.ymin, b.xmax, b.ymax] for b in rec["geo"]],
+                "loc": list(rec["loc"]) if rec["loc"] else None,
+                "impl": bool(rec["impl"]),
+            }
+            for rec in batch.values()
+        ]
+
+    def check(self, payload) -> None:
+        if not isinstance(payload, list):
+            raise ValueError("band devices are not a record list")
+
+    def decode(self, payload: list) -> "list[dict]":
+        return [
+            {
+                "area": int(rec["area"]),
+                "gates": list(rec["gates"]),
+                "terms": {
+                    int(net): int(length) for net, length in rec["terms"]
+                },
+                "geo": [
+                    Box(x1, y1, x2, y2) for x1, y1, x2, y2 in rec["geo"]
+                ],
+                "loc": tuple(rec["loc"]) if rec["loc"] else None,
+                "impl": bool(rec["impl"]),
+            }
+            for rec in payload
+        ]
+
+    def chunks(
+        self,
+        step: int,
+        band_rows: "Callable[[int], list[dict]]",
+        nets: UnionFind,
+        net_roots: "list[int]",
+        kinds: "tuple[str, str]",
+    ) -> "Iterator[DeviceColumns]":
+        index_of = {root: i + 1 for i, root in enumerate(net_roots)}
+        root, y, nx, band, row = self.root, self.y, self.nx, self.band, self.row
+        order = sorted(range(len(root)), key=lambda i: (-y[i], -nx[i], root[i]))
+        for lo in range(0, len(order), step):
+            records = [
+                band_rows(band[i])[row[i]] for i in order[lo:lo + step]
+            ]
+            yield device_columns(records, nets.find, index_of, kinds, lo)

@@ -29,12 +29,15 @@ when importable and silently falls back to python otherwise; asking for
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from array import array
+from itertools import repeat
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..frontend.stream import GeometryStream
     from .netlist import DeviceColumns, NetColumns
     from .scanline import ScanlineEngine
+    from .unionfind import UnionFind
 
 #: Valid values for every ``engine=`` / ``--engine`` knob in the stack.
 ENGINE_CHOICES = ("auto", "python", "numpy")
@@ -181,16 +184,20 @@ class StripEngine:
 
     def retire(
         self, live_nets: "set[int]", live_devs: "set[int]"
-    ) -> "tuple[dict[int, tuple[int, int]], dict[int, dict]]":
+    ) -> "tuple[dict[int, tuple[int, int]], object]":
         """Drop and return accumulated state of roots not in the live sets.
 
-        Returns ``(net_locations, device_records)`` keyed by root:
-        each net's folded ``(ymax, -xmin)`` location and each device's
-        folded attribute record in the reference engine's format
-        (``area``/``gates``/``terms``/``geo``/``loc``/``impl``).  Dead
-        roots never union again, so the folds equal the finalize-time
-        folds restricted to those roots.
+        Returns ``(net_locations, devices)``: each dead net root's
+        folded ``(ymax, -xmin)`` location, and the dead device roots'
+        folded attributes as a batch in this engine's own format, which
+        only :meth:`retired_devices`'s object reads.  Dead roots never
+        union again, so the folds equal the finalize-time folds
+        restricted to those roots.
         """
+        raise NotImplementedError
+
+    def retired_devices(self) -> "RetiredDevices":
+        """An empty store for the batches :meth:`retire` returns."""
         raise NotImplementedError
 
     def snapshot_state(self) -> dict:
@@ -200,6 +207,82 @@ class StripEngine:
     def restore_state(self, state: dict) -> None:
         """Restore state captured by :meth:`snapshot_state`."""
         raise NotImplementedError
+
+
+class RetiredDevices:
+    """A banded sweep's retired devices, in one strip engine's format.
+
+    The band loop, the spill store and emission reach the batches
+    :meth:`StripEngine.retire` returns only through this object, so none
+    of them knows which engine made them.  RAM keeps one order key per
+    retired device as int columns: its root, its folded ``(ymax,
+    -xmin)`` location, the spill band holding its row and the row's
+    place in that band.  Everything else about a device lives in the
+    band's spill envelope until emission folds it.
+    """
+
+    #: the order-key columns, in checkpoint order
+    KEYS = ("root", "y", "nx", "band", "row")
+
+    def __init__(self) -> None:
+        self.root = array("q")
+        self.y = array("q")
+        self.nx = array("q")
+        self.band = array("q")
+        self.row = array("q")
+
+    def __len__(self) -> int:
+        return len(self.root)
+
+    def _index(self, band: int, root, y, nx) -> None:
+        """Append order keys for one band's rows, given in row order."""
+        count = len(root)
+        self.root.extend(root)
+        self.y.extend(y)
+        self.nx.extend(nx)
+        self.band.extend(repeat(band, count))
+        self.row.extend(range(count))
+
+    def add(self, band: int, batch) -> object:
+        """Index one band's retired devices; returns their JSON payload
+        for the band's spill envelope."""
+        raise NotImplementedError
+
+    def check(self, payload) -> None:
+        """Raise ValueError unless ``payload`` is well-formed for
+        :meth:`decode` (a spill file can be damaged on disk)."""
+        raise NotImplementedError
+
+    def decode(self, payload):
+        """A checked band payload as the rows :meth:`chunks` reads."""
+        raise NotImplementedError
+
+    def chunks(
+        self,
+        step: int,
+        band_rows: "Callable[[int], Any]",
+        nets: "UnionFind",
+        net_roots: "list[int]",
+        kinds: "tuple[str, str]",
+    ) -> "Iterator[DeviceColumns]":
+        """Every retired device as sized columns, in canonical order.
+
+        Canonical order is topmost, then leftmost, then root id, as in
+        finalize.  Each chunk holds ``step`` rows; ``band_rows(band)``
+        returns a band's decoded payload.  Terminal and gate nets
+        resolve through ``nets``, the final union-find, to 1-based
+        indices in ``net_roots`` order; nets not there drop out.
+        """
+        raise NotImplementedError
+
+    def snapshot(self) -> dict:
+        """The order keys for a band-boundary checkpoint."""
+        return {name: getattr(self, name).tolist() for name in self.KEYS}
+
+    def restore(self, state: dict) -> None:
+        """Restore order keys captured by :meth:`snapshot`."""
+        for name in self.KEYS:
+            setattr(self, name, array("q", state[name]))
 
 
 def create_strip_engine(name: str, host: "ScanlineEngine") -> StripEngine:

@@ -10,9 +10,10 @@ partial sweep at the band boundary it was written at:
 * the scanline host's full suspension state
   (:meth:`~repro.core.scanline.ScanlineEngine.snapshot_state`, which
   embeds the strip engine's state), exact heaps included;
-* the emission-order maps accumulated so far (net/device root ->
-  location and spill band), which are the only retired state that has
-  to stay in RAM.
+* the order keys accumulated so far -- net root -> location and spill
+  band, and the retired devices' int columns (root, location, band,
+  row within the band) -- which are the only retired state that has to
+  stay in RAM.
 
 Geometry never appears here -- the heavy retired payloads live in the
 :class:`~repro.streaming.spill.SpillStore`, and the sweep always writes
@@ -37,7 +38,7 @@ from ..cif import Layout, write as write_cif
 from ..parallel.serialize import canonical_json, envelope_text
 
 #: Bump to invalidate every older checkpoint on load.
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 2
 
 
 class CheckpointError(RuntimeError):

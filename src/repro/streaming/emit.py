@@ -3,15 +3,16 @@
 The in-memory pipeline folds the whole circuit into columns and hands
 them to the flat writer (:func:`repro.wirelist.writer.write_flat`).  A
 streamed sweep never holds the whole circuit: at the end of the sweep
-everything has been retired, and what remains in RAM are the order-key
-maps (net/device root -> location and spill band) plus the union-finds.
-This module walks those maps in canonical wirelist order, pages each
-root's payload in from the :class:`~repro.streaming.spill.SpillStore`,
-and turns every :data:`CHUNK` rows into the same columns the in-memory
-finalize builds -- through the same record fold
-(:func:`repro.core.assemble.device_columns`) -- for the same writer.
-Byte identity with ``write_wirelist(to_wirelist(circuit, ...))`` follows
-from sharing both; the band-equivalence harness enforces it.
+everything has been retired, and what remains in RAM are the order
+keys (net root -> location and spill band; the retired devices' int
+columns) plus the union-finds.  This module walks them in canonical
+wirelist order and turns every :data:`CHUNK` rows into the same columns
+the in-memory finalize builds, for the same writer.  Device rows are
+paged in and folded by the retiring engine's format
+(:meth:`~repro.core.stripengine.RetiredDevices.chunks`), through the
+same fold that engine's finalize uses.  Byte identity with
+``write_wirelist(to_wirelist(circuit, ...))`` follows from sharing both
+the fold and the writer; the band-equivalence harness enforces it.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import IO, Iterator
 
-from ..core.assemble import device_columns, device_order, net_columns, net_order
+from ..core.assemble import net_columns, net_order
 from ..core.netlist import DeviceColumns, NetColumns, malformed_warnings
+from ..core.stripengine import RetiredDevices
 from ..core.unionfind import UnionFind
 from ..wirelist.writer import write_flat
 from .spill import SpillStore
@@ -47,11 +49,9 @@ def emit_wirelist(
     name: str,
     *,
     nets: UnionFind,
-    devs: UnionFind,
     net_locs: "dict[int, tuple[int, int]]",
-    dev_locs: "dict[int, tuple[int, int] | None]",
     net_bands: "dict[int, int]",
-    dev_bands: "dict[int, int]",
+    devices: RetiredDevices,
     spill: SpillStore,
     kinds: "tuple[str, str]",
     include_geometry: bool,
@@ -59,28 +59,17 @@ def emit_wirelist(
 ) -> EmitResult:
     """Write the flat wirelist for a fully retired sweep.
 
-    ``net_locs``/``dev_locs`` hold every retired root's folded location
-    ``(ymax, -xmin)``; ``net_bands``/``dev_bands`` say which spill band
-    holds a root's heavy payload (roots with no names and no kept
-    geometry have no spill entry at all).
+    ``net_locs`` holds every retired net root's folded location
+    ``(ymax, -xmin)`` and ``net_bands`` the spill band holding a root's
+    names and artwork (roots with neither have no spill entry at all);
+    ``devices`` holds every retired device's order key.
     """
     roots = net_order(net_locs)
-    index_of = {root: i + 1 for i, root in enumerate(roots)}
-    dev_roots = device_order(dev_locs)
-    result = EmitResult(nets=len(roots), devices=len(dev_roots))
+    result = EmitResult(nets=len(roots), devices=len(devices))
     step = GEOMETRY_CHUNK if include_geometry else CHUNK
 
     def device_chunks() -> Iterator[DeviceColumns]:
-        dev_find = devs.find
-        for lo in range(0, len(dev_roots), step):
-            # Terminal and gate ids were frozen at retire time, possibly
-            # before their nets stopped merging; the fold resolves them
-            # through the final union-find, as the in-memory finalize does.
-            records = [
-                spill.device_record(dev_bands[root], dev_find(root))
-                for root in dev_roots[lo:lo + step]
-            ]
-            chunk = device_columns(records, nets.find, index_of, kinds, lo)
+        for chunk in devices.chunks(step, spill.device_rows, nets, roots, kinds):
             result.warnings.extend(malformed_warnings(chunk))
             yield chunk
 

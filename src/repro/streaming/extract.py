@@ -12,7 +12,9 @@ wirelist, but the sweep runs band by band --
 3. nets and devices no longer reachable from above the scanline are
    retired: their folded payloads leave RAM for the
    :class:`~repro.streaming.spill.SpillStore`, and only their order
-   keys (location + spill band) stay resident;
+   keys stay resident (location + spill band per net root; root,
+   location, band and row as int columns per device, in the strip
+   engine's :class:`~repro.core.stripengine.RetiredDevices`);
 4. with a checkpoint path configured, the host's full suspension state
    is atomically written after the band's spill -- the checkpoint
    replace is the commit point, so a SIGKILL anywhere leaves a sweep
@@ -26,7 +28,7 @@ and continues the band loop.
 
 The memory contract (docs/STREAMING.md): peak residency is O(band) --
 active intervals, heaps, pending continuations, the current band's
-boxes, and per-live-net accumulators -- plus the O(nets) order-key maps
+boxes, and per-live-net accumulators -- plus the O(nets) order keys
 (a few ints per retired net/device), **not** O(chip geometry).  With
 ``keep_geometry`` a net's artwork stays resident until the net dies, so
 a chip-spanning net degrades the bound to O(band + largest live net).
@@ -36,6 +38,8 @@ from __future__ import annotations
 
 import os
 import signal
+import tempfile
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from io import StringIO
 from time import perf_counter
@@ -44,6 +48,7 @@ from typing import IO, Callable
 from ..cif import Layout, parse
 from ..core.scanline import ScanlineEngine
 from ..core.stats import ScanStats
+from ..core.stripengine import RetiredDevices
 from ..frontend.bands import BandFeed, BandSource, plan_bands
 from ..frontend.stream import GeometryStream
 from ..tech import NMOS, Technology
@@ -150,105 +155,98 @@ def stream_extract(
         "lambda": int(tech.lambda_),
         "engine": scan.engine_name,
     }
-    run_key = ckpt.run_key(digest, options)
 
-    tmp_spill = None
-    if spill_dir is None:
-        if checkpoint is not None:
-            spill_dir = f"{checkpoint}.spill"
-        else:
-            import tempfile
+    if spill_dir is None and checkpoint is not None:
+        spill_dir = f"{checkpoint}.spill"
+    with ExitStack() as cleanup:
+        if spill_dir is None:
+            # Removed however the sweep ends: a cancelled daemon job
+            # raises out of the band loop.
+            spill_dir = cleanup.enter_context(
+                tempfile.TemporaryDirectory(prefix="ace-spill-")
+            )
+        devices = scan.strip_engine.retired_devices()
+        spill = SpillStore(spill_dir, ckpt.run_key(digest, options), devices)
+        net_locs: dict[int, tuple[int, int]] = {}
+        net_bands: dict[int, int] = {}
 
-            tmp_spill = tempfile.TemporaryDirectory(prefix="ace-spill-")
-            spill_dir = tmp_spill.name
-    spill = SpillStore(spill_dir, run_key)
-
-    net_locs: dict[int, tuple[int, int]] = {}
-    dev_locs: dict[int, "tuple[int, int] | None"] = {}
-    net_bands: dict[int, int] = {}
-    dev_bands: dict[int, int] = {}
-
-    if resume:
-        state = ckpt.load_checkpoint(checkpoint)
-        ckpt.check_identity(state, digest, options, checkpoint)
-        floors = [f if f is None else int(f) for f in state["floors"]]
-        start_band = int(state["band"])
-        net_locs = {r: (y, nx) for r, y, nx in state["net_locs"]}
-        dev_locs = {
-            r: tuple(loc) if loc else None for r, loc in state["dev_locs"]
-        }
-        net_bands = {r: b for r, b in state["net_bands"]}
-        dev_bands = {r: b for r, b in state["dev_bands"]}
-        scan.restore_state(state["host"])
-        # Fast-forward the fresh stream past every stop the restored
-        # sweep has consumed.  The final next_top() reproduces the peek
-        # the sweep paused on, so cell-expansion state (and with it the
-        # released-label prefix) is exactly the pause-time state.
-        next_y = scan._y
-        t = stream.next_top()
-        while t is not None and (next_y is None or t > next_y):
-            stream.fetch(t)
+        if resume:
+            state = ckpt.load_checkpoint(checkpoint)
+            ckpt.check_identity(state, digest, options, checkpoint)
+            floors = [f if f is None else int(f) for f in state["floors"]]
+            start_band = int(state["band"])
+            net_locs = {r: (y, nx) for r, y, nx in state["net_locs"]}
+            net_bands = {r: b for r, b in state["net_bands"]}
+            devices.restore(state["devices"])
+            scan.restore_state(state["host"])
+            # Fast-forward the fresh stream past every stop the restored
+            # sweep has consumed.  The final next_top() reproduces the peek
+            # the sweep paused on, so cell-expansion state (and with it the
+            # released-label prefix) is exactly the pause-time state.
+            next_y = scan._y
             t = stream.next_top()
-    else:
-        bbox = stream.chip_bbox
-        floors = plan_bands(
-            bbox.ymax if bbox else None,
-            bbox.ymin if bbox else None,
-            band_height=band_height,
-            boundaries=boundaries,
-        )
-        start_band = 0
+            while t is not None and (next_y is None or t > next_y):
+                stream.fetch(t)
+                t = stream.next_top()
+        else:
+            bbox = stream.chip_bbox
+            floors = plan_bands(
+                bbox.ymax if bbox else None,
+                bbox.ymin if bbox else None,
+                band_height=band_height,
+                boundaries=boundaries,
+            )
+            start_band = 0
 
-    bands = BandSource(stream, floors, start=start_band, prefetch=prefetch)
-    feed = BandFeed(bands)
+        bands = BandSource(stream, floors, start=start_band, prefetch=prefetch)
+        feed = BandFeed(bands)
 
-    try:
-        spill_seconds = _run_bands(
-            scan,
-            feed,
-            floors,
-            start_band,
-            spill=spill,
-            checkpoint=checkpoint,
-            digest=digest,
-            options=options,
+        try:
+            spill_seconds = _run_bands(
+                scan,
+                feed,
+                floors,
+                start_band,
+                spill=spill,
+                checkpoint=checkpoint,
+                digest=digest,
+                options=options,
+                net_locs=net_locs,
+                net_bands=net_bands,
+                devices=devices,
+                progress=progress,
+            )
+        finally:
+            bands.close()
+
+        # Close the sweep the way ScanlineEngine.finish does, minus the
+        # in-memory finalize: consumers flush, then emission streams the
+        # spilled state back in canonical order.
+        emit_started = perf_counter()
+        for consumer in scan.strip_consumers:
+            consumer.finish()
+
+        sink: IO[str] = out if out is not None else StringIO()
+        emitted = emit_wirelist(
+            sink,
+            name,
+            nets=scan._nets,
             net_locs=net_locs,
-            dev_locs=dev_locs,
             net_bands=net_bands,
-            dev_bands=dev_bands,
-            progress=progress,
+            devices=devices,
+            spill=spill,
+            kinds=(tech.device_name(False), tech.device_name(True)),
+            primitives=primitives_for(tech),
+            include_geometry=keep_geometry,
         )
-    finally:
-        bands.close()
+        emit_seconds = perf_counter() - emit_started
 
-    # Close the sweep the way ScanlineEngine.finish does, minus the
-    # in-memory finalize: consumers flush, then emission streams the
-    # spilled state back in canonical order.
-    emit_started = perf_counter()
-    for consumer in scan.strip_consumers:
-        consumer.finish()
-
-    sink: IO[str] = out if out is not None else StringIO()
-    emitted = emit_wirelist(
-        sink,
-        name,
-        nets=scan._nets,
-        devs=scan._devs,
-        net_locs=net_locs,
-        dev_locs=dev_locs,
-        net_bands=net_bands,
-        dev_bands=dev_bands,
-        spill=spill,
-        kinds=(tech.device_name(False), tech.device_name(True)),
-        primitives=primitives_for(tech),
-        include_geometry=keep_geometry,
-    )
     phases = {
         "frontend": streamed - started,
         "setup": ready - streamed,
         **scan.clock.seconds,
         "spill": spill_seconds,
-        "emit": perf_counter() - emit_started,
+        "emit": emit_seconds,
     }
     del phases["finalize"]
 
@@ -261,9 +259,6 @@ def stream_extract(
             f"label {label.name!r} at ({label.x}, {label.y}) "
             f"matches no conducting geometry"
         )
-
-    if tmp_spill is not None:
-        tmp_spill.cleanup()
 
     return StreamReport(
         stats=scan.stats,
@@ -297,9 +292,8 @@ def _run_bands(
     digest: str,
     options: dict,
     net_locs: "dict[int, tuple[int, int]]",
-    dev_locs: "dict[int, tuple[int, int] | None]",
     net_bands: "dict[int, int]",
-    dev_bands: "dict[int, int]",
+    devices: RetiredDevices,
     progress: "ProgressFn | None",
 ) -> float:
     """The band loop: advance, retire, spill, checkpoint, repeat.
@@ -323,16 +317,15 @@ def _run_bands(
             # Exhausted: nothing above the scanline anymore, so the
             # engine's strip-above continuation state is dead too.
             live_nets, live_devs = set(), set()
-        dead_locs, dead_recs = scan.strip_engine.retire(live_nets, live_devs)
+        dead_locs, dead_devs = scan.strip_engine.retire(live_nets, live_devs)
         net_payload = scan.retire_net_payload(set(dead_locs))
-        if net_payload or dead_recs:
-            spill.put_band(band, net_payload, dead_recs)
+        retired = len(devices)
+        device_payload = devices.add(band, dead_devs)
+        if net_payload or len(devices) > retired:
+            spill.put_band(band, net_payload, device_payload)
         net_locs.update(dead_locs)
         for root in net_payload:
             net_bands[root] = band
-        for root, rec in dead_recs.items():
-            dev_locs[root] = rec["loc"]
-            dev_bands[root] = band
         if progress is not None:
             progress(band + 1, len(floors), scan.stats)
         if not more:
@@ -352,12 +345,8 @@ def _run_bands(
                     "net_locs": [
                         [r, y, nx] for r, (y, nx) in net_locs.items()
                     ],
-                    "dev_locs": [
-                        [r, list(loc) if loc else None]
-                        for r, loc in dev_locs.items()
-                    ],
                     "net_bands": [[r, b] for r, b in net_bands.items()],
-                    "dev_bands": [[r, b] for r, b in dev_bands.items()],
+                    "devices": devices.snapshot(),
                     "host": scan.snapshot_state(),
                 },
             )

@@ -3,9 +3,15 @@
 A banded sweep retires nets and devices the moment nothing above the
 scanline can reach them (their union-find roots are final from that
 point on).  Retired payloads -- net names and kept geometry, folded
-device attribute records -- leave RAM immediately and land here, one
-JSON envelope per band, so in-memory state stays O(band) while the
-eventual wirelist still comes out byte-identical.
+device attributes -- leave RAM immediately and land here, one JSON
+envelope per band, so in-memory state stays O(band) while the eventual
+wirelist still comes out byte-identical.
+
+A band's devices are written in the retiring strip engine's own format
+(:class:`~repro.core.stripengine.RetiredDevices`: record rows for the
+python engine, int columns for the numpy one); the store checks and
+decodes them through that format object.  The run key names the
+engine, so one spill directory never mixes the two.
 
 The store is a :class:`~repro.parallel.cache.JsonEnvelopeStore`
 subclass, which buys the established durability rules for free: one
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
+from ..core.stripengine import RetiredDevices
 from ..geometry import Box
 from ..parallel.cache import JsonEnvelopeStore
 from ..parallel.serialize import SerializationError
@@ -47,34 +54,6 @@ def net_payload_rows(payload: "dict[int, dict]") -> list:
     ]
 
 
-def device_payload_rows(records: "dict[int, dict]") -> list:
-    """JSON rows for retired device records: ``[root, record]``.
-
-    Gate and terminal net ids are whatever the engine held at retire
-    time -- possibly non-root for nets that were still live then.  The
-    emitter resolves them through the *final* union-find, which is why
-    intermediate resolution timing never shows in the output.
-    """
-    return [
-        [
-            root,
-            {
-                "area": rec["area"],
-                "gates": sorted(rec["gates"]),
-                "terms": [
-                    [net, length] for net, length in rec["terms"].items()
-                ],
-                "geo": [
-                    [b.xmin, b.ymin, b.xmax, b.ymax] for b in rec["geo"]
-                ],
-                "loc": list(rec["loc"]) if rec["loc"] else None,
-                "impl": bool(rec["impl"]),
-            },
-        ]
-        for root, rec in records.items()
-    ]
-
-
 class SpillStore(JsonEnvelopeStore):
     """Per-band retired-state envelopes, plus an emission-time reader.
 
@@ -85,54 +64,65 @@ class SpillStore(JsonEnvelopeStore):
     root.
     """
 
-    format_version = 1
+    format_version = 2
     payload_field = "band"
 
     #: decoded band payloads kept during emission
     reader_cache_size = 8
 
-    def __init__(self, root, run_key: str) -> None:
+    def __init__(self, root, run_key: str, devices: RetiredDevices) -> None:
         super().__init__(root)
         self.run_key = run_key
-        self._decoded: "OrderedDict[int, tuple[dict, dict]]" = OrderedDict()
+        self.devices = devices
+        self._decoded: "OrderedDict[int, tuple[dict, object]]" = OrderedDict()
 
     def validate_payload(self, payload: dict) -> None:
-        if not isinstance(payload.get("nets"), list) or not isinstance(
-            payload.get("devices"), list
-        ):
+        if not isinstance(payload.get("nets"), list) or "devices" not in payload:
             raise SerializationError("band payload missing nets/devices")
+        try:
+            self.devices.check(payload["devices"])
+        except (TypeError, ValueError) as exc:
+            raise SerializationError(
+                f"band {payload.get('band')!r}: {exc}"
+            ) from exc
 
     # -- sweep side ----------------------------------------------------
 
     def put_band(
-        self,
-        band: int,
-        net_payload: "dict[int, dict]",
-        device_records: "dict[int, dict]",
+        self, band: int, net_payload: "dict[int, dict]", devices: object
     ) -> None:
-        """Persist one band's retired state (atomic, idempotent)."""
+        """Persist one band's retired state (atomic, idempotent).
+
+        ``devices`` is the band's payload from
+        :meth:`~repro.core.stripengine.RetiredDevices.add`.
+        """
         self.put_payload(
             band_key(self.run_key, band),
             {
                 "band": band,
                 "nets": net_payload_rows(net_payload),
-                "devices": device_payload_rows(device_records),
+                "devices": devices,
             },
         )
 
     # -- emission side -------------------------------------------------
 
-    def _band(self, band: int) -> "tuple[dict, dict]":
+    def _band(self, band: int) -> "tuple[dict, object]":
         cached = self._decoded.get(band)
         if cached is not None:
             self._decoded.move_to_end(band)
             return cached
+        invalid = self.stats.invalid
         payload = self.get_payload(band_key(self.run_key, band))
         if payload is None:
+            problem = (
+                "is damaged" if self.stats.invalid > invalid
+                else "is missing"
+            )
             raise SerializationError(
-                f"spill store is missing band {band} for run "
-                f"{self.run_key}; the spill directory and checkpoint "
-                f"no longer describe the same sweep"
+                f"spill band {band} of run {self.run_key} {problem}; the "
+                f"spill directory and checkpoint no longer describe the "
+                f"same sweep"
             )
         nets = {
             int(root): {
@@ -144,22 +134,7 @@ class SpillStore(JsonEnvelopeStore):
             }
             for root, names, geo in payload["nets"]
         }
-        devices = {
-            int(root): {
-                "area": int(rec["area"]),
-                "gates": list(rec["gates"]),
-                "terms": {
-                    int(net): int(length) for net, length in rec["terms"]
-                },
-                "geo": [
-                    Box(x1, y1, x2, y2) for x1, y1, x2, y2 in rec["geo"]
-                ],
-                "loc": tuple(rec["loc"]) if rec["loc"] else None,
-                "impl": bool(rec["impl"]),
-            }
-            for root, rec in payload["devices"]
-        }
-        decoded = (nets, devices)
+        decoded = (nets, self.devices.decode(payload["devices"]))
         self._decoded[band] = decoded
         while len(self._decoded) > self.reader_cache_size:
             self._decoded.popitem(last=False)
@@ -169,6 +144,6 @@ class SpillStore(JsonEnvelopeStore):
         """A retired net's names/geometry payload, or None if bare."""
         return self._band(band)[0].get(root)
 
-    def device_record(self, band: int, root: int) -> dict:
-        """A retired device's folded attribute record."""
-        return self._band(band)[1][root]
+    def device_rows(self, band: int) -> object:
+        """A band's retired devices, decoded by the run's format."""
+        return self._band(band)[1]
