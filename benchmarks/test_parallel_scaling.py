@@ -1,15 +1,12 @@
-"""Serial vs parallel vs cached HEXT: the execute-phase scaling table.
+"""Serial vs cached HEXT: the fragment-cache table.
 
-Not a paper table — the 1983 systems were single-process — but the same
-measurement discipline: one workload, every configuration, wirelists
-equivalence-checked against the serial run.  The workload is
+Not a paper table — the 1983 systems had no persistent cache — but the
+same measurement discipline: one workload, every configuration,
+wirelists equivalence-checked against the serial run.  The workload is
 ``distinct_cell_grid``: every cell unique, so the execute phase has
-``cells`` independent flat extractions to distribute (the memo table's
-worst case and the pool's best case).
-
-The speedup assertion only runs on multi-core hosts; a single-CPU
-machine cannot make four workers faster than one, and the honest result
-there is "parallelism does not help" (see docs/PARALLELISM.md).
+``cells`` flat extractions that only the fragment cache can skip (the
+memo table's worst case).  Each row is the best of 3 runs after one
+untimed warm-up extraction.
 """
 
 from __future__ import annotations
@@ -21,7 +18,7 @@ import pytest
 from repro.bench import distinct_cell_grid, format_table, scaling_run
 from repro.hext import hext_extract
 
-#: Distinct cells == unique windows the execute phase can fan out.
+#: Distinct cells == unique windows the execute phase extracts.
 CELLS = 8
 REPEATS = 2
 BOXES = int(4000 * float(os.environ.get("REPRO_BENCH_SCALE", "1")))
@@ -36,7 +33,7 @@ def workload(tmp_path_factory):
 @pytest.fixture(scope="module")
 def rows(workload):
     layout, cache_dir = workload
-    return scaling_run(layout, jobs_levels=(1, 2, 4), cache_dir=cache_dir)
+    return scaling_run(layout, cache_dir)
 
 
 def test_parallel_scaling(benchmark, workload, rows, register_table):
@@ -60,8 +57,8 @@ def test_parallel_scaling(benchmark, workload, rows, register_table):
             ["run", "wall", "speedup", "flat calls", "cache hits", "equiv"],
             body,
             title=(
-                f"HEXT execute-phase scaling ({CELLS} unique windows x "
-                f"{BOXES} boxes, {os.cpu_count()} CPUs)"
+                f"HEXT fragment cache ({CELLS} unique windows x "
+                f"{BOXES} boxes, best of 3, {os.cpu_count()} CPUs)"
             ),
         ),
     )
@@ -83,10 +80,4 @@ def test_parallel_scaling(benchmark, workload, rows, register_table):
         lambda: hext_extract(layout, cache=cache_dir).stats.cache_hits,
         rounds=3,
         iterations=1,
-    )
-
-    if (os.cpu_count() or 1) < 2:
-        pytest.skip("single-CPU host: no parallel speedup possible")
-    assert by_label["jobs=4"].seconds < by_label["jobs=1"].seconds, (
-        "jobs=4 not faster than jobs=1 on a multi-core host"
     )

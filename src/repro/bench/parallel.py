@@ -1,17 +1,15 @@
-"""Serial-vs-parallel scaling benchmark for the HEXT execute phase.
+"""Fragment-cache benchmark for the HEXT execute phase.
 
-The workload is built to be the parallel layer's best case and the memo
-table's worst: ``distinct_cell_grid`` places *distinct* random cells
-(no two share a window key), so every cell is a unique primitive window
-and the execute phase has real, independent work to fan out.  That is
-deliberate — on highly redundant layouts the memo table already removes
-the work a pool would share, which is the "when parallelism does not
-help" note of ``docs/PARALLELISM.md``.
+The workload is the memo table's worst case: ``distinct_cell_grid``
+places *distinct* random cells (no two share a window key), so every
+cell is a unique primitive window and the execute phase has real work
+that only the persistent fragment cache can skip.
 
-``scaling_run`` measures the same layout at several ``--jobs`` levels
-plus a cold-then-warm persistent-cache pair, and verifies every variant
-against the serial wirelist, mirroring the correctness bar of the test
-suite: parallelism and caching may only move time, never the circuit.
+``scaling_run`` measures the same layout serially, then through a cold
+and a warm fragment cache, and verifies every variant against the
+serial wirelist, mirroring the correctness bar of the test suite: the
+cache may only move time, never the circuit.  The module keeps its
+historical name.
 """
 
 from __future__ import annotations
@@ -20,10 +18,11 @@ import random
 from dataclasses import dataclass
 
 from ..hext import hext_extract
+from ..parallel import FragmentCache
 from ..tech import DEFAULT_LAMBDA
 from ..wirelist import circuit_to_flat, compare_netlists
 from ..workloads import LayoutBuilder
-from .harness import timed
+from .harness import Timed, best_of, timed
 
 #: Layers drawn in generated cells, weighted like the random-square model.
 _CELL_LAYERS = ("NM", "NM", "NP", "NP", "ND", "ND", "NC", "NI", "NB")
@@ -39,9 +38,9 @@ def distinct_cell_grid(
     """A chip of ``cells`` distinct random cells, each placed ``repeats`` times.
 
     Every cell gets its own random artwork, so HEXT sees ``cells`` unique
-    primitive windows (plus memo hits for the repeats) — the fan-out the
-    parallel execute phase feeds on.  Cell frames are spaced so instance
-    bounding boxes never overlap and subdivision is a single slice.
+    primitive windows (plus memo hits for the repeats), each a real flat
+    extraction.  Cell frames are spaced so instance bounding boxes never
+    overlap and subdivision is a single slice.
     """
     rng = random.Random(seed)
     side = max(12, int(2.2 * boxes**0.5))
@@ -82,31 +81,32 @@ class ScalingRow:
 
 
 def scaling_run(
-    layout,
-    jobs_levels: "tuple[int, ...]" = (1, 2, 4),
-    cache_dir: "str | None" = None,
+    layout, cache_dir: str, repeats: int = 3
 ) -> list[ScalingRow]:
-    """Measure serial, per-jobs-level, and cold/warm cache extractions.
+    """Measure serial, cold-cache and warm-cache extractions.
 
-    Every row's wirelist is equivalence-checked against the serial run.
+    One untimed extraction first pays the strip-engine import and other
+    first-run costs, so no row is billed for them.  Each row is then the
+    best of ``repeats`` runs; every cold run starts from an emptied
+    cache.  Every row's wirelist is equivalence-checked against the
+    serial run.
     """
-    serial = timed(lambda: hext_extract(layout))
+    hext_extract(layout)
+    serial = best_of(repeats, hext_extract, layout)
     reference = circuit_to_flat(serial.result.circuit)
-    rows = [
-        ScalingRow(
-            label="serial",
-            seconds=serial.seconds,
-            flat_calls=serial.result.stats.flat_calls,
-        )
-    ]
+    cold_runs = []
+    for _ in range(repeats):
+        FragmentCache(cache_dir).clear()
+        cold_runs.append(timed(hext_extract, layout, cache=cache_dir))
+    cold = min(cold_runs, key=lambda run: run.seconds)
+    warm = best_of(repeats, hext_extract, layout, cache=cache_dir)
 
-    def measure(label: str, **kwargs) -> ScalingRow:
-        run = timed(lambda: hext_extract(layout, **kwargs))
+    def row(label: str, run: Timed) -> ScalingRow:
         stats = run.result.stats
         report = compare_netlists(
             reference, circuit_to_flat(run.result.circuit)
         )
-        row = ScalingRow(
+        return ScalingRow(
             label=label,
             seconds=run.seconds,
             flat_calls=stats.flat_calls,
@@ -114,12 +114,9 @@ def scaling_run(
             cache_misses=stats.cache_misses,
             equivalent=report.equivalent,
         )
-        rows.append(row)
-        return row
 
-    for level in jobs_levels:
-        measure(f"jobs={level}", jobs=level)
-    if cache_dir is not None:
-        measure("cache cold", cache=cache_dir)
-        measure("cache warm", cache=cache_dir)
-    return rows
+    return [
+        row("serial", serial),
+        row("cache cold", cold),
+        row("cache warm", warm),
+    ]

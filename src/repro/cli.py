@@ -123,14 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
         "either way.",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="extract unique windows over N worker processes "
-        "(hierarchical mode; 0 = one per CPU; default serial)",
-    )
-    parser.add_argument(
         "--cache",
         metavar="DIR",
         help="persistent fragment cache directory; repeated hierarchical "
@@ -224,20 +216,16 @@ def main(argv: "list[str] | None" = None) -> int:
             "apply with --stream",
             file=sys.stderr,
         )
-    if not args.hierarchical and (
-        args.jobs is not None or args.cache is not None
-    ):
+    if not args.hierarchical and args.cache is not None:
         print(
-            "note: --jobs/--cache parallelize unique-window extraction "
-            "and only apply with --hierarchical; the flat scanline is "
-            "serial",
+            "note: --cache stores unique-window fragments and only "
+            "applies with --hierarchical",
             file=sys.stderr,
         )
 
     options = JobOptions(
         name=args.cif.rsplit("/", 1)[-1],
         hext=args.hierarchical,
-        jobs=args.jobs,
         lint=args.lint,
         keep_geometry=args.geometry,
         stream=args.stream,
@@ -333,12 +321,6 @@ def _print_stats(args, result) -> None:
             f"back-end {stats.backend_seconds:.2f}s",
             file=sys.stderr,
         )
-        if args.jobs is not None:
-            print(
-                f"hext: {stats.jobs} jobs, in-worker extraction "
-                f"{stats.worker_seconds:.2f}s",
-                file=sys.stderr,
-            )
         if args.cache is not None:
             print(
                 f"hext: fragment cache {stats.cache_hits} hits, "

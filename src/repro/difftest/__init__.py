@@ -1,9 +1,10 @@
 """Differential extraction harness.
 
-Five independent implementations of the same contract -- flat ACE, HEXT
-serial and parallel, and the raster/region-merge baselines -- fuzzed
-against each other over seeded random layouts, with greedy failure
-shrinking, a persisted repro corpus, and a fault-injection self-test.
+Independent implementations of the same contract -- flat ACE on both
+strip engines and banded, HEXT in-process and through the daemon and
+the fleet, and the raster/region-merge baselines -- fuzzed against each
+other over seeded random layouts, with greedy failure shrinking, a
+persisted repro corpus, and a fault-injection self-test.
 See ``docs/DIFFTESTING.md``.
 """
 

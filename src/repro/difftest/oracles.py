@@ -1,17 +1,16 @@
 """The oracle registry: every independent implementation of extraction.
 
-An *oracle* maps a layout to a circuit.  The repo has nine -- the flat
+An *oracle* maps a layout to a circuit.  The repo has eight -- the flat
 edge-based scanline (ACE), the same scanline on the vectorized numpy
 strip engine (``ace-numpy``, registered only when numpy imports, with
 byte-for-byte wirelist parity against the python engine enforced inside
-the runner), serial and parallel HEXT, the extraction *service*
-(parallel HEXT round-tripped through the long-lived daemon, again with
-byte parity enforced), the *fleet* (the same round trip through the
-sharded multi-daemon router), banded out-of-core streaming
-(``ace-stream``, byte parity at two band heights enforced), and the two
-historical baselines -- and the
-whole correctness argument is that they must agree on every layout, up
-to net renumbering.  Each oracle declares two capabilities the driver
+the runner), HEXT, the extraction *service* (HEXT round-tripped through
+the long-lived daemon, again with byte parity enforced), the *fleet*
+(the same round trip through the sharded multi-daemon router), banded
+out-of-core streaming (``ace-stream``, byte parity at two band heights
+enforced), and the two historical baselines -- and the whole
+correctness argument is that they must agree on every layout, up to net
+renumbering.  Each oracle declares two capabilities the driver
 respects:
 
 ``grid_exact``
@@ -174,29 +173,27 @@ def _round_trip(
 ) -> Circuit:
     """Serve ``layout`` through a daemon tier, then demand byte parity.
 
-    The tier serves the layout with the same configuration as the
-    in-process ``hext-par`` oracle (hierarchical, 2 workers).  The two
-    wirelists must agree *byte for byte* — not just up to renumbering —
-    because serving from a warm memo, a worker pool, the result cache,
-    or whichever shard a router picks may move time but never bytes.
-    Any divergence raises ``error``, which the difftest driver reports
-    like any other oracle failure.
+    The tier extracts the layout hierarchically, as the in-process
+    ``hext`` oracle does.  The two wirelists must agree *byte for byte*
+    — not just up to renumbering — because serving from a warm memo,
+    the result cache, or whichever shard a router picks may move time
+    but never bytes.  Any divergence raises ``error``, which the
+    difftest driver reports like any other oracle failure.
     """
-    local = run(layout, tech, JobOptions(name=NAME, hext=True, jobs=2))
+    local = run(layout, tech, JobOptions(name=NAME, hext=True))
     expected = local.text or ""
     deck = tech.deck
     result = client.extract(
         write_cif(layout),
         name=NAME,
         hext=True,
-        jobs=2,
         lambda_=tech.lambda_,
         deck=deck.name if deck is not None else "nmos",
         wait_timeout=120.0,
     )
     if result["wirelist"] != expected:
         raise error(
-            "served wirelist differs from in-process hext-par "
+            "served wirelist differs from in-process hext "
             f"({len(result['wirelist'])} vs {len(expected)} bytes)"
         )
     return local.circuit
@@ -254,23 +251,14 @@ ORACLES: dict[str, Oracle] = {
         ),
         Oracle(
             "hext",
-            "hierarchical window extraction, serial",
+            "hierarchical window extraction",
             grid_exact=True,
             sizes_exact=True,
             runner=lambda layout, tech: hext_extract(layout, tech).circuit,
         ),
         Oracle(
-            "hext-par",
-            "hierarchical window extraction over 2 worker processes",
-            grid_exact=True,
-            sizes_exact=True,
-            runner=lambda layout, tech: hext_extract(
-                layout, tech, jobs=2
-            ).circuit,
-        ),
-        Oracle(
             "service",
-            "hext-par round-tripped through the extraction daemon "
+            "hext round-tripped through the extraction daemon "
             "(byte-for-byte parity enforced)",
             grid_exact=True,
             sizes_exact=True,
@@ -283,7 +271,7 @@ ORACLES: dict[str, Oracle] = {
         ),
         Oracle(
             "fleet",
-            "hext-par through a two-shard fleet (router + consistent "
+            "hext through a two-shard fleet (router + consistent "
             "hashing; byte-for-byte parity enforced)",
             grid_exact=True,
             sizes_exact=True,

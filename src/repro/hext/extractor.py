@@ -9,13 +9,11 @@ explicit *plan-then-execute* pipeline:
    of unique *primitive* windows plus, for every unique composite window,
    the ordered list of child window keys and placements.
 2. **Execute** (:func:`execute_plan`): extract each unique primitive
-   window with the modified flat extractor.  The extractions are mutually
-   independent, which is what lets :mod:`repro.parallel` fan them out
-   over a process pool and back them with a persistent fragment cache;
-   the default path runs them serially in-process.
+   window with the modified flat extractor, or fetch its fragment from
+   the persistent fragment cache (:mod:`repro.parallel`) when one is
+   given.
 3. **Compose** (:func:`compose_plan`): combine windows bottom-to-top,
-   left-to-right with Compose, walking the plan's key DAG serially (the
-   memo table stays authoritative in this process).
+   left-to-right with Compose, walking the plan's key DAG.
 
 The result is a :class:`Fragment` tree mirroring the hierarchical
 wirelist; :func:`resolve` expands it (cost linear in devices, as the
@@ -27,7 +25,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
 
 from ..cif import Layout, parse
 from ..cif.layout import Label
@@ -49,19 +46,15 @@ from .fragment import (
     LineIndex,
     Placed,
 )
-from .windows import Content, WindowPlanner
-
-if TYPE_CHECKING:
-    from ..parallel.pool import PersistentPool
+from .windows import Content, WindowPlanner, relative_artwork
 
 
 @dataclass
 class HextStats:
     """Counters and timers for Tables 5-1 and 5-2.
 
-    The cache/jobs fields stay at their defaults for plain serial runs;
-    :mod:`repro.parallel` fills them in when a worker pool or the
-    persistent fragment cache is in play.
+    The cache fields stay at zero unless :func:`execute_plan` is given
+    a persistent fragment cache.
     """
 
     flat_calls: int = 0  #: calls to the (modified) flat extractor
@@ -77,8 +70,6 @@ class HextStats:
     flat_seconds: float = 0.0
     compose_seconds: float = 0.0
     resolve_seconds: float = 0.0
-    jobs: int = 1  #: effective worker processes used for flat extraction
-    worker_seconds: float = 0.0  #: cumulative in-worker extraction time
     cache_hits: int = 0  #: fragments served from the persistent cache
     cache_misses: int = 0
     cache_invalid: int = 0  #: corrupt/stale cache entries rejected
@@ -227,19 +218,20 @@ def extract_primitive(
 ) -> Fragment:
     """Run the modified flat extractor over a geometry-only window.
 
-    The returned fragment is window-relative, so it depends only on the
-    content's artwork *relative to its lower-left corner* — the same
-    normalization the memo key and the persistent cache key use.
+    The window's artwork goes in as :func:`relative_artwork` gives it:
+    relative to its lower-left corner and sorted, the form the memo key
+    and the persistent cache key hash.  Canonical net order breaks
+    location ties by insertion order, so this is what makes the fragment
+    a function of its key: windows drawn in different orders extract
+    identically.
     """
-    ox, oy = content.region.xmin, content.region.ymin
     window = Box(0, 0, content.region.width, content.region.height)
+    geometry, labels = relative_artwork(content)
     layout = Layout()
-    for layer, box in content.geometry:
-        layout.top.add_box(layer, box.translated(-ox, -oy))
-    for label in content.labels:
-        layout.top.add_label(
-            Label(label.name, label.x - ox, label.y - oy, label.layer)
-        )
+    for layer, x1, y1, x2, y2 in geometry:
+        layout.top.add_box(layer, Box(x1, y1, x2, y2))
+    for name, x, y, layer in labels:
+        layout.top.add_label(Label(name, x, y, layer or None))
     circuit = extract_report(
         layout, tech, resolution=resolution, window=window, engine=engine
     ).circuit
@@ -252,54 +244,49 @@ def execute_plan(
     stats: HextStats,
     *,
     resolution: int = 50,
-    jobs: "int | None" = None,
     cache: "str | None" = None,
     memo: "dict | None" = None,
-    pool: "PersistentPool | None" = None,
     engine: str = "auto",
-    progress: "Callable[[int, int], None] | None" = None,
 ) -> dict:
     """Extract every unique primitive window in the plan.
 
-    Returns (and fills) ``memo``: key -> :class:`Fragment`.  With ``jobs``,
-    ``cache``, or ``pool`` set, the work is delegated to
-    :mod:`repro.parallel`, which fans extractions out over a process pool
-    (a long-lived :class:`~repro.parallel.pool.PersistentPool` when one
-    is passed) and/or serves them from the persistent on-disk fragment
-    cache; otherwise the extractions run serially in-process.  Keys
-    already present in ``memo`` (the incremental extractor's persistent
-    table) are never re-extracted.
-
-    ``progress`` is called as ``progress(done, total)`` over the plan's
-    unique primitive windows — memo and cache hits count as immediately
-    done — so long executions can surface liveness the way streaming
-    band sweeps do.
+    Returns (and fills) ``memo``: key -> :class:`Fragment`.  Keys already
+    present in ``memo`` (the incremental extractor's persistent table)
+    are never re-extracted.  With ``cache``, the directory of a
+    persistent :class:`~repro.parallel.cache.FragmentCache`, each window
+    is looked up there first, and each fragment extracted here is
+    stored for the next run.  Extraction runs in plan order, so where a
+    fragment comes from can never change the composed circuit.
     """
     memo = {} if memo is None else memo
-    if jobs is not None and jobs != 1 or cache is not None or pool is not None:
-        from ..parallel import execute_plan_parallel
+    store = None
+    if cache is not None:
+        from ..parallel import FragmentCache, window_cache_key
 
-        return execute_plan_parallel(
-            plan, tech, stats,
-            resolution=resolution, jobs=jobs, cache=cache, memo=memo,
-            pool=pool, engine=engine, progress=progress,
-        )
-    total = len(plan.primitives)
-    done = sum(1 for key in plan.primitives if key in memo)
-    if progress is not None and done:
-        progress(done, total)
-    if done < total:
-        load_engine(engine, stats)
+        store = FragmentCache(cache)
+    started = time.perf_counter()
+    setup = None
     for key, content in plan.primitives.items():
         if key in memo:
             continue
-        start = time.perf_counter()
-        memo[key] = extract_primitive(content, tech, resolution, engine)
-        stats.flat_seconds += time.perf_counter() - start
+        if store is not None:
+            cache_key = window_cache_key(content, tech, resolution)
+            cached = store.get(cache_key)
+            if cached is not None:
+                memo[key] = cached
+                continue
+        if setup is None:
+            setup = load_engine(engine, stats)
+        fragment = extract_primitive(content, tech, resolution, engine)
+        memo[key] = fragment
         stats.flat_calls += 1
-        done += 1
-        if progress is not None:
-            progress(done, total)
+        if store is not None:
+            store.put(cache_key, fragment)
+    stats.flat_seconds += time.perf_counter() - started - (setup or 0.0)
+    if store is not None:
+        stats.cache_hits += store.stats.hits
+        stats.cache_misses += store.stats.misses + store.stats.invalid
+        stats.cache_invalid += store.stats.invalid
     return memo
 
 
@@ -365,9 +352,7 @@ def hext_extract(
     tech: Technology | None = None,
     *,
     resolution: int = 50,
-    jobs: "int | None" = None,
     cache: "str | None" = None,
-    pool: "PersistentPool | None" = None,
     engine: str = "auto",
 ) -> HextResult:
     """Hierarchically extract a CIF string or parsed layout.
@@ -376,21 +361,17 @@ def hext_extract(
         source: CIF text, or an already parsed :class:`Layout`.
         tech: process rules; defaults to standard NMOS.
         resolution: fracture resolution for non-manhattan geometry.
-        jobs: fan unique-window extraction out over this many worker
-            processes (``None`` or ``1``: serial; ``0``: one per CPU).
         cache: directory of the persistent fragment cache; repeated runs
             over unchanged windows skip extraction entirely.
-        pool: a long-lived worker pool to reuse instead of a one-shot
-            pool (the extraction service's amortization path).
         engine: strip-batch engine for the per-window flat extractions
             (see :mod:`repro.core.stripengine`); results are
             byte-identical across engines, so this is purely a speed
             knob and is deliberately excluded from memo and cache keys.
 
-    The three phases run plan -> execute -> compose; parallel and cached
-    runs produce wirelists equivalent to serial ones because the plan
-    (and therefore the composition order) is identical — only *where*
-    each unique primitive fragment comes from differs.
+    The three phases run plan -> execute -> compose, on one thread.  A
+    warm-cache run writes the same wirelist as a cold one: the plan, and
+    with it the composition order, is the same, and a cached fragment
+    is byte for byte the one extraction would produce.
     """
     tech = tech or NMOS()
     layout = parse(source) if isinstance(source, str) else source
@@ -402,8 +383,7 @@ def hext_extract(
     plan = plan_windows(planner, top, stats)
     memo = execute_plan(
         plan, tech, stats,
-        resolution=resolution, jobs=jobs, cache=cache, pool=pool,
-        engine=engine,
+        resolution=resolution, cache=cache, engine=engine,
     )
     fragment = compose_plan(plan, memo, tech, stats)
     return HextResult(

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from ..cif import Layout, parse
 from ..tech import NMOS, Technology
@@ -37,9 +36,6 @@ from .extractor import (
     plan_windows,
 )
 from .windows import WindowPlanner
-
-if TYPE_CHECKING:
-    from ..parallel.pool import PersistentPool
 
 
 @dataclass
@@ -86,18 +82,14 @@ class IncrementalExtractor:
         self,
         source: "str | Layout",
         *,
-        jobs: "int | None" = None,
         cache: "str | None" = None,
-        pool: "PersistentPool | None" = None,
     ) -> HextResult:
         """Extract, reusing any window seen in previous calls.
 
-        ``jobs``, ``cache``, and ``pool`` pass straight through to the
-        execute phase (see :func:`repro.hext.extractor.execute_plan`):
-        windows the persistent memo does not already hold can be fanned
-        out over worker processes — the extraction service hands in its
-        long-lived :class:`~repro.parallel.pool.PersistentPool` here —
-        or served from the on-disk fragment cache.
+        ``cache`` passes straight through to the execute phase (see
+        :func:`repro.hext.extractor.execute_plan`): windows the
+        persistent memo does not already hold can be served from the
+        on-disk fragment cache.
         """
         layout = parse(source) if isinstance(source, str) else source
         previous_keys = frozenset(self._memo)
@@ -111,7 +103,7 @@ class IncrementalExtractor:
         execute_plan(
             plan, self.tech, stats,
             resolution=self.resolution, memo=self._memo,
-            jobs=jobs, cache=cache, pool=pool, engine=self.engine,
+            cache=cache, engine=self.engine,
         )
         fragment = compose_plan(plan, self._memo, self.tech, stats)
         self._last_used = plan.used_keys()

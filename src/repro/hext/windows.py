@@ -267,6 +267,27 @@ def _overlapping_indices(boxed: list[tuple[Box, int]]) -> set[int]:
 # ----------------------------------------------------------------------
 
 
+def relative_artwork(content: Content) -> "tuple[list[tuple], list[tuple]]":
+    """A window's boxes and labels, window-relative and sorted.
+
+    The one canonical form of a window's artwork: the memo key and the
+    persistent cache key hash it, and extraction reads it, so windows
+    with equal keys extract to identical fragments whatever order their
+    artwork was drawn in.  Rows are ``(layer, x1, y1, x2, y2)`` and
+    ``(name, x, y, layer or "")``.
+    """
+    ox, oy = content.region.xmin, content.region.ymin
+    geometry = sorted(
+        (layer, b.xmin - ox, b.ymin - oy, b.xmax - ox, b.ymax - oy)
+        for layer, b in content.geometry
+    )
+    labels = sorted(
+        (lb.name, lb.x - ox, lb.y - oy, lb.layer or "")
+        for lb in content.labels
+    )
+    return geometry, labels
+
+
 def content_key(
     content: Content, fingerprints: "dict[int, str] | None" = None
 ):
@@ -280,12 +301,7 @@ def content_key(
     keys stable across distinct :class:`Layout` objects.
     """
     ox, oy = content.region.xmin, content.region.ymin
-    geometry = tuple(
-        sorted(
-            (layer, b.xmin - ox, b.ymin - oy, b.xmax - ox, b.ymax - oy)
-            for layer, b in content.geometry
-        )
-    )
+    geometry, labels = relative_artwork(content)
     instances = tuple(
         sorted(
             (
@@ -297,18 +313,12 @@ def content_key(
             for number, t in content.instances
         )
     )
-    labels = tuple(
-        sorted(
-            (lb.name, lb.x - ox, lb.y - oy, lb.layer or "")
-            for lb in content.labels
-        )
-    )
     return (
         content.region.width,
         content.region.height,
-        geometry,
+        tuple(geometry),
         instances,
-        labels,
+        tuple(labels),
     )
 
 

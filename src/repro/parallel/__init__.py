@@ -1,31 +1,25 @@
-"""Parallel HEXT execution and the persistent fragment cache.
+"""The persistent fragment cache for HEXT's execute phase.
 
-HEXT's unique-window extractions are mutually independent: each one runs
-the modified flat extractor over a window's clipped geometry and nothing
-else.  This package exploits that twice:
+HEXT's memo table extracts each unique window once per run; the
+fragment cache extends that across runs.  :mod:`repro.parallel.cache`
+persists extracted primitive fragments on disk, keyed by a content hash
+of the window's normalized geometry plus the technology and fracture
+resolution, so repeated runs over unchanged windows (the
+design-iteration workflow) skip extraction entirely.
 
-* :mod:`repro.parallel.pool` fans the execute phase of a
-  :class:`~repro.hext.extractor.WindowPlan` out over a
-  ``ProcessPoolExecutor`` while planning and composition stay serial in
-  the parent, so the memo table remains authoritative in one process;
-* :mod:`repro.parallel.cache` persists extracted fragments on disk,
-  keyed by a content hash of the window's normalized geometry plus the
-  technology and fracture resolution, so repeated runs over unchanged
-  windows (the design-iteration workflow) skip extraction entirely.
+Fragments move through the versioned serialization format in
+:mod:`repro.parallel.serialize`.  A primitive window is extracted from
+the same canonical, window-relative form its key hashes, so a cached
+fragment is byte for byte the fragment extraction would produce, and
+cold and warm runs write the same wirelist.
 
-Both paths move fragments through the versioned serialization format in
-:mod:`repro.parallel.serialize`; a cached or worker-produced fragment is
-byte-for-byte the same payload either way, which is what makes serial,
-parallel, and warm-cache runs produce equivalent wirelists.
+The package keeps its historical name; nothing in it runs concurrently.
 """
 
 from .cache import CacheStats, FragmentCache, JsonEnvelopeStore
-from .executor import execute_plan_parallel, resolve_jobs
-from .pool import PersistentPool, PoolUnavailable, extract_contents_parallel
 from .serialize import (
     FORMAT_VERSION,
     SerializationError,
-    content_from_payload,
     content_payload,
     fragment_from_payload,
     fragment_payload,
@@ -38,16 +32,10 @@ __all__ = [
     "FORMAT_VERSION",
     "FragmentCache",
     "JsonEnvelopeStore",
-    "PersistentPool",
-    "PoolUnavailable",
     "SerializationError",
-    "content_from_payload",
     "content_payload",
-    "execute_plan_parallel",
-    "extract_contents_parallel",
     "fragment_from_payload",
     "fragment_payload",
-    "resolve_jobs",
     "technology_fingerprint",
     "window_cache_key",
 ]

@@ -5,9 +5,7 @@ Two payload shapes, both plain JSON-able dicts:
 * a **window payload** is the canonical form of a primitive window's
   content — size plus sorted window-relative geometry and labels.  Its
   hash (together with the technology fingerprint, fracture resolution
-  and format version) is the persistent cache key, and it is also what
-  crosses the process boundary to pool workers, so a worker sees exactly
-  the bytes the cache would key on;
+  and format version) is the persistent cache key;
 * a **fragment payload** is a primitive :class:`~repro.hext.fragment.Fragment`
   flattened to lists and ints.  Only primitive fragments (no children)
   serialize: composed fragments are cheap to rebuild and share child
@@ -25,14 +23,15 @@ from __future__ import annotations
 import hashlib
 import json
 
-from ..frontend.instantiate import PlacedLabel
 from ..geometry import Box
 from ..hext.fragment import CHANNEL, DeviceRec, Fragment, IfaceRec, LineIndex
-from ..hext.windows import Content
+from ..hext.windows import Content, relative_artwork
 from ..tech import Technology
 
-#: Bump when the fragment payload or cache key derivation changes shape.
-FORMAT_VERSION = 1
+#: Bump when the fragment payload or cache key derivation changes shape,
+#: or when extraction changes what a key's fragment holds.  Version 2:
+#: primitive windows are extracted in their canonical artwork order.
+FORMAT_VERSION = 2
 
 _FACES = frozenset("LRTB")
 
@@ -67,7 +66,7 @@ def technology_fingerprint(tech: Technology) -> str:
 
 
 # ----------------------------------------------------------------------
-# window payloads (cache keys + worker inputs)
+# window payloads (cache keys)
 # ----------------------------------------------------------------------
 
 
@@ -77,37 +76,14 @@ def content_payload(content: Content) -> dict:
         raise SerializationError(
             "only primitive (geometry-only) windows serialize"
         )
-    ox, oy = content.region.xmin, content.region.ymin
+    geometry, labels = relative_artwork(content)
     return {
         "format": FORMAT_VERSION,
         "width": content.region.width,
         "height": content.region.height,
-        "geometry": sorted(
-            [layer, b.xmin - ox, b.ymin - oy, b.xmax - ox, b.ymax - oy]
-            for layer, b in content.geometry
-        ),
-        "labels": sorted(
-            [lb.name, lb.x - ox, lb.y - oy, lb.layer or ""]
-            for lb in content.labels
-        ),
+        "geometry": [list(row) for row in geometry],
+        "labels": [list(row) for row in labels],
     }
-
-
-def content_from_payload(payload: dict) -> Content:
-    """Rebuild a window-relative :class:`Content` (origin at 0,0)."""
-    try:
-        region = Box(0, 0, _as_int(payload["width"]), _as_int(payload["height"]))
-        geometry = [
-            (str(layer), Box(_as_int(x1), _as_int(y1), _as_int(x2), _as_int(y2)))
-            for layer, x1, y1, x2, y2 in payload["geometry"]
-        ]
-        labels = [
-            PlacedLabel(str(name), _as_int(x), _as_int(y), str(layer) or None)
-            for name, x, y, layer in payload["labels"]
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SerializationError(f"bad window payload: {exc}") from exc
-    return Content(region=region, geometry=geometry, labels=labels)
 
 
 def window_cache_key(
@@ -133,7 +109,7 @@ def window_cache_key(
 
 
 # ----------------------------------------------------------------------
-# fragment payloads (cache values + worker outputs)
+# fragment payloads (cache values)
 # ----------------------------------------------------------------------
 
 

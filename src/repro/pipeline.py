@@ -48,21 +48,18 @@ class OptionsError(ValueError):
 class JobOptions:
     """Extraction options, mirroring the ``ace-extract`` surface.
 
-    ``jobs`` and ``timeout`` steer *how* a job runs, never what it
-    produces (parallel and serial extraction are wirelist-equivalent by
-    the guarantees of :mod:`repro.parallel`), so they are excluded from
-    the result-cache key (:meth:`cache_facet`).  ``stream`` and
-    ``band_height`` are excluded for the same reason: the banded
-    streaming pipeline (:mod:`repro.streaming`) is byte-identical to the
-    in-memory path at every band plan, so a streamed job may serve -- and
-    be served by -- a cached in-memory result.
+    ``timeout`` steers *how* a job runs, never what it produces, so it
+    is excluded from the result-cache key (:meth:`cache_facet`).
+    ``stream`` and ``band_height`` are excluded for the same reason: the
+    banded streaming pipeline (:mod:`repro.streaming`) is byte-identical
+    to the in-memory path at every band plan, so a streamed job may
+    serve -- and be served by -- a cached in-memory result.
     """
 
     name: str = "layout.cif"  #: DefPart name stamped into the wirelist
     lambda_: "int | None" = None
     deck: str = "nmos"  #: builtin technology deck name
     hext: bool = False
-    jobs: "int | None" = None
     lint: bool = False
     keep_geometry: bool = False
     timeout: "float | None" = None
@@ -75,7 +72,6 @@ class JobOptions:
             "lambda",
             "deck",
             "hext",
-            "jobs",
             "lint",
             "keep_geometry",
             "timeout",
@@ -149,7 +145,6 @@ class JobOptions:
             lambda_=_int("lambda"),
             deck=deck,
             hext=hext,
-            jobs=_int("jobs"),
             lint=_flag("lint"),
             keep_geometry=_flag("keep_geometry"),
             timeout=timeout,
@@ -163,7 +158,6 @@ class JobOptions:
             "lambda": self.lambda_,
             "deck": self.deck,
             "hext": self.hext,
-            "jobs": self.jobs,
             "lint": self.lint,
             "keep_geometry": self.keep_geometry,
             "timeout": self.timeout,
@@ -312,7 +306,7 @@ def run(
         on_stage: called with each stage's name as it begins; raising
             aborts the run.
         hext: the hierarchical step, ``layout -> HextResult``; defaults
-            to :func:`repro.hext.hext_extract` with ``options.jobs``.
+            to :func:`repro.hext.hext_extract`.
         progress: streaming's per-band callback.
     """
     options = options or JobOptions()
@@ -362,7 +356,6 @@ def run(
                     layout,
                     tech,
                     resolution=resolution,
-                    jobs=options.jobs,
                     cache=cache,
                     engine=engine,
                 )

@@ -1,7 +1,7 @@
 """The extraction service: a long-lived daemon over the extractors.
 
 Every other entry point in this repository is a one-shot CLI that pays
-the full cold-start bill — parse the technology, build a worker pool,
+the full cold-start bill — parse the technology, load the strip engine,
 warm nothing — on each invocation.  This package hosts the extractors
 the way the ROADMAP's serve-heavy-traffic goal wants them hosted:
 
@@ -9,8 +9,8 @@ the way the ROADMAP's serve-heavy-traffic goal wants them hosted:
   stdlib HTTP, a bounded admission-controlled queue, worker threads,
   and graceful drain on SIGTERM;
 * :mod:`repro.service.engine` — the job body, plus the state kept warm
-  across requests: the incremental extractor's window memo, persistent
-  process pools, and the content-addressed result cache;
+  across requests: the incremental extractor's window memo and the
+  content-addressed result cache;
 * :mod:`repro.service.metrics` — the ``/metrics`` plane: counters,
   latency quantile rings, per-stage timings;
 * :mod:`repro.service.client` — a thin blocking client, used by

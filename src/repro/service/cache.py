@@ -11,12 +11,13 @@ Two layers:
   results survive daemon restarts and a corrupted entry is re-extracted
   rather than served.
 
-The key deliberately excludes ``jobs`` and ``timeout``: how a result
-was computed cannot change its bytes (the equivalence guarantees of
-:mod:`repro.parallel`), so a serial submission hits a result cached by
-a parallel one.  Everything that *can* change the bytes — payload
-digest, wirelist name, lambda, flat/hierarchical, lint, geometry — is
-in :meth:`repro.service.jobs.JobOptions.cache_facet`.
+The key deliberately excludes ``timeout``, ``stream`` and
+``band_height``: how a result was computed cannot change its bytes (a
+streamed sweep writes the in-memory path's wirelist at every band
+plan), so a streamed submission hits a result cached by an in-memory
+one.  Everything that *can* change the bytes — payload digest, wirelist
+name, lambda, deck, flat/hierarchical, lint, geometry — is in
+:meth:`repro.service.jobs.JobOptions.cache_facet`.
 """
 
 from __future__ import annotations

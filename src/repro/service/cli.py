@@ -197,14 +197,6 @@ def build_submit_parser() -> argparse.ArgumentParser:
         help="hierarchical extraction (HEXT) with the daemon's warm memo",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="fan hierarchical window extraction over N worker "
-        "processes daemon-side (0 = one per CPU)",
-    )
-    parser.add_argument(
         "--lambda",
         dest="lambda_",
         type=int,
@@ -269,8 +261,6 @@ def submit_main(argv: "list[str] | None" = None) -> int:
     options: dict = {"name": args.cif.rsplit("/", 1)[-1]}
     if args.hierarchical:
         options["hext"] = True
-    if args.jobs is not None:
-        options["jobs"] = args.jobs
     if args.lambda_ is not None:
         options["lambda"] = args.lambda_
     if args.deck is not None:

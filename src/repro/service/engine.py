@@ -7,9 +7,6 @@ state a one-shot CLI pays to rebuild on every invocation:
   technology, so the cross-run window memo recognizes windows any
   earlier request already extracted (two different chips sharing a
   standard cell pay for it once);
-* one :class:`~repro.parallel.pool.PersistentPool` per (technology,
-  worker count), so parallel hierarchical jobs reuse live worker
-  processes instead of forking a pool per request;
 * the :class:`~repro.service.cache.ResultCache`, keyed by (payload
   digest, option facet), which short-circuits repeat submissions
   entirely.
@@ -36,7 +33,6 @@ from typing import TYPE_CHECKING
 from ..core.scanline import StripConsumer
 from ..diagnostics.writers import diagnostic_to_json
 from ..hext.incremental import IncrementalExtractor
-from ..parallel import PersistentPool, resolve_jobs
 from ..pipeline import run
 from ..tech import DEFAULT_LAMBDA, Technology, technology_by_name
 from .cache import ResultCache
@@ -133,7 +129,6 @@ class ExtractionEngine:
         self._state_lock = threading.Lock()
         self._incremental: "dict[tuple[str, int], IncrementalExtractor]" = {}
         self._memo_locks: "dict[tuple[str, int], threading.Lock]" = {}
-        self._pools: "dict[tuple[str, int, int], PersistentPool]" = {}
 
     # -- warm state ------------------------------------------------------
 
@@ -157,22 +152,6 @@ class ExtractionEngine:
                 self._memo_locks[key] = threading.Lock()
             return extractor, self._memo_locks[key]
 
-    def _pool_for(
-        self, tech: Technology, jobs: "int | None"
-    ) -> "PersistentPool | None":
-        workers = resolve_jobs(jobs)
-        if workers <= 1:
-            return None
-        with self._state_lock:
-            key = (*self._tech_key(tech), workers)
-            pool = self._pools.get(key)
-            if pool is None:
-                pool = PersistentPool(
-                    tech, self.resolution, workers, self.engine
-                )
-                self._pools[key] = pool
-            return pool
-
     def memo_snapshot(self) -> dict:
         """Warm-state gauges for the metrics plane."""
         with self._state_lock:
@@ -181,10 +160,6 @@ class ExtractionEngine:
                     f"{deck}:{lambda_}": len(extractor)
                     for (deck, lambda_), extractor in self._incremental.items()
                 },
-                "worker_pools": [
-                    {"deck": deck, "lambda": lam, "workers": workers}
-                    for (deck, lam, workers) in self._pools
-                ],
             }
 
     def prune_memos(self) -> int:
@@ -197,13 +172,6 @@ class ExtractionEngine:
             with locks[key]:
                 removed += extractor.prune()
         return removed
-
-    def close(self) -> None:
-        with self._state_lock:
-            pools = list(self._pools.values())
-            self._pools.clear()
-        for pool in pools:
-            pool.close()
 
     # -- the job body ----------------------------------------------------
 
@@ -232,9 +200,8 @@ class ExtractionEngine:
 
         def hext(layout: "Layout") -> "HextResult":
             extractor, memo_lock = self._incremental_for(tech)
-            pool = self._pool_for(tech, options.jobs)
             with memo_lock:
-                return extractor.extract(layout, pool=pool)
+                return extractor.extract(layout)
 
         def observe_band(band: int, bands: int, stats: object) -> None:
             job.stage = f"extract band {band}/{bands}"

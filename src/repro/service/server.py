@@ -171,7 +171,6 @@ class ExtractionService:
         if self._serve_thread is not None:
             self._httpd.shutdown()
         self._httpd.server_close()
-        self.engine.close()
         self.log(event="drained", clean=clean)
         self._drained.set()
         return clean

@@ -4,11 +4,11 @@
 :func:`repro.core.extractor.extract_report`: same circuit, byte-identical
 wirelist, but the sweep runs band by band --
 
-1. the :class:`~repro.frontend.bands.BandSource` pulls the geometry
-   stream one y-band at a time (optionally on a producer thread);
-2. :meth:`ScanlineEngine.advance` sweeps until the next natural stop
-   would fall at or below the band floor (floors never force stops, so
-   every counter and strip matches the in-memory run exactly);
+1. :func:`~repro.frontend.bands.plan_bands` picks the band floors;
+2. :meth:`ScanlineEngine.advance` reads the geometry stream itself and
+   sweeps until the next natural stop would fall at or below the band
+   floor (floors never force stops, so every counter and strip matches
+   the in-memory run exactly);
 3. nets and devices no longer reachable from above the scanline are
    retired: their folded payloads leave RAM for the
    :class:`~repro.streaming.spill.SpillStore`, and only their order
@@ -49,7 +49,7 @@ from ..cif import Layout, parse
 from ..core.scanline import ScanlineEngine
 from ..core.stats import ScanStats
 from ..core.stripengine import RetiredDevices
-from ..frontend.bands import BandFeed, BandSource, plan_bands
+from ..frontend.bands import plan_bands
 from ..frontend.stream import GeometryStream
 from ..tech import NMOS, Technology
 from ..wirelist.model import primitives_for
@@ -104,7 +104,6 @@ def stream_extract(
     spill_dir: "str | os.PathLike | None" = None,
     checkpoint: "str | os.PathLike | None" = None,
     resume: "bool | str" = False,
-    prefetch: int = 1,
     strip_consumers: tuple = (),
     progress: "ProgressFn | None" = None,
 ) -> StreamReport:
@@ -126,8 +125,6 @@ def stream_extract(
             starts fresh otherwise -- the right mode for a supervisor
             that relaunches after crashes, since a kill before the
             first checkpoint leaves nothing to resume.
-        prefetch: bands the producer thread pulls ahead (0 = pull
-            inline on the consumer thread).
         progress: callback after each band, for job-status reporting.
     """
     tech = tech or NMOS()
@@ -198,26 +195,20 @@ def stream_extract(
             )
             start_band = 0
 
-        bands = BandSource(stream, floors, start=start_band, prefetch=prefetch)
-        feed = BandFeed(bands)
-
-        try:
-            spill_seconds = _run_bands(
-                scan,
-                feed,
-                floors,
-                start_band,
-                spill=spill,
-                checkpoint=checkpoint,
-                digest=digest,
-                options=options,
-                net_locs=net_locs,
-                net_bands=net_bands,
-                devices=devices,
-                progress=progress,
-            )
-        finally:
-            bands.close()
+        spill_seconds = _run_bands(
+            scan,
+            stream,
+            floors,
+            start_band,
+            spill=spill,
+            checkpoint=checkpoint,
+            digest=digest,
+            options=options,
+            net_locs=net_locs,
+            net_bands=net_bands,
+            devices=devices,
+            progress=progress,
+        )
 
         # Close the sweep the way ScanlineEngine.finish does, minus the
         # in-memory finalize: consumers flush, then emission streams the
@@ -283,7 +274,7 @@ def stream_extract(
 
 def _run_bands(
     scan: ScanlineEngine,
-    feed: BandFeed,
+    stream: GeometryStream,
     floors: "list[int | None]",
     start_band: int,
     *,
@@ -307,7 +298,7 @@ def _run_bands(
     spent = 0.0
 
     for band in range(start_band, len(floors)):
-        more = scan.advance(feed, floors[band])
+        more = scan.advance(stream, floors[band])
         started = perf_counter()
         if more:
             live_nets = scan.live_net_roots()

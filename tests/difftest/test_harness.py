@@ -17,9 +17,8 @@ from repro.tech import NMOS
 
 TECH = NMOS()
 
-#: The in-process oracle subset used by fast tests (hext-par spawns a
-#: worker pool per call; its equivalence has its own suite under
-#: tests/parallel/).
+#: The in-process oracle subset used by fast tests (the service and
+#: fleet oracles start daemons; they have their own tests).
 FAST = ("ace", "hext", "raster", "polyflat")
 
 
@@ -39,16 +38,6 @@ class TestCleanRuns:
         ]
         assert result.iterations == 15
         assert not os.listdir(tmp_path)
-
-    def test_parallel_oracle_agrees(self, tmp_path):
-        result = run_difftest(
-            iterations=3,
-            seed=55,
-            oracle_names=("ace", "hext-par"),
-            tech=TECH,
-            corpus_dir=str(tmp_path),
-        )
-        assert result.ok
 
     def test_raster_skipped_off_grid(self):
         # Seeds are cheap: scan until an off-grid case shows up and make
@@ -124,7 +113,7 @@ class TestCli:
     def test_list_oracles(self, capsys):
         assert difftest_main(["--list-oracles"]) == 0
         out = capsys.readouterr().out
-        for name in FAST + ("hext-par",):
+        for name in FAST + ("service", "fleet", "ace-stream"):
             assert name in out
 
     def test_clean_run_exits_zero(self, tmp_path):

@@ -13,11 +13,11 @@ def test_service_oracle_is_registered_with_exact_capabilities():
 
 def test_service_oracle_matches_reference():
     # The runner itself enforces byte-for-byte wirelist parity with the
-    # in-process hext-par extraction (ServiceParityError otherwise), so
-    # a clean return plus netlist equivalence is the full check.
+    # in-process hext extraction (ServiceParityError otherwise), so a
+    # clean return plus netlist equivalence is the full check.
     tech = NMOS()
     service = ORACLES["service"].run(inverter(), tech)
-    reference = ORACLES["hext-par"].run(inverter(), tech)
+    reference = ORACLES["hext"].run(inverter(), tech)
     report = compare_netlists(reference.flat, service.flat)
     assert report.equivalent, report.reason
     assert service.sizes == reference.sizes

@@ -178,25 +178,15 @@ class TestCrossSessionMemo:
 
 
 class TestExecuteOptions:
-    def test_parallel_jobs_match_serial(self):
-        serial = IncrementalExtractor().extract(_chip()).circuit
-        parallel = IncrementalExtractor().extract(_chip(), jobs=2).circuit
+    def test_fragment_cache_serves_a_fresh_memo(self, tmp_path):
+        cache = str(tmp_path / "fragments")
+        first = IncrementalExtractor().extract(_chip(), cache=cache)
+        assert first.stats.cache_misses == first.stats.flat_calls > 0
+        # A new session's memo is empty, so its windows come from disk.
+        warm = IncrementalExtractor().extract(_chip(), cache=cache)
+        assert warm.stats.flat_calls == 0
+        assert warm.stats.cache_hits == first.stats.flat_calls
         report = compare_netlists(
-            circuit_to_flat(serial), circuit_to_flat(parallel)
+            circuit_to_flat(extract(_chip())), circuit_to_flat(warm.circuit)
         )
         assert report.equivalent, report.reason
-
-    def test_persistent_pool_reused_across_extracts(self):
-        from repro.parallel import PersistentPool
-        from repro.tech import NMOS
-
-        with PersistentPool(NMOS(), 50, 2) as pool:
-            inc = IncrementalExtractor()
-            first = inc.extract(_chip(), pool=pool).circuit
-            edited = inc.extract(_chip(edited_column=2), pool=pool).circuit
-        fresh = extract(_chip(edited_column=2))
-        report = compare_netlists(
-            circuit_to_flat(fresh), circuit_to_flat(edited)
-        )
-        assert report.equivalent, report.reason
-        assert len(first.devices) == 48

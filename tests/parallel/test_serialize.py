@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.frontend import PlacedLabel
 from repro.geometry import Box
 from repro.hext import Fragment, extract_primitive, hext_extract, plan_windows
 from repro.hext.extractor import HextStats
-from repro.hext.windows import WindowPlanner
+from repro.hext.windows import Content, WindowPlanner
 from repro.parallel import (
     FORMAT_VERSION,
     SerializationError,
-    content_from_payload,
     content_payload,
     fragment_from_payload,
     fragment_payload,
@@ -34,6 +34,20 @@ def _primitive_fragments():
     ]
 
 
+def _moved(content: Content, dx: int, dy: int) -> Content:
+    """A copy of a primitive window translated by ``(dx, dy)``."""
+    return Content(
+        region=content.region.translated(dx, dy),
+        geometry=[
+            (layer, box.translated(dx, dy)) for layer, box in content.geometry
+        ],
+        labels=[
+            PlacedLabel(lb.name, lb.x + dx, lb.y + dy, lb.layer)
+            for lb in content.labels
+        ],
+    )
+
+
 def test_fragment_round_trip_is_lossless():
     for _, fragment in _primitive_fragments():
         rebuilt = fragment_from_payload(fragment_payload(fragment))
@@ -43,22 +57,20 @@ def test_fragment_round_trip_is_lossless():
         assert fragment_payload(rebuilt) == fragment_payload(fragment)
 
 
-def test_content_round_trip_normalizes_to_origin():
-    for content, _ in _primitive_fragments():
-        payload = content_payload(content)
-        rebuilt = content_from_payload(payload)
-        assert rebuilt.region.xmin == 0 and rebuilt.region.ymin == 0
-        assert rebuilt.region.width == content.region.width
-        # Window-relative payloads are placement-independent.
-        assert content_payload(rebuilt) == payload
-
-
 def test_extraction_commutes_with_serialization():
-    """extract(content) == deserialize(extract(serialize(content)))."""
+    """A window's fragment is a function of its canonical payload.
+
+    Redrawing a window's boxes and labels in another order, somewhere
+    else on the chip, leaves both the payload (the cache key's body)
+    and the extracted fragment unchanged.
+    """
     tech = NMOS()
     for content, fragment in _primitive_fragments():
-        shipped = content_from_payload(content_payload(content))
-        remote = extract_primitive(shipped, tech)
+        moved = _moved(content, 700, -300)
+        moved.geometry.reverse()
+        moved.labels.reverse()
+        assert content_payload(moved) == content_payload(content)
+        remote = extract_primitive(moved, tech)
         assert fragment_payload(remote) == fragment_payload(fragment)
 
 
@@ -80,8 +92,10 @@ def test_cache_key_sensitivity():
     assert base != window_cache_key(content, tech, 25)  # resolution
     assert base != window_cache_key(content, NMOS(lambda_=100), 50)  # process
 
-    # Different artwork, different key.
-    moved = content_from_payload(content_payload(content))
+    # Placement is not part of the key ...
+    moved = _moved(content, 1000, 2000)
+    assert window_cache_key(moved, tech, 50) == base
+    # ... but artwork is.
     moved.geometry[0] = (
         moved.geometry[0][0],
         moved.geometry[0][1].translated(1, 0),

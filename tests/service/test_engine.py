@@ -78,7 +78,6 @@ class TestRunJob:
         assert result["devices"] == 2
         assert "(DefPart pEnh" in result["wirelist"]
         assert "nDep" not in result["wirelist"]
-        engine.close()
 
     def test_decks_never_share_a_cache_entry(self):
         engine = ExtractionEngine()
@@ -88,7 +87,6 @@ class TestRunJob:
         assert nmos_job.cache_key != cmos_job.cache_key
         engine.run_job(nmos_job)
         assert engine.results.get(cmos_job.cache_key) is None
-        engine.close()
 
     def test_hext_jobs_share_one_warm_memo(self):
         engine = ExtractionEngine()
@@ -103,4 +101,3 @@ class TestRunJob:
         assert sum(memos.values()) > 0
         pruned = engine.prune_memos()
         assert pruned >= 0  # prune is safe on a warm engine
-        engine.close()

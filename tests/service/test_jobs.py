@@ -24,7 +24,7 @@ class TestJobOptions:
     def test_defaults(self):
         options = JobOptions.from_payload(None)
         assert options.name == "layout.cif"
-        assert options.jobs is None
+        assert options.timeout is None
         assert not options.hext and not options.lint
 
     def test_full_payload_round_trips(self):
@@ -33,7 +33,6 @@ class TestJobOptions:
             "lambda": 300,
             "deck": "cmos",
             "hext": True,
-            "jobs": 4,
             "lint": True,
             "keep_geometry": True,
             "timeout": 12.5,
@@ -46,14 +45,18 @@ class TestJobOptions:
     def test_unknown_key_rejected(self):
         with pytest.raises(OptionsError, match="unknown option"):
             JobOptions.from_payload({"jbos": 2})
+        # The worker-count option of earlier versions is refused, not
+        # accepted and ignored: extraction runs on one thread.
+        with pytest.raises(OptionsError, match=r"unknown option\(s\): jobs"):
+            JobOptions.from_payload({"hext": True, "jobs": 2})
 
     @pytest.mark.parametrize(
         "payload",
         [
             {"hext": "yes"},
-            {"jobs": -1},
-            {"jobs": 2.5},
-            {"jobs": True},
+            {"lambda": -1},
+            {"lambda": 2.5},
+            {"lambda": True},
             {"lambda": "250"},
             {"name": ""},
             {"name": 7},
@@ -70,9 +73,9 @@ class TestJobOptions:
             JobOptions.from_payload(payload)
 
     def test_cache_facet_excludes_execution_knobs(self):
-        serial = JobOptions.from_payload({"name": "a.cif", "timeout": 5})
-        parallel = JobOptions.from_payload({"name": "a.cif", "jobs": 8})
-        assert serial.cache_facet() == parallel.cache_facet()
+        bounded = JobOptions.from_payload({"name": "a.cif", "timeout": 5})
+        serial = JobOptions.from_payload({"name": "a.cif"})
+        assert serial.cache_facet() == bounded.cache_facet()
         # ... but everything result-affecting is present.
         assert set(serial.cache_facet()) == {
             "name", "lambda", "deck", "hext", "lint", "keep_geometry"

@@ -11,9 +11,12 @@ from repro.service import (
     ServiceConfig,
     ServiceError,
 )
+from repro.pipeline import JobOptions, run
+from repro.tech import NMOS
 from repro.wirelist import to_wirelist, write_wirelist
 from repro.workloads import inverter, transistor_array
 from repro.workloads.violations import drc_violations
+from tests.parallel.test_equivalence import DRAW_ORDER_PAIR
 
 
 def _reference_wirelist(cif: str, name: str) -> str:
@@ -69,11 +72,14 @@ class TestExtraction:
         assert "trace" not in again
         assert "trace" not in client.status(again["job"])
 
-    def test_jobs_option_is_cache_equivalent(self, client):
-        cif = write_cif(transistor_array(4))
-        client.extract(cif, name="array.cif", jobs=2)
-        receipt = client.submit(cif, name="array.cif")  # serial resubmit
-        assert receipt["cached"] is True
+    def test_warm_memo_serves_each_layout_its_own_bytes(self, client):
+        # a and b draw one window's boxes in different orders, so b's
+        # window hits the memo entry a left warm; the daemon must still
+        # answer b with the bytes ace-extract writes for b.
+        for name, cif in DRAW_ORDER_PAIR.items():
+            served = client.extract(cif, name=name, hext=True)
+            local = run(cif, NMOS(), JobOptions(name=name, hext=True))
+            assert served["wirelist"] == local.text, name
 
     def test_hext_with_lint(self, client):
         cif = write_cif(inverter())
@@ -124,6 +130,12 @@ class TestValidation:
             client.submit(write_cif(inverter()), jbos=2)
         assert info.value.status == 400
         assert "unknown option" in str(info.value)
+        # Extraction runs on one thread; the old worker-count option is
+        # refused like any other unknown key, never silently ignored.
+        with pytest.raises(ServiceError) as info:
+            client.submit(write_cif(inverter()), hext=True, jobs=2)
+        assert info.value.status == 400
+        assert "unknown option(s): jobs" in str(info.value)
 
     def test_cif_and_path_are_mutually_exclusive(self, client):
         with pytest.raises(ServiceError) as info:

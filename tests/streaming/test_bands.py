@@ -1,46 +1,64 @@
-"""Unit tests for the banded front-end (repro.frontend.bands).
+"""Unit tests for banded streaming's front half.
 
-The contract under test: a :class:`BandFeed` over any floor list is
-*observationally identical* to the raw :class:`GeometryStream` — same
-``next_top``/``fetch`` traffic, same label visibility at every point of
-the sweep — because byte-identical wirelists are downstream of exactly
-that equivalence.
+:func:`plan_bands` picks the floors; the scanline host then reads the
+raw :class:`GeometryStream` itself and pauses at each floor.  The
+contract under test: pausing at any floor list leaves the stream
+traffic the host issues -- every ``next_top``, ``fetch`` and
+``labels()`` call, in order -- identical to one unbanded sweep, because
+byte-identical wirelists are downstream of exactly that equivalence.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.scanline import ScanlineEngine
 from repro.frontend import GeometryStream
-from repro.frontend.bands import BandFeed, BandSource, plan_bands
+from repro.frontend.bands import plan_bands
+from repro.tech import NMOS
 from tests.golden.cases import GOLDEN_CASES
 
 from .harness import chip_height
 
 
-def replay(feed_like) -> list:
-    """Drain a stream/feed, recording the engine-visible event trace."""
-    trace = []
-    t = feed_like.next_top()
-    while t is not None:
-        trace.append(("peek", t, [lb.name for lb in feed_like.labels()]))
-        boxes = feed_like.fetch(t)
-        trace.append(("fetch", t, len(boxes),
-                      [lb.name for lb in feed_like.labels()]))
-        t = feed_like.next_top()
-    trace.append(("end", [lb.name for lb in feed_like.labels()]))
-    return trace
+class RecordingStream:
+    """A geometry stream that records the traffic the host issues."""
+
+    def __init__(self, layout) -> None:
+        self._stream = GeometryStream(layout)
+        self.chip_bbox = self._stream.chip_bbox
+        self.trace: list = []
+
+    def next_top(self):
+        t = self._stream.next_top()
+        self.trace.append(("peek", t))
+        return t
+
+    def fetch(self, y):
+        boxes = self._stream.fetch(y)
+        self.trace.append(("fetch", y, len(boxes)))
+        return boxes
+
+    def labels(self):
+        labels = self._stream.labels()
+        self.trace.append(("labels", [lb.name for lb in labels]))
+        return labels
 
 
-def feed_for(layout, **plan_kwargs) -> BandFeed:
-    stream = GeometryStream(layout)
+def sweep_trace(layout, **plan_kwargs) -> list:
+    """Sweep band by band, as stream_extract does; return the traffic."""
+    stream = RecordingStream(layout)
     bbox = stream.chip_bbox
     floors = plan_bands(
         bbox.ymax if bbox else None,
         bbox.ymin if bbox else None,
         **plan_kwargs,
     )
-    return BandFeed(BandSource(stream, floors))
+    scan = ScanlineEngine(NMOS(), engine="python")
+    for floor in floors:
+        if not scan.advance(stream, floor):
+            break
+    return stream.trace
 
 
 class TestPlanBands:
@@ -73,60 +91,8 @@ class TestPlanBands:
 @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
 def test_feed_trace_matches_raw_stream(case):
     layout = GOLDEN_CASES[case]()
-    raw = replay(GeometryStream(layout))
+    raw = sweep_trace(layout)
     height = chip_height(layout)
-    for plan in ({}, {"band_height": max(1, height // 7)},
-                 {"band_height": 1}):
-        banded = replay(feed_for(layout, **plan))
+    for plan in ({"band_height": max(1, height // 7)}, {"band_height": 1}):
+        banded = sweep_trace(layout, **plan)
         assert banded == raw, f"{case}: trace diverged under plan {plan}"
-
-
-def test_feed_trace_matches_with_prefetch_thread():
-    layout = GOLDEN_CASES["hier_pair"]()
-    raw = replay(GeometryStream(layout))
-    stream = GeometryStream(layout)
-    bbox = stream.chip_bbox
-    floors = plan_bands(bbox.ymax, bbox.ymin, band_height=500)
-    feed = BandFeed(BandSource(stream, floors, prefetch=2))
-    assert replay(feed) == raw
-
-
-def test_fetch_off_head_returns_empty():
-    """Pending-continuation stops fetch at a y the feed never recorded."""
-    layout = GOLDEN_CASES["inverter"]()
-    feed = feed_for(layout, band_height=300)
-    t = feed.next_top()
-    assert feed.fetch(t - 1) == []
-    assert feed.fetch(t), "the recorded head must still be served"
-
-
-def test_producer_error_surfaces_in_consumer():
-    class Boom(RuntimeError):
-        pass
-
-    class ExplodingStream:
-        _labels: list = []
-        stats = None
-
-        def next_top(self):
-            raise Boom("mid-chip parse error")
-
-        def fetch(self, y):  # pragma: no cover - never reached
-            raise AssertionError
-
-    source = BandSource(ExplodingStream(), [None], prefetch=1)
-    with pytest.raises(Boom, match="mid-chip"):
-        source.next_band()
-
-
-def test_close_releases_blocked_producer():
-    layout = GOLDEN_CASES["nand2"]()
-    stream = GeometryStream(layout)
-    bbox = stream.chip_bbox
-    floors = plan_bands(bbox.ymax, bbox.ymin, band_height=100)
-    source = BandSource(stream, floors, prefetch=1)
-    # Consume one band, abandon the rest with the queue full.
-    assert source.next_band() is not None
-    source.close()
-    assert source._thread is None
-    source.close()  # idempotent

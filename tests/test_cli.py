@@ -143,14 +143,6 @@ class TestHierarchical:
         assert main([inverter_cif, "--hierarchical", "--stats"]) == 0
         assert "flat calls" in capsys.readouterr().err
 
-    def test_jobs_flag(self, inverter_cif, capsys):
-        assert main(
-            [inverter_cif, "--hierarchical", "--jobs", "2", "--stats"]
-        ) == 0
-        captured = capsys.readouterr()
-        assert "(DefPart Window1" in captured.out
-        assert "jobs" in captured.err
-
     def test_cache_flag_warm_run_hits(self, inverter_cif, tmp_path, capsys):
         cache = str(tmp_path / "fragments")
         argv = [inverter_cif, "--hierarchical", "--cache", cache, "--stats"]
@@ -162,8 +154,8 @@ class TestHierarchical:
         assert "hit rate 100%" in warm.err
         assert warm.out == cold.out  # cached run: byte-identical wirelist
 
-    def test_jobs_cache_noted_in_flat_mode(self, inverter_cif, capsys):
-        assert main([inverter_cif, "--jobs", "2"]) == 0
+    def test_cache_noted_in_flat_mode(self, inverter_cif, tmp_path, capsys):
+        assert main([inverter_cif, "--cache", str(tmp_path / "c")]) == 0
         assert "--hierarchical" in capsys.readouterr().err
 
 

@@ -32,9 +32,7 @@ MODES = {
 
 @pytest.fixture(scope="module")
 def engine():
-    engine = ExtractionEngine()
-    yield engine
-    engine.close()
+    return ExtractionEngine()
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -111,8 +109,7 @@ def test_stage_hook_sees_every_stage_and_can_abort():
         run(write(inverter()), NMOS(), on_stage=abort)
 
 
-@pytest.mark.parametrize("jobs", [None, 2])
-def test_hext_bills_engine_loading_to_setup(jobs, monkeypatch):
+def test_hext_bills_engine_loading_to_setup(monkeypatch):
     """Loading the strip engine (numpy's import) is setup, not execute."""
     real = stripengine.resolve_engine
     calls = []
@@ -124,9 +121,7 @@ def test_hext_bills_engine_loading_to_setup(jobs, monkeypatch):
         return real(name)
 
     monkeypatch.setattr(stripengine, "resolve_engine", slow_first_load)
-    # One unique window: a pool gets too little work and the window is
-    # extracted in-process whatever ``jobs`` asks for.
-    result = run(write(inverter()), NMOS(), JobOptions(hext=True, jobs=jobs))
+    result = run(write(inverter()), NMOS(), JobOptions(hext=True))
     phases = result.trace.phases["extract"]
     assert list(phases) == ["frontend", "setup", "execute", "compose", "resolve"]
     assert phases["setup"] >= 0.3
