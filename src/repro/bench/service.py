@@ -10,7 +10,7 @@ layouts.  Two passes run back to back:
 * **warm** — the identical request mix again: every request must be a
   result-cache hit.
 
-The report (``BENCH_service.json``) captures throughput and tail
+The report (``BENCH_service_load.json``) captures throughput and tail
 latency (client-observed p50/p95/p99) per pass, the daemon's own
 ``/metrics`` snapshot, and the accounting the acceptance bar cares
 about: submitted == completed (zero dropped jobs) and a warm pass
@@ -166,344 +166,6 @@ def bench_service(
     }
 
 
-# -- fleet topology sweeps ------------------------------------------------
-
-
-def _reference_wirelists(
-    payloads: "list[tuple[str, str]]", workers: int, hext: bool
-) -> "dict[str, str]":
-    """Ground truth: every payload through one solo daemon."""
-    service = ExtractionService(
-        ServiceConfig(port=0, workers=workers, quiet=True)
-    )
-    service.start()
-    try:
-        client = ServiceClient(port=service.port, timeout=150.0)
-        return {
-            name: client.extract(cif, name=name, hext=hext)["wirelist"]
-            for name, cif in payloads
-        }
-    finally:
-        service.drain(grace=30.0)
-
-
-def _duplicate_burst(
-    port: int, name: str, cif: str, submitters: int
-) -> "dict":
-    """All submitters fire one identical payload at the same instant.
-
-    The router must collapse the burst onto one upstream job: every
-    submitter gets the same fleet ident back, every result is byte-
-    identical, and the fleet's ``coalesced`` counter accounts for the
-    pile-up.  (The payload must be fresh — a cached payload would test
-    the result cache, not in-flight coalescing.)
-    """
-    barrier = threading.Barrier(submitters)
-    idents: "list[str]" = []
-    wirelists: "list[str]" = []
-    errors: "list[str]" = []
-    lock = threading.Lock()
-
-    def fire() -> None:
-        client = ServiceClient(port=port, timeout=150.0, retries=4)
-        barrier.wait()
-        try:
-            receipt = client.submit(cif, name=name)
-            ident = receipt["job"]
-            status = (
-                receipt
-                if receipt["state"] == "done"
-                else client.wait(ident, timeout=120.0)
-            )
-            if status["state"] != "done":
-                raise RuntimeError(f"burst job ended {status['state']}")
-            wirelist = client.result(ident)["wirelist"]
-            with lock:
-                idents.append(ident)
-                wirelists.append(wirelist)
-        except Exception as exc:  # noqa: BLE001 - recorded for the report
-            with lock:
-                errors.append(f"{type(exc).__name__}: {exc}")
-
-    threads = [
-        threading.Thread(target=fire) for _ in range(submitters)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    return {
-        "submitters": submitters,
-        "completed": len(wirelists),
-        "errors": errors,
-        "distinct_idents": len(set(idents)),
-        "identical_results": len(set(wirelists)) <= 1,
-        "wirelist": wirelists[0] if wirelists else None,
-    }
-
-
-def _fleet_client_loop(
-    port: int,
-    payloads: "list[tuple[str, str]]",
-    requests: int,
-    offset: int,
-    latencies: "list[float]",
-    errors: "list[str]",
-    collected: "dict[str, set]",
-    lock: "threading.Lock",
-    done_counter: "list[int]",
-    hext: bool,
-) -> None:
-    client = ServiceClient(port=port, timeout=150.0, retries=6)
-    for index in range(requests):
-        name, cif = payloads[(offset + index) % len(payloads)]
-        started = time.perf_counter()
-        try:
-            result = client.extract(
-                cif, name=name, hext=hext, wait_timeout=120.0
-            )
-        except Exception as exc:  # noqa: BLE001 - recorded for the report
-            with lock:
-                errors.append(f"{name}: {type(exc).__name__}: {exc}")
-                done_counter[0] += 1
-            continue
-        elapsed = time.perf_counter() - started
-        with lock:
-            latencies.append(elapsed)
-            collected.setdefault(name, set()).add(result["wirelist"])
-            done_counter[0] += 1
-
-
-def _bench_fleet_topology(
-    shard_count: int,
-    reference: "dict[str, str]",
-    burst_payload: "tuple[str, str]",
-    burst_reference: str,
-    clients: int,
-    requests: int,
-    workers: int,
-    queue_capacity: int,
-    hext: bool,
-    kill_mid_run: bool,
-) -> dict:
-    """One row of the sweep: a full fleet exercised at one shard count."""
-    import tempfile
-
-    from ..fleet import FleetRouter, FleetSupervisor, RouterConfig
-
-    store = tempfile.mkdtemp(prefix=f"bench-fleet-{shard_count}-")
-    supervisor = FleetSupervisor(
-        shard_count,
-        workers=workers,
-        queue_capacity=queue_capacity,
-        store_dir=store,
-        prime_cache=16,
-    )
-    router = None
-    killed_shard = None
-    try:
-        specs = supervisor.start()
-        router = FleetRouter(
-            specs,
-            RouterConfig(port=0, quiet=True, health_interval=0.25),
-        )
-        router.start()
-        port = router.port
-
-        burst = _duplicate_burst(
-            port,
-            burst_payload[0],
-            burst_payload[1],
-            submitters=max(8, clients),
-        )
-        burst["matches_reference"] = burst["wirelist"] == burst_reference
-        del burst["wirelist"]
-
-        latencies: "list[float]" = []
-        errors: "list[str]" = []
-        collected: "dict[str, set]" = {}
-        lock = threading.Lock()
-        done = [0]
-        payloads = payload_pool()
-        total = clients * requests
-        started = time.perf_counter()
-        threads = [
-            threading.Thread(
-                target=_fleet_client_loop,
-                args=(
-                    port, payloads, requests, index, latencies, errors,
-                    collected, lock, done, hext,
-                ),
-            )
-            for index in range(clients)
-        ]
-        for thread in threads:
-            thread.start()
-        if kill_mid_run and shard_count > 1:
-            # Shard death drill: SIGKILL one shard once the load is in
-            # full flight; every remaining request must still complete
-            # (router failover + client retry absorb the hole).
-            deadline = time.monotonic() + 60.0
-            while time.monotonic() < deadline:
-                with lock:
-                    progressed = done[0]
-                if progressed >= max(1, total // 4):
-                    break
-                time.sleep(0.01)
-            killed_shard = "shard1"
-            supervisor.kill_shard(killed_shard)
-        for thread in threads:
-            thread.join()
-        elapsed = time.perf_counter() - started
-
-        if killed_shard is not None:
-            # Recovery drill: replace the corpse and re-point the
-            # router, so the end-of-row drain can be fully clean.
-            host, new_port = supervisor.restart_shard(killed_shard)
-            router.update_shard(killed_shard, host, new_port)
-
-        parity_ok = all(
-            wirelists == {reference[name]}
-            for name, wirelists in collected.items()
-        ) and len(collected) == len(payloads)
-
-        verify_client = ServiceClient(port=port, timeout=150.0, retries=4)
-        post_kill_parity = all(
-            verify_client.extract(cif, name=name, hext=hext)["wirelist"]
-            == reference[name]
-            for name, cif in payloads
-        )
-        fleet_metrics = verify_client.metrics()["fleet"]
-
-        ordered = sorted(latencies)
-        router_clean = router.drain(grace=60.0)
-        router = None
-        shards_clean = supervisor.drain()
-        counters = fleet_metrics["counters"]
-        return {
-            "shards": shard_count,
-            "burst": burst,
-            "load": {
-                "requests": total,
-                "completed": len(latencies),
-                "errors": errors,
-                "elapsed_seconds": round(elapsed, 4),
-                "throughput_rps": (
-                    round(len(latencies) / elapsed, 2) if elapsed else 0
-                ),
-                "latency": {
-                    "p50_seconds": round(quantile(ordered, 0.50), 5),
-                    "p95_seconds": round(quantile(ordered, 0.95), 5),
-                    "p99_seconds": round(quantile(ordered, 0.99), 5),
-                },
-            },
-            "killed_shard": killed_shard,
-            "parity_ok": parity_ok,
-            "post_kill_parity_ok": post_kill_parity,
-            "coalesce_hits": counters.get("coalesced", 0),
-            "failovers": counters.get("failover", 0),
-            "shards_down_seen": counters.get("shard_down", 0),
-            "drained_clean": bool(router_clean and shards_clean),
-        }
-    finally:
-        if router is not None:
-            router.close()
-        supervisor.close()
-
-
-def bench_fleet(
-    shard_counts: "list[int]",
-    clients: int = DEFAULT_CLIENTS,
-    requests: int = DEFAULT_REQUESTS,
-    workers: int = 2,
-    queue_capacity: int = 32,
-    hext: bool = False,
-    kill_mid_run: bool = True,
-) -> dict:
-    """Sweep fleet topologies; one row per shard count.
-
-    Every row is judged against the same single-daemon ground truth:
-    byte-identical wirelists, zero dropped requests, coalesce hits on
-    the duplicate burst, and a clean drain — with one shard SIGKILLed
-    mid-load whenever the topology has a spare.
-    """
-    payloads = payload_pool()
-    reference = _reference_wirelists(payloads, workers, hext)
-    burst_payload = ("burst.cif", write_cif(poly_diff_mesh(9)))
-    burst_reference = _reference_wirelists(
-        [burst_payload], workers, hext
-    )[burst_payload[0]]
-    rows = [
-        _bench_fleet_topology(
-            count,
-            reference,
-            burst_payload,
-            burst_reference,
-            clients,
-            requests,
-            workers,
-            queue_capacity,
-            hext,
-            kill_mid_run,
-        )
-        for count in shard_counts
-    ]
-    return {
-        "benchmark": "fleet topology sweep (router + N daemon shards, "
-        "duplicate bursts, mid-run shard kill)",
-        "config": {
-            "shard_counts": shard_counts,
-            "clients": clients,
-            "requests_per_client": requests,
-            "workers_per_shard": workers,
-            "queue_capacity": queue_capacity,
-            "hext": hext,
-            "kill_mid_run": kill_mid_run,
-            "payloads": [name for name, _ in payloads],
-        },
-        "rows": rows,
-    }
-
-
-def check_fleet_report(report: dict) -> "list[str]":
-    """Fleet acceptance bar; returns violations (empty = pass)."""
-    problems = []
-    for row in report["rows"]:
-        tag = f"shards={row['shards']}"
-        burst = row["burst"]
-        if burst["completed"] != burst["submitters"]:
-            problems.append(
-                f"{tag}: duplicate burst dropped "
-                f"{burst['submitters'] - burst['completed']} submitters: "
-                + "; ".join(burst["errors"][:3])
-            )
-        if not burst["identical_results"] or not burst["matches_reference"]:
-            problems.append(
-                f"{tag}: duplicate burst results diverged from the "
-                "single-daemon reference"
-            )
-        if row["coalesce_hits"] < 1:
-            problems.append(
-                f"{tag}: the duplicate burst produced no coalesce hits "
-                f"({burst['distinct_idents']} distinct fleet jobs)"
-            )
-        load = row["load"]
-        if load["completed"] != load["requests"]:
-            problems.append(
-                f"{tag}: {load['requests'] - load['completed']} of "
-                f"{load['requests']} requests dropped: "
-                + "; ".join(load["errors"][:3])
-            )
-        if not row["parity_ok"] or not row["post_kill_parity_ok"]:
-            problems.append(
-                f"{tag}: wirelists diverged from the single-daemon "
-                "reference"
-            )
-        if not row["drained_clean"]:
-            problems.append(f"{tag}: fleet did not drain cleanly")
-    return problems
-
-
 def check_report(report: dict) -> "list[str]":
     """The machine-independent acceptance bar; returns violations."""
     problems = []
@@ -544,7 +206,7 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     parser.add_argument(
         "--workers", type=int, default=DEFAULT_WORKERS,
-        help="daemon worker threads (default %(default)s)",
+        help="daemon worker processes (default %(default)s)",
     )
     parser.add_argument(
         "--queue", type=int, default=32,
@@ -555,18 +217,8 @@ def main(argv: "list[str] | None" = None) -> int:
         help="submit hierarchical jobs (exercises the warm window memo)",
     )
     parser.add_argument(
-        "--shards", type=int, nargs="+", default=None, metavar="N",
-        help="fleet mode: sweep these shard counts behind a router "
-        "instead of load-testing one daemon (writes BENCH_fleet.json)",
-    )
-    parser.add_argument(
-        "--no-kill", action="store_true",
-        help="fleet mode: skip the mid-run shard SIGKILL drill",
-    )
-    parser.add_argument(
-        "--out", default=None,
-        help="report path (default BENCH_service.json, or "
-        "BENCH_fleet.json with --shards)",
+        "--out", default="BENCH_service_load.json",
+        help="report path (default %(default)s)",
     )
     parser.add_argument(
         "--check", action="store_true",
@@ -574,10 +226,7 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.shards is not None:
-        return _fleet_main(args)
-
-    out = args.out or "BENCH_service.json"
+    out = args.out
     report = bench_service(
         clients=args.clients,
         requests=args.requests,
@@ -609,46 +258,6 @@ def main(argv: "list[str] | None" = None) -> int:
                 print(f"LOAD TEST FAILURE: {problem}", file=sys.stderr)
             return 1
         print("service load invariants hold")
-    return 0
-
-
-def _fleet_main(args: argparse.Namespace) -> int:
-    out = args.out or "BENCH_fleet.json"
-    report = bench_fleet(
-        args.shards,
-        clients=args.clients,
-        requests=args.requests,
-        workers=args.workers,
-        queue_capacity=args.queue,
-        hext=args.hext,
-        kill_mid_run=not args.no_kill,
-    )
-    Path(out).write_text(json.dumps(report, indent=2) + "\n")
-
-    for row in report["rows"]:
-        load = row["load"]
-        lat = load["latency"]
-        killed = (
-            f", killed {row['killed_shard']}" if row["killed_shard"] else ""
-        )
-        print(
-            f"shards={row['shards']}: {load['completed']}/"
-            f"{load['requests']} ok, {load['throughput_rps']:.1f} req/s, "
-            f"p95 {lat['p95_seconds'] * 1000:.1f}ms, "
-            f"coalesced {row['coalesce_hits']}, "
-            f"failovers {row['failovers']}{killed}, "
-            f"parity {'ok' if row['parity_ok'] else 'BROKEN'}, "
-            f"drain {'clean' if row['drained_clean'] else 'DIRTY'}"
-        )
-    print(f"wrote {out}")
-
-    if args.check:
-        problems = check_fleet_report(report)
-        if problems:
-            for problem in problems:
-                print(f"FLEET TEST FAILURE: {problem}", file=sys.stderr)
-            return 1
-        print("fleet invariants hold")
     return 0
 
 

@@ -1,8 +1,8 @@
 """Differential extraction harness.
 
 Independent implementations of the same contract -- flat ACE on both
-strip engines and banded, HEXT in-process and through the daemon and
-the fleet, and the raster/region-merge baselines -- fuzzed against each
+strip engines and banded, HEXT in-process and through the daemon, and
+the raster/region-merge baselines -- fuzzed against each
 other over seeded random layouts, with greedy failure shrinking, a
 persisted repro corpus, and a fault-injection self-test.
 See ``docs/DIFFTESTING.md``.

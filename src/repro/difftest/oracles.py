@@ -1,13 +1,12 @@
 """The oracle registry: every independent implementation of extraction.
 
-An *oracle* maps a layout to a circuit.  The repo has eight -- the flat
+An *oracle* maps a layout to a circuit.  The repo has seven -- the flat
 edge-based scanline (ACE), the same scanline on the vectorized numpy
 strip engine (``ace-numpy``, registered only when numpy imports, with
 byte-for-byte wirelist parity against the python engine enforced inside
 the runner), HEXT, the extraction *service* (HEXT round-tripped through
-the long-lived daemon, again with byte parity enforced), the *fleet*
-(the same round trip through the sharded multi-daemon router), banded
-out-of-core streaming (``ace-stream``, byte parity at two band heights
+the long-lived daemon and its worker processes, again with byte parity
+enforced), banded out-of-core streaming (``ace-stream``, byte parity at two band heights
 enforced), and the two historical baselines -- and the whole
 correctness argument is that they must agree on every layout, up to net
 renumbering.  Each oracle declares two capabilities the driver
@@ -153,7 +152,9 @@ def _service_client():
     Started on the first layout the ``service`` oracle sees and torn
     down atexit, so a difftest run pays one daemon start, not one per
     iteration — and every iteration after the first also exercises the
-    daemon's cross-request warm memo on a *different* layout.
+    workers' cross-request warm memos on a *different* layout.  The
+    workers are forked at that first layout, so they keep the fault
+    injection (:mod:`repro.difftest.faults`) armed at that moment.
     """
     global _SERVICE_CLIENT
     if _SERVICE_CLIENT is None:
@@ -168,22 +169,20 @@ def _service_client():
     return _SERVICE_CLIENT
 
 
-def _round_trip(
-    client, error: "type[AssertionError]", layout: Layout, tech: Technology
-) -> Circuit:
-    """Serve ``layout`` through a daemon tier, then demand byte parity.
+def _round_trip(layout: Layout, tech: Technology) -> Circuit:
+    """Serve ``layout`` through the daemon, then demand byte parity.
 
-    The tier extracts the layout hierarchically, as the in-process
+    The daemon extracts the layout hierarchically, as the in-process
     ``hext`` oracle does.  The two wirelists must agree *byte for byte*
-    — not just up to renumbering — because serving from a warm memo,
-    the result cache, or whichever shard a router picks may move time
-    but never bytes.  Any divergence raises ``error``, which the
-    difftest driver reports like any other oracle failure.
+    — not just up to renumbering — because serving from a worker's
+    warm memo or the result cache may move time but never bytes.  Any
+    divergence raises :class:`ServiceParityError`, which the difftest
+    driver reports like any other oracle failure.
     """
     local = run(layout, tech, JobOptions(name=NAME, hext=True))
     expected = local.text or ""
     deck = tech.deck
-    result = client.extract(
+    result = _service_client().extract(
         write_cif(layout),
         name=NAME,
         hext=True,
@@ -192,51 +191,11 @@ def _round_trip(
         wait_timeout=120.0,
     )
     if result["wirelist"] != expected:
-        raise error(
+        raise ServiceParityError(
             "served wirelist differs from in-process hext "
             f"({len(result['wirelist'])} vs {len(expected)} bytes)"
         )
     return local.circuit
-
-
-_FLEET_CLIENT = None
-
-
-def _fleet_client():
-    """A lazily started two-shard fleet (router + in-process daemons).
-
-    Same lifecycle economics as :func:`_service_client`: one fleet per
-    difftest process, torn down atexit.  Two shards make the consistent-
-    hash ring real — across a difftest run the fuzzed layouts spread
-    over both shards, so routing, the proxy rewrite, and the fleet job
-    table all sit in the byte-parity loop.
-    """
-    global _FLEET_CLIENT
-    if _FLEET_CLIENT is None:
-        from ..fleet import FleetRouter, RouterConfig
-        from ..service import ExtractionService, ServiceClient, ServiceConfig
-
-        shards = []
-        for index in range(2):
-            service = ExtractionService(
-                ServiceConfig(
-                    port=0, workers=2, quiet=True, shard=f"shard{index}"
-                )
-            )
-            service.start()
-            atexit.register(service.close)
-            shards.append((f"shard{index}", "127.0.0.1", service.port))
-        router = FleetRouter(
-            shards, RouterConfig(port=0, quiet=True, health_interval=5.0)
-        )
-        router.start()
-        atexit.register(router.close)
-        _FLEET_CLIENT = ServiceClient(port=router.port, timeout=120.0)
-    return _FLEET_CLIENT
-
-
-class FleetParityError(AssertionError):
-    """The fleet's wirelist bytes diverged from the in-process ones."""
 
 
 ORACLES: dict[str, Oracle] = {
@@ -262,22 +221,9 @@ ORACLES: dict[str, Oracle] = {
             "(byte-for-byte parity enforced)",
             grid_exact=True,
             sizes_exact=True,
-            runner=lambda layout, tech: _round_trip(
-                _service_client(), ServiceParityError, layout, tech
-            ),
+            runner=_round_trip,
             # The daemon protocol names decks; only builtin names can
             # cross the wire, so custom deck files are gated out here.
-            decks=("nmos", "cmos"),
-        ),
-        Oracle(
-            "fleet",
-            "hext through a two-shard fleet (router + consistent "
-            "hashing; byte-for-byte parity enforced)",
-            grid_exact=True,
-            sizes_exact=True,
-            runner=lambda layout, tech: _round_trip(
-                _fleet_client(), FleetParityError, layout, tech
-            ),
             decks=("nmos", "cmos"),
         ),
         *(

@@ -19,9 +19,9 @@ store can cost time, never correctness.
 Writes go through a temp file and ``os.replace`` so a crashed run leaves
 either the old entry or the new one, never a torn file.
 
-The store is safe to share between processes — the whole design is that
-several extraction daemons (a fleet of shards, see ``repro.fleet``) can
-read and write one directory concurrently.  Reads are lock-free: a
+The store is safe to share between processes: several extraction
+daemons can read and write one directory concurrently, as can several
+``ace-extract --cache`` runs.  Reads are lock-free: a
 reader either sees a complete old entry or a complete new one (atomic
 replace), and a file deleted out from under a reader is just a miss.
 Budgets make the shared store self-limiting: ``max_entries`` /
@@ -206,19 +206,6 @@ class JsonEnvelopeStore:
             except OSError:
                 continue  # evicted by a sibling process mid-scan
             yield path.stem, path, stat
-
-    def recent_keys(self, limit: "int | None" = None) -> "list[str]":
-        """Keys ordered most-recently-used first (mtime descending).
-
-        The warm-start path: a cold daemon primes its memory LRU from
-        the shared store's hottest entries before taking traffic.
-        """
-        ranked = sorted(
-            self.entries(), key=lambda entry: entry[2].st_mtime, reverse=True
-        )
-        if limit is not None:
-            ranked = ranked[:limit]
-        return [key for key, _, _ in ranked]
 
     def enforce_budget(self, *, keep: "str | None" = None) -> int:
         """Expire by TTL and evict LRU-first down to the budgets.

@@ -8,9 +8,9 @@ oracles and the scanline bench::
 
 A streamed run writes its wirelist during the sweep, so it has no
 separate ``wirelist`` stage.  Callers keep only what is their own: the
-CLI maps its flags to :class:`JobOptions` and prints; the daemon
-supplies cancellation (``consumers``, ``on_stage``), its warm
-hierarchical extractor (``hext``) and band progress.
+CLI maps its flags to :class:`JobOptions` and prints; the daemon's job
+body supplies stage reports (``on_stage``), its warm hierarchical
+extractor (``hext``) and band progress.
 
 Timing is one record, :class:`Trace`: the root wall, the top-level
 stages, the phases nested under each stage (the extractor's own phases
@@ -288,7 +288,6 @@ def run(
     spill_dir: "str | None" = None,
     checkpoint: "str | None" = None,
     resume: "bool | str" = False,
-    consumers: tuple = (),
     on_stage: "Callable[[str], None] | None" = None,
     hext: "Callable[[Layout], HextResult] | None" = None,
     progress: "Callable | None" = None,
@@ -302,9 +301,8 @@ def run(
         cache: hext's persistent fragment cache directory.
         spill_dir, checkpoint, resume: streaming's spill and
             checkpoint/resume controls (:func:`repro.streaming.stream_extract`).
-        consumers: extra strip consumers riding every scanline sweep.
-        on_stage: called with each stage's name as it begins; raising
-            aborts the run.
+        on_stage: called with each stage's name as it begins, on the
+            stage's clock; raising aborts the run.
         hext: the hierarchical step, ``layout -> HextResult``; defaults
             to :func:`repro.hext.hext_extract`.
         progress: streaming's per-band callback.
@@ -313,22 +311,23 @@ def run(
     trace = Trace()
     started = perf_counter()
 
-    def enter(stage: str) -> None:
-        if on_stage is not None:
-            on_stage(stage)
+    @contextmanager
+    def stage(name: str) -> Iterator[None]:
+        with trace.stage(name):
+            if on_stage is not None:
+                on_stage(name)
+            yield
 
-    enter("parse")
-    with trace.stage("parse"):
+    with stage("parse"):
         layout = parse(source) if isinstance(source, str) else source
 
-    enter("extract")
-    with trace.stage("extract"):
+    with stage("extract"):
         drc: "DrcChecker | None" = None
         if options.lint:
             from .drc import DrcChecker
 
             drc = DrcChecker(tech)
-        sweep = consumers if drc is None else (*consumers, drc)
+        sweep = () if drc is None else (drc,)
         report: Any
         text: "str | None" = None
         if options.stream:
@@ -383,8 +382,7 @@ def run(
     trace.phases["extract"] = phases
 
     if not options.stream:
-        enter("wirelist")
-        with trace.stage("wirelist"):
+        with stage("wirelist"):
             if options.hext:
                 wirelist = to_hierarchical_wirelist(report, name=options.name)
             else:
@@ -401,8 +399,7 @@ def run(
 
     lint: "CheckReport | None" = None
     if drc is not None:
-        enter("lint")
-        with trace.stage("lint"):
+        with stage("lint"):
             if options.hext:
                 # The hierarchical extractor works window by window; the
                 # DRC needs the whole-chip strip feed, so one flat pass.
@@ -410,7 +407,7 @@ def run(
                     layout,
                     tech,
                     resolution=resolution,
-                    strip_consumers=(*consumers, drc),
+                    strip_consumers=(drc,),
                     engine=engine,
                 )
             lint = attribute(drc.report(artifact=options.name), layout)

@@ -6,11 +6,12 @@ warm nothing — on each invocation.  This package hosts the extractors
 the way the ROADMAP's serve-heavy-traffic goal wants them hosted:
 
 * :mod:`repro.service.server` — the daemon: a JSON job API over
-  stdlib HTTP, a bounded admission-controlled queue, worker threads,
+  stdlib HTTP, a bounded admission-controlled queue that merges
+  identical in-flight submissions, the content-addressed result cache,
   and graceful drain on SIGTERM;
-* :mod:`repro.service.engine` — the job body, plus the state kept warm
-  across requests: the incremental extractor's window memo and the
-  content-addressed result cache;
+* :mod:`repro.service.engine` — the job body and the worker processes
+  that run it, one job at a time each, every worker keeping its own
+  warm window memo across jobs;
 * :mod:`repro.service.metrics` — the ``/metrics`` plane: counters,
   latency quantile rings, per-stage timings;
 * :mod:`repro.service.client` — a thin blocking client, used by
@@ -30,7 +31,7 @@ Quickstart::
 
 from .cache import ResultCache, payload_digest, result_cache_key
 from .client import JobFailed, ServiceClient, ServiceError
-from .engine import ExtractionEngine, JobCancelled, JobTimeout
+from .engine import JobCancelled, JobTimeout, run_job
 from .jobs import (
     Job,
     JobOptions,
@@ -46,7 +47,6 @@ from .server import DEFAULT_PORT, ExtractionService, ServiceConfig
 
 __all__ = [
     "DEFAULT_PORT",
-    "ExtractionEngine",
     "ExtractionService",
     "Job",
     "JobCancelled",
@@ -68,4 +68,5 @@ __all__ = [
     "payload_digest",
     "quantile",
     "result_cache_key",
+    "run_job",
 ]

@@ -68,14 +68,12 @@ class ResultStore(JsonEnvelopeStore):
 class ResultCache:
     """Memory-over-disk result cache with one combined stats view.
 
-    The disk half is a :class:`JsonEnvelopeStore` and may be *shared*:
-    every shard of a daemon fleet can point at the same directory
-    (atomic replace + lock-free reads make concurrent access safe), so
-    a result extracted by one shard is a disk hit on every other, and a
-    cold daemon warm-starts by :meth:`prime`-ing its memory LRU from
-    the store's most recently used entries.  ``max_entries`` /
-    ``max_bytes`` / ``ttl_seconds`` bound the shared store
-    (LRU-by-mtime eviction, age expiry) — see ``repro.parallel.cache``.
+    The disk half is a :class:`JsonEnvelopeStore`, so results survive
+    a restart: a memory miss falls through to disk.  Several daemons
+    may share one directory (atomic replace and lock-free reads make
+    concurrent access safe).  ``max_entries`` / ``max_bytes`` /
+    ``ttl_seconds`` bound the store (LRU-by-mtime eviction, age
+    expiry) — see ``repro.parallel.cache``.
     """
 
     def __init__(
@@ -103,7 +101,6 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
         self.stores = 0
-        self.primed = 0
 
     def get(self, key: str) -> "dict | None":
         with self._lock:
@@ -136,37 +133,12 @@ class ResultCache:
         while len(self._memory) > self.memory_entries:
             self._memory.popitem(last=False)
 
-    def prime(self, limit: "int | None" = None) -> int:
-        """Warm-start: load the disk store's hottest entries into memory.
-
-        Returns how many entries were primed.  A daemon joining a fleet
-        calls this before taking traffic so its first requests for the
-        fleet's working set are memory hits, not disk reads (or, on a
-        truly cold fleet, extractions).  Validation is the store's
-        usual trust-nothing read, so a corrupt entry primes nothing.
-        """
-        if self._disk is None:
-            return 0
-        limit = self.memory_entries if limit is None else limit
-        primed = 0
-        for key in self._disk.recent_keys(min(limit, self.memory_entries)):
-            payload = self._disk.get_payload(key)
-            if payload is None:
-                continue
-            with self._lock:
-                self._remember(key, payload)
-            primed += 1
-        with self._lock:
-            self.primed += primed
-        return primed
-
     def stats_snapshot(self) -> dict:
         with self._lock:
             snapshot = {
                 "hits": self.hits,
                 "misses": self.misses,
                 "stores": self.stores,
-                "primed": self.primed,
                 "memory_entries": len(self._memory),
                 "persistent": self._disk is not None,
             }

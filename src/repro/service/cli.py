@@ -50,7 +50,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         metavar="N",
-        help="extraction worker threads (default %(default)s)",
+        help="worker processes: jobs run at once, each in its own "
+        "process with its own warm window memo (default %(default)s)",
     )
     parser.add_argument(
         "--queue",
@@ -63,9 +64,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--result-cache",
         metavar="DIR",
-        help="persist results on disk here (default: memory only); "
-        "several daemons may share one directory (the fleet's shared "
-        "artifact store)",
+        help="persist results on disk here, so they survive a restart "
+        "(default: memory only); several daemons may share one directory",
     )
     parser.add_argument(
         "--cache-max-entries",
@@ -87,21 +87,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help="expire disk result entries older than this",
-    )
-    parser.add_argument(
-        "--prime-cache",
-        type=int,
-        default=0,
-        metavar="N",
-        help="warm-start: preload the N most recently used disk "
-        "results into memory before serving (default %(default)s)",
-    )
-    parser.add_argument(
-        "--shard-id",
-        default=None,
-        metavar="NAME",
-        help="fleet shard identity, echoed in /healthz and /metrics "
-        "(set by repro-fleet; default: solo daemon)",
     )
     parser.add_argument(
         "--timeout",
@@ -149,8 +134,6 @@ def serve_main(argv: "list[str] | None" = None) -> int:
             cache_max_entries=args.cache_max_entries,
             cache_max_bytes=args.cache_max_bytes,
             cache_ttl=args.cache_ttl,
-            prime_cache=args.prime_cache,
-            shard=args.shard_id,
             default_timeout=args.timeout,
             drain_grace=args.drain_grace,
             quiet=args.quiet,

@@ -1,85 +1,188 @@
-"""The extraction engine: what a worker thread actually runs.
+"""The job body, and the worker processes that run it.
 
-The engine owns everything worth keeping warm between requests — the
-state a one-shot CLI pays to rebuild on every invocation:
+A daemon job is one :func:`run_job` call: one :func:`repro.pipeline.run`
+plus the result payload.  It is a plain function of the CIF text and
+the options, so tests call it in-process.  The daemon runs it in a
+:class:`Worker`, a process forked when the daemon starts, one job at a
+time.  Each worker keeps its own warm state between jobs: one
+:class:`~repro.hext.incremental.IncrementalExtractor` per technology,
+so a hierarchical job recognizes the windows that any earlier job on
+the same worker extracted.
 
-* one :class:`~repro.hext.incremental.IncrementalExtractor` per
-  technology, so the cross-run window memo recognizes windows any
-  earlier request already extracted (two different chips sharing a
-  standard cell pay for it once);
-* the :class:`~repro.service.cache.ResultCache`, keyed by (payload
-  digest, option facet), which short-circuits repeat submissions
-  entirely.
-
-A job body is one :func:`repro.pipeline.run`; the engine supplies only
-what is the daemon's own -- cancellation, the warm hext step, band
-progress -- and folds the run's timing record into ``/metrics`` once.
-
-Cancellation is cooperative at two granularities.  Between stages
-(parse / extract / wirelist / lint) every job checks its cancel event
-and deadline.  Inside flat extraction a :class:`CancellationProbe`
-rides the scanline as a strip consumer, so even a single huge chip
-notices cancellation mid-sweep; hierarchical extraction is only
-interruptible between stages (the window memo must never absorb a
-half-extracted fragment).
+Cancellation and timeouts are immediate: the daemon kills the worker
+running the job and forks a fresh one for the next.  A worker that
+dies without the daemon killing it (SIGKILL, OOM, a segfault) is
+replaced the same way; the daemon then runs its job once more, which
+under the determinism contract yields the same bytes.
 """
 
 from __future__ import annotations
 
+import gc
+import os
+import signal
 import threading
 import time
-from typing import TYPE_CHECKING
+from collections import Counter
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable
 
-from ..core.scanline import StripConsumer
+from ..core.stripengine import load_strip_engine
 from ..diagnostics.writers import diagnostic_to_json
 from ..hext.incremental import IncrementalExtractor
-from ..pipeline import run
-from ..tech import DEFAULT_LAMBDA, Technology, technology_by_name
-from .cache import ResultCache
+from ..pipeline import JobOptions, Trace, run
+from ..tech import DEFAULT_LAMBDA, technology_by_name
 from .jobs import Job
-from .metrics import Metrics
 
 if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
+
     from ..cif import Layout
     from ..hext import HextResult
 
 
 class JobCancelled(Exception):
-    """The job's cancel event was observed."""
+    """The job was cancelled (or the daemon stopped) before it finished."""
 
 
 class JobTimeout(Exception):
     """The job's deadline passed before it finished."""
 
 
-#: How many strips the probe lets pass between checks; strip processing
-#: is microseconds, so this keeps overhead invisible while bounding the
-#: reaction latency to well under a second on any real layout.
-PROBE_STRIDE = 64
+class JobError(Exception):
+    """The job body raised; the message is the error, recorded verbatim."""
 
 
-class CancellationProbe(StripConsumer):
-    """A strip consumer that aborts the sweep for a cancelled/late job."""
+class WorkerDied(JobError):
+    """The worker process died running a job the daemon did not kill."""
 
-    def __init__(self, job: Job) -> None:
-        self.job = job
-        self._countdown = PROBE_STRIDE
 
-    def observe_strip(
-        self,
-        y_lo: int,
-        y_hi: int,
-        spans: "dict[str, list[tuple[int, int]]]",
-        channels: "list[tuple[int, int, int]]",
-    ) -> None:
-        self._countdown -= 1
-        if self._countdown > 0:
+#: Why a worker gets replaced, as counted in ``/metrics``.
+REPLACEMENT_CAUSES = ("cancelled", "timeout", "died")
+
+
+@dataclass
+class Outcome:
+    """What one job body returns to the daemon."""
+
+    result: dict  #: the payload served to clients and cached
+    trace: Trace
+    stats: Any  #: ScanStats, or HextStats for a hierarchical job
+
+
+def run_job(
+    cif: str,
+    options: JobOptions,
+    digest: str,
+    memos: "dict[str, IncrementalExtractor]",
+    *,
+    engine: str = "auto",
+    resolution: int = 50,
+    report: "Callable[..., None] | None" = None,
+) -> Outcome:
+    """The job body: extract ``cif`` under ``options``.
+
+    ``memos`` is the caller's warm state, one incremental extractor per
+    ``deck:lambda``, which a hierarchical job extends.  ``report(kind,
+    *values)`` receives progress: ``("stage", name)`` as each pipeline
+    stage begins and ``("band", band, bands)`` after each streamed band.
+    """
+    send = report or (lambda *message: None)
+    tech = technology_by_name(
+        options.deck, options.lambda_ or DEFAULT_LAMBDA
+    )
+
+    def hext(layout: "Layout") -> "HextResult":
+        # Decks with equal lambda must never share a memo.
+        key = f"{options.deck}:{tech.lambda_}"
+        extractor = memos.get(key)
+        if extractor is None:
+            extractor = memos[key] = IncrementalExtractor(
+                tech, resolution=resolution, engine=engine
+            )
+        return extractor.extract(layout)
+
+    result = run(
+        cif,
+        tech,
+        options,
+        engine=engine,
+        resolution=resolution,
+        on_stage=lambda stage: send("stage", stage),
+        hext=hext,
+        progress=lambda band, bands, stats: send("band", band, bands),
+    )
+    lint = result.lint
+    payload = {
+        "name": options.name,
+        "digest": digest,
+        "wirelist": result.text,
+        "diagnostics": (
+            [diagnostic_to_json(d) for d in lint.diagnostics]
+            if lint is not None
+            else []
+        ),
+        "lint_errors": len(lint.errors) if lint is not None else 0,
+        "warnings": result.warnings,
+        "devices": result.devices,
+        "nets": result.nets,
+    }
+    return Outcome(payload, result.trace, result.stats)
+
+
+def preload(engine: str) -> None:
+    """Import what the job body imports lazily; call before any fork.
+
+    A replacement worker is forked from a daemon that already runs
+    threads, and one of them may hold an import lock at that instant,
+    so a worker must never need one.  Clients that import this package
+    only to talk to a daemon never call this, and never pay for it.
+    """
+    from .. import drc, streaming  # noqa: F401
+
+    load_strip_engine(engine)
+
+
+def _serve(
+    conn: "Connection", body: Callable, engine: str, resolution: int
+) -> None:
+    """A worker process: run one job per request until the daemon goes."""
+    # The daemon's SIGTERM handler came with the fork; a worker dies on
+    # SIGTERM, and leaves Ctrl-C to the daemon.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # Close every inherited descriptor but this pipe and stdio: holding
+    # the listening socket or a sibling's pipe would keep both alive
+    # after the daemon dies.  Frozen objects are never collected here,
+    # so no inherited socket object can close a number reused later.
+    gc.freeze()
+    keep = conn.fileno()
+    os.closerange(3, keep)
+    os.closerange(keep + 1, os.sysconf("SC_OPEN_MAX"))
+    memos: "dict[str, IncrementalExtractor]" = {}
+    while True:
+        try:
+            cif, options, digest = conn.recv()
+        except (EOFError, OSError):
+            return  # the daemon closed the pipe, or died
+        try:
+            outcome = body(
+                cif,
+                options,
+                digest,
+                memos,
+                engine=engine,
+                resolution=resolution,
+                report=lambda *message: conn.send(message),
+            )
+            sizes = {key: len(memo) for key, memo in memos.items()}
+            message: tuple = ("done", outcome, sizes)
+        except Exception as exc:  # noqa: BLE001 - recorded verbatim
+            message = ("error", f"{type(exc).__name__}: {exc}")
+        try:
+            conn.send(message)
+        except OSError:
             return
-        self._countdown = PROBE_STRIDE
-        _raise_if_aborted(self.job)
-
-    def finish(self) -> None:
-        pass
 
 
 def _raise_if_aborted(job: Job) -> None:
@@ -89,167 +192,125 @@ def _raise_if_aborted(job: Job) -> None:
         raise JobTimeout(f"job {job.ident} exceeded its deadline")
 
 
-class ExtractionEngine:
-    """Turns jobs into result payloads, keeping hot state warm."""
+class Worker:
+    """One worker process and the daemon's end of its pipe.
+
+    One daemon thread owns the worker and calls :meth:`run`; any thread
+    may call :meth:`kill` to cancel the job it is running.
+    """
 
     def __init__(
-        self,
-        *,
-        result_cache_dir: "str | None" = None,
-        memory_cache_entries: int = 256,
-        cache_max_entries: "int | None" = None,
-        cache_max_bytes: "int | None" = None,
-        cache_ttl: "float | None" = None,
-        prime_cache: int = 0,
-        default_timeout: "float | None" = None,
-        resolution: int = 50,
-        metrics: "Metrics | None" = None,
-        engine: str = "auto",
+        self, body: Callable, *, engine: str = "auto", resolution: int = 50
     ) -> None:
-        self.metrics = metrics if metrics is not None else Metrics()
-        self.results = ResultCache(
-            result_cache_dir,
-            memory_entries=memory_cache_entries,
-            max_entries=cache_max_entries,
-            max_bytes=cache_max_bytes,
-            ttl_seconds=cache_ttl,
+        self._args = (body, engine, resolution)
+        self._lock = threading.Lock()
+        self._job: "Job | None" = None
+        #: why the process is gone, once the daemon knows it is
+        self._lost: "str | None" = None
+        self.replaced: Counter = Counter()  #: replacements by cause
+        self.memos: "dict[str, int]" = {}  #: memo sizes, last reported
+        self._fork()
+
+    def _fork(self) -> None:
+        # Forked, never spawned: a fork shares the daemon's imported
+        # modules and starts in milliseconds.  (Imported here, so that
+        # clients of this package do not load multiprocessing.)
+        import multiprocessing
+
+        context = multiprocessing.get_context("fork")
+        self._conn, child = context.Pipe()
+        self.process = context.Process(
+            target=_serve, args=(child, *self._args), daemon=True
         )
-        if prime_cache:
-            # Warm-start: a daemon joining a fleet that shares a result
-            # store serves the fleet's working set from memory at once.
-            self.metrics.count(
-                "cache_primed", self.results.prime(prime_cache)
-            )
-        self.default_timeout = default_timeout
-        self.resolution = resolution
-        # Strip-batch engine for every extraction this daemon runs —
-        # results are byte-identical across engines, so the engine name
-        # stays out of the result-cache facet on purpose.
-        self.engine = engine
-        self._state_lock = threading.Lock()
-        self._incremental: "dict[tuple[str, int], IncrementalExtractor]" = {}
-        self._memo_locks: "dict[tuple[str, int], threading.Lock]" = {}
+        self.process.start()
+        child.close()
+        self._lost = None
+        self.memos = {}
 
-    # -- warm state ------------------------------------------------------
+    def _replace(self, cause: str) -> "int | None":
+        """Reap the lost process and fork another; returns its exit code."""
+        self.process.kill()
+        self.process.join()
+        exitcode = self.process.exitcode
+        self.process.close()
+        self._conn.close()
+        self.replaced[cause] += 1
+        self._fork()
+        return exitcode
 
-    @staticmethod
-    def _tech_key(tech: Technology) -> "tuple[str, int]":
-        """Warm-state key: decks with equal lambda must never share."""
-        deck = tech.deck
-        return (deck.name if deck is not None else "nmos", tech.lambda_)
+    @property
+    def pid(self) -> "int | None":
+        return None if self._lost == "stopped" else self.process.pid
 
-    def _incremental_for(
-        self, tech: Technology
-    ) -> "tuple[IncrementalExtractor, threading.Lock]":
-        with self._state_lock:
-            key = self._tech_key(tech)
-            extractor = self._incremental.get(key)
-            if extractor is None:
-                extractor = IncrementalExtractor(
-                    tech, resolution=self.resolution, engine=self.engine
-                )
-                self._incremental[key] = extractor
-                self._memo_locks[key] = threading.Lock()
-            return extractor, self._memo_locks[key]
+    def kill(self, job: Job, cause: str) -> bool:
+        """Kill the process if it is running ``job``; True if it was."""
+        with self._lock:
+            if self._job is not job or self._lost is not None:
+                return False
+            self._lost = cause
+            self.process.kill()
+            return True
 
-    def memo_snapshot(self) -> dict:
-        """Warm-state gauges for the metrics plane."""
-        with self._state_lock:
-            return {
-                "window_memos": {
-                    f"{deck}:{lambda_}": len(extractor)
-                    for (deck, lambda_), extractor in self._incremental.items()
-                },
-            }
+    def stop(self) -> None:
+        """Kill the process for good: the daemon is shutting down."""
+        with self._lock:
+            self._lost = "stopped"
+            self.process.kill()
+        self.process.join()
 
-    def prune_memos(self) -> int:
-        """Drop memo entries unused by each technology's latest run."""
-        with self._state_lock:
-            extractors = list(self._incremental.items())
-            locks = dict(self._memo_locks)
-        removed = 0
-        for key, extractor in extractors:
-            with locks[key]:
-                removed += extractor.prune()
-        return removed
+    def run(self, job: Job, progress: "Callable[..., None]") -> Outcome:
+        """Run ``job`` in the process.
 
-    # -- the job body ----------------------------------------------------
-
-    def lookup(self, cache_key: str) -> "dict | None":
-        """Result-cache probe; feeds the hit/miss counters."""
-        cached = self.results.get(cache_key)
-        if cached is not None:
-            self.metrics.count("cache_hits")
-        else:
-            self.metrics.count("cache_misses")
-        return cached
-
-    def run_job(self, job: Job) -> dict:
-        """Execute ``job`` to a result payload and cache it.
-
-        Raises :class:`JobCancelled` / :class:`JobTimeout` when the job
-        aborts cooperatively; any other exception is an extraction
-        failure the worker records verbatim.  A streamed job reports
-        band progress two ways: the job's ``stage`` while running, and
-        the live ``streaming`` gauge in ``GET /metrics``.
+        ``progress(kind, *values)`` receives the body's reports.  Raises
+        :class:`JobCancelled` or :class:`JobTimeout` when the job was
+        killed for that reason, :class:`JobError` when the body raised,
+        and :class:`WorkerDied` when the process died on its own.  A
+        lost process is replaced before this returns or raises.
         """
-        options = job.options
-        tech = technology_by_name(
-            options.deck, options.lambda_ or DEFAULT_LAMBDA
-        )
-
-        def hext(layout: "Layout") -> "HextResult":
-            extractor, memo_lock = self._incremental_for(tech)
-            with memo_lock:
-                return extractor.extract(layout)
-
-        def observe_band(band: int, bands: int, stats: object) -> None:
-            job.stage = f"extract band {band}/{bands}"
-            self.metrics.stream_progress(job.ident, band, bands)
-
-        if options.stream:
-            self.metrics.count("stream_jobs")
+        with self._lock:
+            if self._lost == "stopped":
+                raise JobCancelled(f"job {job.ident}: the daemon stopped")
+            if self._lost is not None or not self.process.is_alive():
+                self._replace(self._lost or "died")  # lost while idle
+            self._job = job
         try:
-            result = run(
-                job.cif,
-                tech,
-                options,
-                engine=self.engine,
-                resolution=self.resolution,
-                consumers=(CancellationProbe(job),),
-                on_stage=lambda stage: self._enter_stage(job, stage),
-                hext=hext,
-                progress=observe_band,
-            )
+            _raise_if_aborted(job)
+            self._conn.send((job.cif, job.options, job.digest))
+            while True:
+                remaining = (
+                    None
+                    if job.deadline is None
+                    else max(0.0, job.deadline - time.monotonic())
+                )
+                if not self._conn.poll(remaining):
+                    self.kill(job, "timeout")
+                    continue  # the kill makes the pipe read EOF
+                kind, *values = self._conn.recv()
+                if kind == "done":
+                    outcome, self.memos = values
+                    return outcome
+                if kind == "error":
+                    raise JobError(values[0])
+                progress(kind, *values)
+        except (EOFError, OSError):
+            with self._lock:
+                cause = self._lost or "died"
+                if cause == "stopped":
+                    raise JobCancelled(
+                        f"job {job.ident}: the daemon stopped"
+                    ) from None
+                pid = self.process.pid
+                exitcode = self._replace(cause)
+            if cause == "cancelled":
+                raise JobCancelled(f"job {job.ident} cancelled") from None
+            if cause == "timeout":
+                raise JobTimeout(
+                    f"job {job.ident} exceeded its deadline"
+                ) from None
+            raise WorkerDied(
+                f"worker {pid} died (exit code {exitcode}) "
+                f"running job {job.ident}"
+            ) from None
         finally:
-            self.metrics.stream_finished(job.ident)
-        if options.hext:
-            self.metrics.fold_hext_stats(result.stats)
-        else:
-            self.metrics.fold_scan_stats(result.stats)
-        self.metrics.fold_trace(result.trace, "hext" if options.hext else "scan")
-
-        _raise_if_aborted(job)
-        lint = result.lint
-        payload = {
-            "name": options.name,
-            "digest": job.digest,
-            "wirelist": result.text,
-            "diagnostics": (
-                [diagnostic_to_json(d) for d in lint.diagnostics]
-                if lint is not None
-                else []
-            ),
-            "lint_errors": len(lint.errors) if lint is not None else 0,
-            "warnings": result.warnings,
-            "devices": result.devices,
-            "nets": result.nets,
-        }
-        self.results.put(job.cache_key, payload)
-        self.metrics.count("cache_stores")
-        job.trace = result.trace
-        return payload
-
-    def _enter_stage(self, job: Job, stage: str) -> None:
-        job.stage = stage
-        _raise_if_aborted(job)
+            with self._lock:
+                self._job = None

@@ -6,13 +6,14 @@ it, re-exported here).  Jobs move through a strict lifecycle::
 
     queued -> running -> done | failed
     queued -> cancelled            (cancel before a worker claims it)
-    running -> cancelled           (cooperative, at stage boundaries)
+    running -> cancelled           (at once: the daemon kills the worker)
 
 The queue is deliberately dumb: a bounded FIFO whose only policy is
 admission control — when full it refuses immediately with
 :class:`QueueFull` rather than blocking the submitter, and the HTTP
-layer turns that into ``429`` plus a ``Retry-After`` estimate.  All
-scheduling subtlety (cache lookups, warm memos, worker pools) lives in
+layer turns that into ``429`` plus a ``Retry-After`` estimate.  The
+store admits jobs into it, and merges a submission whose result is
+already queued or running into that job.  The worker processes live in
 :mod:`repro.service.engine`.
 """
 
@@ -190,6 +191,12 @@ class JobQueue:
                     return None
             return self._items.popleft()
 
+    def discard(self, job: Job) -> None:
+        """Drop ``job`` if it is still queued: it was cancelled."""
+        with self._lock:
+            if job in self._items:
+                self._items.remove(job)
+
     def close(self) -> None:
         """Stop admitting; wake every waiting worker."""
         with self._lock:
@@ -202,14 +209,31 @@ class JobStore:
 
     Finished jobs are retained (result included) up to ``retain``
     entries so clients can poll after completion; beyond that the oldest
-    terminal jobs are evicted and their ids answer 404.
+    terminal jobs are evicted and their ids answer 404.  Queued and
+    running jobs are also indexed by result-cache key, so an identical
+    submission joins the job already under way.
     """
 
     def __init__(self, retain: int = 256) -> None:
         self.retain = retain
         self._jobs: "dict[str, Job]" = {}
         self._finished: "deque[str]" = deque()
+        self._in_flight: "dict[str, Job]" = {}  #: cache key -> live job
         self._lock = threading.Lock()
+
+    def admit(self, job: Job, queue: JobQueue, *, retry_after: float) -> Job:
+        """Queue ``job``, unless a live job has its cache key: return that.
+
+        Raises what :meth:`JobQueue.put` raises, admitting nothing.
+        """
+        with self._lock:
+            live = self._in_flight.get(job.cache_key)
+            if live is not None:
+                return live
+            queue.put(job, retry_after=retry_after)
+            self._jobs[job.ident] = job
+            self._in_flight[job.cache_key] = job
+            return job
 
     def add(self, job: Job) -> None:
         with self._lock:
@@ -240,26 +264,14 @@ class JobStore:
         if state not in TERMINAL_STATES:
             raise ValueError(f"{state} is not terminal")
         with self._lock:
-            if job.state in TERMINAL_STATES:
-                return
-            job.state = state
-            job.result = result
-            job.error = error
-            job.error_kind = error_kind
-            job.finished_monotonic = time.monotonic()
-            job.stage = None
-            self._finished.append(job.ident)
-            while len(self._finished) > self.retain:
-                evicted = self._finished.popleft()
-                self._jobs.pop(evicted, None)
+            if job.state not in TERMINAL_STATES:
+                self._retire(job, state, result, error, error_kind)
 
     def cancel(self, ident: str) -> "Job | None":
         """Request cancellation; returns the job, or None if unknown.
 
         A queued job is cancelled outright.  A running job gets its
-        cancel event set and is cancelled by its worker at the next
-        stage boundary (cooperative — the scanline is not preempted
-        mid-strip).
+        cancel event set; the daemon then kills the worker running it.
         """
         with self._lock:
             job = self._jobs.get(ident)
@@ -267,12 +279,35 @@ class JobStore:
                 return None
             job.cancel_event.set()
             if job.state is JobState.QUEUED:
-                job.state = JobState.CANCELLED
-                job.finished_monotonic = time.monotonic()
-                job.error = "cancelled while queued"
-                job.error_kind = "cancelled"
-                self._finished.append(job.ident)
+                self._retire(
+                    job,
+                    JobState.CANCELLED,
+                    None,
+                    "cancelled while queued",
+                    "cancelled",
+                )
         return job
+
+    def _retire(
+        self,
+        job: Job,
+        state: JobState,
+        result: "dict | None",
+        error: "str | None",
+        error_kind: "str | None",
+    ) -> None:
+        """Make ``job`` terminal and evict beyond ``retain`` (lock held)."""
+        job.state = state
+        job.result = result
+        job.error = error
+        job.error_kind = error_kind
+        job.finished_monotonic = time.monotonic()
+        job.stage = None
+        if self._in_flight.get(job.cache_key) is job:
+            del self._in_flight[job.cache_key]
+        self._finished.append(job.ident)
+        while len(self._finished) > self.retain:
+            self._jobs.pop(self._finished.popleft(), None)
 
     def in_flight(self) -> int:
         with self._lock:

@@ -202,6 +202,7 @@ class Metrics:
                         "timed_out",
                         "rejected_full",
                         "rejected_draining",
+                        "coalesced",
                     )
                 },
                 "cache": {

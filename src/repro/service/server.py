@@ -1,11 +1,11 @@
-"""The extraction daemon: HTTP front end, worker pool, graceful drain.
+"""The extraction daemon: HTTP front end, worker processes, graceful drain.
 
 JSON API (see docs/SERVICE.md for the full reference)::
 
     POST   /jobs            submit {"cif": ...| "path": ..., "options": {...}}
     GET    /jobs/<id>       job status
     GET    /jobs/<id>/result  the wirelist + diagnostics payload
-    DELETE /jobs/<id>       cancel (cooperative once running)
+    DELETE /jobs/<id>       cancel (a running job's worker is killed)
     GET    /metrics         the metrics plane (one JSON document)
     GET    /healthz         liveness + drain state
 
@@ -17,9 +17,13 @@ the workers finish every queued and in-flight job (bounded by the drain
 grace period), and only then does the process exit — a result either
 appears complete or not at all, never torn.
 
-The HTTP layer is the stdlib ``ThreadingHTTPServer``; handler threads
-only touch the queue, the store, and the result cache, so a slow
-extraction can never starve status polls or metrics scrapes.
+Job bodies run in worker processes (:mod:`repro.service.engine`), one
+job at a time each; one daemon thread per worker claims jobs, waits on
+its worker, and records the outcome.  Identical submissions that arrive
+while one is queued or running share its job.  The HTTP layer is the
+stdlib ``ThreadingHTTPServer``; handler threads only touch the queue,
+the store, and the result cache, so a slow extraction can never starve
+status polls or metrics scrapes.
 """
 
 from __future__ import annotations
@@ -32,8 +36,18 @@ from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import IO, Any
 
-from .engine import ExtractionEngine, JobCancelled, JobTimeout
-from .cache import payload_digest, result_cache_key
+from .cache import ResultCache, payload_digest, result_cache_key
+from .engine import (
+    REPLACEMENT_CAUSES,
+    JobCancelled,
+    JobError,
+    JobTimeout,
+    Outcome,
+    Worker,
+    WorkerDied,
+    preload,
+    run_job,
+)
 from .jobs import (
     Job,
     JobOptions,
@@ -44,6 +58,7 @@ from .jobs import (
     QueueClosed,
     QueueFull,
 )
+from .metrics import Metrics
 
 #: Default TCP port; pass 0 to bind an ephemeral port (tests, bench).
 DEFAULT_PORT = 8731
@@ -59,15 +74,13 @@ class ServiceConfig:
 
     host: str = "127.0.0.1"
     port: int = DEFAULT_PORT
-    workers: int = 2  #: worker threads (0 = admit but never run: tests)
+    workers: int = 2  #: worker processes (0 = admit but never run: tests)
     queue_capacity: int = 64
     result_cache_dir: "str | None" = None
     memory_cache_entries: int = 256
     cache_max_entries: "int | None" = None  #: disk store entry budget
     cache_max_bytes: "int | None" = None  #: disk store byte budget
     cache_ttl: "float | None" = None  #: disk entry max age, seconds
-    prime_cache: int = 0  #: warm-start this many entries from disk
-    shard: "str | None" = None  #: fleet shard identity (None = solo)
     default_timeout: "float | None" = 300.0  #: per-job seconds
     drain_grace: float = 30.0  #: max seconds to wait for drain
     retain_jobs: int = 256
@@ -83,23 +96,21 @@ class ExtractionService:
 
     def __init__(self, config: "ServiceConfig | None" = None) -> None:
         self.config = config or ServiceConfig()
-        self.engine = ExtractionEngine(
-            result_cache_dir=self.config.result_cache_dir,
-            memory_cache_entries=self.config.memory_cache_entries,
-            cache_max_entries=self.config.cache_max_entries,
-            cache_max_bytes=self.config.cache_max_bytes,
-            cache_ttl=self.config.cache_ttl,
-            prime_cache=self.config.prime_cache,
-            default_timeout=self.config.default_timeout,
-            resolution=self.config.resolution,
-            engine=self.config.engine,
+        self.metrics = Metrics()
+        self.results = ResultCache(
+            self.config.result_cache_dir,
+            memory_entries=self.config.memory_cache_entries,
+            max_entries=self.config.cache_max_entries,
+            max_bytes=self.config.cache_max_bytes,
+            ttl_seconds=self.config.cache_ttl,
         )
-        self.metrics = self.engine.metrics
         self.queue = JobQueue(self.config.queue_capacity)
         self.store = JobStore(retain=self.config.retain_jobs)
+        #: what each worker runs; a test may swap it before :meth:`start`
+        self.job_body = run_job
         self.draining = threading.Event()
         self._drained = threading.Event()
-        self._workers: "list[threading.Thread]" = []
+        self._workers: "list[Worker]" = []
         self._log_lock = threading.Lock()
         handler = _make_handler(self)
         self._httpd = ThreadingHTTPServer(
@@ -121,15 +132,25 @@ class ExtractionService:
     # -- lifecycle -------------------------------------------------------
 
     def start(self) -> None:
-        """Start worker threads and serve HTTP in the background."""
-        for index in range(self.config.workers):
-            thread = threading.Thread(
+        """Fork the workers, then serve HTTP in the background."""
+        # Fork before this process starts any thread, with the modules
+        # the job body needs already imported: every worker shares them.
+        preload(self.config.engine)
+        self._workers = [
+            Worker(
+                self.job_body,
+                engine=self.config.engine,
+                resolution=self.config.resolution,
+            )
+            for _ in range(self.config.workers)
+        ]
+        for index, worker in enumerate(self._workers):
+            threading.Thread(
                 target=self._worker_loop,
+                args=(worker,),
                 name=f"extract-worker-{index}",
                 daemon=True,
-            )
-            thread.start()
-            self._workers.append(thread)
+            ).start()
         self._serve_thread = threading.Thread(
             target=self._httpd.serve_forever,
             name="service-http",
@@ -139,7 +160,6 @@ class ExtractionService:
         self.log(
             event="ready",
             address=self.address,
-            shard=self.config.shard,
             workers=self.config.workers,
             queue_capacity=self.config.queue_capacity,
         )
@@ -154,9 +174,9 @@ class ExtractionService:
 
         Returns True when every admitted job reached a terminal state
         within the grace period; False means the period expired with
-        work still in flight (the daemon still shuts down, and those
-        jobs never produce a partial result — their state simply stays
-        non-terminal in this process's dying memory).
+        work still in flight.  Either way the workers are then stopped,
+        so a job still running ends cancelled, never with a partial
+        result.
         """
         grace = self.config.drain_grace if grace is None else grace
         self.draining.set()
@@ -171,6 +191,8 @@ class ExtractionService:
         if self._serve_thread is not None:
             self._httpd.shutdown()
         self._httpd.server_close()
+        for worker in self._workers:
+            worker.stop()
         self.log(event="drained", clean=clean)
         self._drained.set()
         return clean
@@ -196,7 +218,8 @@ class ExtractionService:
         cache_key = result_cache_key(digest, options)
         self.metrics.count("submitted")
 
-        cached = self.engine.lookup(cache_key)
+        cached = self.results.get(cache_key)
+        self.metrics.count("cache_hits" if cached is not None else "cache_misses")
         if cached is not None:
             job = Job.new(
                 cif="",  # the payload is not retained for cached answers
@@ -222,7 +245,9 @@ class ExtractionService:
             default_timeout=self.config.default_timeout,
         )
         try:
-            self.queue.put(job, retry_after=self._retry_after())
+            admitted = self.store.admit(
+                job, self.queue, retry_after=self._retry_after()
+            )
         except QueueClosed:
             self.metrics.count("rejected_draining")
             return 503, {"error": "daemon is draining"}, {}
@@ -238,7 +263,10 @@ class ExtractionService:
                 },
                 {"Retry-After": str(max(1, round(exc.retry_after)))},
             )
-        self.store.add(job)
+        if admitted is not job:
+            # The same result is already queued or running: share it.
+            self.metrics.count("coalesced")
+            return 202, admitted.status_payload(), {}
         self.log(
             event="job",
             job=job.ident,
@@ -247,6 +275,16 @@ class ExtractionService:
             hext=options.hext,
         )
         return 202, job.status_payload(), {}
+
+    def cancel(self, ident: str) -> "Job | None":
+        """Cancel a job: drop it from the queue, or kill its worker."""
+        job = self.store.cancel(ident)
+        if job is not None:
+            self.queue.discard(job)
+            for worker in self._workers:
+                if worker.kill(job, "cancelled"):
+                    break
+        return job
 
     def _parse_submission(self, body: dict) -> "tuple[str, JobOptions]":
         if not isinstance(body, dict):
@@ -285,7 +323,7 @@ class ExtractionService:
 
     # -- the worker loop -------------------------------------------------
 
-    def _worker_loop(self) -> None:
+    def _worker_loop(self, worker: Worker) -> None:
         while True:
             job = self.queue.get(timeout=0.1)
             if job is None:
@@ -296,7 +334,7 @@ class ExtractionService:
                 continue  # cancelled while queued
             started = time.monotonic()
             try:
-                result = self.engine.run_job(job)
+                outcome = self._run(worker, job)
             except JobCancelled as exc:
                 self.store.finish(
                     job,
@@ -317,12 +355,17 @@ class ExtractionService:
                 self.store.finish(
                     job,
                     JobState.FAILED,
-                    error=f"{type(exc).__name__}: {exc}",
+                    error=(
+                        str(exc)
+                        if isinstance(exc, JobError)
+                        else f"{type(exc).__name__}: {exc}"
+                    ),
                     error_kind="error",
                 )
                 self.metrics.count("failed")
             else:
-                self.store.finish(job, JobState.DONE, result=result)
+                self._record(job, outcome)
+                self.store.finish(job, JobState.DONE, result=outcome.result)
                 self.metrics.count("completed")
                 finished = time.monotonic()
                 self.metrics.observe_completion(
@@ -335,19 +378,65 @@ class ExtractionService:
                 ms=round(1000 * (time.monotonic() - started), 1),
             )
 
+    def _run(self, worker: Worker, job: Job) -> Outcome:
+        """Run ``job`` on ``worker``, once more if the worker dies."""
+
+        def progress(kind: str, *values: Any) -> None:
+            if kind == "band":
+                band, bands = values
+                job.stage = f"extract band {band}/{bands}"
+                self.metrics.stream_progress(job.ident, band, bands)
+            else:
+                job.stage = values[0]
+
+        if job.options.stream:
+            self.metrics.count("stream_jobs")
+        try:
+            try:
+                return worker.run(job, progress)
+            except WorkerDied as exc:
+                # Same input, same bytes: a fresh worker runs it again.
+                self.log(event="worker_died", job=job.ident, error=str(exc))
+                return worker.run(job, progress)
+        finally:
+            self.metrics.stream_finished(job.ident)
+
+    def _record(self, job: Job, outcome: Outcome) -> None:
+        """Cache a finished job's result and fold its counters in."""
+        self.results.put(job.cache_key, outcome.result)
+        self.metrics.count("cache_stores")
+        job.trace = outcome.trace
+        if job.options.hext:
+            self.metrics.fold_hext_stats(outcome.stats)
+        else:
+            self.metrics.fold_scan_stats(outcome.stats)
+        self.metrics.fold_trace(
+            outcome.trace, "hext" if job.options.hext else "scan"
+        )
+
     # -- observability ---------------------------------------------------
 
     def metrics_payload(self) -> dict:
+        memos: "dict[str, int]" = {}
+        for worker in self._workers:
+            for key, size in worker.memos.items():
+                memos[key] = memos.get(key, 0) + size
         return self.metrics.snapshot(
-            shard=self.config.shard,
             queue={
                 "depth": self.queue.depth,
                 "capacity": self.queue.capacity,
                 "in_flight": self.store.in_flight(),
                 "workers": self.config.workers,
             },
-            result_cache=self.engine.results.stats_snapshot(),
-            warm=self.engine.memo_snapshot(),
+            workers={
+                "pids": [worker.pid for worker in self._workers],
+                "replaced": {
+                    cause: sum(w.replaced[cause] for w in self._workers)
+                    for cause in REPLACEMENT_CAUSES
+                },
+            },
+            result_cache=self.results.stats_snapshot(),
+            warm={"window_memos": memos},
             draining=self.draining.is_set(),
         )
 
@@ -440,7 +529,6 @@ def _make_handler(service: ExtractionService) -> type:
                     200,
                     {
                         "ok": True,
-                        "shard": service.config.shard,
                         "draining": service.draining.is_set(),
                         "uptime_seconds": round(
                             time.monotonic()
@@ -476,7 +564,7 @@ def _make_handler(service: ExtractionService) -> type:
         def do_DELETE(self) -> None:  # noqa: N802 - stdlib naming
             parts = self.path.strip("/").split("/")
             if len(parts) == 2 and parts[0] == "jobs":
-                job = service.store.cancel(parts[1])
+                job = service.cancel(parts[1])
                 if job is None:
                     self._respond(404, {"error": f"unknown job {parts[1]!r}"})
                 else:

@@ -17,8 +17,8 @@ from repro.tech import NMOS
 
 TECH = NMOS()
 
-#: The in-process oracle subset used by fast tests (the service and
-#: fleet oracles start daemons; they have their own tests).
+#: The in-process oracle subset used by fast tests (the service oracle
+#: starts a daemon; it has its own tests).
 FAST = ("ace", "hext", "raster", "polyflat")
 
 
@@ -113,7 +113,7 @@ class TestCli:
     def test_list_oracles(self, capsys):
         assert difftest_main(["--list-oracles"]) == 0
         out = capsys.readouterr().out
-        for name in FAST + ("service", "fleet", "ace-stream"):
+        for name in FAST + ("service", "ace-stream"):
             assert name in out
 
     def test_clean_run_exits_zero(self, tmp_path):

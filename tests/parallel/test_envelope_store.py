@@ -1,12 +1,11 @@
 """JsonEnvelopeStore budgets: eviction, TTL, and cross-process safety.
 
-The fleet's shared artifact store is just this class pointed at one
-directory by several daemons, so the properties under test here are
-load-bearing for the whole fleet tier: LRU eviction must spare the hot
-set, TTL must expire by age, a just-written entry must never be its
-own eviction victim, and two processes hammering one directory must
-never observe a torn read (atomic ``os.replace`` + full-envelope
-checksums).
+The daemon's disk result store is this class, and several daemons
+may point it at one directory, so the properties under test here are
+load-bearing for it: LRU eviction must spare the hot set, TTL must
+expire by age, a just-written entry must never be its own eviction
+victim, and two processes hammering one directory must never observe
+a torn read (atomic ``os.replace`` + full-envelope checksums).
 """
 
 import json
@@ -131,14 +130,6 @@ class TestTtl:
 
 
 class TestMaintenanceViews:
-    def test_recent_keys_orders_by_recency(self, tmp_path):
-        store = JsonEnvelopeStore(tmp_path)
-        for i in range(4):
-            store.put_payload(key_for(i), payload_for(i))
-            time.sleep(0.01)
-        assert store.recent_keys() == [key_for(i) for i in (3, 2, 1, 0)]
-        assert store.recent_keys(limit=2) == [key_for(3), key_for(2)]
-
     def test_entries_tolerates_concurrent_deletion(self, tmp_path):
         store = JsonEnvelopeStore(tmp_path)
         for i in range(3):

@@ -59,7 +59,6 @@ class TestMemoryLayer:
             "hits": 1,
             "misses": 1,
             "stores": 1,
-            "primed": 0,
             "memory_entries": 1,
             "persistent": False,
         }

@@ -1,17 +1,14 @@
-"""Engine behavior below the HTTP layer: cancellation, timeouts, warm state."""
-
-import time
+"""The job body in-process, and the worker process that runs it."""
 
 import pytest
 
 from repro.cif import write as write_cif
 from repro.service.cache import payload_digest, result_cache_key
 from repro.service.engine import (
-    PROBE_STRIDE,
-    CancellationProbe,
-    ExtractionEngine,
     JobCancelled,
     JobTimeout,
+    Worker,
+    run_job,
 )
 from repro.service.jobs import Job, JobOptions
 from repro.workloads import cmos_inverter, inverter, transistor_array
@@ -25,79 +22,91 @@ def _job(cif: str, **options) -> Job:
     )
 
 
-class TestCancellationProbe:
-    def test_probe_checks_every_stride(self):
-        job = _job("(C);")
-        probe = CancellationProbe(job)
-        job.cancel_event.set()
-        # The probe deliberately skips PROBE_STRIDE - 1 strips ...
-        for _ in range(PROBE_STRIDE - 1):
-            probe.observe_strip(0, 1, {}, [])
-        # ... and aborts on the stride boundary.
-        with pytest.raises(JobCancelled):
-            probe.observe_strip(0, 1, {}, [])
+def _body(cif: str, **options):
+    parsed = JobOptions.from_payload(options or None)
+    return run_job(cif, parsed, payload_digest(cif), {})
 
-    def test_probe_raises_timeout_past_deadline(self):
-        job = _job("(C);")
-        job.deadline = time.monotonic() - 1.0
-        probe = CancellationProbe(job)
-        with pytest.raises(JobTimeout):
-            for _ in range(PROBE_STRIDE):
-                probe.observe_strip(0, 1, {}, [])
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("the job reached the worker")
+
+
+@pytest.fixture()
+def worker():
+    worker = Worker(_never_called)
+    yield worker
+    worker.stop()
 
 
 class TestRunJob:
-    def test_cancelled_before_start_never_extracts(self):
-        engine = ExtractionEngine()
+    def test_cancelled_before_start_never_extracts(self, worker):
         job = _job(write_cif(inverter()))
         job.cancel_event.set()
+        pid = worker.pid
         with pytest.raises(JobCancelled):
-            engine.run_job(job)
-        assert engine.results.get(job.cache_key) is None
+            worker.run(job, lambda *report: None)
+        # Nothing was sent, so nothing was killed or replaced.
+        assert worker.pid == pid and not worker.replaced
 
-    def test_expired_deadline_fails_fast(self):
-        engine = ExtractionEngine()
+    def test_expired_deadline_fails_fast(self, worker):
         job = _job(write_cif(inverter()), timeout=0)
         with pytest.raises(JobTimeout):
-            engine.run_job(job)
+            worker.run(job, lambda *report: None)
+        assert not worker.replaced
 
     def test_result_payload_shape_and_caching(self):
-        engine = ExtractionEngine()
-        job = _job(write_cif(inverter()), name="inv.cif")
-        result = engine.run_job(job)
+        cif = write_cif(inverter())
+        outcome = _body(cif, name="inv.cif")
+        result = outcome.result
         assert result["name"] == "inv.cif"
+        assert result["digest"] == payload_digest(cif)
         assert result["wirelist"].startswith('(DefPart "inv.cif"')
         assert result["devices"] == 2
         assert result["lint_errors"] == 0
-        assert engine.results.get(job.cache_key) is result
+        # What the daemon caches and folds into /metrics comes back too.
+        assert list(outcome.trace.stages) == ["parse", "extract", "wirelist"]
+        assert outcome.stats.devices_created == 2
 
     def test_deck_option_selects_technology(self):
-        engine = ExtractionEngine()
-        job = _job(write_cif(cmos_inverter()), name="cinv.cif", deck="cmos")
-        result = engine.run_job(job)
+        result = _body(
+            write_cif(cmos_inverter()), name="cinv.cif", deck="cmos"
+        ).result
         assert result["devices"] == 2
         assert "(DefPart pEnh" in result["wirelist"]
         assert "nDep" not in result["wirelist"]
 
     def test_decks_never_share_a_cache_entry(self):
-        engine = ExtractionEngine()
         cif = write_cif(inverter())
         nmos_job = _job(cif, name="inv.cif")
         cmos_job = _job(cif, name="inv.cif", deck="cmos")
         assert nmos_job.cache_key != cmos_job.cache_key
-        engine.run_job(nmos_job)
-        assert engine.results.get(cmos_job.cache_key) is None
+        memos = {}
+        for job in (nmos_job, cmos_job):
+            run_job(cif, job.options, job.digest, memos, report=None)
+        # ... nor a warm memo, when hierarchical.
+        for deck in ("nmos", "cmos"):
+            options = JobOptions.from_payload({"hext": True, "deck": deck})
+            run_job(cif, options, nmos_job.digest, memos)
+        assert sorted(memos) == ["cmos:250", "nmos:250"]
 
     def test_hext_jobs_share_one_warm_memo(self):
-        engine = ExtractionEngine()
-        engine.run_job(_job(write_cif(transistor_array(4)), hext=True))
-        first = engine.metrics.snapshot()["hext"]["memo_hits"]
+        memos = {}
+        options = JobOptions(hext=True)
+        run_job(write_cif(transistor_array(4)), options, "d", memos)
         # A different chip reusing the same sub-blocks hits the memo
-        # entries the first request left warm.
-        engine.run_job(_job(write_cif(transistor_array(8)), hext=True))
-        second = engine.metrics.snapshot()["hext"]["memo_hits"]
-        assert second > first
-        memos = engine.memo_snapshot()["window_memos"]
-        assert sum(memos.values()) > 0
-        pruned = engine.prune_memos()
-        assert pruned >= 0  # prune is safe on a warm engine
+        # entries the first request left warm: fewer windows to extract.
+        large = write_cif(transistor_array(8))
+        cold = run_job(large, options, "d", {}).stats.flat_calls
+        warm = run_job(large, options, "d", memos).stats.flat_calls
+        assert warm < cold
+        assert len(memos["nmos:250"]) > 0
+
+    def test_body_reports_stages_and_bands(self):
+        reports = []
+        cif = write_cif(transistor_array(4))
+        options = JobOptions(stream=True, band_height=400)
+        run_job(cif, options, "d", {}, report=lambda *m: reports.append(m))
+        stages = [m[1] for m in reports if m[0] == "stage"]
+        assert stages == ["parse", "extract"]
+        bands = [m[1:] for m in reports if m[0] == "band"]
+        assert len(bands) >= 2 and bands[-1][0] == bands[-1][1]

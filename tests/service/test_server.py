@@ -1,5 +1,8 @@
 """End-to-end daemon tests over real HTTP on an ephemeral port."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.cif import parse, write as write_cif
@@ -192,6 +195,102 @@ class TestAdmissionControl:
         with pytest.raises(JobFailed) as info:
             idle_client.result(receipt["job"])
         assert info.value.payload["state"] == "cancelled"
+
+    def test_cancelled_jobs_free_their_queue_slots(self, idle_client):
+        cif = write_cif(inverter())
+        receipts = [
+            idle_client.submit(cif, name=f"fill{index}.cif")
+            for index in range(3)
+        ]
+        for receipt in receipts:
+            idle_client.cancel(receipt["job"])
+        assert idle_client.metrics()["queue"]["depth"] == 0
+        receipt = idle_client.submit(cif, name="next.cif")
+        assert receipt["state"] == "queued"
+
+    def test_cancelled_jobs_count_against_retention(self):
+        service = ExtractionService(
+            ServiceConfig(
+                port=0, workers=0, queue_capacity=3, retain_jobs=2, quiet=True
+            )
+        )
+        service.start()
+        try:
+            client = ServiceClient(port=service.port, timeout=30.0)
+            cif = write_cif(inverter())
+            jobs = [
+                client.submit(cif, name=f"job{index}.cif")["job"]
+                for index in range(3)
+            ]
+            for job in jobs:
+                client.cancel(job)
+            with pytest.raises(ServiceError) as info:
+                client.status(jobs[0])  # evicted: only 2 are retained
+            assert info.value.status == 404
+            for job in jobs[1:]:
+                assert client.status(job)["state"] == "cancelled"
+        finally:
+            service.close()
+
+
+class TestMerging:
+    def test_identical_submissions_share_one_queued_job(self, idle_client):
+        cif = write_cif(inverter())
+        barrier = threading.Barrier(6)
+        receipts = []
+
+        def submit():
+            barrier.wait(timeout=30.0)
+            receipts.append(idle_client.submit(cif, name="same.cif"))
+
+        # Six at once, switching threads as often as possible: the
+        # check for a live twin and the admission must be one step.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=submit) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(receipts) == 6
+        assert len({receipt["job"] for receipt in receipts}) == 1
+        metrics = idle_client.metrics()
+        assert metrics["queue"]["depth"] == 1
+        assert metrics["jobs"]["coalesced"] == 5
+        # Options that change the bytes never merge.
+        other = idle_client.submit(cif, name="same.cif", hext=True)
+        assert other["job"] != receipts[0]["job"]
+        # A terminal job takes no more submissions.
+        idle_client.cancel(receipts[0]["job"])
+        again = idle_client.submit(cif, name="same.cif")
+        assert again["job"] != receipts[0]["job"]
+
+    def test_merged_submissions_get_the_pipeline_bytes(self):
+        service = ExtractionService(
+            ServiceConfig(port=0, workers=1, quiet=True)
+        )
+        service.start()
+        try:
+            client = ServiceClient(port=service.port, timeout=30.0)
+            cif = write_cif(transistor_array(8))
+            receipts = [client.submit(cif, name="same.cif") for _ in range(6)]
+            # Each submission joined the one job, or came after it
+            # finished and hit the result cache.
+            extracted = {r["job"] for r in receipts if not r["cached"]}
+            assert len(extracted) == 1
+            expected = run(cif, NMOS(), JobOptions(name="same.cif")).text
+            for receipt in receipts:
+                client.wait(receipt["job"], timeout=30.0)
+                assert client.result(receipt["job"])["wirelist"] == expected
+            metrics = client.metrics()
+            hits = metrics["cache"]["hits"]
+            assert metrics["jobs"]["coalesced"] == 5 - hits
+            assert metrics["jobs"]["completed"] == 1 + hits
+        finally:
+            service.close()
 
 
 class TestObservability:

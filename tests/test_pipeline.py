@@ -9,9 +9,8 @@ from repro.cif import write
 from repro.cli import main
 from repro.core import stripengine
 from repro.pipeline import PAPER_PHASES, JobOptions, run
-from repro.service.cache import payload_digest, result_cache_key
-from repro.service.engine import ExtractionEngine
-from repro.service.jobs import Job
+from repro.service.cache import payload_digest
+from repro.service.engine import run_job
 from repro.tech import NMOS
 from repro.workloads import inverter
 from repro.workloads.violations import drc_violations
@@ -31,13 +30,13 @@ MODES = {
 
 
 @pytest.fixture(scope="module")
-def engine():
-    return ExtractionEngine()
+def memos():
+    return {}
 
 
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("chip", LAYOUTS)
-def test_cli_and_daemon_agree(chip, mode, engine, tmp_path, capsys):
+def test_cli_and_daemon_agree(chip, mode, memos, tmp_path, capsys):
     flags, options = MODES[mode]
     cif = write(LAYOUTS[chip]())
     path = tmp_path / f"{chip}.cif"
@@ -47,9 +46,7 @@ def test_cli_and_daemon_agree(chip, mode, engine, tmp_path, capsys):
     err = capsys.readouterr().err
 
     parsed = JobOptions.from_payload({"name": path.name, **options})
-    digest = payload_digest(cif)
-    job = Job.new(cif, parsed, digest, result_cache_key(digest, parsed))
-    result = engine.run_job(job)
+    result = run_job(cif, parsed, payload_digest(cif), memos).result
 
     assert target.read_text() == result["wirelist"]
     warnings = re.findall(r"^warning: (.*)$", err, re.MULTILINE)
