@@ -16,7 +16,7 @@ from typing import IO, Iterator
 from .analysis import static_check
 from .core.stripengine import ENGINE_CHOICES, EngineUnavailable
 from .pipeline import JobOptions, run
-from .tech import NMOS
+from .tech import NMOS, DeckError
 
 
 def package_version() -> str:
@@ -182,18 +182,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: "list[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.deck == "nmos":
-        tech = NMOS(args.lambda_) if args.lambda_ else NMOS()
-    else:
-        from .lint import resolve_deck
-        from .tech import DeckError, compile_deck
+    try:
+        if args.deck == "nmos":
+            tech = NMOS() if args.lambda_ is None else NMOS(args.lambda_)
+        else:
+            from .lint import resolve_deck
+            from .tech import compile_deck
 
-        try:
             tech = compile_deck(resolve_deck(args.deck, args.lambda_))
-        except (DeckError, KeyError, OSError) as exc:
-            message = exc.args[0] if exc.args else exc
-            print(f"error: --deck {args.deck}: {message}", file=sys.stderr)
-            return 2
+    except (DeckError, KeyError, OSError) as exc:
+        message = exc.args[0] if exc.args else exc
+        print(f"error: --deck {args.deck}: {message}", file=sys.stderr)
+        return 2
     if args.stream and args.hierarchical:
         print(
             "error: --stream is flat-only; it cannot be combined with "

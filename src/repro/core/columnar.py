@@ -2,23 +2,22 @@
 
 The host keeps one :class:`LayerTable` per tracked layer.  A table is a
 persistent structure-of-arrays: parallel ``array('q')`` int64 columns
-(``x1``/``x2``/``ybot``/``net``/``born``/``died``) plus a ``live`` byte
-mask, all append-only, and a pair of small python lists (``order`` --
-row ids of the *live* intervals in ascending-x1 order -- and ``keys`` --
-their x1 values, for ``bisect``).  Inserts append a row and splice one
-id into ``order``; expiries and merge consumptions flip one ``live``
-byte, stamp ``died``, and remove one id.  Nothing is ever rebuilt from
+(``x1``/``x2``/``ybot``/``net``/``born``) plus a ``live`` byte mask, all
+append-only, and a pair of small python lists (``order`` -- row ids of
+the *live* intervals in ascending-x1 order -- and ``keys`` -- their x1
+values, for ``bisect``).  Inserts append a row and splice one id into
+``order``; expiries and merge consumptions flip one ``live`` byte and
+remove one id.  ``born`` stamps the stop that allocated a row, which
+the host's vertical-adjacency rule reads to tell strip-above intervals
+from ones inserted at the current stop.  Nothing is ever rebuilt from
 python object lists, which is the point: the numpy strip engine reads a
 column zero-copy via the buffer protocol (``np.frombuffer``) and gathers
 the live subset with a single C-level ``take`` whenever the layer's
 ``version`` counter says the view went stale -- never once per strip.
 
-Row ids are stable for the lifetime of the sweep, which is what lets the
-batched strip-run path (docs/ENGINES.md) replay a whole run of stops
-from the ``born``/``died`` stamps alone.  The pure-python strip engine
-reads the same state through :meth:`LayerTable.spans`, a version-cached
-list of ``(x1, x2, net)`` tuples, so it needs no numpy and no columns
-knowledge.
+The pure-python strip engine reads the same state through
+:meth:`LayerTable.spans`, a version-cached list of ``(x1, x2, net)``
+tuples, so it needs no numpy and no columns knowledge.
 
 ``net`` holds ``-1`` for layers whose intervals carry no net id; the
 host translates to/from ``None`` at the checkpoint boundary so the
@@ -28,11 +27,6 @@ serialized schema is unchanged from the list-record host.
 from __future__ import annotations
 
 from array import array
-
-#: ``died`` stamp of a row that is still alive.  Any value greater than
-#: every reachable stop ordinal works; this one leaves int64 headroom
-#: for arithmetic on the column.
-DIED_OPEN = 1 << 62
 
 #: ``net`` stamp of a row on a layer that carries no net id.
 NO_NET = -1
@@ -47,7 +41,6 @@ class LayerTable:
         "ybot",
         "net",
         "born",
-        "died",
         "live",
         "order",
         "keys",
@@ -62,7 +55,6 @@ class LayerTable:
         self.ybot = array("q")
         self.net = array("q")
         self.born = array("q")
-        self.died = array("q")
         self.live = bytearray()
         self.order: list[int] = []
         self.keys: list[int] = []
@@ -74,10 +66,6 @@ class LayerTable:
         """Number of *live* intervals (the active-list length)."""
         return len(self.order)
 
-    def rows(self) -> int:
-        """Total rows ever allocated, dead ones included."""
-        return len(self.x1)
-
     def alloc(self, x1: int, x2: int, ybot: int, net: int, born: int) -> int:
         """Append a live row; the caller splices it into ``order``."""
         rid = len(self.x1)
@@ -86,14 +74,12 @@ class LayerTable:
         self.ybot.append(ybot)
         self.net.append(net)
         self.born.append(born)
-        self.died.append(DIED_OPEN)
         self.live.append(1)
         return rid
 
-    def kill(self, rid: int, stop: int) -> None:
-        """Retire a row (expiry or merge consumption) at ``stop``."""
+    def kill(self, rid: int) -> None:
+        """Retire a row (expiry or merge consumption)."""
         self.live[rid] = 0
-        self.died[rid] = stop
 
     def spans(self) -> list[tuple[int, int, int]]:
         """Live ``(x1, x2, net)`` tuples in x order, cached by version.

@@ -395,7 +395,6 @@ class NumpyStripEngine(StripEngine):
     """Step 2.c and the finalize folds as numpy batch passes."""
 
     name = "numpy"
-    supports_runs = True
 
     def __init__(self, host) -> None:
         super().__init__(host)
@@ -694,179 +693,6 @@ class NumpyStripEngine(StripEngine):
         if keep_geometry:
             self._pv_d_list = cond_list if cond_list is not None else []
             self._pv_c_list = ch_list if ch_list is not None else []
-
-    # ------------------------------------------------------------------
-    # batched strip runs
-    # ------------------------------------------------------------------
-
-    def process_run(
-        self,
-        stop0: int,
-        strips: "list[tuple[int, int]]",
-        diff_rows: "list[int]",
-        born_start: int,
-    ) -> None:
-        """Replay a run of deferred stops as one batch (docs/ENGINES.md).
-
-        The host's preconditions make every strip in the run independent
-        and side-effect-free: no strip binds vertically to the one above
-        it (so every conducting span and channel is *fresh*), the poly
-        view is constant across the run, the contact/buried/implant
-        tables are empty, and no label or boundary capture lands inside
-        it.  Each diffusion row's ``born``/``died`` stop stamps say
-        exactly which strips it participates in, so the whole run's
-        spans expand with one ``repeat``; channels come from one overlap
-        pass against the static poly arrays, and conducting diffusion
-        from one hole subtraction in strip-offset x space.  Fresh ids
-        batch-allocate via ``extend`` in (strip, x) order -- the exact
-        ids the stop-by-stop sweep would hand out -- and the attribute
-        chunks land in the same order-independent accumulators, so the
-        wirelist is byte-identical to immediate processing.
-        """
-        h = self.host
-        t = h._tables[h._diff]
-        n_strips = len(strips)
-        n_rows = t.rows()
-        n_prior = len(diff_rows)
-        n_cand = n_prior + (n_rows - born_start)
-        if n_cand == 0:
-            self._pv_dx1 = self._pv_dx2 = self._pv_dnet = _EMPTY
-            self._pv_cx1 = self._pv_cx2 = self._pv_cdev = _EMPTY
-            return
-        cand = np.empty(n_cand, dtype=np.int64)
-        cand[:n_prior] = diff_rows
-        cand[n_prior:] = np.arange(born_start, n_rows, dtype=np.int64)
-        # Transient frombuffer views; the fancy index copies out the
-        # candidate rows so the buffers are released immediately.
-        born = np.frombuffer(t.born, dtype=np.int64)[cand]
-        died = np.frombuffer(t.died, dtype=np.int64)[cand]
-        r_x1 = np.frombuffer(t.x1, dtype=np.int64)[cand]
-        r_x2 = np.frombuffer(t.x2, dtype=np.int64)[cand]
-        # Rows born at the flushing stop (a defer-fail flush runs after
-        # that stop's inserts) land past the run; the clip drops them.
-        lo_s = np.maximum(born - stop0, 0)
-        hi_s = np.minimum(died - stop0, n_strips)
-        counts = np.maximum(hi_s - lo_s, 0)
-        total = int(counts.sum())
-        if total == 0:
-            self._pv_dx1 = self._pv_dx2 = self._pv_dnet = _EMPTY
-            self._pv_cx1 = self._pv_cx2 = self._pv_cdev = _EMPTY
-            return
-        d_strip = _flat_targets(lo_s, counts, total)
-        d_x1 = np.repeat(r_x1, counts)
-        d_x2 = np.repeat(r_x2, counts)
-        order = np.lexsort((d_x1, d_strip))
-        d_strip = d_strip[order]
-        d_x1 = d_x1[order]
-        d_x2 = d_x2[order]
-
-        y_hi_arr = np.fromiter((s[1] for s in strips), np.int64, n_strips)
-        heights = y_hi_arr - np.fromiter(
-            (s[0] for s in strips), np.int64, n_strips
-        )
-
-        # Strip-offset x space: shifting each strip's spans by
-        # strip * stride keeps them sorted and disjoint across strips,
-        # so one subtraction / exact-endpoint search covers the run.
-        stride = int(d_x2.max()) - int(d_x1.min()) + 2
-        d_off = d_strip * stride
-        d_x1o = d_x1 + d_off
-        d_x2o = d_x2 + d_off
-
-        # Channels against the static poly view, per strip.
-        px1, px2, pnet = self._layer(h._poly)
-        ch_x1 = ch_x2 = ch_net = ch_strip = _EMPTY
-        if px1.shape[0]:
-            lo, hi = _overlap_windows(d_x1, d_x2, px1, px2)
-            d_src, p_tgt = _pair_enum(lo, hi)
-            if d_src.shape[0]:
-                ch_x1 = np.maximum(d_x1[d_src], px1[p_tgt])
-                ch_x2 = np.minimum(d_x2[d_src], px2[p_tgt])
-                ch_net = pnet[p_tgt]
-                ch_strip = d_strip[d_src]
-
-        # Conducting diffusion: diffusion minus channels, in offset space.
-        if ch_x1.shape[0]:
-            ch_x1o = ch_x1 + ch_strip * stride
-            ch_x2o = ch_x2 + ch_strip * stride
-            cond_x1o, cond_x2o, seg = _subtract_spans(
-                d_x1o, d_x2o, ch_x1o, ch_x2o
-            )
-            cond_strip = d_strip[seg]
-            cond_off = cond_strip * stride
-            cond_x1 = cond_x1o - cond_off
-            cond_x2 = cond_x2o - cond_off
-        else:
-            ch_x1o = ch_x2o = _EMPTY
-            cond_x1, cond_x2, cond_strip = d_x1, d_x2, d_strip
-            cond_x1o, cond_x2o = d_x1o, d_x2o
-
-        n_cond = cond_x1.shape[0]
-        n_ch = ch_x1.shape[0]
-
-        # All spans are fresh: batch-allocate ids in (strip, x) order.
-        if n_cond:
-            base = h._nets.extend(n_cond)
-            h.stats.nets_created += n_cond
-            cond_net = np.arange(base, base + n_cond, dtype=np.int64)
-            touched = self._touched
-            n_nets = len(h._nets)
-            if touched.shape[0] < n_nets:
-                grown = np.zeros(
-                    max(n_nets, touched.shape[0] * 2), dtype=bool
-                )
-                grown[: touched.shape[0]] = touched
-                self._touched = touched = grown
-            touched[cond_net] = True
-            self._tn_chunks.append(
-                (cond_net, y_hi_arr[cond_strip], -cond_x1)
-            )
-        else:
-            cond_net = _EMPTY
-        if n_ch:
-            base = h._devs.extend(n_ch)
-            h.stats.devices_created += n_ch
-            ch_dev = np.arange(base, base + n_ch, dtype=np.int64)
-            ch_h = heights[ch_strip]
-            self._area_chunks.append((ch_dev, (ch_x2 - ch_x1) * ch_h))
-            self._gate_chunks.append((ch_dev, ch_net))
-            self._loc_chunks.append(
-                (ch_dev, y_hi_arr[ch_strip], -ch_x1)
-            )
-        else:
-            ch_dev = _EMPTY
-            ch_h = _EMPTY
-
-        # Horizontal terminals: channels and conducting spans partition
-        # each strip's diffusion, so abutting pairs share an endpoint
-        # exactly; offsets never collide across strips, making the two
-        # exact-match searches of the strip case valid run-wide.  The
-        # vertical terminal sweeps vanish: every strip with channels has
-        # an empty strip above it (the host's independence rule).
-        if n_ch and n_cond:
-            last = n_cond - 1
-            pos = np.minimum(np.searchsorted(cond_x2o, ch_x1o), last)
-            m = cond_x2o[pos] == ch_x1o
-            if m.any():
-                self._term_chunks.append(
-                    (ch_dev[m], cond_net[pos[m]], ch_h[m])
-                )
-            pos = np.minimum(np.searchsorted(cond_x1o, ch_x2o), last)
-            m = cond_x1o[pos] == ch_x2o
-            if m.any():
-                self._term_chunks.append(
-                    (ch_dev[m], cond_net[pos[m]], ch_h[m])
-                )
-
-        # Previous-strip state after the run is the last strip's tail.
-        k = int(np.searchsorted(cond_strip, n_strips - 1))
-        self._pv_dx1 = cond_x1[k:]
-        self._pv_dx2 = cond_x2[k:]
-        self._pv_dnet = cond_net[k:] if n_cond else _EMPTY
-        k = int(np.searchsorted(ch_strip, n_strips - 1))
-        self._pv_cx1 = ch_x1[k:]
-        self._pv_cx2 = ch_x2[k:]
-        self._pv_cdev = ch_dev[k:] if n_ch else _EMPTY
 
     # ------------------------------------------------------------------
     # net / device binding

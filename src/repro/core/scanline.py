@@ -33,13 +33,8 @@ Active intervals live in per-layer *columnar* tables
 plus a live mask, updated incrementally on insert/expire.  The numpy
 strip engine gathers a layer's live rows straight from the columns
 (zero-copy buffer views) instead of re-materializing python lists every
-strip, and the stable row ids with their ``born``/``died`` stop stamps
-let the host *batch* stop handling: a run of consecutive stops that
-only expires/inserts -- no union-find side effects, no labels, no
-boundary capture, no consumers -- is deferred and handed to the engine
-as one vectorized strip run (:meth:`StripEngine.process_run`).  The
-deferral rules that keep this byte-identical to stop-by-stop processing
-are documented in docs/ENGINES.md.
+strip.  The host hands every strip to the engine as it reaches it, one
+:meth:`StripEngine.process_strip` call per strip, top to bottom.
 
 In *window mode* (HEXT's modified ACE) the engine also records every
 conducting span and channel span that touches the window boundary; those
@@ -193,34 +188,9 @@ class ScanlineEngine:
         self._y: int | None = None
         self._primed = False
 
-        #: deferred strip run: ``(y_lo, y_hi)`` per consecutive stop,
-        #: the diff rows live when the run opened, and the diff row
-        #: count at that moment (rows allocated during the run are
-        #: ``born_start..``).  Flushed through
-        #: :meth:`StripEngine.process_run` before anything that could
-        #: observe or reorder union-find state.
-        self._run_strips: list[tuple[int, int]] = []
-        self._run_stop0 = 0
-        self._run_diff_rows: list[int] = []
-        self._run_born_start = 0
-        #: diff active count of the most recent strip (processed or
-        #: deferred); a strip may join a run only when it or its
-        #: predecessor has no diffusion, so run strips never bind
-        #: vertically to one another.
-        self._last_strip_diff = 0
-
         #: the pluggable step-2.c back-end; see docs/ENGINES.md
         self.strip_engine = create_strip_engine(engine, self)
         self.engine_name = self.strip_engine.name
-        #: strip runs require a run-capable engine and none of the
-        #: per-strip side channels (geometry replay, window boundary
-        #: capture, strip consumers)
-        self._batch_ok = (
-            self.strip_engine.supports_runs
-            and not keep_geometry
-            and window is None
-            and not self.strip_consumers
-        )
 
     # ------------------------------------------------------------------
     # driver
@@ -240,9 +210,7 @@ class ScanlineEngine:
         exact in-memory sweep: band boundaries only ever *pause between
         natural stops*, never force one, so every counter in
         :class:`~repro.core.stats.ScanStats` and every strip handed to
-        the engine is identical to an unbanded run.  Any open strip run
-        is flushed before the method returns, so suspension state never
-        contains deferred strips.
+        the engine is identical to an unbanded run.
 
         Each section of a stop ends with one lap of :attr:`clock`, so
         the phases tile the sweep: whatever a section does, bookkeeping
@@ -262,12 +230,6 @@ class ScanlineEngine:
         y = self._y
 
         strip_engine = self.strip_engine
-        batch_ok = self._batch_ok
-        net_layers = self._net_layers
-        diff_order = self._tables[self._diff].order
-        contact_order = self._tables[self._contact].order
-        buried_order = self._tables[self._buried].order
-        implant_order = self._tables[self._implant].order
 
         while y is not None:
             if y_limit is not None and y <= y_limit:
@@ -280,15 +242,6 @@ class ScanlineEngine:
             lap("expire")
             new_boxes = stream.fetch(y)
             lap("fetch")
-            if self._run_strips and (
-                (self._pending and -self._pending[0][0] == y)
-                or any(layer in net_layers for layer, _ in new_boxes)
-            ):
-                # A net-layer insert or a re-entering continuation can
-                # make or union nets; the run's deferred batch allocations
-                # must land first so union-find id order matches the
-                # stop-by-stop sequence exactly.
-                self._flush_run()
             self._enter_continuations(y)
             for layer, box in new_boxes:
                 stats.boxes_in += 1
@@ -310,69 +263,21 @@ class ScanlineEngine:
             stats.observe_active(total_active)
             if total_active:
                 stats.strips += 1
-            if (
-                batch_ok
-                and not self._labels
-                and not contact_order
-                and not buried_order
-                and not implant_order
-                and (self._last_strip_diff == 0 or not diff_order)
-                and len(stream.labels()) == self._labels_taken
-            ):
-                # Defer the strip: no label can land in it, nothing on
-                # the contact/buried/implant layers, and it never binds
-                # vertically to the previous strip.  The engine replays
-                # the whole run from the diff rows' born/died stamps.
-                if not self._run_strips:
-                    self._run_stop0 = self._stop
-                    self._run_diff_rows = list(diff_order)
-                    self._run_born_start = self._tables[self._diff].rows()
-                self._run_strips.append((y_next, y))
-            else:
-                if self._run_strips:
-                    self._flush_run()
-                strip_engine.process_strip(y_next, y, stream)
-            self._last_strip_diff = len(diff_order)
+            strip_engine.process_strip(y_next, y, stream)
             lap("strip")
             y = y_next
 
-        if self._run_strips:
-            self._flush_run()
         self._y = y
         return y is not None
 
     def finish(self) -> Circuit:
         """Close the sweep: flush consumers and fold the circuit."""
         self.clock.start()
-        if self._run_strips:  # pragma: no cover - advance always flushes
-            self._flush_run()
         for consumer in self.strip_consumers:
             consumer.finish()
         circuit = self._finalize()
         self.clock.lap("finalize")
         return circuit
-
-    def _flush_run(self, phase: "str | None" = None) -> None:
-        """Hand the deferred strip run to the engine in one call.
-
-        The run is billed to ``strip`` whichever section triggered the
-        flush; a caller in the middle of another phase names it, so the
-        time before the flush is lapped to that phase first.
-        """
-        strips = self._run_strips
-        if not strips:
-            return
-        if phase is not None:
-            self.clock.lap(phase)
-        self.strip_engine.process_run(
-            self._run_stop0,
-            strips,
-            self._run_diff_rows,
-            self._run_born_start,
-        )
-        self.clock.lap("strip")
-        self._run_strips = []
-        self._run_diff_rows = []
 
     # ------------------------------------------------------------------
     # banded sweeps: liveness, retirement, checkpoint state
@@ -448,8 +353,6 @@ class ScanlineEngine:
         (``[x1, x2, ybot, net, live, born]`` with ``net`` None on
         non-net layers), so checkpoints round-trip losslessly.
         """
-        if self._run_strips:  # pragma: no cover - advance always flushes
-            self._flush_run()
         active: dict[str, list[list]] = {}
         heaps: dict[str, list[list]] = {}
         for layer in sorted(self._tables):
@@ -484,7 +387,6 @@ class ScanlineEngine:
                 layer: self._tables[layer].version
                 for layer in sorted(self._tables)
             },
-            "last_strip_diff": self._last_strip_diff,
             "pending": [list(entry) for entry in self._pending],
             "pending_seq": self._pending_seq,
             "labels_taken": self._labels_taken,
@@ -552,12 +454,11 @@ class ScanlineEngine:
             for neg_bot, seq, ref in state["heaps"][layer]:
                 if ref is None:
                     rid = t.alloc(0, 0, -neg_bot, NO_NET, 0)
-                    t.kill(rid, 0)
+                    t.kill(rid)
                 else:
                     rid = ref
                 heap.append((neg_bot, seq, rid))
             self._heaps[layer] = heap
-        self._last_strip_diff = int(state.get("last_strip_diff", -1))
         self._pending = [
             (e[0], e[1], e[2], e[3], e[4], e[5], e[6])
             for e in state["pending"]
@@ -637,14 +538,12 @@ class ScanlineEngine:
         for layer in retired:
             if retired[layer]:
                 retired[layer] = []
-        stop = self._stop
         for layer, heap in self._heaps.items():
             if not heap:
                 continue
             t = self._tables[layer]
             live = t.live
             retired_here = retired.get(layer)
-            is_poly = layer == self._poly
             while heap:
                 stats.intervals_scanned += 1
                 neg_bot, _, rid = heap[0]
@@ -655,12 +554,8 @@ class ScanlineEngine:
                 if not live[rid]:
                     stats.lazy_discards += 1
                     continue
-                if is_poly and self._run_strips:
-                    # Deferred strips all lie above this expiry, so the
-                    # run must replay against the pre-expiry poly view.
-                    self._flush_run("expire")
                 stats.expired += 1
-                t.kill(rid, stop)
+                t.kill(rid)
                 # Live intervals are disjoint, so x1 is unique: bisect
                 # lands exactly on the retiring interval.
                 i = bisect_left(t.keys, t.x1[rid])
@@ -791,7 +686,7 @@ class ScanlineEngine:
         stop = self._stop
         retired = self._prev_retired.get(layer) if carries_net else None
         for rid in pieces:
-            t.kill(rid, stop)
+            t.kill(rid)
             if retired is not None and t.born[rid] < stop:
                 # A consumed strip-above interval stays visible to later
                 # same-stop vertical-adjacency checks.

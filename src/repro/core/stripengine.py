@@ -4,7 +4,10 @@
 -- active lists, bottom-edge heaps, merge/split bookkeeping -- and
 delegates the per-strip *value* computation (channels, conducting
 diffusion, terminals, contact unions, device records) plus the finalize
-folds to a :class:`StripEngine`.  Two implementations exist:
+folds to a :class:`StripEngine`.  The host hands the engine every strip
+through one call, :meth:`StripEngine.process_strip`, once per strip and
+top to bottom, on every engine and in every mode.  Two implementations
+exist:
 
 ``python``
     The always-available reference engine
@@ -111,11 +114,6 @@ class StripEngine:
     #: concrete engine name ("python" / "numpy")
     name = "abstract"
 
-    #: True when the engine implements :meth:`process_run`, letting the
-    #: host defer side-effect-free stops and hand them over as one
-    #: vectorized strip run (docs/ENGINES.md).
-    supports_runs = False
-
     def __init__(self, host: "ScanlineEngine") -> None:
         self.host = host
 
@@ -123,30 +121,6 @@ class StripEngine:
         self, y_lo: int, y_hi: int, stream: "GeometryStream"
     ) -> None:
         """Step 2.c for the strip ``[y_lo, y_hi)``."""
-        raise NotImplementedError
-
-    def process_run(
-        self,
-        stop0: int,
-        strips: "list[tuple[int, int]]",
-        diff_rows: "list[int]",
-        born_start: int,
-    ) -> None:
-        """Step 2.c for a *run* of deferred consecutive stops.
-
-        ``strips`` holds one ``(y_lo, y_hi)`` band per stop, top to
-        bottom, for stop ordinals ``stop0 .. stop0 + len(strips) - 1``.
-        ``diff_rows`` are the diffusion-layer row ids live when the run
-        opened and ``born_start`` the diffusion row count at that
-        moment; together with the columnar ``born``/``died`` stop
-        stamps they reconstruct every strip's diffusion view.  The host
-        guarantees: no strip in the run binds vertically to its
-        predecessor, the contact/buried/implant tables were empty for
-        every strip, the poly table is unchanged since the run opened,
-        no label lands in any strip, and no union-find call was issued
-        since the run opened.  Only engines with ``supports_runs`` set
-        receive this call.
-        """
         raise NotImplementedError
 
     def touch_net(self, net: int, xmin: int, ymax: int) -> None:

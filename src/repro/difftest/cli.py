@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from ..cli import add_version_argument
-from ..tech import NMOS
+from ..tech import NMOS, DeckError
 from .driver import run_difftest
 from .faults import KNOWN_FAULTS
 from .oracles import DEFAULT_ORACLES, ORACLES
@@ -102,21 +102,21 @@ def main(argv: "list[str] | None" = None) -> int:
         if args.oracles
         else DEFAULT_ORACLES
     )
-    if args.deck == "nmos":
-        tech = NMOS(args.lambda_) if args.lambda_ else NMOS()
-    else:
-        from ..lint import resolve_deck
-        from ..tech import DeckError, compile_deck
+    try:
+        if args.deck == "nmos":
+            tech = NMOS() if args.lambda_ is None else NMOS(args.lambda_)
+        else:
+            from ..lint import resolve_deck
+            from ..tech import compile_deck
 
-        try:
             tech = compile_deck(resolve_deck(args.deck, args.lambda_))
-        except (DeckError, KeyError, OSError) as exc:
-            message = exc.args[0] if exc.args else exc
-            print(
-                f"repro-difftest: --deck {args.deck}: {message}",
-                file=sys.stderr,
-            )
-            return 2
+    except (DeckError, KeyError, OSError) as exc:
+        message = exc.args[0] if exc.args else exc
+        print(
+            f"repro-difftest: --deck {args.deck}: {message}",
+            file=sys.stderr,
+        )
+        return 2
 
     def progress(line: str) -> None:
         if not args.quiet:

@@ -171,7 +171,9 @@ def resolve_deck(spec: str, lambda_: "int | None" = None) -> TechnologyDeck:
     )
     if looks_like_path:
         return load_deck_file(spec)
-    return deck_by_name(spec, lambda_ or DEFAULT_LAMBDA)
+    return deck_by_name(
+        spec, DEFAULT_LAMBDA if lambda_ is None else lambda_
+    )
 
 
 def all_rule_help(tech: "Technology | None" = None) -> dict[str, str]:
@@ -299,7 +301,7 @@ def lint_file(
 ) -> CheckReport:
     """Lint one CIF file (see :func:`lint_layout`)."""
     if tech is None:
-        tech = NMOS(lambda_) if lambda_ else NMOS()
+        tech = NMOS() if lambda_ is None else NMOS(lambda_)
     return lint_layout(
         parse_file(path),
         tech=tech,

@@ -135,6 +135,9 @@ class JobOptions:
             raise OptionsError(
                 "options 'stream' and 'hext' are mutually exclusive"
             )
+        lambda_ = _int("lambda")
+        if lambda_ is not None and lambda_ < 1:
+            raise OptionsError("option 'lambda' must be >= 1")
         band_height = _int("band_height")
         if band_height is not None and band_height < 1:
             raise OptionsError("option 'band_height' must be >= 1")
@@ -142,7 +145,7 @@ class JobOptions:
             raise OptionsError("option 'band_height' requires 'stream'")
         return cls(
             name=name,
-            lambda_=_int("lambda"),
+            lambda_=lambda_,
             deck=deck,
             hext=hext,
             lint=_flag("lint"),

@@ -89,7 +89,8 @@ def run_job(
     """
     send = report or (lambda *message: None)
     tech = technology_by_name(
-        options.deck, options.lambda_ or DEFAULT_LAMBDA
+        options.deck,
+        DEFAULT_LAMBDA if options.lambda_ is None else options.lambda_,
     )
 
     def hext(layout: "Layout") -> "HextResult":

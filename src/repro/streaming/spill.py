@@ -67,8 +67,11 @@ class SpillStore(JsonEnvelopeStore):
     format_version = 2
     payload_field = "band"
 
-    #: decoded band payloads kept during emission
-    reader_cache_size = 8
+    #: decoded band payloads kept during emission.  Emission reads the
+    #: bands roughly top-down, once for device rows and once for net
+    #: payloads, so more slots save almost no decodes and keep more of
+    #: the chip resident.
+    reader_cache_size = 2
 
     def __init__(self, root, run_key: str, devices: RetiredDevices) -> None:
         super().__init__(root)

@@ -208,6 +208,7 @@ class TechnologyDeck:
 #: Stable ids of the deck-validation rules, with their help text --
 #: surfaced by ``repro-lint --list-rules`` and as SARIF rule metadata.
 DECK_RULE_HELP: dict[str, str] = {
+    "deck.bad-lambda": "lambda is below 1 centimicron",
     "deck.duplicate-layer": "two layer declarations share one CIF name",
     "deck.unknown-layer": "a rule references an undeclared layer",
     "deck.nonconducting-device": (
@@ -264,6 +265,14 @@ def validate_deck(deck: TechnologyDeck) -> "Any":
     def flag(rule: str, message: str, layer: "str | None" = None) -> None:
         findings.append(
             Diagnostic(Severity.ERROR, rule, message, tool="deck", layer=layer)
+        )
+
+    # Every rule dimension is a multiple of lambda: below 1 the width
+    # and spacing minima vanish or go negative and never fire.
+    if deck.lambda_ < 1:
+        flag(
+            "deck.bad-lambda",
+            f"lambda must be at least 1 centimicron, not {deck.lambda_!r}",
         )
 
     declared: dict[str, LayerSpec] = {}

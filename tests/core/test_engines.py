@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cif import parse
+from repro.cif import Layout, parse
 from repro.core import extract, extract_report
 from repro.core.scanline import ScanlineEngine
 from repro.core.stripengine import (
@@ -19,8 +19,9 @@ from repro.core.stripengine import (
     numpy_available,
     resolve_engine,
 )
+from repro.difftest.generator import generate_layout, iteration_seed
 from repro.frontend.stream import GeometryStream
-from repro.geometry import Box
+from repro.geometry import Box, Transform
 from repro.hext import hext_extract
 from repro.hext.wirelist import to_hierarchical_wirelist
 from repro.tech import NMOS
@@ -35,6 +36,34 @@ TECH = NMOS()
 requires_numpy = pytest.mark.skipif(
     not numpy_available(), reason="numpy strip engine not importable"
 )
+
+#: Every strip engine importable in this interpreter.
+ENGINES = ["python"] + (["numpy"] if numpy_available() else [])
+
+
+def turned_mesh(n: int) -> Layout:
+    """``poly_diff_mesh(n)`` placed through a call turned 90 degrees.
+
+    Diffusion runs horizontally under vertical poly, with no contacts:
+    every strip either holds no diffusion or follows one that holds
+    none, so no strip binds to the one above it.
+    """
+    layout = Layout()
+    layout.define(1).boxes.extend(poly_diff_mesh(n).top.boxes)
+    layout.top.add_call(1, Transform.rotation(0, 1))
+    return layout
+
+
+def box_edges(layout: Layout) -> list[int]:
+    """Every distinct box top and bottom, descending: the sweep's stops."""
+    stream = GeometryStream(layout)
+    edges: set[int] = set()
+    y = stream.next_top()
+    while y is not None:
+        for _, box in stream.fetch(y):
+            edges.update((box.ymin, box.ymax))
+        y = stream.next_top()
+    return sorted(edges, reverse=True)
 
 
 class TestResolveEngine:
@@ -96,20 +125,22 @@ class TestCrossEngineParity:
         assert texts[0] == texts[1]
 
     def test_mesh_parity_with_stats(self):
-        layout = poly_diff_mesh(12)
-        reports = {
-            eng: extract_report(layout, TECH, engine=eng)
-            for eng in ("python", "numpy")
-        }
-        texts = {
-            eng: write_wirelist(to_wirelist(rep.circuit, name="mesh"))
-            for eng, rep in reports.items()
-        }
-        assert texts["python"] == texts["numpy"]
-        # The host owns the event machinery, so ScanStats must match
-        # field for field -- any drift means an engine skipped or
-        # repeated strip work.
-        assert vars(reports["python"].stats) == vars(reports["numpy"].stats)
+        for layout in (poly_diff_mesh(12), turned_mesh(12)):
+            reports = {
+                eng: extract_report(layout, TECH, engine=eng)
+                for eng in ("python", "numpy")
+            }
+            texts = {
+                eng: write_wirelist(to_wirelist(rep.circuit, name="mesh"))
+                for eng, rep in reports.items()
+            }
+            assert texts["python"] == texts["numpy"]
+            # The host owns the event machinery, so ScanStats must match
+            # field for field -- any drift means an engine skipped or
+            # repeated strip work.
+            assert vars(reports["python"].stats) == vars(
+                reports["numpy"].stats
+            )
 
     def test_window_extraction_parity(self):
         # Boundary/partial-device paths (the rowwise build) agree too.
@@ -128,10 +159,11 @@ class TestCrossEngineParity:
         "layout, window",
         [
             (poly_diff_mesh(6), None),
+            (turned_mesh(6), None),
             (nand2(), None),
             (inverter(), Box(0, 0, 10, 14)),
         ],
-        ids=["mesh", "nand2", "window"],
+        ids=["mesh", "turned-mesh", "nand2", "window"],
     )
     def test_finalize_columns_agree(self, layout, window):
         # The column contract itself, not just the text it renders to:
@@ -158,6 +190,25 @@ class TestCrossEngineParity:
             fast_nets.x, fast_nets.y, fast_nets.names
         )
         assert cols[0].boundary == cols[1].boundary
+
+    def test_kept_geometry_parity_on_fuzzed_layouts(self):
+        # With artwork kept, numpy binds nets and devices by python
+        # replay; fuzzed layouts reach corners the goldens do not.
+        for index in range(50):
+            case = generate_layout(iteration_seed(1983, index))
+            texts = [
+                write_wirelist(
+                    to_wirelist(
+                        extract(
+                            case.layout, TECH, keep_geometry=True, engine=eng
+                        ),
+                        name="case",
+                        tech=TECH,
+                    )
+                )
+                for eng in ("python", "numpy")
+            ]
+            assert texts[0] == texts[1], f"seed {case.seed}"
 
     def test_hext_parity(self):
         layout = nand2()
@@ -194,3 +245,29 @@ class TestCrossEngineParity:
         assert write_wirelist(
             to_wirelist(circuits["python"], name="l")
         ) == write_wirelist(to_wirelist(circuits["numpy"], name="l"))
+
+
+class TestOneStripPath:
+    """The host hands every strip to ``process_strip`` and nothing else."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize(
+        "layout",
+        [turned_mesh(6), poly_diff_mesh(6), inverter(), nand2()],
+        ids=["turned-mesh", "mesh", "inverter", "nand2"],
+    )
+    def test_every_strip_once_top_to_bottom(self, layout, engine):
+        scan = ScanlineEngine(TECH, engine=engine)
+        strip_engine = scan.strip_engine
+        process_strip = strip_engine.process_strip
+        seen: list[tuple[int, int]] = []
+
+        def record(y_lo, y_hi, stream):
+            seen.append((y_lo, y_hi))
+            process_strip(y_lo, y_hi, stream)
+
+        strip_engine.process_strip = record
+        scan.run(GeometryStream(layout))
+        stops = box_edges(layout)
+        assert scan.stats.stops == len(stops)
+        assert seen == list(zip(stops[1:], stops[:-1]))

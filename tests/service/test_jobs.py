@@ -55,6 +55,7 @@ class TestJobOptions:
         [
             {"hext": "yes"},
             {"lambda": -1},
+            {"lambda": 0},
             {"lambda": 2.5},
             {"lambda": True},
             {"lambda": "250"},

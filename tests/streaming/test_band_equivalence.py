@@ -12,17 +12,22 @@ from __future__ import annotations
 import pytest
 
 from repro.difftest.generator import generate_layout, iteration_seed
+from tests.core.test_engines import turned_mesh
 from tests.golden.cases import GOLDEN_CASES
 
 from .harness import ENGINES, assert_band_equivalent, band_plans
 
 SMOKE_SEED = 20260808
 
+#: The goldens, plus the turned mesh, whose strips never bind to the
+#: strip above.
+CASES = {**GOLDEN_CASES, "turned_mesh": lambda: turned_mesh(8)}
+
 
 @pytest.mark.parametrize("engine", ENGINES)
-@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+@pytest.mark.parametrize("case", sorted(CASES))
 def test_goldens_stream_byte_identical(case, engine):
-    layout = GOLDEN_CASES[case]()
+    layout = CASES[case]()
     assert_band_equivalent(layout, engine=engine, label=case)
 
 

@@ -27,11 +27,12 @@ import tracemalloc
 import pytest
 
 from repro.core import extract
+from repro.core.stripengine import resolve_engine
 from repro.streaming import stream_extract
 from repro.wirelist import to_wirelist, write_wirelist
 from repro.workloads import inverter_rows
 
-from .harness import TECH, chip_height
+from .harness import ENGINES, TECH, chip_height
 
 #: One absolute band height for every chip in this module, sized from
 #: the smallest chip: O(band) predicts near-constant streamed peaks as
@@ -50,15 +51,17 @@ def alloc_peak(fn) -> int:
     return peak
 
 
-def in_memory_peak(layout) -> int:
+def in_memory_peak(layout, engine: str = "auto") -> int:
     def run():
-        circuit = extract(layout, TECH, keep_geometry=True)
+        circuit = extract(layout, TECH, keep_geometry=True, engine=engine)
         write_wirelist(to_wirelist(circuit, name="case"))
 
     return alloc_peak(run)
 
 
-def streamed_peak(layout, band_height: int = BAND_HEIGHT) -> int:
+def streamed_peak(
+    layout, band_height: int = BAND_HEIGHT, engine: str = "auto"
+) -> int:
     def run():
         with open(os.devnull, "w") as out:
             stream_extract(
@@ -68,6 +71,7 @@ def streamed_peak(layout, band_height: int = BAND_HEIGHT) -> int:
                 band_height=band_height,
                 keep_geometry=True,
                 out=out,
+                engine=engine,
             )
 
     return alloc_peak(run)
@@ -81,14 +85,24 @@ def warmup():
 
 
 def test_streamed_peak_is_fraction_of_in_memory():
+    """The module's fine bands, and 16 bands on every engine.
+
+    At 16 bands one band holds a sixteenth of the chip, so emission's
+    decoded-band cache, not the sweep, sets the streamed peak.
+    """
     layout = inverter_rows(48, 6)
-    full = in_memory_peak(layout)
-    banded = streamed_peak(layout)
-    assert banded < full / 3, (
-        f"streamed peak {banded / 1e6:.2f}MB is not well under the "
-        f"in-memory peak {full / 1e6:.2f}MB -- retirement is not "
-        "evicting state"
-    )
+    full = {eng: in_memory_peak(layout, eng) for eng in ENGINES}
+    sixteen = max(1, chip_height(layout) // 16)
+    inputs = [(resolve_engine("auto"), BAND_HEIGHT)]
+    inputs += [(eng, sixteen) for eng in ENGINES]
+    for engine, band_height in inputs:
+        banded = streamed_peak(layout, band_height, engine)
+        assert banded < full[engine] / 3, (
+            f"{engine} at band height {band_height}: streamed peak "
+            f"{banded / 1e6:.2f}MB is not well under the in-memory peak "
+            f"{full[engine] / 1e6:.2f}MB -- retirement is not evicting "
+            "state"
+        )
 
 
 def test_streamed_peak_tracks_band_not_chip():

@@ -207,6 +207,18 @@ class TestValidationRules:
         )
         assert "deck.bad-erc" in rules_of(deck)
 
+    @pytest.mark.parametrize("lambda_", [0, -250])
+    def test_bad_lambda(self, lambda_):
+        # Width and spacing minima scale with lambda, so below 1 they
+        # vanish and the DRC stops reporting those errors.
+        deck = nmos_deck(lambda_)
+        assert rules_of(deck) == {"deck.bad-lambda"}
+        with pytest.raises(DeckError):
+            compile_deck(deck)
+
+    def test_lambda_one_is_valid(self):
+        assert rules_of(nmos_deck(1)) == set()
+
     def test_every_rule_id_is_documented(self):
         """No validator finding may carry an id outside the catalog."""
         planted = [

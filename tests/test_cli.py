@@ -57,6 +57,16 @@ class TestFlat:
     def test_check_clean(self, inverter_cif, capsys):
         assert main([inverter_cif, "--check"]) == 0
 
+    @pytest.mark.parametrize("deck", ["nmos", "cmos"])
+    @pytest.mark.parametrize("lambda_", ["-5", "0"])
+    def test_lambda_below_one_is_rejected(
+        self, inverter_cif, deck, lambda_, capsys
+    ):
+        assert main([inverter_cif, "--deck", deck, "--lambda", lambda_]) == 2
+        captured = capsys.readouterr()
+        assert "lambda must be at least 1" in captured.err
+        assert captured.out == ""
+
     def test_profile_breakdown_to_stderr(self, inverter_cif, capsys):
         assert main([inverter_cif, "--profile"]) == 0
         captured = capsys.readouterr()
@@ -275,6 +285,16 @@ class TestReproLint:
 
     def test_no_input_files_is_internal_error(self, capsys):
         assert lint_main([]) == INTERNAL_ERROR_EXIT
+
+    @pytest.mark.parametrize("lambda_", ["-250", "0"])
+    def test_lambda_below_one_is_internal_error(
+        self, violations_cif, lambda_, capsys
+    ):
+        # Below 1 the width and spacing minima vanish: linting on would
+        # report only some of the errors.
+        code = lint_main([violations_cif, "--no-erc", "--lambda", lambda_])
+        assert code == INTERNAL_ERROR_EXIT
+        assert "lambda must be at least 1" in capsys.readouterr().err
 
 
 class TestDeckSelection:
