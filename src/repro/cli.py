@@ -93,9 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--resume",
         action="store_true",
-        help="resume the streamed sweep recorded at --checkpoint if the "
-        "checkpoint exists (same layout and options required); starts "
-        "fresh otherwise",
+        help="finish the streamed sweep recorded at --checkpoint if the "
+        "checkpoint exists, replaying its committed bands in memory "
+        "(same layout and options required); starts fresh otherwise",
     )
     parser.add_argument(
         "--lambda",
@@ -205,6 +205,13 @@ def main(argv: "list[str] | None" = None) -> int:
         print(
             "error: --check needs the in-memory circuit; run it without "
             "--stream",
+            file=sys.stderr,
+        )
+        return 2
+    if args.stream and args.resume and args.checkpoint is None:
+        print(
+            "error: --resume continues the sweep recorded at --checkpoint; "
+            "give the checkpoint path",
             file=sys.stderr,
         )
         return 2

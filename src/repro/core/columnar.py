@@ -19,9 +19,8 @@ The pure-python strip engine reads the same state through
 :meth:`LayerTable.spans`, a version-cached list of ``(x1, x2, net)``
 tuples, so it needs no numpy and no columns knowledge.
 
-``net`` holds ``-1`` for layers whose intervals carry no net id; the
-host translates to/from ``None`` at the checkpoint boundary so the
-serialized schema is unchanged from the list-record host.
+``net`` holds ``-1`` (:data:`NO_NET`) for layers whose intervals carry
+no net id.
 """
 
 from __future__ import annotations
@@ -94,6 +93,3 @@ class LayerTable:
             self._spans_version = self.version
         return self._spans
 
-    def clear(self) -> None:
-        """Drop every row (checkpoint restore starts from empty)."""
-        self.__init__()

@@ -1151,87 +1151,6 @@ class NumpyStripEngine(StripEngine):
     def retired_devices(self) -> "ColumnDevices":
         return ColumnDevices()
 
-    def snapshot_state(self) -> dict:
-        def rows(*cols) -> list[list[int]]:
-            return np.column_stack(cols).tolist() if cols[0].shape[0] else []
-
-        def chunk_rows(chunks) -> list[list[int]]:
-            return [
-                row
-                for chunk in chunks
-                for row in np.column_stack(chunk).tolist()
-            ]
-
-        return {
-            "pv_diff": rows(self._pv_dx1, self._pv_dx2, self._pv_dnet),
-            "pv_channels": rows(self._pv_cx1, self._pv_cx2, self._pv_cdev),
-            "pv_d_list": [list(e) for e in self._pv_d_list],
-            "pv_c_list": [list(e) for e in self._pv_c_list],
-            "tn_scalar": [list(e) for e in self._tn_scalar],
-            "tn_chunks": chunk_rows(self._tn_chunks),
-            "touched": np.nonzero(self._touched)[0].tolist(),
-            "touched_size": int(self._touched.shape[0]),
-            "area": chunk_rows(self._area_chunks),
-            "gates": chunk_rows(self._gate_chunks),
-            "loc": chunk_rows(self._loc_chunks),
-            "impl": [
-                v
-                for chunk in self._impl_chunks
-                for v in chunk.tolist()
-            ],
-            "terms": chunk_rows(self._term_chunks),
-            "dev_geo": [
-                [key, [[b.xmin, b.ymin, b.xmax, b.ymax] for b in boxes]]
-                for key, boxes in self._dev_geo.items()
-            ],
-        }
-
-    def restore_state(self, state: dict) -> None:
-        # The layer view cache is keyed by table version counters, which
-        # restart after a restore -- stale entries could alias.
-        self._cache.clear()
-
-        def cols(rows, n: int):
-            if not rows:
-                return tuple(_EMPTY for _ in range(n))
-            arr = np.array(rows, dtype=np.int64)
-            return tuple(arr[:, i] for i in range(n))
-
-        self._pv_dx1, self._pv_dx2, self._pv_dnet = cols(state["pv_diff"], 3)
-        self._pv_cx1, self._pv_cx2, self._pv_cdev = cols(
-            state["pv_channels"], 3
-        )
-        self._pv_d_list = [(a, b, c) for a, b, c in state["pv_d_list"]]
-        self._pv_c_list = [(a, b, c) for a, b, c in state["pv_c_list"]]
-        self._tn_scalar = [(a, b, c) for a, b, c in state["tn_scalar"]]
-        self._tn_chunks = (
-            [cols(state["tn_chunks"], 3)] if state["tn_chunks"] else []
-        )
-        touched = np.zeros(int(state["touched_size"]), dtype=bool)
-        if state["touched"]:
-            touched[np.array(state["touched"], dtype=np.int64)] = True
-        self._touched = touched
-        self._area_chunks = (
-            [cols(state["area"], 2)] if state["area"] else []
-        )
-        self._gate_chunks = (
-            [cols(state["gates"], 2)] if state["gates"] else []
-        )
-        self._loc_chunks = [cols(state["loc"], 3)] if state["loc"] else []
-        self._impl_chunks = (
-            [np.array(state["impl"], dtype=np.int64)]
-            if state["impl"]
-            else []
-        )
-        self._term_chunks = (
-            [cols(state["terms"], 3)] if state["terms"] else []
-        )
-        self._dev_geo = {
-            int(key): [Box(x1, y1, x2, y2) for x1, y1, x2, y2 in boxes]
-            for key, boxes in state["dev_geo"]
-        }
-
-
 def _gather(
     cols: "dict[str, np.ndarray]", ptr_name: str, rows: "np.ndarray",
     at: "np.ndarray",

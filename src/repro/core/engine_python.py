@@ -372,63 +372,6 @@ class PythonStripEngine(StripEngine):
     def retired_devices(self) -> "RecordDevices":
         return RecordDevices()
 
-    def snapshot_state(self) -> dict:
-        return {
-            "prev_diff": [list(entry) for entry in self._prev_diff],
-            "prev_channels": [list(entry) for entry in self._prev_channels],
-            "net_loc": [
-                [ident, loc[0], loc[1]]
-                for ident, loc in self._net_loc.items()
-            ],
-            "dev": [
-                [
-                    ident,
-                    {
-                        "area": rec["area"],
-                        "gates": sorted(rec["gates"]),
-                        "terms": [
-                            [net, length]
-                            for net, length in rec["terms"].items()
-                        ],
-                        "geo": [
-                            [b.xmin, b.ymin, b.xmax, b.ymax]
-                            for b in rec["geo"]
-                        ],
-                        "loc": list(rec["loc"]) if rec["loc"] else None,
-                        "impl": rec["impl"],
-                    },
-                ]
-                for ident, rec in self._dev.items()
-            ],
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self._prev_diff = [
-            (x1, x2, net) for x1, x2, net in state["prev_diff"]
-        ]
-        self._prev_channels = [
-            (x1, x2, dev) for x1, x2, dev in state["prev_channels"]
-        ]
-        self._net_loc = {
-            int(ident): (y, nx) for ident, y, nx in state["net_loc"]
-        }
-        self._dev = {
-            int(ident): {
-                "area": int(rec["area"]),
-                "gates": set(rec["gates"]),
-                "terms": {
-                    int(net): int(length) for net, length in rec["terms"]
-                },
-                "geo": [
-                    Box(x1, y1, x2, y2) for x1, y1, x2, y2 in rec["geo"]
-                ],
-                "loc": tuple(rec["loc"]) if rec["loc"] else None,
-                "impl": bool(rec["impl"]),
-            }
-            for ident, rec in state["dev"]
-        }
-
-
 class RecordDevices(RetiredDevices):
     """The reference engine's retired devices: one record per spill row.
 

@@ -133,7 +133,7 @@ class ScanlineEngine:
         self.stats = ScanStats()
         self.strip_consumers = tuple(strip_consumers)
         #: wall seconds per host phase; never on ``stats``, which is
-        #: compared across engines and checkpointed
+        #: compared across engines, band plans and resumed sweeps
         self.clock = LapClock(PROFILE_PHASES)
 
         roles = scan_layers(tech)
@@ -280,7 +280,7 @@ class ScanlineEngine:
         return circuit
 
     # ------------------------------------------------------------------
-    # banded sweeps: liveness, retirement, checkpoint state
+    # banded sweeps: liveness and retirement
     # ------------------------------------------------------------------
 
     def live_net_roots(self) -> set[int]:
@@ -339,156 +339,6 @@ class ScanlineEngine:
                     keep_geo[ident] = entries
             self._net_geo = keep_geo
         return out
-
-    def snapshot_state(self) -> dict:
-        """Serialize the sweep's suspension state (JSON-compatible).
-
-        Heaps are captured *exactly*, dead entries included: a heap
-        rebuilt from live intervals alone would pop and lazily discard
-        different entry counts after resume, so the restored ScanStats
-        would diverge from an uninterrupted run.  Live entries become
-        indices into the layer's live row order; dead ones keep only
-        their ``(-ybot, seq)`` ordering key.  Columnar tables serialize
-        as the same per-interval row schema the list-record host used
-        (``[x1, x2, ybot, net, live, born]`` with ``net`` None on
-        non-net layers), so checkpoints round-trip losslessly.
-        """
-        active: dict[str, list[list]] = {}
-        heaps: dict[str, list[list]] = {}
-        for layer in sorted(self._tables):
-            t = self._tables[layer]
-            carries_net = layer in self._net_layers
-            x1, x2, ybot, net, born = t.x1, t.x2, t.ybot, t.net, t.born
-            active[layer] = [
-                [
-                    x1[rid],
-                    x2[rid],
-                    ybot[rid],
-                    net[rid] if carries_net else None,
-                    True,
-                    born[rid],
-                ]
-                for rid in t.order
-            ]
-            pos = {rid: i for i, rid in enumerate(t.order)}
-            heaps[layer] = [
-                [neg_bot, seq, pos.get(rid)]
-                for neg_bot, seq, rid in self._heaps[layer]
-            ]
-        return {
-            "y": self._y,
-            "primed": self._primed,
-            "stop": self._stop,
-            "heap_seq": self._heap_seq,
-            "active_count": self._active_count,
-            "active": active,
-            "heaps": heaps,
-            "versions": {
-                layer: self._tables[layer].version
-                for layer in sorted(self._tables)
-            },
-            "pending": [list(entry) for entry in self._pending],
-            "pending_seq": self._pending_seq,
-            "labels_taken": self._labels_taken,
-            "labels": [
-                [lb.name, lb.x, lb.y, lb.layer] for lb in self._labels
-            ],
-            "unattached": [
-                [lb.name, lb.x, lb.y, lb.layer] for lb in self._unattached
-            ],
-            "net_names": [
-                [ident, list(names)]
-                for ident, names in self._net_names.items()
-            ],
-            "net_geo": [
-                [
-                    ident,
-                    [
-                        [layer, b.xmin, b.ymin, b.xmax, b.ymax]
-                        for layer, b in entries
-                    ],
-                ]
-                for ident, entries in self._net_geo.items()
-            ],
-            "warnings": list(self._warnings),
-            "unknown_layers": sorted(self._unknown_layers),
-            "nets": self._nets.state(),
-            "devs": self._devs.state(),
-            "stats": self.stats.as_dict(),
-            "engine": self.strip_engine.snapshot_state(),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Restore a sweep suspended by :meth:`snapshot_state`.
-
-        The engine must have been constructed with the same technology
-        and options as the one that produced the snapshot.  Restored
-        live rows get row ids equal to their live-order index, so a
-        snapshot taken immediately after restore is identical to the
-        one restored from; dead heap references become dead placeholder
-        rows that nothing else can reach.
-        """
-        self._y = state["y"]
-        self._primed = bool(state["primed"])
-        self._stop = int(state["stop"])
-        self._heap_seq = int(state["heap_seq"])
-        self._active_count = int(state["active_count"])
-        for layer, rows in state["active"].items():
-            t = self._tables[layer]
-            t.clear()
-            for row in rows:
-                net = row[3]
-                t.alloc(
-                    row[0],
-                    row[1],
-                    row[2],
-                    NO_NET if net is None else net,
-                    row[5],
-                )
-            t.order = list(range(len(rows)))
-            t.keys = [row[0] for row in rows]
-            t.version = int(state["versions"][layer])
-            # The serialized list order IS the heap order; rebuilding
-            # entry by entry (no heapify) preserves the exact structure.
-            heap: list[tuple[int, int, int]] = []
-            for neg_bot, seq, ref in state["heaps"][layer]:
-                if ref is None:
-                    rid = t.alloc(0, 0, -neg_bot, NO_NET, 0)
-                    t.kill(rid)
-                else:
-                    rid = ref
-                heap.append((neg_bot, seq, rid))
-            self._heaps[layer] = heap
-        self._pending = [
-            (e[0], e[1], e[2], e[3], e[4], e[5], e[6])
-            for e in state["pending"]
-        ]
-        self._pending_seq = int(state["pending_seq"])
-        self._labels_taken = int(state["labels_taken"])
-        self._labels = [
-            PlacedLabel(name, x, y, layer)
-            for name, x, y, layer in state["labels"]
-        ]
-        self._unattached = [
-            PlacedLabel(name, x, y, layer)
-            for name, x, y, layer in state["unattached"]
-        ]
-        self._net_names = {
-            int(ident): list(names) for ident, names in state["net_names"]
-        }
-        self._net_geo = {
-            int(ident): [
-                (layer, Box(x1, y1, x2, y2))
-                for layer, x1, y1, x2, y2 in entries
-            ]
-            for ident, entries in state["net_geo"]
-        }
-        self._warnings = list(state["warnings"])
-        self._unknown_layers = set(state["unknown_layers"])
-        self._nets.restore(state["nets"])
-        self._devs.restore(state["devs"])
-        self.stats.restore(state["stats"])
-        self.strip_engine.restore_state(state["engine"])
 
     def _next_stop(self, stream: GeometryStream, y: int) -> int | None:
         """Step 2.d as a heap peek: O(#layers) plus lazy-dead cleanup."""

@@ -7,8 +7,8 @@ of scanline stops and active-list length.  The scanline host times its
 phases with one always-on :class:`LapClock`; :mod:`repro.pipeline`
 nests those phases under its stages and derives the section 5 table
 from that record.  :class:`ScanStats` holds the counters, and only the
-counters: they are compared across engines and checkpointed, so no
-wall-clock value lives there.
+counters: they are compared across engines, band plans and resumed
+sweeps, so no wall-clock value lives there.
 """
 
 from __future__ import annotations
@@ -64,15 +64,6 @@ class ScanStats:
     expired: int = 0  #: live intervals retired at their bottom edge
     intervals_scanned: int = 0  #: heap entries examined across all stops
     max_stop_overhead: int = 0  #: max per-stop examinations beyond removals
-
-    def as_dict(self) -> dict[str, int]:
-        """All counters as a plain dict (checkpoint payload)."""
-        return dict(vars(self))
-
-    def restore(self, values: dict[str, int]) -> None:
-        """Restore counters captured by :meth:`as_dict`."""
-        for key, value in values.items():
-            setattr(self, key, int(value))
 
     @property
     def mean_active(self) -> float:

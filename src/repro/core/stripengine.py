@@ -174,14 +174,6 @@ class StripEngine:
         """An empty store for the batches :meth:`retire` returns."""
         raise NotImplementedError
 
-    def snapshot_state(self) -> dict:
-        """JSON-compatible engine state for a band-boundary checkpoint."""
-        raise NotImplementedError
-
-    def restore_state(self, state: dict) -> None:
-        """Restore state captured by :meth:`snapshot_state`."""
-        raise NotImplementedError
-
 
 class RetiredDevices:
     """A banded sweep's retired devices, in one strip engine's format.
@@ -195,7 +187,7 @@ class RetiredDevices:
     band's spill envelope until emission folds it.
     """
 
-    #: the order-key columns, in checkpoint order
+    #: the order-key columns
     KEYS = ("root", "y", "nx", "band", "row")
 
     def __init__(self) -> None:
@@ -248,15 +240,6 @@ class RetiredDevices:
         indices in ``net_roots`` order; nets not there drop out.
         """
         raise NotImplementedError
-
-    def snapshot(self) -> dict:
-        """The order keys for a band-boundary checkpoint."""
-        return {name: getattr(self, name).tolist() for name in self.KEYS}
-
-    def restore(self, state: dict) -> None:
-        """Restore order keys captured by :meth:`snapshot`."""
-        for name in self.KEYS:
-            setattr(self, name, array("q", state[name]))
 
 
 def create_strip_engine(name: str, host: "ScanlineEngine") -> StripEngine:

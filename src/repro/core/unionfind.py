@@ -41,16 +41,6 @@ class UnionFind:
         self._size.extend([1] * count)
         return base
 
-    def state(self) -> "list[list[int]]":
-        """The raw forest as ``[parent, size]`` (checkpoint payload)."""
-        return [list(self._parent), list(self._size)]
-
-    def restore(self, state: "list[list[int]]") -> None:
-        """Restore a forest captured by :meth:`state`."""
-        parent, size = state
-        self._parent = [int(p) for p in parent]
-        self._size = [int(s) for s in size]
-
     def parent_snapshot(self) -> list[int]:
         """A copy of the raw parent table, for bulk root resolution.
 

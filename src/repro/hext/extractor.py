@@ -373,25 +373,50 @@ def hext_extract(
     with it the composition order, is the same, and a cached fragment
     is byte for byte the one extraction would produce.
     """
-    tech = tech or NMOS()
+    result, _ = _extract_with_plan(
+        source, tech or NMOS(),
+        resolution=resolution, cache=cache, engine=engine,
+    )
+    return result
+
+
+def _extract_with_plan(
+    source: "str | Layout",
+    tech: Technology,
+    *,
+    resolution: int,
+    cache: "str | None",
+    engine: str,
+    memo: "dict | None" = None,
+) -> "tuple[HextResult, WindowPlan]":
+    """Plan, execute and compose: the one HEXT driver.
+
+    :func:`hext_extract` and
+    :meth:`~repro.hext.incremental.IncrementalExtractor.extract` both
+    run through here.  ``memo`` is a window table that outlives the
+    call (the incremental extractor's): its keys count as seen while
+    planning, and every fragment built here is added to it.  Returns
+    the plan too, for callers that account for reuse.
+    """
     layout = parse(source) if isinstance(source, str) else source
     stats = HextStats()
     planner_start = time.perf_counter()
     planner = WindowPlanner(layout, resolution)
     top = planner.top_content()
     stats.frontend_seconds += time.perf_counter() - planner_start
-    plan = plan_windows(planner, top, stats)
+    plan = plan_windows(planner, top, stats, seen=set(memo) if memo else None)
     memo = execute_plan(
         plan, tech, stats,
-        resolution=resolution, cache=cache, engine=engine,
+        resolution=resolution, cache=cache, memo=memo, engine=engine,
     )
     fragment = compose_plan(plan, memo, tech, stats)
-    return HextResult(
+    result = HextResult(
         fragment=fragment,
         origin=(top.region.xmin, top.region.ymin),
         stats=stats,
         tech=tech,
     )
+    return result, plan
 
 
 def _empty_fragment(width: int, height: int) -> Fragment:

@@ -23,19 +23,11 @@ from the memo.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
-from ..cif import Layout, parse
+from ..cif import Layout
 from ..tech import NMOS, Technology
-from .extractor import (
-    HextResult,
-    HextStats,
-    compose_plan,
-    execute_plan,
-    plan_windows,
-)
-from .windows import WindowPlanner
+from .extractor import HextResult, _extract_with_plan
 
 
 @dataclass
@@ -91,23 +83,15 @@ class IncrementalExtractor:
         persistent memo does not already hold can be served from the
         on-disk fragment cache.
         """
-        layout = parse(source) if isinstance(source, str) else source
         previous_keys = frozenset(self._memo)
-        stats = HextStats()
-        start = time.perf_counter()
-        planner = WindowPlanner(layout, self.resolution)
-        top = planner.top_content()
-        stats.frontend_seconds += time.perf_counter() - start
-
-        plan = plan_windows(planner, top, stats, seen=previous_keys)
-        execute_plan(
-            plan, self.tech, stats,
-            resolution=self.resolution, memo=self._memo,
-            cache=cache, engine=self.engine,
+        result, plan = _extract_with_plan(
+            source, self.tech,
+            resolution=self.resolution, cache=cache, engine=self.engine,
+            memo=self._memo,
         )
-        fragment = compose_plan(plan, self._memo, self.tech, stats)
         self._last_used = plan.used_keys()
 
+        stats = result.stats
         previous = sum(
             count for key, count in plan.hits.items() if key in previous_keys
         )
@@ -117,12 +101,7 @@ class IncrementalExtractor:
             reused_within_run=stats.memo_hits - previous,
             freshly_extracted=stats.unique_windows,
         )
-        return HextResult(
-            fragment=fragment,
-            origin=(top.region.xmin, top.region.ymin),
-            stats=stats,
-            tech=self.tech,
-        )
+        return result
 
     def prune(self) -> int:
         """Drop cache entries not used by the latest extraction.

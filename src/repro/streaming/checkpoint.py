@@ -1,25 +1,25 @@
 """Checkpoint files for banded streaming sweeps.
 
-A checkpoint captures everything a fresh process needs to continue a
-partial sweep at the band boundary it was written at:
+A checkpoint records how far a sweep got, not the sweep itself:
 
 * an identity block (layout digest + extraction options) so a resume
   against the wrong layout or options fails loudly instead of emitting
   garbage;
-* the band plan and the index of the next band to process;
-* the scanline host's full suspension state
-  (:meth:`~repro.core.scanline.ScanlineEngine.snapshot_state`, which
-  embeds the strip engine's state), exact heaps included;
-* the order keys accumulated so far -- net root -> location and spill
-  band, and the retired devices' int columns (root, location, band,
-  row within the band) -- which are the only retired state that has to
-  stay in RAM.
+* the band plan (its floors);
+* ``band``, the number of bands committed so far.
 
-Geometry never appears here -- the heavy retired payloads live in the
-:class:`~repro.streaming.spill.SpillStore`, and the sweep always writes
-the band's spill file *before* its checkpoint.  A crash between the two
-re-processes the band on resume and overwrites the spill file with
-identical bytes, so the commit point is the checkpoint replace.
+The sweep is deterministic, so a resume replays it: it sweeps again
+from the top with the recorded floors, retiring every band as the first
+run did, which rebuilds the order keys in RAM, and writes no spill file
+and no checkpoint for the bands below ``band``, whose payloads are
+already in the :class:`~repro.streaming.spill.SpillStore`.  The file
+therefore stays a few hundred bytes, whatever the band it was written
+at.
+
+The sweep always writes a band's spill file *before* its checkpoint.  A
+crash between the two re-processes the band on resume and overwrites
+the spill file with identical bytes, so the commit point is the
+checkpoint replace.
 
 The file itself reuses the cache-envelope discipline: a checksummed JSON
 envelope written via temp file + ``os.replace``.  A SIGKILL at any
@@ -38,7 +38,7 @@ from ..cif import Layout, write as write_cif
 from ..parallel.serialize import canonical_json, envelope_text
 
 #: Bump to invalidate every older checkpoint on load.
-CHECKPOINT_FORMAT = 2
+CHECKPOINT_FORMAT = 3
 
 
 class CheckpointError(RuntimeError):
@@ -55,9 +55,16 @@ def layout_digest(layout: Layout, resolution: int, lambda_: int) -> str:
     return hashlib.sha256(body.encode()).hexdigest()
 
 
-def run_key(digest: str, options: dict) -> str:
-    """Spill-store key prefix for one (layout, options) sweep."""
-    body = canonical_json({"digest": digest, "options": options})
+def run_key(digest: str, options: dict, floors: list) -> str:
+    """Spill-store key prefix for one (layout, options, band plan) sweep.
+
+    The floors are part of the key: band ``k`` of one plan holds other
+    devices than band ``k`` of another, so two plans of one layout
+    sharing a spill directory must never share a band file.
+    """
+    body = canonical_json(
+        {"digest": digest, "options": options, "floors": floors}
+    )
     return hashlib.sha256(body.encode()).hexdigest()[:16]
 
 

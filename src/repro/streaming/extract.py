@@ -15,16 +15,17 @@ wirelist, but the sweep runs band by band --
    keys stay resident (location + spill band per net root; root,
    location, band and row as int columns per device, in the strip
    engine's :class:`~repro.core.stripengine.RetiredDevices`);
-4. with a checkpoint path configured, the host's full suspension state
-   is atomically written after the band's spill -- the checkpoint
-   replace is the commit point, so a SIGKILL anywhere leaves a sweep
-   that resumes to byte-identical output.
+4. with a checkpoint path configured, the number of committed bands is
+   atomically written after the band's spill -- the checkpoint replace
+   is the commit point, so a SIGKILL anywhere leaves a sweep that
+   resumes to byte-identical output.
 
-Resume rebuilds the parse/instantiate front-end, fast-forwards the
-geometry stream past the stops the checkpoint already covers (the
-stream is deterministic, so the replayed prefix leaves the stream in
-the exact paused state, released labels included), restores the host,
-and continues the band loop.
+Resume is a replay.  The sweep is deterministic, so a resumed run
+sweeps again from the top with the checkpoint's floors and retires
+every band exactly as the first run did, which rebuilds the resident
+order keys; only the spill writes and checkpoints of the bands already
+committed are skipped, since their envelopes are on disk (and are
+still validated when emission reads them).
 
 The memory contract (docs/STREAMING.md): peak residency is O(band) --
 active intervals, heaps, pending continuations, the current band's
@@ -58,9 +59,9 @@ from .emit import emit_wirelist
 from .spill import SpillStore
 
 #: Crash-injection hooks for the kill-and-resume harness: SIGKILL the
-#: process after N bands have committed, either after the band's
-#: checkpoint (default) or in the torn window between spill and
-#: checkpoint (``ACE_STREAM_KILL_PHASE=spill``).
+#: process once it has committed N bands (replayed bands do not count),
+#: either after the band's checkpoint (default) or in the torn window
+#: between spill and checkpoint (``ACE_STREAM_KILL_PHASE=spill``).
 KILL_AFTER_ENV = "ACE_STREAM_KILL_AFTER_BANDS"
 KILL_PHASE_ENV = "ACE_STREAM_KILL_PHASE"
 
@@ -119,8 +120,10 @@ def stream_extract(
             temporary directory that is removed after emission.
         checkpoint: path to write the resume checkpoint at every band
             boundary (and to read it from with ``resume=True``).
-        resume: continue the sweep recorded at ``checkpoint`` instead
-            of starting over; the layout and options must match.  The
+        resume: finish the sweep recorded at ``checkpoint`` instead of
+            starting over: sweep again with its band plan, spilling and
+            checkpointing only the bands it had not committed.  The
+            layout and options must match.  The
             string ``"auto"`` resumes when a checkpoint file exists and
             starts fresh otherwise -- the right mode for a supervisor
             that relaunches after crashes, since a kill before the
@@ -152,6 +155,20 @@ def stream_extract(
         "lambda": int(tech.lambda_),
         "engine": scan.engine_name,
     }
+    if resume:
+        state = ckpt.load_checkpoint(checkpoint)
+        ckpt.check_identity(state, digest, options, checkpoint)
+        floors = [f if f is None else int(f) for f in state["floors"]]
+        committed = int(state["band"])
+    else:
+        bbox = stream.chip_bbox
+        floors = plan_bands(
+            bbox.ymax if bbox else None,
+            bbox.ymin if bbox else None,
+            band_height=band_height,
+            boundaries=boundaries,
+        )
+        committed = 0
 
     if spill_dir is None and checkpoint is not None:
         spill_dir = f"{checkpoint}.spill"
@@ -163,47 +180,19 @@ def stream_extract(
                 tempfile.TemporaryDirectory(prefix="ace-spill-")
             )
         devices = scan.strip_engine.retired_devices()
-        spill = SpillStore(spill_dir, ckpt.run_key(digest, options), devices)
+        spill = SpillStore(
+            spill_dir, ckpt.run_key(digest, options, floors), devices
+        )
         net_locs: dict[int, tuple[int, int]] = {}
         net_bands: dict[int, int] = {}
-
-        if resume:
-            state = ckpt.load_checkpoint(checkpoint)
-            ckpt.check_identity(state, digest, options, checkpoint)
-            floors = [f if f is None else int(f) for f in state["floors"]]
-            start_band = int(state["band"])
-            net_locs = {r: (y, nx) for r, y, nx in state["net_locs"]}
-            net_bands = {r: b for r, b in state["net_bands"]}
-            devices.restore(state["devices"])
-            scan.restore_state(state["host"])
-            # Fast-forward the fresh stream past every stop the restored
-            # sweep has consumed.  The final next_top() reproduces the peek
-            # the sweep paused on, so cell-expansion state (and with it the
-            # released-label prefix) is exactly the pause-time state.
-            next_y = scan._y
-            t = stream.next_top()
-            while t is not None and (next_y is None or t > next_y):
-                stream.fetch(t)
-                t = stream.next_top()
-        else:
-            bbox = stream.chip_bbox
-            floors = plan_bands(
-                bbox.ymax if bbox else None,
-                bbox.ymin if bbox else None,
-                band_height=band_height,
-                boundaries=boundaries,
-            )
-            start_band = 0
-
         spill_seconds = _run_bands(
             scan,
             stream,
             floors,
-            start_band,
+            committed,
             spill=spill,
             checkpoint=checkpoint,
-            digest=digest,
-            options=options,
+            identity={"digest": digest, "options": options},
             net_locs=net_locs,
             net_bands=net_bands,
             devices=devices,
@@ -276,12 +265,11 @@ def _run_bands(
     scan: ScanlineEngine,
     stream: GeometryStream,
     floors: "list[int | None]",
-    start_band: int,
+    committed: int,
     *,
     spill: SpillStore,
     checkpoint: "str | os.PathLike | None",
-    digest: str,
-    options: dict,
+    identity: dict,
     net_locs: "dict[int, tuple[int, int]]",
     net_bands: "dict[int, int]",
     devices: RetiredDevices,
@@ -289,16 +277,18 @@ def _run_bands(
 ) -> float:
     """The band loop: advance, retire, spill, checkpoint, repeat.
 
-    Returns the seconds spent between sweeps (retire, spill, progress,
-    checkpoint); the sweeps themselves are on the host's clock.
+    Bands below ``committed`` are replayed: retired like any other, so
+    the order keys come back, but neither spilled nor checkpointed
+    again.  Returns the seconds spent between sweeps (retire, spill,
+    progress, checkpoint); the sweeps themselves are on the host's
+    clock.
     """
     kill_after = int(os.environ.get(KILL_AFTER_ENV, 0) or 0)
     kill_phase = os.environ.get(KILL_PHASE_ENV, "checkpoint")
-    committed = 0  # bands committed by THIS process
     spent = 0.0
 
-    for band in range(start_band, len(floors)):
-        more = scan.advance(stream, floors[band])
+    for band, floor in enumerate(floors):
+        more = scan.advance(stream, floor)
         started = perf_counter()
         if more:
             live_nets = scan.live_net_roots()
@@ -312,36 +302,27 @@ def _run_bands(
         net_payload = scan.retire_net_payload(set(dead_locs))
         retired = len(devices)
         device_payload = devices.add(band, dead_devs)
-        if net_payload or len(devices) > retired:
+        replay = band < committed
+        if not replay and (net_payload or len(devices) > retired):
             spill.put_band(band, net_payload, device_payload)
         net_locs.update(dead_locs)
         for root in net_payload:
             net_bands[root] = band
         if progress is not None:
             progress(band + 1, len(floors), scan.stats)
-        if not more:
-            spent += perf_counter() - started
-            break
-        committed += 1
-        if kill_after and committed >= kill_after and kill_phase == "spill":
-            os.kill(os.getpid(), signal.SIGKILL)
-        if checkpoint is not None:
-            ckpt.save_checkpoint(
-                checkpoint,
-                {
-                    "digest": digest,
-                    "options": options,
-                    "floors": floors,
-                    "band": band + 1,
-                    "net_locs": [
-                        [r, y, nx] for r, (y, nx) in net_locs.items()
-                    ],
-                    "net_bands": [[r, b] for r, b in net_bands.items()],
-                    "devices": devices.snapshot(),
-                    "host": scan.snapshot_state(),
-                },
-            )
-        if kill_after and committed >= kill_after and kill_phase != "spill":
-            os.kill(os.getpid(), signal.SIGKILL)
+        if more and not replay:
+            # The band is on disk; the checkpoint commits it.
+            kill = kill_after and band + 1 - committed >= kill_after
+            if kill and kill_phase == "spill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            if checkpoint is not None:
+                ckpt.save_checkpoint(
+                    checkpoint,
+                    {**identity, "floors": floors, "band": band + 1},
+                )
+            if kill and kill_phase != "spill":
+                os.kill(os.getpid(), signal.SIGKILL)
         spent += perf_counter() - started
+        if not more:
+            break
     return spent

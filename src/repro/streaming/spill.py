@@ -18,10 +18,10 @@ subclass, which buys the established durability rules for free: one
 file per key under a two-level fan-out, checksummed envelopes, atomic
 temp-file + ``os.replace`` writes (a SIGKILL leaves the old band file
 or the new one, never a torn one), and trust-nothing validation on read
-back.  Keys combine the run key (layout + options digest) with the band
-ordinal, so re-processing a band after a crash simply overwrites its
-spill file -- retirement is deterministic, which makes the write
-idempotent.
+back.  Keys combine the run key (a digest of the layout, the options and
+the band floors) with the band ordinal, so re-processing a band after a
+crash simply overwrites its spill file -- retirement is deterministic,
+which makes the write idempotent.
 """
 
 from __future__ import annotations

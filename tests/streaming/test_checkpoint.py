@@ -1,28 +1,29 @@
-"""Checkpoint serialization: round-trip fidelity and identity checks.
+"""Checkpoint and resume: replay fidelity, size and identity checks.
 
-A checkpoint is only trustworthy if restoring it reproduces the paused
-sweep *exactly* — same ScanStats counters, same suspension state, same
-eventual bytes.  These tests pause a real sweep mid-chip, round-trip
-the host snapshot through a fresh engine, and also drive the full
-save/load/resume path end to end.
+A checkpoint records the band plan and how many bands are committed;
+resuming replays the committed bands in memory.  It is only
+trustworthy if the resumed sweep ends exactly where an uninterrupted
+one does: same bytes, same ScanStats counters, same spill files, and no
+band spilled twice.  These tests abort real sweeps after every band,
+resume them, and also drive the full save/load/resume path end to end.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.core.scanline import ScanlineEngine
-from repro.frontend import GeometryStream
 from repro.streaming import (
     CheckpointError,
+    SpillStore,
     load_checkpoint,
     save_checkpoint,
     stream_extract,
 )
+from repro.workloads import inverter_rows
 from repro.workloads.mesh import poly_diff_mesh
 from tests.golden.cases import GOLDEN_CASES
 
@@ -30,87 +31,262 @@ from .harness import ENGINES, TECH, chip_height, expected_text
 
 nand2 = GOLDEN_CASES["nand2"]
 
-#: Layouts the scratch-rebuild property samples: a golden cell with
+#: Layouts the abort-and-resume test sweeps: a golden cell with
 #: contacts/labels/implants, and the dense mesh whose sweep lives on
 #: the columnar host's persistent-buffer fast paths.
-_PROPERTY_LAYOUTS = {
+_RESUME_LAYOUTS = {
     "nand2": nand2,
     "mesh8": lambda: poly_diff_mesh(8),
 }
 
 
-def paused_engine(engine: str) -> ScanlineEngine:
-    """An engine suspended mid-sweep (roughly half the chip consumed)."""
-    layout = nand2()
-    stream = GeometryStream(layout)
-    bbox = stream.chip_bbox
-    scan = ScanlineEngine(TECH, engine=engine)
-    more = scan.advance(stream, (bbox.ymax + bbox.ymin) // 2)
-    assert more, "the sweep should pause mid-chip, not exhaust"
-    return scan
+class Cancelled(Exception):
+    """Raised from a progress callback, as a cancelled daemon job does."""
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_snapshot_roundtrip_is_exact(engine):
-    scan = paused_engine(engine)
-    snap = scan.snapshot_state()
-    restored = ScanlineEngine(TECH, engine=engine)
-    restored.restore_state(snap)
-    assert restored.snapshot_state() == snap
+def sweep_plan(layout, engine: str) -> dict:
+    """Stream options for a sweep of ``layout`` in about seven bands."""
+    return {
+        "name": "case",
+        "engine": engine,
+        "band_height": max(1, chip_height(layout) // 7),
+    }
 
 
-def _advanced_to(engine: str, layout, y: int) -> ScanlineEngine:
-    scan = ScanlineEngine(TECH, engine=engine)
-    scan.advance(GeometryStream(layout), y)
-    return scan
+def abort_after(layout, plan: dict, ck: Path, k: int, **options) -> None:
+    """Run a checkpointed sweep that a cancel aborts after band ``k``.
 
-
-@pytest.mark.parametrize("engine", ENGINES)
-@settings(max_examples=25, deadline=None)
-@given(
-    name=st.sampled_from(sorted(_PROPERTY_LAYOUTS)),
-    frac=st.floats(min_value=0.02, max_value=0.98),
-)
-def test_restore_is_bit_identical_to_scratch_rebuild(engine, name, frac):
-    """Snapshot/restore equals a from-scratch sweep paused at the same y.
-
-    The host keeps per-layer active intervals in persistent columnar
-    buffers that are updated incrementally across the whole sweep; this
-    pins down that a restored host carries *no* incidental buffer state
-    a fresh host would lack (and vice versa) at any pause point.
+    Band ``k`` is spilled but not committed when its progress callback
+    raises, so the checkpoint is left holding ``k`` committed bands (and
+    is not written at all for ``k == 0``).
     """
-    layout = _PROPERTY_LAYOUTS[name]()
-    bbox = GeometryStream(layout).chip_bbox
-    y = int(bbox.ymin + frac * (bbox.ymax - bbox.ymin))
-    scratch = _advanced_to(engine, layout, y)
-    snap = _advanced_to(engine, layout, y).snapshot_state()
-    assert snap == scratch.snapshot_state()
-    restored = ScanlineEngine(TECH, engine=engine)
-    restored.restore_state(snap)
-    assert restored.snapshot_state() == scratch.snapshot_state()
+
+    def cancel_after_k(done, total, stats):
+        if done == k + 1:
+            raise Cancelled
+
+    with pytest.raises(Cancelled):
+        stream_extract(
+            layout, TECH, checkpoint=str(ck), progress=cancel_after_k,
+            **plan, **options,
+        )
+
+
+def spill_files(root: Path) -> "dict[str, bytes]":
+    """Every file under a spill directory, by relative path."""
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+def stats_per_band(layout, plan: dict, **options) -> list:
+    """``(done, total, ScanStats)`` as the progress callback saw them."""
+    seen: list = []
+
+    def record(done, total, stats):
+        seen.append((done, total, dataclasses.asdict(stats)))
+
+    stream_extract(layout, TECH, progress=record, **plan, **options)
+    return seen
+
+
+def recorded_spills(monkeypatch) -> "list[int]":
+    """Record the band of every ``SpillStore.put_band`` call."""
+    bands: list[int] = []
+    put_band = SpillStore.put_band
+
+    def recording(store, band, *args):
+        bands.append(band)
+        return put_band(store, band, *args)
+
+    monkeypatch.setattr(SpillStore, "put_band", recording)
+    return bands
+
+
+@pytest.mark.parametrize("name", sorted(_RESUME_LAYOUTS))
+@pytest.mark.parametrize("engine", ENGINES)
+def test_resume_after_every_band(engine, name, tmp_path, monkeypatch):
+    """An abort after any band k resumes to the uninterrupted run.
+
+    The checkpoint holds k committed bands after the abort.  The resume
+    replays those without spilling them again and ends with the same
+    bytes and every ScanStats counter equal.
+    """
+    layout = _RESUME_LAYOUTS[name]()
+    plan = sweep_plan(layout, engine)
+    spilled = recorded_spills(monkeypatch)
+    whole = stream_extract(layout, TECH, **plan)
+    whole_spills = list(spilled)
+    assert whole.text == expected_text(layout)
+    assert whole.bands > 2
+
+    for k in range(whole.bands):
+        ck = tmp_path / f"abort-{k}.ck"
+        abort_after(layout, plan, ck, k)
+        committed = load_checkpoint(ck)["band"] if ck.exists() else 0
+        assert committed == k
+        spilled.clear()
+        resumed = stream_extract(
+            layout, TECH, checkpoint=str(ck), resume="auto", **plan
+        )
+        assert resumed.resumed == (k > 0)
+        assert resumed.text == whole.text, f"abort after band {k}"
+        assert dataclasses.asdict(resumed.stats) == dataclasses.asdict(
+            whole.stats
+        ), f"ScanStats diverged after an abort at band {k}"
+        assert spilled == [b for b in whole_spills if b >= committed]
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-def test_snapshot_restores_scanstats_counters(engine):
-    scan = paused_engine(engine)
-    restored = ScanlineEngine(TECH, engine=engine)
-    restored.restore_state(scan.snapshot_state())
-    for field in dataclasses.fields(scan.stats):
-        assert getattr(restored.stats, field.name) == getattr(
-            scan.stats, field.name
-        ), f"counter {field.name} did not survive the round trip"
+def test_snapshot_roundtrip_is_exact(engine, tmp_path):
+    """A resumed sweep writes the checkpoint a fresh sweep writes.
+
+    The checkpoint is the sweep's whole snapshot: the identity block,
+    the floors and the committed count, nothing else.  A sweep aborted
+    after band k - 1 and resumed until band k must leave the bytes a
+    fresh sweep aborted after band k leaves.
+    """
+    for name, make in sorted(_RESUME_LAYOUTS.items()):
+        layout = make()
+        plan = sweep_plan(layout, engine)
+        whole = stream_extract(layout, TECH, **plan)
+        for k in range(1, whole.bands):
+            fresh = tmp_path / f"{name}-fresh-{k}.ck"
+            abort_after(layout, plan, fresh, k)
+            state = load_checkpoint(fresh)
+            assert sorted(state) == ["band", "digest", "floors", "options"]
+            assert state["floors"] == whole.band_plan
+            assert state["band"] == k
+            twice = tmp_path / f"{name}-twice-{k}.ck"
+            abort_after(layout, plan, twice, k - 1)
+            abort_after(layout, plan, twice, k, resume="auto")
+            assert twice.read_bytes() == fresh.read_bytes(), (
+                f"{name}: checkpoint after resuming to band {k}"
+            )
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_restore_is_bit_identical_to_scratch_rebuild(engine, tmp_path):
+    """A resume leaves exactly the spill files a scratch sweep leaves.
+
+    The replay rebuilds the resident order keys (net locations and
+    spill bands, the RetiredDevices rows) that the later bands'
+    payloads are written against.  A resumed sweep that carried state a
+    scratch sweep lacks, or lacked state it has, would spill different
+    bytes for the bands past the committed ones.
+    """
+    for name, make in sorted(_RESUME_LAYOUTS.items()):
+        layout = make()
+        plan = sweep_plan(layout, engine)
+        scratch_dir = tmp_path / name / "scratch"
+        whole = stream_extract(layout, TECH, spill_dir=scratch_dir, **plan)
+        scratch = spill_files(scratch_dir)
+        assert len(scratch) > 2
+        for k in range(whole.bands):
+            ck = tmp_path / name / f"abort-{k}.ck"
+            abort_after(layout, plan, ck, k)
+            resumed = stream_extract(
+                layout, TECH, checkpoint=str(ck), resume="auto", **plan
+            )
+            assert resumed.text == whole.text
+            assert spill_files(Path(f"{ck}.spill")) == scratch, (
+                f"{name}: spill files after an abort at band {k}"
+            )
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_snapshot_restores_scanstats_counters(engine, tmp_path):
+    """The replay reports every band's counters as the first run did.
+
+    A resumed job reports progress from the first band again; each
+    report, replayed bands included, must carry the ScanStats the
+    uninterrupted sweep had at that band.
+    """
+    for name, make in sorted(_RESUME_LAYOUTS.items()):
+        layout = make()
+        plan = sweep_plan(layout, engine)
+        whole = stats_per_band(layout, plan)
+        for k in range(1, len(whole)):
+            ck = tmp_path / f"{name}-{k}.ck"
+            abort_after(layout, plan, ck, k)
+            resumed = stats_per_band(
+                layout, plan, checkpoint=str(ck), resume=True
+            )
+            for band, (got, want) in enumerate(zip(resumed, whole)):
+                assert got == want, (
+                    f"{name}: band {band} after an abort at band {k}"
+                )
+            assert len(resumed) == len(whole)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_snapshot_survives_json(engine, tmp_path):
-    """The snapshot must survive the actual serialization format used."""
-    scan = paused_engine(engine)
-    snap = scan.snapshot_state()
-    path = tmp_path / "ck.json"
-    save_checkpoint(path, {"host": snap})
-    restored = ScanlineEngine(TECH, engine=engine)
-    restored.restore_state(load_checkpoint(path)["host"])
-    assert restored.snapshot_state() == snap
+    """A checkpoint rewritten by another JSON writer still resumes.
+
+    The checksum covers the canonical body, not the file's layout, and
+    the floors (ints, and ``null`` for the open last band) come back
+    with their types, so the resume finds its spilled bands under the
+    same run key and ends with the uninterrupted bytes.
+    """
+    for name, make in sorted(_RESUME_LAYOUTS.items()):
+        layout = make()
+        plan = sweep_plan(layout, engine)
+        whole = stream_extract(layout, TECH, **plan)
+        ck = tmp_path / f"{name}.ck"
+        abort_after(layout, plan, ck, whole.bands // 2)
+        state = load_checkpoint(ck)
+        assert state["floors"][-1] is None
+        text = ck.read_text()
+        ck.write_text(json.dumps(json.loads(text), indent=2, sort_keys=True))
+        assert ck.read_text() != text
+        assert load_checkpoint(ck) == state
+        resumed = stream_extract(
+            layout, TECH, checkpoint=str(ck), resume=True, **plan
+        )
+        assert resumed.resumed
+        assert resumed.text == whole.text, name
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_checkpoint_size_does_not_grow_with_band(engine, tmp_path):
+    """The checkpoint holds the plan and a count, never sweep state."""
+    layout = inverter_rows(16, 4)
+    ck = tmp_path / "sweep.ck"
+    sizes: list[int] = []
+
+    def measure(done, total, stats):
+        if ck.exists():
+            sizes.append(ck.stat().st_size)
+
+    report = stream_extract(
+        layout,
+        TECH,
+        engine=engine,
+        band_height=max(1, chip_height(layout) // 16),
+        checkpoint=str(ck),
+        progress=measure,
+    )
+    assert report.bands >= 16
+    assert len(sizes) == report.bands - 1
+    assert sizes[-1] - sizes[0] <= 4, sizes
+
+
+def test_resume_refuses_format_2_checkpoint(tmp_path):
+    ck = tmp_path / "sweep.ck"
+    stream_extract(nand2(), TECH, band_height=1000, checkpoint=str(ck))
+    text = ck.read_text()
+    assert text.startswith('{"format": 3,')
+    ck.write_text(text.replace('"format": 3', '"format": 2', 1))
+    with pytest.raises(CheckpointError, match="format 2"):
+        stream_extract(
+            nand2(),
+            TECH,
+            band_height=1000,
+            checkpoint=str(ck),
+            resume=True,
+        )
 
 
 @pytest.mark.parametrize("engine", ENGINES)

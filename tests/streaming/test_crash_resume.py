@@ -53,7 +53,11 @@ with open(out_path, "w") as out:
 """
 
 
-def run_child(args: "list[str]", env_extra: "dict[str, str]"):
+def run_child(
+    args: "list[str]",
+    env_extra: "dict[str, str]",
+    command: "tuple[str, ...]" = ("-c", CHILD),
+):
     env = dict(os.environ)
     env["PYTHONPATH"] = (
         f"{REPO / 'src'}{os.pathsep}{REPO}"
@@ -61,7 +65,7 @@ def run_child(args: "list[str]", env_extra: "dict[str, str]"):
     )
     env.update(env_extra)
     return subprocess.run(
-        [sys.executable, "-c", CHILD, *args],
+        [sys.executable, *command, *args],
         env=env,
         capture_output=True,
         text=True,
@@ -173,4 +177,51 @@ def test_repeated_kills_make_progress(engine, tmp_path):
         assert result.returncode == -signal.SIGKILL, result.stderr
     else:
         pytest.fail("sweep never finished despite per-launch progress")
+    assert out.read_text() == expected
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_replanned_torn_run_leaves_committed_bands_intact(engine, tmp_path):
+    """A re-planned run under the same checkpoint spills to its own files.
+
+    A coarse plan commits two bands and is killed.  A fine plan of the
+    same layout then starts fresh under the same ``--checkpoint`` and is
+    killed between its first band's spill write and its checkpoint, so
+    the checkpoint still records the coarse plan.  Resuming it must find
+    the coarse plan's spilled bands untouched by the fine plan's.
+    """
+    from repro.cif import parse, write
+    from repro.workloads.mesh import poly_diff_mesh
+
+    cif = tmp_path / "mesh.cif"
+    cif.write_text(write(poly_diff_mesh(12)))
+    layout = parse(cif.read_text())
+    expected = expected_text(layout, name=cif.name)
+    height = chip_height(layout)
+    ck = tmp_path / "sweep.ck"
+    out = tmp_path / "out.wirelist"
+
+    def launch(band_height: int, env_extra: dict, *flags: str):
+        return run_child(
+            [
+                str(cif), "--stream", "--engine", engine,
+                "--band-height", str(band_height),
+                "--checkpoint", str(ck), "-o", str(out), *flags,
+            ],
+            env_extra,
+            command=("-m", "repro.cli"),
+        )
+
+    coarse = launch(max(1, height // 3), {"ACE_STREAM_KILL_AFTER_BANDS": "2"})
+    assert coarse.returncode == -signal.SIGKILL, coarse.stderr
+    fine = launch(
+        max(1, height // 9),
+        {
+            "ACE_STREAM_KILL_AFTER_BANDS": "1",
+            "ACE_STREAM_KILL_PHASE": "spill",
+        },
+    )
+    assert fine.returncode == -signal.SIGKILL, fine.stderr
+    resumed = launch(max(1, height // 3), {}, "--resume")
+    assert resumed.returncode == 0, resumed.stderr
     assert out.read_text() == expected

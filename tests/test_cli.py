@@ -439,6 +439,13 @@ class TestStreaming:
         assert main([inverter_cif, "--stream", "--check"]) == 2
         assert "in-memory circuit" in capsys.readouterr().err
 
+    def test_resume_without_checkpoint_is_a_usage_error(
+        self, inverter_cif, capsys
+    ):
+        assert main([inverter_cif, "--stream", "--resume"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --resume") and "--checkpoint" in err
+
     def test_band_height_without_stream_is_noted(
         self, inverter_cif, capsys
     ):

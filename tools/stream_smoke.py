@@ -13,7 +13,13 @@ Three passes over every layout in ``examples/layouts/``:
 2. **Kill and resume** — relaunch this script as a child streaming the
    layout with checkpointing on, SIGKILL it mid-sweep via the
    crash-injection hooks, then run the child clean with
-   ``resume="auto"`` and require the finished bytes.
+   ``resume="auto"`` and require the finished bytes.  Two scenarios
+   per layout: a kill in the torn window between a band's spill write
+   and its checkpoint, and a re-planned run (a coarse plan killed after
+   a committed band, a fine plan started fresh over its checkpoint and
+   killed in its spill window, then a resume of the coarse plan),
+   also run on a synthetic inverter array.  The report records each
+   layout's final checkpoint size in bytes.
 3. **Peak memory** — measure tracemalloc allocator peaks for the
    in-memory and streamed pipelines on a tall synthetic chip and
    require the streamed peak to stay well below the in-memory one.
@@ -39,7 +45,7 @@ LAYOUTS = sorted((REPO / "examples" / "layouts").glob("*.cif"))
 
 sys.path.insert(0, str(REPO / "src"))
 
-from repro.cif import parse  # noqa: E402
+from repro.cif import parse, write as write_cif  # noqa: E402
 from repro.core import extract, extract_report  # noqa: E402
 from repro.frontend import GeometryStream  # noqa: E402
 from repro.streaming import stream_extract  # noqa: E402
@@ -98,7 +104,12 @@ def check_equivalence(report: dict) -> int:
 
 
 def run_child(
-    path: Path, band_height: int, ck: Path, out: Path, env_extra: dict
+    path: Path,
+    band_height: int,
+    ck: Path,
+    out: Path,
+    resume: str,
+    env_extra: dict,
 ) -> "subprocess.CompletedProcess[str]":
     env = dict(os.environ)
     env["PYTHONPATH"] = f"{REPO / 'src'}:{env.get('PYTHONPATH', '')}"
@@ -112,6 +123,7 @@ def run_child(
             str(band_height),
             str(ck),
             str(out),
+            resume,
         ],
         env=env,
         capture_output=True,
@@ -120,40 +132,74 @@ def run_child(
     )
 
 
-def check_kill_resume(report: dict) -> int:
-    rows = []
-    for path in LAYOUTS:
-        layout = parse(path.read_text())
-        height = chip_height(layout)
-        band_height = max(1, height // 11)
-        expected = expected_text(layout, "case")
+def kill_after(bands: int, phase: str) -> dict:
+    return {
+        "ACE_STREAM_KILL_AFTER_BANDS": str(bands),
+        "ACE_STREAM_KILL_PHASE": phase,
+    }
+
+
+def kill_resume_row(path: Path) -> "dict | str":
+    """Run both kill+resume scenarios on one layout: its report row, or
+    the failure message."""
+    layout = parse(path.read_text())
+    height = chip_height(layout)
+    coarse, fine = max(1, height // 3), max(1, height // 11)
+    expected = expected_text(layout, "case")
+    # Each scenario is a list of launches (band height, resume mode,
+    # kill hooks) sharing one checkpoint; every launch but the last
+    # must die by SIGKILL, and the last must finish the sweep.
+    scenarios = {
+        # killed between a band's spill write and its checkpoint
+        "torn": [
+            (fine, "auto", kill_after(2, "spill")),
+            (fine, "auto", {}),
+        ],
+        # a fine plan started over the coarse plan's checkpoint dies in
+        # its spill window; the coarse plan's bands must survive
+        "replanned": [
+            (coarse, "auto", kill_after(1, "checkpoint")),
+            (fine, "fresh", kill_after(1, "spill")),
+            (coarse, "auto", {}),
+        ],
+    }
+    row: dict = {"layout": path.name, "band_height": fine}
+    for scenario, launches in scenarios.items():
         with tempfile.TemporaryDirectory() as tmp:
             ck = Path(tmp) / "sweep.ck"
             out = Path(tmp) / "out.wl"
-            killed = run_child(
-                path,
-                band_height,
-                ck,
-                out,
-                {
-                    "ACE_STREAM_KILL_AFTER_BANDS": "2",
-                    "ACE_STREAM_KILL_PHASE": "spill",
-                },
-            )
-            if killed.returncode != -signal.SIGKILL:
-                return fail(
-                    f"{path.name}: child survived the kill hook "
-                    f"(rc={killed.returncode})\n{killed.stderr}"
-                )
-            resumed = run_child(path, band_height, ck, out, {})
-            if resumed.returncode != 0:
-                return fail(
-                    f"{path.name}: resume failed\n{resumed.stderr}"
-                )
+            for i, (band_height, resume, hooks) in enumerate(launches):
+                child = run_child(path, band_height, ck, out, resume, hooks)
+                last = i == len(launches) - 1
+                if child.returncode != (0 if last else -signal.SIGKILL):
+                    return (
+                        f"{path.name} ({scenario}): launch {i + 1} ended "
+                        f"with rc={child.returncode}\n{child.stderr}"
+                    )
             if out.read_text() != expected:
-                return fail(f"{path.name}: resumed bytes diverged")
-        rows.append({"layout": path.name, "band_height": band_height})
-        print(f"kill+resume ok: {path.name}")
+                return f"{path.name} ({scenario}): resumed bytes diverged"
+            if scenario == "torn":
+                row["checkpoint_bytes"] = ck.stat().st_size
+    return row
+
+
+def check_kill_resume(report: dict) -> int:
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        # The example cells are too small for a fine plan's first band
+        # to retire anything, so a synthetic array whose first band does
+        # runs the scenarios too.
+        array_cif = Path(tmp) / "inverter_rows_8x3.cif"
+        array_cif.write_text(write_cif(inverter_rows(8, 3)))
+        for path in [*LAYOUTS, array_cif]:
+            row = kill_resume_row(path)
+            if isinstance(row, str):
+                return fail(row)
+            rows.append(row)
+            print(
+                f"kill+resume ok: {path.name} (torn, replanned; "
+                f"checkpoint {row['checkpoint_bytes']} bytes)"
+            )
     report["kill_resume"] = rows
     return 0
 
@@ -214,7 +260,7 @@ def check_memory(report: dict) -> int:
 
 
 def child_main(argv: "list[str]") -> int:
-    path, band_height, ck, out_path = argv
+    path, band_height, ck, out_path, resume = argv
     layout = parse(Path(path).read_text())
     with open(out_path, "w") as out:
         stream_extract(
@@ -223,7 +269,7 @@ def child_main(argv: "list[str]") -> int:
             name="case",
             band_height=int(band_height),
             checkpoint=ck,
-            resume="auto",
+            resume="auto" if resume == "auto" else False,
             out=out,
         )
     return 0
@@ -232,7 +278,7 @@ def child_main(argv: "list[str]") -> int:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default=None, help="JSON report path")
-    parser.add_argument("--child", nargs=4, help=argparse.SUPPRESS)
+    parser.add_argument("--child", nargs=5, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.child:
         return child_main(args.child)
