@@ -2,16 +2,9 @@
 
 from .netstats import CircuitStats, LayoutStats, circuit_stats, layout_stats
 from .rc import NetRC, ProcessModel, estimate_rc, total_capacitance
-from .static_check import (
-    MIN_INVERTER_RATIO,
-    CheckReport,
-    Diagnostic,
-    Severity,
-    static_check,
-)
+from .static_check import CheckReport, Diagnostic, Severity, static_check
 
 __all__ = [
-    "MIN_INVERTER_RATIO",
     "CheckReport",
     "CircuitStats",
     "Diagnostic",

@@ -36,25 +36,15 @@ from dataclasses import dataclass
 
 from ..core.netlist import Circuit, Device, Net
 from ..diagnostics import CheckReport, Diagnostic, Severity
+from ..tech import NMOS, Technology
 
 __all__ = [
     "CheckReport",
     "Diagnostic",
     "Severity",
-    "DEFAULT_VDD_NAMES",
-    "DEFAULT_GND_NAMES",
     "ERC_RULE_HELP",
-    "MIN_INVERTER_RATIO",
     "static_check",
 ]
-
-#: Minimum pullup-to-pulldown impedance ratio for restoring NMOS logic.
-MIN_INVERTER_RATIO = 4.0
-
-#: Default rail spellings; matching is case-insensitive, so these cover
-#: VDD/Vdd/vdd! etc. without enumerating every capitalization.
-DEFAULT_VDD_NAMES: tuple[str, ...] = ("VDD", "VDD!")
-DEFAULT_GND_NAMES: tuple[str, ...] = ("GND", "GND!", "VSS", "GROUND")
 
 #: One-line help per ERC rule id, merged into ``--list-rules`` and the
 #: SARIF rule metadata alongside the DRC catalog.
@@ -96,19 +86,6 @@ class _DeviceType:
     depletion: bool
 
 
-def _device_types(tech: object) -> "dict[str, _DeviceType]":
-    deck = getattr(tech, "deck", None)
-    if deck is None:
-        return {
-            "nEnh": _DeviceType("n", False),
-            "nDep": _DeviceType("n", True),
-        }
-    return {
-        rule.name: _DeviceType(rule.polarity, rule.depletion)
-        for rule in deck.device_types
-    }
-
-
 def _type_of(
     types: "dict[str, _DeviceType]", device: Device
 ) -> _DeviceType:
@@ -130,36 +107,37 @@ def _device_box(device: Device) -> "tuple[int, int, int, int] | None":
 def static_check(
     circuit: Circuit,
     *,
-    tech: object = None,
+    tech: "Technology | None" = None,
     vdd_names: "tuple[str, ...] | None" = None,
     gnd_names: "tuple[str, ...] | None" = None,
     min_ratio: "float | None" = None,
 ) -> CheckReport:
     """Run every check over ``circuit``.
 
-    ``tech`` supplies the deck whose ERC policy (style, rail spellings,
-    minimum ratio) and device-type table drive the checks; explicit
-    ``vdd_names`` / ``gnd_names`` / ``min_ratio`` override the policy
-    (the CLI exposes them as ``--vdd`` / ``--gnd``).  With no deck the
-    historical NMOS ratio policy applies.  Rail-name matching is
-    case-insensitive.
+    ``tech`` (NMOS by default) supplies the deck whose ERC policy
+    (style, rail spellings, minimum ratio) and device-type table drive
+    the checks; explicit ``vdd_names`` / ``gnd_names`` / ``min_ratio``
+    override the policy (the CLI exposes them as ``--vdd`` / ``--gnd``).
+    Rail-name matching is case-insensitive.
     """
-    deck = getattr(tech, "deck", None)
-    erc = deck.erc if deck is not None else None
-    style = erc.style if erc is not None else "ratio"
+    deck = (tech or NMOS()).deck
+    erc = deck.erc
     if vdd_names is None:
-        vdd_names = tuple(erc.vdd_names) if erc else DEFAULT_VDD_NAMES
+        vdd_names = tuple(erc.vdd_names)
     if gnd_names is None:
-        gnd_names = tuple(erc.gnd_names) if erc else DEFAULT_GND_NAMES
+        gnd_names = tuple(erc.gnd_names)
     if min_ratio is None:
-        min_ratio = erc.min_ratio if erc else MIN_INVERTER_RATIO
-    types = _device_types(tech)
+        min_ratio = erc.min_ratio
+    types = {
+        rule.name: _DeviceType(rule.polarity, rule.depletion)
+        for rule in deck.device_types
+    }
 
     report = CheckReport()
     vdd, gnd = _find_rails(circuit, vdd_names, gnd_names)
     _check_malformed(circuit, report)
     _check_rails(circuit, report, vdd, gnd)
-    if style == "complementary":
+    if erc.style == "complementary":
         _check_complementary(circuit, report, types, vdd, gnd)
     else:
         _check_ratios(circuit, report, types, vdd, gnd, min_ratio)

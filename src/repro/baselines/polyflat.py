@@ -28,12 +28,12 @@ def extract_polyflat(layout: Layout, tech: Technology | None = None) -> Circuit:
     tech = tech or NMOS()
     boxes, labels = instantiate(layout)
 
-    diff = tech.channel_layers[0].cif_name
-    poly = tech.channel_layers[1].cif_name
-    metal = tech.conducting_layers[0].cif_name
-    contact = tech.contact_layer.cif_name
-    implant = tech.depletion_marker.cif_name
-    buried = tech.buried_layer.cif_name
+    diff = tech.diff
+    poly = tech.poly
+    metal = tech.metal
+    contact = tech.contact
+    implant = tech.marker
+    buried = tech.buried
 
     by_layer: dict[str, list[Box]] = {
         name: [] for name in (metal, poly, diff, contact, implant, buried)

@@ -47,12 +47,12 @@ def extract_raster(
     boxes, labels = instantiate(layout)
 
     bit_of = {
-        tech.conducting_layers[0].cif_name: _METAL,
-        tech.channel_layers[1].cif_name: _POLY,
-        tech.channel_layers[0].cif_name: _DIFF,
-        tech.contact_layer.cif_name: _CUT,
-        tech.depletion_marker.cif_name: _IMPL,
-        tech.buried_layer.cif_name: _BURIED,
+        tech.metal: _METAL,
+        tech.poly: _POLY,
+        tech.diff: _DIFF,
+        tech.contact: _CUT,
+        tech.marker: _IMPL,
+        tech.buried: _BURIED,
     }
 
     stack = [(bit_of[layer], box) for layer, box in boxes if layer in bit_of]
@@ -71,10 +71,6 @@ def extract_raster(
 
     labels_left = sorted(labels, key=lambda lb: -lb.y)
     label_pos = 0
-
-    metal_name = tech.conducting_layers[0].cif_name
-    poly_name = tech.channel_layers[1].cif_name
-    diff_name = tech.channel_layers[0].cif_name
 
     # Per-column state of the previous row (the top arm of the L-window).
     prev_metal: dict[int, int] = {}
@@ -209,9 +205,9 @@ def extract_raster(
                 continue
             col = label.x // pitch
             order = {
-                metal_name: (cur_metal,),
-                poly_name: (cur_poly,),
-                diff_name: (cur_diff,),
+                tech.metal: (cur_metal,),
+                tech.poly: (cur_poly,),
+                tech.diff: (cur_diff,),
             }.get(label.layer or "", (cur_metal, cur_poly, cur_diff))
             net = None
             for table in order:

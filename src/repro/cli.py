@@ -16,7 +16,7 @@ from typing import IO, Iterator
 from .analysis import static_check
 from .core.stripengine import ENGINE_CHOICES, EngineUnavailable
 from .pipeline import JobOptions, run
-from .tech import NMOS, DeckError
+from .tech import DeckError, compile_deck, resolve_deck
 
 
 def package_version() -> str:
@@ -103,7 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="CENTIMICRONS",
-        help="process lambda in centimicrons (default 250)",
+        help="process lambda in centimicrons, for a builtin deck or a "
+        "deck file (default 250, or the file's own)",
     )
     parser.add_argument(
         "--deck",
@@ -183,16 +184,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: "list[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.deck == "nmos":
-            tech = NMOS() if args.lambda_ is None else NMOS(args.lambda_)
-        else:
-            from .lint import resolve_deck
-            from .tech import compile_deck
-
-            tech = compile_deck(resolve_deck(args.deck, args.lambda_))
-    except (DeckError, KeyError, OSError) as exc:
-        message = exc.args[0] if exc.args else exc
-        print(f"error: --deck {args.deck}: {message}", file=sys.stderr)
+        tech = compile_deck(resolve_deck(args.deck, args.lambda_))
+    except DeckError as exc:
+        print(f"error: --deck {args.deck}: {exc}", file=sys.stderr)
         return 2
     if args.stream and args.hierarchical:
         print(

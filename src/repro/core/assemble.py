@@ -182,7 +182,7 @@ def assemble_circuit(
     """Fold working state (see :func:`fold_columns`) into a Circuit."""
     roots, net_cols, _, dev_cols = fold_columns(
         net_loc, dev_rec, nets.find, devs.find,
-        (tech.device_name(False), tech.device_name(True)),
+        tech.kinds,
     )
     attach_net_payload(
         net_cols,

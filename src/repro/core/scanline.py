@@ -61,7 +61,7 @@ from bisect import bisect_left, bisect_right
 from ..frontend.instantiate import PlacedLabel
 from ..frontend.stream import GeometryStream
 from ..geometry import Box
-from ..tech import Technology, scan_layers
+from ..tech import Technology
 from .assemble import attach_net_payload
 from .columnar import NO_NET, LayerTable
 from .netlist import (
@@ -136,16 +136,15 @@ class ScanlineEngine:
         #: compared across engines, band plans and resumed sweeps
         self.clock = LapClock(PROFILE_PHASES)
 
-        roles = scan_layers(tech)
-        self._metal = roles.metal
-        self._poly = roles.poly
-        self._diff = roles.diff
-        self._contact = roles.contact
-        self._implant = roles.marker
-        self._buried = roles.buried
+        self._metal = tech.metal
+        self._poly = tech.poly
+        self._diff = tech.diff
+        self._contact = tech.contact
+        self._implant = tech.marker
+        self._buried = tech.buried
         #: layers whose active intervals carry net ids directly
-        self._net_layers = roles.net_layers
-        tracked = roles.tracked()
+        self._net_layers = tech.net_layers
+        tracked = tech.tracked()
         #: per-layer columnar active-interval tables (docs/ENGINES.md)
         self._tables: dict[str, LayerTable] = {
             name: LayerTable() for name in tracked
@@ -165,7 +164,7 @@ class ScanlineEngine:
         self._prev_retired: dict[str, list[tuple[int, int, int]]] = {
             name: [] for name in self._net_layers
         }
-        self._ignored = set(roles.ignored)
+        self._ignored = set(tech.ignored)
 
         self._nets = UnionFind()
         self._devs = UnionFind()
@@ -740,7 +739,7 @@ class ScanlineEngine:
         # The engine owns the location and device folds and hands back
         # canonical-order columns; names, kept net artwork, and window
         # boundary records are host state, mapped onto rows by root.
-        kinds = (self.tech.device_name(False), self.tech.device_name(True))
+        kinds = self.tech.kinds
         net_roots, net_cols, dev_roots, dev_cols = (
             self.strip_engine.finalize(kinds)
         )

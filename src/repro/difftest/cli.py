@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from ..cli import add_version_argument
-from ..tech import NMOS, DeckError
+from ..tech import DeckError, compile_deck, resolve_deck
 from .driver import run_difftest
 from .faults import KNOWN_FAULTS
 from .oracles import DEFAULT_ORACLES, ORACLES
@@ -46,7 +46,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--lambda", dest="lambda_", type=int, default=None,
-        metavar="CENTIMICRONS", help="process lambda (default 250)",
+        metavar="CENTIMICRONS",
+        help="process lambda, for a builtin deck or a deck file "
+        "(default 250, or the file's own)",
     )
     parser.add_argument(
         "--deck", default="nmos", metavar="NAME|PATH",
@@ -103,19 +105,9 @@ def main(argv: "list[str] | None" = None) -> int:
         else DEFAULT_ORACLES
     )
     try:
-        if args.deck == "nmos":
-            tech = NMOS() if args.lambda_ is None else NMOS(args.lambda_)
-        else:
-            from ..lint import resolve_deck
-            from ..tech import compile_deck
-
-            tech = compile_deck(resolve_deck(args.deck, args.lambda_))
-    except (DeckError, KeyError, OSError) as exc:
-        message = exc.args[0] if exc.args else exc
-        print(
-            f"repro-difftest: --deck {args.deck}: {message}",
-            file=sys.stderr,
-        )
+        tech = compile_deck(resolve_deck(args.deck, args.lambda_))
+    except DeckError as exc:
+        print(f"repro-difftest: --deck {args.deck}: {exc}", file=sys.stderr)
         return 2
 
     def progress(line: str) -> None:

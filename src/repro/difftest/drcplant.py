@@ -56,9 +56,7 @@ DECK_HOSTS: dict[str, dict[str, Callable[[int], Layout]]] = {
 
 def hosts_for(tech: Technology) -> "dict[str, Callable[[int], Layout]]":
     """The known-clean host cells drawn in ``tech``'s deck layers."""
-    deck = getattr(tech, "deck", None)
-    name = deck.name if deck is not None else "nmos"
-    return DECK_HOSTS.get(name, DEFAULT_HOSTS)
+    return DECK_HOSTS.get(tech.name, DEFAULT_HOSTS)
 
 
 @dataclass

@@ -146,7 +146,7 @@ def _deck_capable(
     oracles: "tuple[Oracle, ...]", tech: Technology
 ) -> "tuple[tuple[Oracle, ...], int]":
     """The oracles validated for ``tech``'s deck, plus the skip count."""
-    deck_name = tech.deck.name if tech.deck is not None else "nmos"
+    deck_name = tech.deck.name
     capable = tuple(o for o in oracles if o.supports_deck(deck_name))
     if len(capable) < 2:
         raise ValueError(

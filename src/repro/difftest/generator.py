@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from ..cif import Label, Layout
 from ..frontend import instantiate
 from ..geometry import Box, Polygon, Transform
-from ..tech import DEFAULT_LAMBDA
+from ..tech import ABSENT_LAYER, DEFAULT_LAMBDA, Technology
 from ..workloads import random_squares
 
 #: Leaf-cell frame edge in lambda (cells are placed at this pitch).
@@ -387,7 +387,7 @@ def iteration_seed(seed: int, index: int) -> int:
 CANONICAL_LAYERS = ("NM", "NP", "ND", "NC", "NI", "NB", "NG")
 
 
-def deck_layer_map(tech) -> "dict[str, str | None]":
+def deck_layer_map(tech: Technology) -> "dict[str, str | None]":
     """Canonical generator layers -> the target deck's role layers.
 
     The motifs are written against the NMOS layer names; a deck with
@@ -396,20 +396,17 @@ def deck_layer_map(tech) -> "dict[str, str | None]":
     layer holding that role in the deck.  ``None`` means the role does
     not exist and its geometry is dropped.
     """
-    from ..tech import ABSENT_LAYER, scan_layers
-
-    roles = scan_layers(tech)
 
     def role(name: str) -> "str | None":
         return None if name == ABSENT_LAYER else name
 
     return {
-        "NM": roles.metal,
-        "NP": roles.poly,
-        "ND": roles.diff,
-        "NC": roles.contact,
-        "NI": role(roles.marker),
-        "NB": role(roles.buried),
+        "NM": tech.metal,
+        "NP": tech.poly,
+        "ND": tech.diff,
+        "NC": tech.contact,
+        "NI": role(tech.marker),
+        "NB": role(tech.buried),
         "NG": None,
     }
 

@@ -181,13 +181,12 @@ def _round_trip(layout: Layout, tech: Technology) -> Circuit:
     """
     local = run(layout, tech, JobOptions(name=NAME, hext=True))
     expected = local.text or ""
-    deck = tech.deck
     result = _service_client().extract(
         write_cif(layout),
         name=NAME,
         hext=True,
         lambda_=tech.lambda_,
-        deck=deck.name if deck is not None else "nmos",
+        deck=tech.name,
         wait_timeout=120.0,
     )
     if result["wirelist"] != expected:

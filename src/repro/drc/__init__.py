@@ -1,4 +1,4 @@
-"""Streaming NMOS design-rule checking.
+"""Streaming design-rule checking, driven by the technology deck.
 
 The DRC is a second consumer of the extractor's scanline strip
 decomposition (:class:`~repro.core.scanline.StripConsumer`): attach a
@@ -25,7 +25,6 @@ from .rules import (
     RULE_SPACING,
     RULE_WIDTH,
     LambdaRules,
-    default_rules,
     help_for,
     rules_for,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "RULE_WIDTH",
     "DrcChecker",
     "LambdaRules",
-    "default_rules",
     "help_for",
     "rules_for",
     "run_drc",

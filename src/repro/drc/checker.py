@@ -33,9 +33,8 @@ from dataclasses import dataclass, field
 
 from ..core.scanline import StripConsumer
 from ..diagnostics import CheckReport, Diagnostic, Severity
-from ..tech import ABSENT_LAYER, NMOS, Technology, scan_layers
+from ..tech import ABSENT_LAYER, NMOS, Technology
 from .rules import (
-    ALL_RULES,
     RULE_BURIED_ENCLOSURE,
     RULE_CONTACT_ENCLOSURE,
     RULE_GATE_EXTENSION,
@@ -101,29 +100,22 @@ class DrcChecker(StripConsumer):
         *,
         enabled: "frozenset[str] | None" = None,
     ) -> None:
-        self.tech = tech or NMOS()
-        self.rules = rules or rules_for(self.tech)
+        tech = self.tech = tech or NMOS()
+        self.rules = rules or rules_for(tech)
         self.enabled = enabled  # None = every deck-enabled rule
-        #: rules this checker actually flags: the deck's enabled set
-        #: (all rules for deckless technologies), optionally narrowed
-        #: by the caller's ``enabled`` filter.
-        deck = self.tech.deck
-        deck_rules = (
-            frozenset(deck.drc.rules)
-            if deck is not None
-            else frozenset(ALL_RULES)
-        )
+        #: rules this checker actually flags: the deck's enabled set,
+        #: optionally narrowed by the caller's ``enabled`` filter.
+        deck_rules = frozenset(tech.deck.drc.rules)
         self._active = (
             deck_rules if enabled is None else deck_rules & enabled
         )
 
-        roles = scan_layers(self.tech)
-        self._poly = roles.poly
-        self._diff = roles.diff
-        self._metal = roles.metal
-        self._contact = roles.contact
-        self._implant = roles.marker
-        self._buried = roles.buried
+        self._poly = tech.poly
+        self._diff = tech.diff
+        self._metal = tech.metal
+        self._contact = tech.contact
+        self._implant = tech.marker
+        self._buried = tech.buried
         #: all layers under width/spacing bookkeeping, fixed order.
         self._layers: tuple[str, ...] = tuple(
             name
@@ -167,39 +159,20 @@ class DrcChecker(StripConsumer):
             )
             for name in self._layers
         }
-        # Rule message text comes from the deck (so each technology
-        # words its own diagnostics); deckless technologies get the
-        # historical NMOS strings, which the NMOS deck reproduces.
-        templates = dict(deck.drc.messages) if deck is not None else {}
+        # Rule message text comes from the deck, so each technology
+        # words its own diagnostics.  Validation demands the templates
+        # of every enabled rule; a disabled rule's never reaches a
+        # report.
+        templates = tech.deck.drc.messages
 
-        def template(key: str, default: str, n: int) -> str:
-            return templates.get(key, default).format(n=n)
+        def template(key: str, n: int) -> str:
+            return templates.get(key, "").format(n=n)
 
-        self._msg_gate = template(
-            "gate-extension",
-            "channel edge lacks the {n} lambda poly or diffusion "
-            "extension",
-            r.gate_extension,
-        )
-        self._msg_contact = template(
-            "contact-enclosure",
-            "contact cut not fully covered by metal",
-            r.contact_margin,
-        )
-        self._msg_buried_cover = template(
-            "buried-cover",
-            "buried window not fully covered by diffusion",
-            r.buried_margin,
-        )
-        self._msg_buried_poly = template(
-            "buried-overlap", "buried window never overlaps poly", 0
-        )
-        self._msg_implant = template(
-            "marker-coverage",
-            "depletion channel not covered by implant with a {n} "
-            "lambda margin",
-            r.implant_margin,
-        )
+        self._msg_gate = template("gate-extension", r.gate_extension)
+        self._msg_contact = template("contact-enclosure", r.contact_margin)
+        self._msg_buried_cover = template("buried-cover", r.buried_margin)
+        self._msg_buried_poly = template("buried-overlap", 0)
+        self._msg_implant = template("marker-coverage", r.implant_margin)
 
         self._chip_top: "int | None" = None
         self._last_y_lo = 0

@@ -1,11 +1,10 @@
-"""The NMOS lambda-rule deck.
+"""The lambda-rule catalog: rule ids, their help, and the dimensions.
 
-Mead & Conway's composition rules (chapter 2), parameterized by lambda
-so one deck serves any process scale.  A few values are deliberately
-relaxed from the textbook numbers to match the composition style of this
-repository's canonical cells (see ``docs/STATIC_ANALYSIS.md`` for the
-deviations and their rationale); the deck is a dataclass precisely so a
-stricter variant is one ``replace()`` away.
+Each technology deck enables a subset of the rule ids below and declares
+their lambda dimensions in its DRC section (the NMOS values are Mead &
+Conway's composition rules, chapter 2, with the deviations listed in
+``docs/STATIC_ANALYSIS.md``); :func:`rules_for` reads them off a
+compiled :class:`~repro.tech.Technology`.
 
 Rule identifiers are stable strings -- they key golden snapshots,
 baseline suppression files, and SARIF rule metadata, so changing one is
@@ -14,9 +13,9 @@ a breaking change to every consumer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..tech import DEFAULT_LAMBDA
+from ..tech import NMOS, Technology
 
 # Stable rule identifiers.
 RULE_WIDTH = "drc.width"
@@ -55,41 +54,24 @@ RULE_HELP: dict[str, str] = {
 
 @dataclass(frozen=True)
 class LambdaRules:
-    """Minimum dimensions in lambda units.
+    """Minimum dimensions in lambda units, as a deck's DRC section
+    declares them (see :func:`rules_for`).
 
     ``min_width`` / ``min_spacing`` are keyed by CIF layer name; layers
     absent from a map are simply not checked for that rule.
     """
 
-    lambda_: int = DEFAULT_LAMBDA
-    min_width: dict[str, int] = field(
-        default_factory=lambda: {
-            "ND": 2,
-            "NP": 2,
-            "NM": 3,
-            "NC": 2,
-            "NB": 2,
-            "NI": 2,
-        }
-    )
-    min_spacing: dict[str, int] = field(
-        default_factory=lambda: {
-            "ND": 3,
-            "NP": 2,
-            "NM": 1,
-            "NC": 1,
-            "NB": 2,
-            "NI": 2,
-        }
-    )
+    lambda_: int
+    min_width: dict[str, int]
+    min_spacing: dict[str, int]
     #: Poly (or diffusion) overhang required beyond a channel edge.
-    gate_extension: int = 1
+    gate_extension: int
     #: Extra metal required around a contact cut (0 = full coverage).
-    contact_margin: int = 0
+    contact_margin: int
     #: Extra diffusion required around a buried window (0 = coverage).
-    buried_margin: int = 0
-    #: Implant overhang required around a depletion channel.
-    implant_margin: int = 1
+    buried_margin: int
+    #: Marker overhang required around a marked channel.
+    implant_margin: int
 
     def width_cm(self, layer: str) -> int:
         """Minimum width for ``layer`` in centimicrons (0 = unchecked)."""
@@ -116,38 +98,21 @@ class LambdaRules:
         return self.implant_margin * self.lambda_
 
 
-def default_rules(lambda_: int = DEFAULT_LAMBDA) -> LambdaRules:
-    """The standard deck at the given lambda."""
-    return LambdaRules(lambda_=lambda_)
-
-
-def rules_for(tech: object) -> LambdaRules:
-    """Build the LambdaRules a Technology's deck declares.
-
-    Technologies compiled from a deck get that deck's dimensional
-    section verbatim; hand-built (deckless) Technology objects fall
-    back to the historical NMOS defaults at their lambda.
-    """
-    deck = getattr(tech, "deck", None)
-    lambda_ = getattr(tech, "lambda_", DEFAULT_LAMBDA)
-    if deck is None:
-        return default_rules(lambda_)
+def rules_for(tech: Technology) -> LambdaRules:
+    """The LambdaRules ``tech``'s deck declares, at its lambda."""
+    drc = tech.deck.drc
     return LambdaRules(
-        lambda_=deck.lambda_,
-        min_width=dict(deck.drc.min_width),
-        min_spacing=dict(deck.drc.min_spacing),
-        gate_extension=deck.drc.gate_extension,
-        contact_margin=deck.drc.contact_margin,
-        buried_margin=deck.drc.buried_margin,
-        implant_margin=deck.drc.marker_margin,
+        lambda_=tech.lambda_,
+        min_width=dict(drc.min_width),
+        min_spacing=dict(drc.min_spacing),
+        gate_extension=drc.gate_extension,
+        contact_margin=drc.contact_margin,
+        buried_margin=drc.buried_margin,
+        implant_margin=drc.marker_margin,
     )
 
 
-def help_for(tech: object = None) -> dict[str, str]:
+def help_for(tech: "Technology | None" = None) -> dict[str, str]:
     """Rule help for ``--list-rules`` and SARIF: the global catalog,
-    overlaid with any deck-specific help entries."""
-    merged = dict(RULE_HELP)
-    deck = getattr(tech, "deck", None)
-    if deck is not None:
-        merged.update(deck.drc.help)
-    return merged
+    overlaid with the deck's own help entries (NMOS by default)."""
+    return {**RULE_HELP, **(tech or NMOS()).deck.drc.help}

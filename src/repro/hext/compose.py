@@ -59,7 +59,7 @@ _HI = attrgetter("hi")
 
 def compose(a: Placed, b: Placed, tech: Technology) -> Fragment:
     """Merge two placed fragments; result is in the same coordinates."""
-    diff_layer = tech.channel_layers[0].cif_name
+    diff_layer = tech.diff
     na = a.fragment.net_count
     nb = b.fragment.net_count
 

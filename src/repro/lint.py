@@ -22,7 +22,6 @@ count, capped at 99; 120 for usage, parse, or internal failures.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .analysis.static_check import ERC_RULE_HELP, static_check
@@ -31,6 +30,8 @@ from .cli import add_version_argument
 from .core import extract_report
 from .diagnostics import (
     CheckReport,
+    Diagnostic,
+    Severity,
     apply_baseline,
     format_text,
     load_baseline,
@@ -43,14 +44,11 @@ from .pipeline import attribute as attribute_sources
 from .tech import (
     BUILTIN_DECKS,
     DECK_RULE_HELP,
-    DEFAULT_LAMBDA,
     NMOS,
     DeckError,
     Technology,
-    TechnologyDeck,
     compile_deck,
-    deck_by_name,
-    load_deck_file,
+    resolve_deck,
     validate_deck,
 )
 
@@ -90,7 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="CENTIMICRONS",
-        help="process lambda in centimicrons (default 250)",
+        help="process lambda in centimicrons, for a builtin deck or a "
+        "deck file (default 250, or the file's own)",
     )
     parser.add_argument(
         "--format",
@@ -155,27 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def resolve_deck(spec: str, lambda_: "int | None" = None) -> TechnologyDeck:
-    """A deck from a builtin name or a JSON file path.
-
-    Anything that looks like a path (exists on disk, ends in ``.json``,
-    or contains a separator) is loaded as a deck file; otherwise the
-    builtin registry is consulted.  Raises :class:`DeckError` for
-    unparsable files and ``KeyError`` for unknown builtin names.
-    """
-    looks_like_path = (
-        os.path.exists(spec)
-        or spec.endswith(".json")
-        or os.sep in spec
-        or "/" in spec
-    )
-    if looks_like_path:
-        return load_deck_file(spec)
-    return deck_by_name(
-        spec, DEFAULT_LAMBDA if lambda_ is None else lambda_
-    )
-
-
 def all_rule_help(tech: "Technology | None" = None) -> dict[str, str]:
     """Rule-id help across DRC, ERC, and deck validation."""
     return {**help_for(tech), **ERC_RULE_HELP, **DECK_RULE_HELP}
@@ -186,35 +164,22 @@ def check_deck_reports(
 ) -> "list[CheckReport]":
     """Run the deck validator over each spec; one report per deck.
 
-    Parse failures (unreadable file, malformed JSON shape) surface as a
-    single ``deck.parse`` ERROR so the caller still gets a report per
-    input instead of an exception.
+    Resolution failures (unknown name, unreadable file, malformed JSON
+    shape) surface as a single ``deck.parse`` ERROR so the caller still
+    gets a report per input instead of an exception.
     """
     reports: list[CheckReport] = []
     for spec in specs:
         try:
-            deck = resolve_deck(spec, lambda_)
+            report = validate_deck(resolve_deck(spec, lambda_))
         except DeckError as exc:
-            if exc.report is not None and exc.report.diagnostics:
-                report = exc.report
-                report.artifact = spec
-            else:
-                from .diagnostics import Diagnostic, Severity
-
-                report = CheckReport(
-                    diagnostics=[
-                        Diagnostic(
-                            Severity.ERROR,
-                            "deck.parse",
-                            str(exc),
-                            tool="deck",
-                        )
-                    ],
-                    artifact=spec,
-                )
-            reports.append(report)
-            continue
-        report = validate_deck(deck)
+            report = CheckReport(
+                diagnostics=[
+                    Diagnostic(
+                        Severity.ERROR, "deck.parse", str(exc), tool="deck"
+                    )
+                ]
+            )
         report.artifact = spec
         reports.append(report)
     return reports
@@ -336,9 +301,8 @@ def main(argv: "list[str] | None" = None) -> int:
 
     if args.list_rules:
         try:
-            deck = resolve_deck(args.deck, args.lambda_)
-            tech = compile_deck(deck)
-        except (DeckError, KeyError, OSError):
+            tech = compile_deck(resolve_deck(args.deck, args.lambda_))
+        except DeckError:
             tech = None
         for rule, help_text in sorted(all_rule_help(tech).items()):
             print(f"{rule}: {help_text}")
@@ -357,19 +321,15 @@ def main(argv: "list[str] | None" = None) -> int:
         return INTERNAL_ERROR_EXIT
 
     try:
-        deck = resolve_deck(args.deck, args.lambda_)
-        tech = compile_deck(deck)
+        tech = compile_deck(resolve_deck(args.deck, args.lambda_))
     except DeckError as exc:
         print(f"repro-lint: --deck {args.deck}: {exc}", file=sys.stderr)
-        print(
-            "repro-lint: run with --check-deck for the full validation "
-            "report",
-            file=sys.stderr,
-        )
-        return INTERNAL_ERROR_EXIT
-    except (KeyError, OSError) as exc:
-        message = exc.args[0] if exc.args else exc
-        print(f"repro-lint: --deck {args.deck}: {message}", file=sys.stderr)
+        if exc.report is not None:
+            print(
+                "repro-lint: run with --check-deck for the full "
+                "validation report",
+                file=sys.stderr,
+            )
         return INTERNAL_ERROR_EXIT
 
     rule_ids = _rule_filter(args.rules)

@@ -26,7 +26,7 @@ import json
 from ..geometry import Box
 from ..hext.fragment import CHANNEL, DeviceRec, Fragment, IfaceRec, LineIndex
 from ..hext.windows import Content, relative_artwork
-from ..tech import Technology
+from ..tech import Technology, deck_to_dict
 
 #: Bump when the fragment payload or cache key derivation changes shape,
 #: or when extraction changes what a key's fragment holds.  Version 2:
@@ -59,10 +59,11 @@ def envelope_text(header: dict, field: str, body: str) -> str:
 def technology_fingerprint(tech: Technology) -> str:
     """Digest of every process rule that can influence extraction.
 
-    ``Technology`` is a frozen value object of strings, ints and layer
-    constants, so its repr is deterministic and complete.
+    A ``Technology`` is compiled from its deck alone, so the deck's
+    canonical JSON is deterministic and complete.
     """
-    return hashlib.sha256(repr(tech).encode()).hexdigest()
+    body = canonical_json(deck_to_dict(tech.deck))
+    return hashlib.sha256(body.encode()).hexdigest()
 
 
 # ----------------------------------------------------------------------

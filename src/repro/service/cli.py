@@ -246,7 +246,7 @@ def submit_main(argv: "list[str] | None" = None) -> int:
         options["hext"] = True
     if args.lambda_ is not None:
         options["lambda"] = args.lambda_
-    if args.deck is not None:
+    if args.deck:
         options["deck"] = args.deck
     if args.lint:
         options["lint"] = True

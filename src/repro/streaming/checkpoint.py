@@ -68,6 +68,16 @@ def run_key(digest: str, options: dict, floors: list) -> str:
     return hashlib.sha256(body.encode()).hexdigest()[:16]
 
 
+def recorded_run_key(path: "str | os.PathLike") -> "str | None":
+    """The run key of the sweep the checkpoint at ``path`` records, or
+    None when there is no usable checkpoint there."""
+    try:
+        state = load_checkpoint(path)
+        return run_key(state["digest"], state["options"], state["floors"])
+    except (CheckpointError, KeyError):
+        return None
+
+
 def save_checkpoint(path: "str | os.PathLike", state: dict) -> None:
     """Atomically replace ``path`` with a checksummed envelope."""
     body = canonical_json(state)

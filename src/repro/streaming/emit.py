@@ -55,7 +55,7 @@ def emit_wirelist(
     spill: SpillStore,
     kinds: "tuple[str, str]",
     include_geometry: bool,
-    primitives: "dict | None" = None,
+    primitives: dict,
 ) -> EmitResult:
     """Write the flat wirelist for a fully retired sweep.
 

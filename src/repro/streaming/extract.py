@@ -56,7 +56,7 @@ from ..tech import NMOS, Technology
 from ..wirelist.model import primitives_for
 from . import checkpoint as ckpt
 from .emit import emit_wirelist
-from .spill import SpillStore
+from .spill import SpillStore, remove_run
 
 #: Crash-injection hooks for the kill-and-resume harness: SIGKILL the
 #: process once it has committed N bands (replayed bands do not count),
@@ -183,6 +183,13 @@ def stream_extract(
         spill = SpillStore(
             spill_dir, ckpt.run_key(digest, options, floors), devices
         )
+        # A fresh run over a checkpoint of another band plan supersedes
+        # that plan's band files once its own first checkpoint lands.
+        superseded = None
+        if checkpoint is not None and not resume:
+            superseded = ckpt.recorded_run_key(checkpoint)
+            if superseded == spill.run_key:
+                superseded = None
         net_locs: dict[int, tuple[int, int]] = {}
         net_bands: dict[int, int] = {}
         spill_seconds = _run_bands(
@@ -192,6 +199,7 @@ def stream_extract(
             committed,
             spill=spill,
             checkpoint=checkpoint,
+            superseded=superseded,
             identity={"digest": digest, "options": options},
             net_locs=net_locs,
             net_bands=net_bands,
@@ -215,7 +223,7 @@ def stream_extract(
             net_bands=net_bands,
             devices=devices,
             spill=spill,
-            kinds=(tech.device_name(False), tech.device_name(True)),
+            kinds=tech.kinds,
             primitives=primitives_for(tech),
             include_geometry=keep_geometry,
         )
@@ -269,6 +277,7 @@ def _run_bands(
     *,
     spill: SpillStore,
     checkpoint: "str | os.PathLike | None",
+    superseded: "str | None",
     identity: dict,
     net_locs: "dict[int, tuple[int, int]]",
     net_bands: "dict[int, int]",
@@ -279,9 +288,12 @@ def _run_bands(
 
     Bands below ``committed`` are replayed: retired like any other, so
     the order keys come back, but neither spilled nor checkpointed
-    again.  Returns the seconds spent between sweeps (retire, spill,
-    progress, checkpoint); the sweeps themselves are on the host's
-    clock.
+    again.  The band files of the ``superseded`` run key are deleted
+    from ``<checkpoint>.spill`` right after the first checkpoint
+    replaces the one naming them; a ``spill_dir`` of the caller's may be
+    shared and is left alone.  Returns the seconds spent between sweeps
+    (retire, spill, progress, checkpoint); the sweeps themselves are on
+    the host's clock.
     """
     kill_after = int(os.environ.get(KILL_AFTER_ENV, 0) or 0)
     kill_phase = os.environ.get(KILL_PHASE_ENV, "checkpoint")
@@ -320,6 +332,9 @@ def _run_bands(
                     checkpoint,
                     {**identity, "floors": floors, "band": band + 1},
                 )
+                if superseded is not None:
+                    remove_run(f"{checkpoint}.spill", superseded)
+                    superseded = None
             if kill and kill_phase != "spill":
                 os.kill(os.getpid(), signal.SIGKILL)
         spent += perf_counter() - started

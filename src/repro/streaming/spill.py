@@ -27,6 +27,7 @@ which makes the write idempotent.
 from __future__ import annotations
 
 from collections import OrderedDict
+from pathlib import Path
 
 from ..core.stripengine import RetiredDevices
 from ..geometry import Box
@@ -37,6 +38,13 @@ from ..parallel.serialize import SerializationError
 def band_key(run_key: str, band: int) -> str:
     """Spill key for one band of one run."""
     return f"{run_key}{band:08d}"
+
+
+def remove_run(root: "str | Path", run_key: str) -> None:
+    """Delete every band file of ``run_key`` from the spill directory
+    ``root`` (wherever the store's fan-out put them)."""
+    for path in Path(root).glob(f"*/{run_key}*.json"):
+        path.unlink(missing_ok=True)
 
 
 def net_payload_rows(payload: "dict[int, dict]") -> list:

@@ -19,26 +19,22 @@ Layer names follow the CIF convention of a ``C`` prefix: ``CM`` metal,
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from .deck import (
+    ChannelRule,
+    ContactRule,
+    DeviceTypeRule,
+    DrcDeck,
+    ErcDeck,
+    LayerSpec,
+    Technology,
+    TechnologyDeck,
+    compile_deck,
+)
+from .nmos import DEFAULT_LAMBDA
 
-from .nmos import DEFAULT_LAMBDA, Technology
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .deck import TechnologyDeck
-
-
-def cmos_deck(lambda_: int = DEFAULT_LAMBDA) -> "TechnologyDeck":
+def cmos_deck(lambda_: int = DEFAULT_LAMBDA) -> TechnologyDeck:
     """The p-well CMOS deck, as declarative data."""
-    from .deck import (
-        ChannelRule,
-        ContactRule,
-        DeviceTypeRule,
-        DrcDeck,
-        ErcDeck,
-        LayerSpec,
-        TechnologyDeck,
-    )
-
     return TechnologyDeck(
         name="cmos",
         lambda_=lambda_,
@@ -109,6 +105,4 @@ def cmos_deck(lambda_: int = DEFAULT_LAMBDA) -> "TechnologyDeck":
 
 def CMOS(lambda_: int = DEFAULT_LAMBDA) -> Technology:
     """The p-well CMOS technology at the given lambda."""
-    from .deck import compile_deck
-
     return compile_deck(cmos_deck(lambda_))

@@ -4,8 +4,8 @@ A :class:`TechnologyDeck` is the serializable description of one
 process technology -- the layer set, the channel-formation rule, the
 device-type marker rules, the contact/buried union rules, the DRC
 lambda deck, and the ERC policy.  Decks are *compiled* into the runtime
-:class:`~repro.tech.nmos.Technology` value object by
-:func:`compile_deck`, which first runs :func:`validate_deck`: a static
+:class:`Technology` by :func:`compile_deck`, the only code that builds
+one, which first runs :func:`validate_deck`: a static
 analysis pass over the deck itself that rejects malformed decks
 (unknown or duplicate layers, device rules on non-conducting layers,
 width entries for undeclared layers, rule-id collisions, uncheckable
@@ -15,9 +15,14 @@ Validation findings are ordinary :class:`~repro.diagnostics.Diagnostic`
 records (``tool="deck"``), so ``repro-lint --check-deck`` reports them
 through the same text/JSON/SARIF writers as every other checker.
 
-The built-in decks live in :mod:`repro.tech.nmos` (Mead & Conway NMOS,
-byte-identical to the historical hardwired rules) and
-:mod:`repro.tech.cmos` (p-well CMOS); their canonical JSON forms are
+A :class:`Technology` is the deck plus the layer roles and wirelist
+part names resolved from it once, at compile time; the scanline host,
+both strip engines, the DRC checker and the baselines read those roles,
+and everything else (DRC dimensions and messages, ERC policy, the
+device-type table) straight from the deck.
+
+The built-in decks live in :mod:`repro.tech.nmos` (Mead & Conway NMOS)
+and :mod:`repro.tech.cmos` (p-well CMOS); their canonical JSON forms are
 shipped under ``src/repro/tech/decks/`` and pinned by tests.
 """
 
@@ -25,12 +30,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
-
-from .layers import Layer
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .nmos import Technology
+from typing import Any
 
 __all__ = [
     "ABSENT_LAYER",
@@ -43,13 +43,12 @@ __all__ = [
     "DrcDeck",
     "ErcDeck",
     "LayerSpec",
-    "ScanLayers",
+    "Technology",
     "TechnologyDeck",
     "compile_deck",
     "deck_from_dict",
     "deck_to_dict",
     "load_deck_file",
-    "scan_layers",
     "validate_deck",
 ]
 
@@ -501,77 +500,16 @@ class DeckError(ValueError):
 # ----------------------------------------------------------------------
 
 
-def compile_deck(deck: TechnologyDeck) -> "Technology":
-    """Validate ``deck`` and build the runtime Technology from it.
-
-    Raises :class:`DeckError` (carrying the validation report) when the
-    deck is malformed.  The compiled Technology keeps a reference to its
-    deck, which is where the scanline, DRC, and ERC read channel,
-    blocker, marker, and policy data from.
-    """
-    from .nmos import Technology
-
-    report = validate_deck(deck)
-    if report.errors:
-        lines = "; ".join(d.message for d in report.errors[:4])
-        raise DeckError(
-            f"technology deck {deck.name!r} failed validation "
-            f"({len(report.errors)} finding(s)): {lines}",
-            report=report,
-        )
-
-    layer_of = {
-        spec.name: Layer(spec.name, spec.description, spec.conducting)
-        for spec in deck.layers
-    }
-    absent = Layer(ABSENT_LAYER, "absent layer role", conducting=False)
-
-    def resolve(name: "str | None") -> Layer:
-        return layer_of[name] if name is not None else absent
-
-    routing = deck.routing_names()
-    marked = deck.marked_device()
-    default = deck.default_device()
-    return Technology(
-        name=deck.name,
-        lambda_=deck.lambda_,
-        conducting_layers=(
-            *(layer_of[n] for n in routing),
-            layer_of[deck.channel.gate],
-            layer_of[deck.channel.diffusion],
-        ),
-        channel_layers=(
-            layer_of[deck.channel.diffusion],
-            layer_of[deck.channel.gate],
-        ),
-        channel_blocker=resolve(deck.channel.blocker),
-        depletion_marker=resolve(marked.marker if marked else None),
-        contact_layer=layer_of[deck.contact.cut],
-        buried_layer=resolve(deck.buried.window if deck.buried else None),
-        ignored_layers=tuple(layer_of[n] for n in deck.ignored),
-        device_names={
-            False: default.name,
-            True: (marked or default).name,
-        },
-        deck=deck,
-    )
-
-
-# ----------------------------------------------------------------------
-# the scanline's layer-role view
-# ----------------------------------------------------------------------
-
-
 @dataclass(frozen=True)
-class ScanLayers:
-    """Layer roles resolved for one extraction run.
+class Technology:
+    """A compiled deck: the layer roles and part names it resolves to.
 
-    The scanline host, both strip engines, and the DRC checker read
-    layer names through this view; :func:`scan_layers` fills it from
-    the compiled deck (or, for hand-built Technology objects without a
-    deck, from the legacy attributes).
+    Built only by :func:`compile_deck`, which fills every field from
+    ``deck`` once.  A role the deck does not use (CMOS has no buried
+    window and no channel blocker) holds :data:`ABSENT_LAYER`.
     """
 
+    deck: TechnologyDeck
     metal: str
     poly: str
     diff: str
@@ -579,10 +517,22 @@ class ScanLayers:
     marker: str
     blocker: str
     buried: str
+    #: layers whose active intervals carry net ids directly
     net_layers: frozenset[str]
     ignored: frozenset[str]
+    #: wirelist part names of a bare channel and a marked one
+    kinds: tuple[str, str]
+
+    @property
+    def name(self) -> str:
+        return self.deck.name
+
+    @property
+    def lambda_(self) -> int:
+        return self.deck.lambda_
 
     def tracked(self) -> set[str]:
+        """The layers the scanline keeps active-interval tables for."""
         return {
             self.metal,
             self.poly,
@@ -593,44 +543,40 @@ class ScanLayers:
             self.buried,
         }
 
+    def device_name(self, marked: bool) -> str:
+        return self.kinds[marked]
 
-def scan_layers(tech: "Technology") -> ScanLayers:
-    """Resolve the layer roles the scanline tracks for ``tech``."""
-    deck = tech.deck
-    if deck is not None:
-        routing = deck.routing_names()
-        marked = deck.marked_device()
-        return ScanLayers(
-            metal=routing[0],
-            poly=deck.channel.gate,
-            diff=deck.channel.diffusion,
-            contact=deck.contact.cut,
-            marker=(
-                marked.marker
-                if marked and marked.marker is not None
-                else ABSENT_LAYER
-            ),
-            blocker=deck.channel.blocker or ABSENT_LAYER,
-            buried=deck.buried.window if deck.buried else ABSENT_LAYER,
-            net_layers=frozenset((*routing, deck.channel.gate)),
-            ignored=frozenset(deck.ignored),
+
+def compile_deck(deck: TechnologyDeck) -> Technology:
+    """Validate ``deck`` and resolve its layer roles into a Technology.
+
+    Raises :class:`DeckError` (carrying the validation report) when the
+    deck is malformed.
+    """
+    report = validate_deck(deck)
+    if report.errors:
+        lines = "; ".join(d.message for d in report.errors[:4])
+        raise DeckError(
+            f"technology deck {deck.name!r} failed validation "
+            f"({len(report.errors)} finding(s)): {lines}",
+            report=report,
         )
-    return ScanLayers(
-        metal=tech.conducting_layers[0].cif_name,
-        poly=tech.channel_layers[1].cif_name,
-        diff=tech.channel_layers[0].cif_name,
-        contact=tech.contact_layer.cif_name,
-        marker=tech.depletion_marker.cif_name,
-        blocker=tech.channel_blocker.cif_name,
-        buried=tech.buried_layer.cif_name,
-        net_layers=frozenset(
-            layer.cif_name
-            for layer in tech.conducting_layers
-            if layer.cif_name != tech.channel_layers[0].cif_name
-        ),
-        ignored=frozenset(
-            layer.cif_name for layer in tech.ignored_layers
-        ),
+
+    routing = deck.routing_names()
+    marked = deck.marked_device()
+    default = deck.default_device()
+    return Technology(
+        deck=deck,
+        metal=routing[0],
+        poly=deck.channel.gate,
+        diff=deck.channel.diffusion,
+        contact=deck.contact.cut,
+        marker=(marked.marker if marked else None) or ABSENT_LAYER,
+        blocker=deck.channel.blocker or ABSENT_LAYER,
+        buried=deck.buried.window if deck.buried else ABSENT_LAYER,
+        net_layers=frozenset((*routing, deck.channel.gate)),
+        ignored=frozenset(deck.ignored),
+        kinds=(default.name, (marked or default).name),
     )
 
 

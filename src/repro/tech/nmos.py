@@ -15,101 +15,39 @@ it does embed the NMOS *topology* rules:
 * **Buried contacts** -- buried over poly AND diffusion unions the poly
   and diffusion nets (and, by the channel rule, suppresses the channel).
 
-Since the deck refactor these rules are *data*: :func:`nmos_deck` is the
-declarative :class:`~repro.tech.deck.TechnologyDeck` and :func:`NMOS`
-compiles it (the compiled Technology is byte-identical in behavior to
-the historical hardwired one).  The lambda value only matters to the
-raster baseline (grid pitch) and the workload generators; ACE itself is
+These rules are *data*: :func:`nmos_deck` is the declarative
+:class:`~repro.tech.deck.TechnologyDeck`, and :func:`NMOS` compiles it
+into the :class:`~repro.tech.deck.Technology` every extractor, checker
+and writer reads.  The lambda value only matters to the DRC, the raster
+baseline (grid pitch) and the workload generators; ACE itself is
 grid-free.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
-
-from . import layers
-from .layers import Layer
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .deck import TechnologyDeck
+from .deck import (
+    BuriedRule,
+    ChannelRule,
+    ContactRule,
+    DeviceTypeRule,
+    DrcDeck,
+    ErcDeck,
+    LayerSpec,
+    Technology,
+    TechnologyDeck,
+    compile_deck,
+)
 
 #: Default lambda in CIF centimicrons (2.5 micron process, Mead-Conway).
 DEFAULT_LAMBDA = 250
 
 
-@dataclass(frozen=True)
-class Technology:
-    """A bundle of process rules, normally compiled from a deck.
-
-    Kept as a value object (rather than module constants) so tests and the
-    HEXT back-end can construct reduced-layer variants.  When ``deck`` is
-    set (every deck-compiled instance), the scanline, DRC, and ERC read
-    channel/marker/policy data from it; hand-built instances without a
-    deck fall back to the attribute-derived roles.
-    """
-
-    name: str = "nmos"
-    lambda_: int = DEFAULT_LAMBDA
-    conducting_layers: tuple[Layer, ...] = (
-        layers.METAL,
-        layers.POLY,
-        layers.DIFFUSION,
-    )
-    channel_layers: tuple[Layer, Layer] = (layers.DIFFUSION, layers.POLY)
-    channel_blocker: Layer = layers.BURIED
-    depletion_marker: Layer = layers.IMPLANT
-    contact_layer: Layer = layers.CONTACT
-    buried_layer: Layer = layers.BURIED
-    ignored_layers: tuple[Layer, ...] = (layers.GLASS,)
-    #: Transistor part names used in wirelists, by depletion flag.
-    device_names: dict = field(
-        default_factory=lambda: {False: "nEnh", True: "nDep"}
-    )
-    #: The declarative deck this Technology was compiled from, if any.
-    deck: "TechnologyDeck | None" = None
-
-    def all_layers(self) -> tuple[Layer, ...]:
-        seen: list[Layer] = []
-        for layer in (
-            *self.conducting_layers,
-            *self.channel_layers,
-            self.channel_blocker,
-            self.depletion_marker,
-            self.contact_layer,
-            self.buried_layer,
-            *self.ignored_layers,
-        ):
-            if layer not in seen:
-                seen.append(layer)
-        return tuple(seen)
-
-    def is_relevant(self, layer: Layer) -> bool:
-        """Layers the extractor must track (everything but ignored)."""
-        return layer not in self.ignored_layers
-
-    def device_name(self, depletion: bool) -> str:
-        return self.device_names[depletion]
-
-
-def nmos_deck(lambda_: int = DEFAULT_LAMBDA) -> "TechnologyDeck":
+def nmos_deck(lambda_: int = DEFAULT_LAMBDA) -> TechnologyDeck:
     """The Mead & Conway NMOS deck, as declarative data.
 
-    Compiling this deck reproduces the historical hardwired Technology
-    and DRC rules byte-for-byte (layer order, device names, lambda
-    values, and diagnostic message text all pinned by goldens).
+    Layer order, device names, lambda values and diagnostic message
+    text are all pinned by the goldens.
     """
-    from .deck import (
-        BuriedRule,
-        ChannelRule,
-        ContactRule,
-        DeviceTypeRule,
-        DrcDeck,
-        ErcDeck,
-        LayerSpec,
-        TechnologyDeck,
-    )
-
     return TechnologyDeck(
         name="nmos",
         lambda_=lambda_,
@@ -190,6 +128,4 @@ def nmos_deck(lambda_: int = DEFAULT_LAMBDA) -> "TechnologyDeck":
 
 def NMOS(lambda_: int = DEFAULT_LAMBDA) -> Technology:
     """The standard NMOS technology at the given lambda."""
-    from .deck import compile_deck
-
     return compile_deck(nmos_deck(lambda_))

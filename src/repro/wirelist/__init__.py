@@ -4,8 +4,6 @@ flattener, and netlist comparator."""
 from .compare import ComparisonReport, compare_netlists, netlists_equivalent
 from .flatten import FlatCircuit, FlatDevice, circuit_to_flat, flatten
 from .model import (
-    KNOWN_PRIMITIVES,
-    PRIMITIVE_PARTS,
     DefPart,
     DeviceInstance,
     NetDecl,
@@ -17,8 +15,6 @@ from .parser import WirelistParseError, parse_wirelist, read_sexpr
 from .writer import geometry_to_cif, to_wirelist, write_wirelist
 
 __all__ = [
-    "KNOWN_PRIMITIVES",
-    "PRIMITIVE_PARTS",
     "ComparisonReport",
     "DefPart",
     "DeviceInstance",

@@ -6,39 +6,27 @@ wirelist is a single ``DefPart`` containing primitive transistor parts
 and net declarations (Figure 3-4 of the paper); a HEXT wirelist nests
 window ``DefPart``s that instantiate one another and equate nets across
 their boundaries (Figure 2-2).
+
+A wirelist opens with a prolog declaring its primitive transistor parts,
+one ``(DefPart <type> (Export Source Gate Drain))`` per device type of
+the technology deck it was extracted under; the parser reads them back
+from there, so a wirelist is self-describing whatever its deck calls
+its devices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-#: Export lists of the primitive NMOS transistor parts (the default
-#: wirelist prolog; deck-compiled technologies may declare others).
-PRIMITIVE_PARTS = {
-    "nEnh": ("Source", "Gate", "Drain"),
-    "nDep": ("Source", "Gate", "Drain"),
-}
-
-#: Every primitive part name the parser recognizes, across all decks.
-KNOWN_PRIMITIVES = {
-    **PRIMITIVE_PARTS,
-    "pEnh": ("Source", "Gate", "Drain"),
-}
+from ..tech import NMOS, Technology
 
 
-def primitives_for(tech: object = None) -> dict:
-    """The primitive-part prolog a technology's wirelists declare.
-
-    Deck-compiled technologies declare one part per device type, in
-    deck order; deckless (or ``None``) technologies keep the historical
-    NMOS prolog.
-    """
-    deck = getattr(tech, "deck", None)
-    if deck is None:
-        return PRIMITIVE_PARTS
+def primitives_for(tech: "Technology | None" = None) -> dict:
+    """The primitive-part prolog ``tech``'s wirelists declare (NMOS by
+    default): one part per device type, in deck order."""
     return {
         rule.name: ("Source", "Gate", "Drain")
-        for rule in deck.device_types
+        for rule in (tech or NMOS()).deck.device_types
     }
 
 
@@ -46,7 +34,7 @@ def primitives_for(tech: object = None) -> dict:
 class DeviceInstance:
     """A primitive transistor instance inside a DefPart."""
 
-    kind: str  # "nEnh" | "nDep"
+    kind: str  # a primitive part name, e.g. "nEnh"
     inst_name: str  # D0, D1, ...
     gate: str | None
     source: str | None
@@ -109,8 +97,8 @@ class Wirelist:
     name: str
     defparts: list[DefPart] = field(default_factory=list)
     top: str | None = None
-    #: primitive-part prolog; None means the NMOS PRIMITIVE_PARTS.
-    primitives: dict | None = None
+    #: primitive-part prolog: part name -> export names
+    primitives: dict = field(default_factory=primitives_for)
 
     def defpart(self, name: str) -> DefPart:
         for part in self.defparts:

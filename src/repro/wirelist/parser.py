@@ -9,7 +9,6 @@ semicolons (inline CIF).
 from __future__ import annotations
 
 from .model import (
-    KNOWN_PRIMITIVES,
     DefPart,
     DeviceInstance,
     NetDecl,
@@ -90,12 +89,13 @@ def parse_wirelist(text: str) -> Wirelist:
     if not isinstance(expr, list) or not expr or expr[0] != "DefPart":
         raise WirelistParseError("wirelist must start with (DefPart ...)")
     name = _unquote(expr[1])
-    wirelist = Wirelist(name=name)
+    primitives: dict = {}
+    wirelist = Wirelist(name=name, primitives=primitives)
 
-    # The outer DefPart may contain nested DefParts (primitives and
-    # windows), Part instances, Nets and a Local list; any Part/Net/Local
-    # content at the outer level forms an implicit DefPart of the same
-    # name (the flat form of Figure 3-4).
+    # The outer DefPart may contain nested DefParts (the primitive
+    # prolog, then windows), Part instances, Nets and a Local list; any
+    # Part/Net/Local content at the outer level forms an implicit
+    # DefPart of the same name (the flat form of Figure 3-4).
     outer = DefPart(name=name)
     outer_used = False
     top: str | None = None
@@ -104,12 +104,15 @@ def parse_wirelist(text: str) -> Wirelist:
             raise WirelistParseError(f"unexpected atom {item!r} in DefPart")
         head = item[0]
         if head == "DefPart":
-            child_name = _unquote(item[1])
-            if child_name in KNOWN_PRIMITIVES and _is_primitive_decl(item):
-                continue  # primitive declarations carry no content
-            wirelist.defparts.append(_parse_defpart(item))
+            if _is_primitive_decl(item):
+                primitives[_unquote(item[1])] = tuple(
+                    a for sub in item[2:] for a in sub[1:]
+                    if isinstance(a, str)
+                )
+            else:
+                wirelist.defparts.append(_parse_defpart(item, primitives))
         elif head == "Part":
-            parsed = _parse_part(item, outer)
+            parsed = _parse_part(item, outer, primitives)
             if parsed is not None:
                 top = parsed
             outer_used = True
@@ -128,19 +131,24 @@ def parse_wirelist(text: str) -> Wirelist:
 
 
 def _is_primitive_decl(item: list) -> bool:
-    return all(
-        isinstance(sub, list) and sub and sub[0] in ("Export", "Exports")
+    """A prolog part: a body of ``(Export ...)`` forms only.
+
+    Windows always carry an ``(Exports ...)`` list and a ``(Local ...)``
+    one, so a window is never taken for a primitive.
+    """
+    return len(item) > 2 and all(
+        isinstance(sub, list) and sub and sub[0] == "Export"
         for sub in item[2:]
     )
 
 
-def _parse_defpart(expr: list) -> DefPart:
+def _parse_defpart(expr: list, primitives: dict) -> DefPart:
     part = DefPart(name=_unquote(expr[1]))
     for item in expr[2:]:
         if not isinstance(item, list) or not item:
             raise WirelistParseError(f"unexpected atom {item!r}")
         if item[0] == "Part":
-            _parse_part(item, part)
+            _parse_part(item, part, primitives)
         else:
             _parse_body_item(item, part)
     return part
@@ -167,18 +175,19 @@ def _parse_body_item(item: list, part: DefPart) -> None:
         raise WirelistParseError(f"unknown form ({head} ...) in DefPart body")
 
 
-def _parse_part(item: list, part: DefPart) -> str | None:
+def _parse_part(item: list, part: DefPart, primitives: dict) -> str | None:
     """Parse a Part instance into ``part``.
 
-    Returns the part name when this is the bare top-instantiation form
-    ``(Part X (Name Top))``; otherwise None.
+    An instance of a part the prolog declared in ``primitives`` is a
+    device.  Returns the part name when this is the bare
+    top-instantiation form ``(Part X (Name Top))``; otherwise None.
     """
     kind = item[1]
     attrs = {sub[0]: sub for sub in item[2:] if isinstance(sub, list) and sub}
     name_attr = attrs.get("Name") or attrs.get("InstName")
     inst_name = name_attr[1] if name_attr else f"anon{len(part.devices)}"
 
-    if kind in KNOWN_PRIMITIVES:
+    if kind in primitives:
         terminals: dict[str, str | None] = {"Gate": None, "Source": None, "Drain": None}
         for sub in item[2:]:
             if isinstance(sub, list) and sub and sub[0] == "T":

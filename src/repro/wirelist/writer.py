@@ -22,7 +22,8 @@ from typing import Callable, Iterable
 
 from ..core.netlist import Circuit, DeviceColumns, NetColumns
 from ..geometry import Box
-from .model import PRIMITIVE_PARTS, DefPart, Wirelist, primitives_for
+from ..tech import Technology
+from .model import DefPart, Wirelist, primitives_for
 
 
 class FlatWirelist(Wirelist):
@@ -38,7 +39,7 @@ class FlatWirelist(Wirelist):
         circuit: Circuit,
         name: str,
         include_geometry: bool,
-        primitives: "dict | None",
+        primitives: dict,
     ) -> None:
         self.name = self.top = name
         self.primitives = primitives
@@ -60,17 +61,17 @@ def to_wirelist(
     circuit: Circuit,
     name: str = "chip",
     include_geometry: bool = True,
-    tech: object = None,
+    tech: "Technology | None" = None,
 ) -> Wirelist:
     """Build the flat wirelist for an extracted circuit.
 
     Net names follow the paper: the canonical name is ``N<index>`` with
     user-defined names listed as aliases.  Geometry (channel and net CIF
     strings) is included when the circuit was extracted with
-    ``keep_geometry`` and ``include_geometry`` is left on.
+    ``keep_geometry`` and ``include_geometry`` is left on.  The prolog
+    declares ``tech``'s device types (NMOS by default).
     """
-    primitives = None if tech is None else primitives_for(tech)
-    return FlatWirelist(circuit, name, include_geometry, primitives)
+    return FlatWirelist(circuit, name, include_geometry, primitives_for(tech))
 
 
 def geometry_to_cif(
@@ -124,7 +125,7 @@ def write_wirelist(wirelist: Wirelist) -> str:
 def write_flat(
     write: Callable[[str], object],
     name: str,
-    primitives: "dict | None",
+    primitives: dict,
     devices: "Iterable[DeviceColumns]",
     nets: "Iterable[NetColumns]",
     include_geometry: bool = False,
@@ -145,9 +146,9 @@ def write_flat(
     write(f" (Local {' '.join(map('N{}'.format, range(1, count + 1)))} )\n)\n")
 
 
-def _prolog(name: str, primitives: "dict | None") -> str:
+def _prolog(name: str, primitives: dict) -> str:
     lines = [f'(DefPart "{name}"\n']
-    for kind, exports in (primitives or PRIMITIVE_PARTS).items():
+    for kind, exports in primitives.items():
         lines.append(f" (DefPart {kind} (Export {' '.join(exports)}))\n")
     return "".join(lines)
 

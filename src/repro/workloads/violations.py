@@ -19,7 +19,7 @@ from ..drc.rules import (
     RULE_SPACING,
     RULE_WIDTH,
 )
-from ..tech import DEFAULT_LAMBDA
+from ..tech import DEFAULT_LAMBDA, NMOS
 from .builder import LayoutBuilder
 
 #: rule id -> boxes ``(layer, x1, y1, x2, y2)`` in lambda units.  Every
@@ -70,32 +70,22 @@ def violation_snippets_for(
     The canonical snippets are written in the NMOS layer names; for
     another deck each snippet is rewritten through the deck's layer
     roles (diffusion, gate, metal, cut, marker, buried window) and
-    restricted to the rules the deck enables.  A snippet touching a
-    role the deck lacks (e.g. buried windows under CMOS) is dropped --
-    its rule cannot fire there.
+    restricted to the rules the deck enables (NMOS by default).  A
+    snippet touching a role the deck lacks (e.g. buried windows under
+    CMOS) is dropped -- its rule cannot fire there.
     """
-    deck = getattr(tech, "deck", None)
-    if tech is None or deck is None:
-        return dict(VIOLATION_SNIPPETS)
-    from ..tech import ABSENT_LAYER, scan_layers
+    from ..difftest.generator import deck_layer_map
 
-    roles = scan_layers(tech)
-    mapping: dict[str, "str | None"] = {
-        "NM": roles.metal,
-        "NP": roles.poly,
-        "ND": roles.diff,
-        "NC": roles.contact,
-        "NI": None if roles.marker == ABSENT_LAYER else roles.marker,
-        "NB": None if roles.buried == ABSENT_LAYER else roles.buried,
-    }
-    enabled = set(deck.drc.rules)
+    tech = tech or NMOS()
+    mapping = deck_layer_map(tech)
+    enabled = set(tech.deck.drc.rules)
     table: dict[str, tuple] = {}
     for rule, boxes in VIOLATION_SNIPPETS.items():
         if rule not in enabled:
             continue
         mapped = []
         for layer, x1, y1, x2, y2 in boxes:
-            target = mapping.get(layer, layer)
+            target = mapping[layer]
             if target is None:
                 mapped = None
                 break

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.frontend import PlacedLabel
@@ -18,7 +20,7 @@ from repro.parallel import (
     technology_fingerprint,
     window_cache_key,
 )
-from repro.tech import NMOS, Technology
+from repro.tech import NMOS, compile_deck, nmos_deck
 from repro.workloads import inverter, inverter_rows
 
 
@@ -109,7 +111,7 @@ def test_technology_fingerprint_tracks_rules():
         NMOS(lambda_=100)
     )
     assert technology_fingerprint(NMOS()) != technology_fingerprint(
-        Technology(name="other")
+        compile_deck(dataclasses.replace(nmos_deck(), name="other"))
     )
 
 

@@ -399,3 +399,35 @@ def test_checkpoint_state_text_is_the_canonical_body(tmp_path):
     text = path.read_text()
     assert text.endswith(f'"state": {canonical_json(state)}}}')
     assert load_checkpoint(path) == state
+
+
+def test_new_band_plan_removes_superseded_band_files(tmp_path):
+    """Re-planned runs under one checkpoint keep one plan's band files.
+
+    Each finished run leaves its checkpoint behind.  A fresh run of
+    another plan supersedes it at its own first checkpoint, and the
+    older plan's band files go with it; a shared ``spill_dir`` is never
+    pruned.
+    """
+    layout = inverter_rows(8, 3)
+    height = chip_height(layout)
+    ck = tmp_path / "run.ckpt"
+    shared = tmp_path / "shared"
+    counts = []
+    for parts in (3, 9, 23):
+        report = stream_extract(
+            layout, TECH, checkpoint=str(ck), band_height=max(1, height // parts)
+        )
+        assert report.text == expected_text(layout, name="chip")
+        counts.append(len(spill_files(tmp_path / "run.ckpt.spill")))
+    assert counts == [3, 10, 24]
+
+    for parts in (3, 9):
+        stream_extract(
+            layout,
+            TECH,
+            checkpoint=str(tmp_path / "other.ckpt"),
+            spill_dir=str(shared),
+            band_height=max(1, height // parts),
+        )
+    assert len(spill_files(shared)) == 13

@@ -14,7 +14,6 @@ import pytest
 from repro.tech import (
     CMOS,
     DECK_RULE_HELP,
-    NMOS,
     DeckError,
     cmos_deck,
     compile_deck,
@@ -56,9 +55,6 @@ class TestShippedDecks:
         """The shipped deck file IS the builtin deck, field for field."""
         deck = load_deck_file(str(DECKS_DIR / f"{name}.json"))
         assert deck == deck_by_name(name)
-
-    def test_compiled_nmos_matches_legacy_constructor(self):
-        assert compile_deck(nmos_deck()) == NMOS()
 
     def test_compiled_cmos_device_names(self):
         tech = CMOS()

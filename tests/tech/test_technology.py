@@ -1,39 +1,19 @@
-"""Technology parametrization: layers and custom processes."""
+"""Technology parametrization: compiled roles and custom processes."""
 
-import pytest
+import dataclasses
 
 from repro import extract
 from repro.cif import Layout
 from repro.geometry import Box
-from repro.tech import (
-    ALL_LAYERS,
-    DIFFUSION,
-    GLASS,
-    METAL,
-    NMOS,
-    Layer,
-    Technology,
-    is_known_layer,
-    layer_by_name,
+from repro.tech import ABSENT_LAYER, CMOS, NMOS, compile_deck, nmos_deck
+from repro.tech.deck import (
+    BuriedRule,
+    ChannelRule,
+    ContactRule,
+    DeviceTypeRule,
+    DrcDeck,
+    LayerSpec,
 )
-
-
-class TestLayers:
-    def test_lookup(self):
-        assert layer_by_name("ND") is DIFFUSION
-        assert layer_by_name("NM") is METAL
-
-    def test_unknown_layer(self):
-        with pytest.raises(KeyError):
-            layer_by_name("XX")
-
-    def test_is_known(self):
-        assert is_known_layer("NP")
-        assert not is_known_layer("CMF")
-
-    def test_conducting_flags(self):
-        conducting = {l.cif_name for l in ALL_LAYERS if l.conducting}
-        assert conducting == {"ND", "NP", "NM"}
 
 
 class TestTechnology:
@@ -43,36 +23,47 @@ class TestTechnology:
         assert tech.device_name(False) == "nEnh"
         assert tech.device_name(True) == "nDep"
 
-    def test_all_layers_unique(self):
+    def test_roles_resolved_from_deck(self):
         tech = NMOS()
-        layers = tech.all_layers()
-        assert len(layers) == len(set(layers))
-        assert GLASS in layers
+        assert (tech.metal, tech.poly, tech.diff) == ("NM", "NP", "ND")
+        assert (tech.contact, tech.marker, tech.buried) == ("NC", "NI", "NB")
+        assert tech.blocker == "NB"
+        assert tech.net_layers == {"NM", "NP"}
+        assert tech.ignored == {"NG"}
+        assert "NG" not in tech.tracked()
 
-    def test_relevance(self):
-        tech = NMOS()
-        assert tech.is_relevant(METAL)
-        assert not tech.is_relevant(GLASS)
+    def test_absent_roles(self):
+        tech = CMOS()
+        assert tech.buried == tech.blocker == ABSENT_LAYER
+        assert tech.marker == "CW"
 
     def test_custom_layer_names_extract(self):
-        # A renamed process: the extractor must follow the technology,
-        # not hard-coded CIF names.
-        custom = Technology(
-            name="custom",
-            conducting_layers=(
-                Layer("M1", "metal", True),
-                Layer("PO", "poly", True),
-                Layer("DF", "diffusion", True),
-            ),
-            channel_layers=(
-                Layer("DF", "diffusion", True),
-                Layer("PO", "poly", True),
-            ),
-            channel_blocker=Layer("BC", "buried", False),
-            depletion_marker=Layer("IM", "implant", False),
-            contact_layer=Layer("CO", "contact", False),
-            buried_layer=Layer("BC", "buried", False),
-            ignored_layers=(Layer("OV", "overglass", False),),
+        # A renamed process: the extractor must follow the deck, not
+        # hard-coded CIF names.
+        deck = nmos_deck()
+        custom = compile_deck(
+            dataclasses.replace(
+                deck,
+                name="custom",
+                layers=(
+                    LayerSpec("M1", "metal", True),
+                    LayerSpec("PO", "poly", True),
+                    LayerSpec("DF", "diffusion", True),
+                    LayerSpec("CO", "contact", False),
+                    LayerSpec("IM", "implant", False),
+                    LayerSpec("BC", "buried", False),
+                    LayerSpec("OV", "overglass", False),
+                ),
+                channel=ChannelRule(diffusion="DF", gate="PO", blocker="BC"),
+                device_types=(
+                    DeviceTypeRule("nEnh", marker=None),
+                    DeviceTypeRule("nDep", marker="IM", depletion=True),
+                ),
+                contact=ContactRule(cut="CO", connects=("M1", "PO", "DF")),
+                buried=BuriedRule(window="BC"),
+                ignored=("OV",),
+                drc=DrcDeck(),
+            )
         )
         layout = Layout()
         layout.top.add_box("DF", Box(10, 0, 14, 30))
@@ -84,8 +75,16 @@ class TestTechnology:
         assert len(circuit.nets) == 3
 
     def test_custom_device_names(self):
-        custom = Technology(
-            device_names={False: "NFET", True: "NLOAD"}
+        deck = nmos_deck()
+        custom = compile_deck(
+            dataclasses.replace(
+                deck,
+                name="renamed-devices",
+                device_types=(
+                    DeviceTypeRule("NFET", marker=None),
+                    DeviceTypeRule("NLOAD", marker="NI", depletion=True),
+                ),
+            )
         )
         layout = Layout()
         layout.top.add_box("ND", Box(10, 0, 14, 30))

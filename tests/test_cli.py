@@ -317,6 +317,34 @@ class TestDeckSelection:
         assert resolve_deck(deck_path).name == "cmos"
         assert lint_main([cmos_cif, "--deck", deck_path]) == 0
 
+    def test_lambda_applies_to_a_deck_file(
+        self, violations_cif, tmp_path, capsys
+    ):
+        # The shipped nmos.json is the nmos deck: at any --lambda the
+        # two selections must lint identically, and a deck file at an
+        # invalid lambda is refused like the builtin.
+        runs = []
+        for deck in ("nmos", "src/repro/tech/decks/nmos.json"):
+            out = tmp_path / "report.json"
+            code = lint_main(
+                [violations_cif, "--deck", deck, "--lambda", "400",
+                 "--format", "json", "-o", str(out)]
+            )
+            runs.append((code, out.read_text()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] > len(VIOLATION_SNIPPETS)
+
+        from repro.difftest.cli import main as difftest_main
+
+        deck_file = "src/repro/tech/decks/cmos.json"
+        capsys.readouterr()
+        assert main(["x.cif", "--deck", deck_file, "--lambda", "0"]) == 2
+        assert difftest_main(["--deck", deck_file, "--lambda", "0"]) == 2
+        err = capsys.readouterr().err
+        assert f"error: --deck {deck_file}: " in err
+        assert f"repro-difftest: --deck {deck_file}: " in err
+        assert err.count("lambda must be at least 1") == 2
+
     def test_unknown_deck_is_internal_error(self, inverter_cif, capsys):
         assert (
             lint_main([inverter_cif, "--deck", "bipolar"])

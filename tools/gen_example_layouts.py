@@ -30,8 +30,7 @@ OUT = Path(__file__).resolve().parent.parent / "examples" / "layouts"
 def main() -> int:
     OUT.mkdir(parents=True, exist_ok=True)
     for name in sorted(LINT_CASES):
-        tech = tech_for(name)
-        deck = tech.deck.name if tech.deck is not None else "nmos"
+        deck = tech_for(name).name
         directory = OUT if deck == "nmos" else OUT / deck
         directory.mkdir(parents=True, exist_ok=True)
         path = directory / f"{name}.cif"
