@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from ..cif import Layout
 from ..core.netlist import Circuit
 from ..frontend import instantiate
+from ..tech import NMOS, Technology
 
 
 @dataclass(frozen=True)
@@ -38,8 +39,15 @@ class CircuitStats:
         }
 
 
-def circuit_stats(circuit: Circuit) -> CircuitStats:
-    kinds = Counter(d.kind for d in circuit.devices)
+def circuit_stats(
+    circuit: Circuit, *, tech: "Technology | None" = None
+) -> CircuitStats:
+    """Headline numbers; ``tech``'s deck (NMOS by default) says which
+    device types are enhancement and which depletion."""
+    depletion = {
+        rule.name: rule.depletion for rule in (tech or NMOS()).deck.device_types
+    }
+    kinds = Counter(depletion.get(d.kind) for d in circuit.devices)
     fanin: Counter = Counter()
     for device in circuit.devices:
         for net in (device.gate, device.source, device.drain):
@@ -48,8 +56,8 @@ def circuit_stats(circuit: Circuit) -> CircuitStats:
     used = len(fanin)
     return CircuitStats(
         devices=len(circuit.devices),
-        enhancement=kinds.get("nEnh", 0),
-        depletion=kinds.get("nDep", 0),
+        enhancement=kinds[False],
+        depletion=kinds[True],
         nets=len(circuit.nets),
         named_nets=sum(1 for n in circuit.nets if n.names),
         terminals_per_net_mean=(

@@ -3,19 +3,35 @@
 A :class:`Layout` holds a set of :class:`Symbol` definitions plus a
 distinguished *top* symbol collecting the commands that appear outside any
 ``DS``/``DF`` pair.  Geometry is stored as parsed (boxes kept as boxes,
-polygons and wires unfractured) so the front-end can decide fracturing
-resolution; shapes carry their CIF layer name.
+polygons and wires unfractured); shapes carry their CIF layer name.
+:meth:`Symbol.fractured_boxes` is the one place a shape becomes boxes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from ..geometry import Box, Polygon, Transform, fracture_polygon, fracture_wire
 from .errors import CifSemanticError
 
 #: Symbol number used internally for top-level (outside-DS) content.
 TOP_SYMBOL = -1
+
+#: Fractured shapes one process keeps; the least recently used go first.
+_MEMO_SHAPES = 4096
+
+
+@lru_cache(maxsize=_MEMO_SHAPES)
+def _polygon_boxes(polygon: Polygon) -> tuple[Box, ...]:
+    return tuple(fracture_polygon(polygon))
+
+
+@lru_cache(maxsize=_MEMO_SHAPES)
+def _wire_boxes(
+    width: int, points: "tuple[tuple[int, int], ...]"
+) -> tuple[Box, ...]:
+    return tuple(fracture_wire(list(points), width))
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,15 +90,21 @@ class Symbol:
     def shape_count(self) -> int:
         return len(self.boxes) + len(self.polygons) + len(self.wires)
 
-    def fractured_boxes(self, resolution: int = 50) -> list[tuple[str, Box]]:
-        """All geometry in this symbol reduced to boxes (local coords)."""
+    def fractured_boxes(self) -> list[tuple[str, Box]]:
+        """All geometry in this symbol reduced to boxes (local coords).
+
+        Boxes come first, then each polygon's and each wire's pieces.
+        Fracturing is a pure function of a shape, so it is memoized by
+        the shape's value: a shape is fractured once however many calls
+        place it and however many passes read the layout, and editing
+        the shape lists (the difftest shrinker deletes slices of them)
+        can never serve stale boxes.
+        """
         out = list(self.boxes)
         for layer, polygon in self.polygons:
-            out.extend((layer, b) for b in fracture_polygon(polygon, resolution))
+            out.extend((layer, b) for b in _polygon_boxes(polygon))
         for layer, width, points in self.wires:
-            out.extend(
-                (layer, b) for b in fracture_wire(list(points), width, resolution)
-            )
+            out.extend((layer, b) for b in _wire_boxes(width, tuple(points)))
         return out
 
 

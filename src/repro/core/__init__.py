@@ -1,11 +1,6 @@
 """ACE's back-end: the edge-based scanline extraction engine."""
 
-from .extractor import (
-    ExtractionReport,
-    extract,
-    extract_report,
-    extract_window,
-)
+from .extractor import ExtractionReport, extract, extract_report
 from .netlist import CHANNEL, BoundaryRecord, Circuit, Device, Face, Net
 from .sizing import SizedDevice, size_device
 from .stats import ScanStats
@@ -24,6 +19,5 @@ __all__ = [
     "UnionFind",
     "extract",
     "extract_report",
-    "extract_window",
     "size_device",
 ]

@@ -1,7 +1,8 @@
 """The public extraction API.
 
 :func:`extract` is the whole of ACE: CIF text or a parsed layout in, a
-:class:`~repro.core.netlist.Circuit` out.  :func:`extract_window` is the
+:class:`~repro.core.netlist.Circuit` out.  :func:`extract_report` adds
+the run's phase seconds and counters; given a ``window`` it is the
 modified ACE that HEXT calls per primitive window (it additionally
 captures the window's boundary records).
 """
@@ -41,7 +42,6 @@ def extract(
     tech: Technology | None = None,
     *,
     keep_geometry: bool = False,
-    resolution: int = 50,
     engine: str = "auto",
 ) -> Circuit:
     """Extract the circuit from a CIF string or parsed layout.
@@ -52,7 +52,6 @@ def extract(
         keep_geometry: attach per-net artwork (needed for RC
             post-processing and geometry output; off by default, as in
             the paper's normal operation).
-        resolution: fracture resolution for non-manhattan geometry.
         engine: strip-engine back-end (``auto`` / ``python`` /
             ``numpy``); see docs/ENGINES.md.  Both back-ends produce
             byte-identical wirelists.
@@ -64,7 +63,6 @@ def extract(
         source,
         tech,
         keep_geometry=keep_geometry,
-        resolution=resolution,
         engine=engine,
     ).circuit
 
@@ -74,7 +72,6 @@ def extract_report(
     tech: Technology | None = None,
     *,
     keep_geometry: bool = False,
-    resolution: int = 50,
     window: Box | None = None,
     strip_consumers: tuple = (),
     engine: str = "auto",
@@ -88,7 +85,7 @@ def extract_report(
     tech = tech or NMOS()
     layout = parse(source) if isinstance(source, str) else source
     started = perf_counter()
-    stream = GeometryStream(layout, resolution=resolution)
+    stream = GeometryStream(layout)
     streamed = perf_counter()
     scan = ScanlineEngine(
         tech,
@@ -110,33 +107,8 @@ def extract_report(
         frontend_stats=stream.stats,
         options={
             "keep_geometry": keep_geometry,
-            "resolution": resolution,
             "window": window,
             "engine": scan.engine_name,
         },
     )
 
-
-def extract_window(
-    layout: Layout,
-    window: Box,
-    tech: Technology | None = None,
-    *,
-    keep_geometry: bool = False,
-    resolution: int = 50,
-    engine: str = "auto",
-) -> Circuit:
-    """HEXT's modified ACE: extract a window and its boundary interface.
-
-    The layout is expected to contain only the window's clipped geometry;
-    ``window`` supplies the boundary against which interface records are
-    captured.
-    """
-    return extract_report(
-        layout,
-        tech,
-        keep_geometry=keep_geometry,
-        resolution=resolution,
-        window=window,
-        engine=engine,
-    ).circuit

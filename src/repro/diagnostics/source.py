@@ -19,9 +19,8 @@ from .model import CheckReport, Diagnostic, SourceRef
 class SourceIndex:
     """Per-layer placed boxes with their defining symbol."""
 
-    def __init__(self, layout: Layout, resolution: int = 50) -> None:
+    def __init__(self, layout: Layout) -> None:
         self._layout = layout
-        self._resolution = resolution
         self._by_layer: "dict[str, list[tuple[Box, SourceRef]]] | None" = None
 
     def _index(self) -> dict[str, list[tuple[Box, SourceRef]]]:
@@ -29,7 +28,7 @@ class SourceIndex:
             by_layer: dict[str, list[tuple[Box, SourceRef]]] = {}
             refs: dict[tuple[int, tuple[int, ...]], SourceRef] = {}
             for layer, box, symbol, path in instantiate_with_origins(
-                self._layout, self._resolution
+                self._layout
             ):
                 key = (symbol, path)
                 ref = refs.get(key)

@@ -30,6 +30,7 @@ from ..workloads import (
     single_transistor,
 )
 from ..workloads.violations import VIOLATION_SNIPPETS, violation_snippets_for
+from .generator import deck_layer_map, remap_layout
 from .shrink import ShrinkResult, shrink
 
 #: Clear distance (lambda) between a host's artwork and the planted
@@ -55,8 +56,19 @@ DECK_HOSTS: dict[str, dict[str, Callable[[int], Layout]]] = {
 
 
 def hosts_for(tech: Technology) -> "dict[str, Callable[[int], Layout]]":
-    """The known-clean host cells drawn in ``tech``'s deck layers."""
-    return DECK_HOSTS.get(tech.name, DEFAULT_HOSTS)
+    """The known-clean host cells drawn in ``tech``'s deck layers.
+
+    A deck without hosts of its own gets the NMOS hosts with each layer
+    rewritten to the layer holding its role in that deck.
+    """
+    hosts = DECK_HOSTS.get(tech.name)
+    if hosts is not None:
+        return hosts
+    mapping = deck_layer_map(tech)
+    return {
+        name: lambda lambda_, draw=draw: remap_layout(draw(lambda_), mapping)
+        for name, draw in DEFAULT_HOSTS.items()
+    }
 
 
 @dataclass
@@ -127,7 +139,7 @@ def run_drc_self_test(
     Hosts and snippets follow ``tech``'s deck: the planted geometry is
     rewritten into the deck's layer names and restricted to the rules
     the deck enables, and the clean host cells are the ones drawn in
-    that deck (:data:`DECK_HOSTS`).
+    that deck (:func:`hosts_for`).
     """
     tech = tech or NMOS()
     hosts = hosts if hosts is not None else hosts_for(tech)

@@ -24,9 +24,7 @@ from .rules import (
     RULE_IMPLANT_COVERAGE,
     RULE_SPACING,
     RULE_WIDTH,
-    LambdaRules,
     help_for,
-    rules_for,
 )
 
 __all__ = [
@@ -39,9 +37,7 @@ __all__ = [
     "RULE_SPACING",
     "RULE_WIDTH",
     "DrcChecker",
-    "LambdaRules",
     "help_for",
-    "rules_for",
     "run_drc",
 ]
 
@@ -50,9 +46,7 @@ def run_drc(
     source: "str | Layout",
     tech: Technology | None = None,
     *,
-    rules: LambdaRules | None = None,
     enabled: "frozenset[str] | None" = None,
-    resolution: int = 50,
     attribute: bool = True,
     artifact: "str | None" = None,
 ) -> CheckReport:
@@ -60,11 +54,9 @@ def run_drc(
 
     Args:
         source: CIF text or a parsed :class:`Layout`.
-        tech: process rules; defaults to standard NMOS.
-        rules: lambda deck; defaults to :func:`rules_for` -- the
-            technology deck's dimensional section.
+        tech: process rules, the rule dimensions among them (the deck's
+            DRC section); defaults to standard NMOS.
         enabled: restrict checking to these rule ids (None = all).
-        resolution: fracture resolution for non-manhattan geometry.
         attribute: map violations back to the CIF symbols whose
             expansion produced the artwork.
         artifact: name recorded on the report (typically the file path).
@@ -74,11 +66,9 @@ def run_drc(
     """
     tech = tech or NMOS()
     layout = parse(source) if isinstance(source, str) else source
-    checker = DrcChecker(tech, rules or rules_for(tech), enabled=enabled)
-    extract_report(
-        layout, tech, resolution=resolution, strip_consumers=(checker,)
-    )
+    checker = DrcChecker(tech, enabled=enabled)
+    extract_report(layout, tech, strip_consumers=(checker,))
     report = checker.report(artifact=artifact)
     if attribute and report.diagnostics:
-        report = SourceIndex(layout, resolution=resolution).attribute(report)
+        report = SourceIndex(layout).attribute(report)
     return report

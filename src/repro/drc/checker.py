@@ -41,8 +41,6 @@ from .rules import (
     RULE_IMPLANT_COVERAGE,
     RULE_SPACING,
     RULE_WIDTH,
-    LambdaRules,
-    rules_for,
 )
 from .spans import (
     intersect_spans,
@@ -96,12 +94,10 @@ class DrcChecker(StripConsumer):
     def __init__(
         self,
         tech: Technology | None = None,
-        rules: LambdaRules | None = None,
         *,
         enabled: "frozenset[str] | None" = None,
     ) -> None:
         tech = self.tech = tech or NMOS()
-        self.rules = rules or rules_for(tech)
         self.enabled = enabled  # None = every deck-enabled rule
         #: rules this checker actually flags: the deck's enabled set,
         #: optionally narrowed by the caller's ``enabled`` filter.
@@ -135,13 +131,19 @@ class DrcChecker(StripConsumer):
             name: _LayerState() for name in self._layers
         }
 
-        r = self.rules
-        self._width = {name: r.width_cm(name) for name in self._layers}
-        self._spacing = {name: r.spacing_cm(name) for name in self._layers}
-        self._ext = r.gate_extension_cm
-        self._cmargin = r.contact_margin_cm
-        self._bmargin = r.buried_margin_cm
-        self._imargin = r.implant_margin_cm
+        # The deck's dimensions are in lambda; the sweep's in layout units.
+        r = tech.deck.drc
+        lam = tech.lambda_
+        self._width = {
+            name: r.min_width.get(name, 0) * lam for name in self._layers
+        }
+        self._spacing = {
+            name: r.min_spacing.get(name, 0) * lam for name in self._layers
+        }
+        self._ext = r.gate_extension * lam
+        self._cmargin = r.contact_margin * lam
+        self._bmargin = r.buried_margin * lam
+        self._imargin = r.marker_margin * lam
         #: how far above a birth edge the history must reach.
         self._lookback = max(self._ext, self._imargin)
 
@@ -172,7 +174,7 @@ class DrcChecker(StripConsumer):
         self._msg_contact = template("contact-enclosure", r.contact_margin)
         self._msg_buried_cover = template("buried-cover", r.buried_margin)
         self._msg_buried_poly = template("buried-overlap", 0)
-        self._msg_implant = template("marker-coverage", r.implant_margin)
+        self._msg_implant = template("marker-coverage", r.marker_margin)
 
         self._chip_top: "int | None" = None
         self._last_y_lo = 0

@@ -1,15 +1,20 @@
-"""Eager, full instantiation of a CIF layout.
+"""The expansion step, and eager instantiation built on it.
 
-Expands every symbol call, applies transforms, and fractures polygons and
-wires so the result is a flat list of ``(layer, Box)`` plus placed labels.
-ACE itself avoids doing this (see :mod:`repro.frontend.stream`); the flat
-list is what the raster and region-merge baselines, the workload
-statistics, and the tests consume.
+:func:`expand` is the one place a symbol call becomes placed artwork:
+its boxes (polygons and wires fractured) under the call's transform, its
+child calls with their transforms composed, and its labels.  The lazy
+stream (:mod:`repro.frontend.stream`) and HEXT's window planner expand
+one call at a time through it; :func:`instantiate` walks every call
+through it at once.  ACE itself avoids that (see
+:mod:`repro.frontend.stream`); the flat list is what the raster and
+region-merge baselines, the workload statistics, the source attribution
+of diagnostics, and the tests consume.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from ..cif.layout import TOP_SYMBOL, Layout, Symbol
 from ..geometry import Box, Transform
@@ -25,50 +30,78 @@ class PlacedLabel:
     layer: str | None = None
 
 
+def expand(
+    symbol: Symbol, transform: Transform
+) -> tuple[
+    list[tuple[str, Box]],
+    list[tuple[int, Transform]],
+    list[PlacedLabel],
+]:
+    """One call of ``symbol`` under ``transform``, one level deep.
+
+    Returns ``(boxes, calls, labels)``: the symbol's own boxes placed,
+    its child calls as ``(symbol number, composed transform)``, and its
+    labels placed, each in the symbol's drawing order.
+    """
+    boxes = symbol.fractured_boxes()
+    calls = [
+        (call.symbol, call.transform.then(transform)) for call in symbol.calls
+    ]
+    if transform.is_identity:
+        labels = [
+            PlacedLabel(lb.name, lb.x, lb.y, lb.layer) for lb in symbol.labels
+        ]
+        return boxes, calls, labels
+    apply_box, apply_point = transform.apply_box, transform.apply_point
+    return (
+        [(layer, apply_box(box)) for layer, box in boxes],
+        calls,
+        [
+            PlacedLabel(lb.name, *apply_point(lb.x, lb.y), lb.layer)
+            for lb in symbol.labels
+        ],
+    )
+
+
+def _expansions(
+    layout: Layout,
+) -> Iterator[
+    tuple[int, tuple[int, ...], list[tuple[str, Box]], list[PlacedLabel]]
+]:
+    """Every call in ``layout``, depth first from the top, expanded.
+
+    Yields ``(symbol, path, boxes, labels)``, where ``path`` is the call
+    chain of symbol numbers from the top down to ``symbol``.
+    """
+    work = [(TOP_SYMBOL, Transform.identity(), (TOP_SYMBOL,))]
+    while work:
+        number, transform, path = work.pop()
+        boxes, calls, labels = expand(layout.symbol(number), transform)
+        yield number, path, boxes, labels
+        work.extend(
+            (child, placed, path + (child,))
+            for child, placed in reversed(calls)
+        )
+
+
 def instantiate(
-    layout: Layout, resolution: int = 50
+    layout: Layout,
 ) -> tuple[list[tuple[str, Box]], list[PlacedLabel]]:
     """Fully instantiate ``layout``.
 
     Returns ``(boxes, labels)`` where ``boxes`` is every primitive box in
-    chip coordinates (polygons and wires fractured at ``resolution``).
+    chip coordinates (polygons and wires fractured).
     """
     boxes: list[tuple[str, Box]] = []
     labels: list[PlacedLabel] = []
-    # Fracture each symbol once; instances only transform the result.
-    fractured: dict[int, list[tuple[str, Box]]] = {}
-
-    def local_boxes(number: int, symbol: Symbol) -> list[tuple[str, Box]]:
-        cached = fractured.get(number)
-        if cached is None:
-            cached = symbol.fractured_boxes(resolution)
-            fractured[number] = cached
-        return cached
-
-    def emit(number: int, transform: Transform) -> None:
-        symbol = layout.symbol(number)
-        if transform.is_identity:
-            boxes.extend(local_boxes(number, symbol))
-            labels.extend(
-                PlacedLabel(lb.name, lb.x, lb.y, lb.layer) for lb in symbol.labels
-            )
-        else:
-            boxes.extend(
-                (layer, transform.apply_box(box))
-                for layer, box in local_boxes(number, symbol)
-            )
-            for lb in symbol.labels:
-                x, y = transform.apply_point(lb.x, lb.y)
-                labels.append(PlacedLabel(lb.name, x, y, lb.layer))
-        for call in symbol.calls:
-            emit(call.symbol, call.transform.then(transform))
-
-    emit(TOP_SYMBOL, Transform.identity())
+    for _, _, placed, placed_labels in _expansions(layout):
+        boxes.extend(placed)
+        labels.extend(placed_labels)
     return boxes, labels
 
 
 def instantiate_with_origins(
-    layout: Layout, resolution: int = 50
+    layout: Layout,
 ) -> list[tuple[str, Box, int, tuple[int, ...]]]:
     """Fully instantiate ``layout``, keeping each box's source symbol.
 
@@ -79,42 +112,14 @@ def instantiate_with_origins(
     diagnostics layer uses this to attribute a design-rule violation to
     the symbol call that produced the offending geometry.
     """
-    out: list[tuple[str, Box, int, tuple[int, ...]]] = []
-    fractured: dict[int, list[tuple[str, Box]]] = {}
-
-    def local_boxes(number: int, symbol: Symbol) -> list[tuple[str, Box]]:
-        cached = fractured.get(number)
-        if cached is None:
-            cached = symbol.fractured_boxes(resolution)
-            fractured[number] = cached
-        return cached
-
-    def emit(
-        number: int, transform: Transform, path: tuple[int, ...]
-    ) -> None:
-        symbol = layout.symbol(number)
-        if transform.is_identity:
-            out.extend(
-                (layer, box, number, path)
-                for layer, box in local_boxes(number, symbol)
-            )
-        else:
-            out.extend(
-                (layer, transform.apply_box(box), number, path)
-                for layer, box in local_boxes(number, symbol)
-            )
-        for call in symbol.calls:
-            emit(
-                call.symbol,
-                call.transform.then(transform),
-                path + (call.symbol,),
-            )
-
-    emit(TOP_SYMBOL, Transform.identity(), (TOP_SYMBOL,))
-    return out
+    return [
+        (layer, box, number, path)
+        for number, path, placed, _ in _expansions(layout)
+        for layer, box in placed
+    ]
 
 
-def symbol_bboxes(layout: Layout, resolution: int = 50) -> dict[int, Box | None]:
+def symbol_bboxes(layout: Layout) -> dict[int, Box | None]:
     """Bounding box of each symbol's full expansion, in local coordinates.
 
     ``None`` marks empty symbols.  Computed bottom-up over the (acyclic)
@@ -127,7 +132,7 @@ def symbol_bboxes(layout: Layout, resolution: int = 50) -> dict[int, Box | None]
         if number in result:
             return result[number]
         symbol = layout.symbol(number)
-        corners: list[Box] = [box for _, box in symbol.fractured_boxes(resolution)]
+        corners: list[Box] = [box for _, box in symbol.fractured_boxes()]
         for call in symbol.calls:
             inner = bbox_of(call.symbol)
             if inner is not None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from ..cif.layout import TOP_SYMBOL, Layout
 from ..geometry import Box, Transform
-from .instantiate import PlacedLabel, symbol_bboxes
+from .instantiate import PlacedLabel, expand, symbol_bboxes
 
 _BOX = 0
 _CALL = 1
@@ -44,10 +44,9 @@ class GeometryStream:
             new_boxes = stream.fetch(y)   # all boxes whose top == y
     """
 
-    def __init__(self, layout: Layout, resolution: int = 50) -> None:
+    def __init__(self, layout: Layout) -> None:
         self._layout = layout
-        self._resolution = resolution
-        self._bboxes = symbol_bboxes(layout, resolution)
+        self._bboxes = symbol_bboxes(layout)
         self.stats = StreamStats()
         # Heap entries: (-top_y, seq, kind, payload); seq breaks ties
         # deterministically and keeps payloads out of comparisons.
@@ -76,16 +75,15 @@ class GeometryStream:
 
     def _expand(self, number: int, transform: Transform) -> None:
         """Expand a call one level, pushing its boxes and sub-calls."""
-        symbol = self._layout.symbol(number)
         self.stats.calls_expanded += 1
-        for layer, box in symbol.fractured_boxes(self._resolution):
-            placed = box if transform.is_identity else transform.apply_box(box)
-            self._push(placed.ymax, _BOX, (layer, placed))
-        for call in symbol.calls:
-            self._push_call(call.symbol, call.transform.then(transform))
-        for lb in symbol.labels:
-            x, y = transform.apply_point(lb.x, lb.y)
-            self._labels.append(PlacedLabel(lb.name, x, y, lb.layer))
+        boxes, calls, labels = expand(self._layout.symbol(number), transform)
+        for entry in boxes:
+            self._push(entry[1].ymax, _BOX, entry)
+        for child, placed in calls:
+            self._push_call(child, placed)
+        # After the calls: a geometry-free child expands at once and
+        # places its labels first.
+        self._labels.extend(labels)
 
     def _settle(self) -> None:
         """Expand calls until the heap top is a primitive box (or empty)."""

@@ -1,7 +1,7 @@
 """Geometry kernel: integer boxes, transforms, polygons, and fracturing."""
 
 from .box import Box, bounding_box
-from .fracture import fracture_polygon, fracture_wire
+from .fracture import FRACTURE_RESOLUTION, fracture_polygon, fracture_wire
 from .merge import (
     normalize_region,
     regions_equal,
@@ -12,6 +12,7 @@ from .polygon import Polygon
 from .transform import Transform
 
 __all__ = [
+    "FRACTURE_RESOLUTION",
     "Box",
     "Polygon",
     "Transform",

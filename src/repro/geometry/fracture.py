@@ -3,9 +3,10 @@
 The paper (section 3): *"Before being output, non-manhattan geometry is
 split into a number of small aligned boxes that approximate the original
 object."*  Manhattan polygons fracture exactly; polygons with diagonal
-edges are approximated by slab sampling at a caller-chosen resolution
-(defaulting to half a lambda so the approximation error stays inside the
-design-rule grid).
+edges are approximated by slab sampling at :data:`FRACTURE_RESOLUTION`,
+half a lambda, so the approximation error stays inside the design-rule
+grid.  The kernels take the resolution as a parameter so their own tests
+can vary it; every caller above them uses the constant.
 """
 
 from __future__ import annotations
@@ -13,8 +14,13 @@ from __future__ import annotations
 from .box import Box
 from .polygon import Polygon
 
+#: Slab height and diagonal step, in layout units, of every fracture.
+FRACTURE_RESOLUTION = 50
 
-def fracture_polygon(polygon: Polygon, resolution: int = 50) -> list[Box]:
+
+def fracture_polygon(
+    polygon: Polygon, resolution: int = FRACTURE_RESOLUTION
+) -> list[Box]:
     """Split ``polygon`` into axis-aligned boxes.
 
     Manhattan polygons produce an exact, disjoint decomposition.
@@ -84,7 +90,9 @@ def _coalesce_vertical(boxes: list[Box]) -> list[Box]:
 
 
 def fracture_wire(
-    points: "list[tuple[int, int]]", width: int, resolution: int = 50
+    points: "list[tuple[int, int]]",
+    width: int,
+    resolution: int = FRACTURE_RESOLUTION,
 ) -> list[Box]:
     """Fracture a CIF ``W`` wire into boxes.
 

@@ -213,7 +213,6 @@ def plan_windows(
 def extract_primitive(
     content: Content,
     tech: Technology,
-    resolution: int = 50,
     engine: str = "auto",
 ) -> Fragment:
     """Run the modified flat extractor over a geometry-only window.
@@ -232,9 +231,7 @@ def extract_primitive(
         layout.top.add_box(layer, Box(x1, y1, x2, y2))
     for name, x, y, layer in labels:
         layout.top.add_label(Label(name, x, y, layer or None))
-    circuit = extract_report(
-        layout, tech, resolution=resolution, window=window, engine=engine
-    ).circuit
+    circuit = extract_report(layout, tech, window=window, engine=engine).circuit
     return _circuit_to_fragment(circuit, window)
 
 
@@ -243,7 +240,6 @@ def execute_plan(
     tech: Technology,
     stats: HextStats,
     *,
-    resolution: int = 50,
     cache: "str | None" = None,
     memo: "dict | None" = None,
     engine: str = "auto",
@@ -270,14 +266,14 @@ def execute_plan(
         if key in memo:
             continue
         if store is not None:
-            cache_key = window_cache_key(content, tech, resolution)
+            cache_key = window_cache_key(content, tech)
             cached = store.get(cache_key)
             if cached is not None:
                 memo[key] = cached
                 continue
         if setup is None:
             setup = load_engine(engine, stats)
-        fragment = extract_primitive(content, tech, resolution, engine)
+        fragment = extract_primitive(content, tech, engine)
         memo[key] = fragment
         stats.flat_calls += 1
         if store is not None:
@@ -351,7 +347,6 @@ def hext_extract(
     source: "str | Layout",
     tech: Technology | None = None,
     *,
-    resolution: int = 50,
     cache: "str | None" = None,
     engine: str = "auto",
 ) -> HextResult:
@@ -360,7 +355,6 @@ def hext_extract(
     Args:
         source: CIF text, or an already parsed :class:`Layout`.
         tech: process rules; defaults to standard NMOS.
-        resolution: fracture resolution for non-manhattan geometry.
         cache: directory of the persistent fragment cache; repeated runs
             over unchanged windows skip extraction entirely.
         engine: strip-batch engine for the per-window flat extractions
@@ -374,8 +368,7 @@ def hext_extract(
     is byte for byte the one extraction would produce.
     """
     result, _ = _extract_with_plan(
-        source, tech or NMOS(),
-        resolution=resolution, cache=cache, engine=engine,
+        source, tech or NMOS(), cache=cache, engine=engine
     )
     return result
 
@@ -384,7 +377,6 @@ def _extract_with_plan(
     source: "str | Layout",
     tech: Technology,
     *,
-    resolution: int,
     cache: "str | None",
     engine: str,
     memo: "dict | None" = None,
@@ -401,13 +393,12 @@ def _extract_with_plan(
     layout = parse(source) if isinstance(source, str) else source
     stats = HextStats()
     planner_start = time.perf_counter()
-    planner = WindowPlanner(layout, resolution)
+    planner = WindowPlanner(layout)
     top = planner.top_content()
     stats.frontend_seconds += time.perf_counter() - planner_start
     plan = plan_windows(planner, top, stats, seen=set(memo) if memo else None)
     memo = execute_plan(
-        plan, tech, stats,
-        resolution=resolution, cache=cache, memo=memo, engine=engine,
+        plan, tech, stats, cache=cache, memo=memo, engine=engine
     )
     fragment = compose_plan(plan, memo, tech, stats)
     result = HextResult(

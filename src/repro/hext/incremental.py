@@ -55,11 +55,9 @@ class IncrementalExtractor:
         self,
         tech: Technology | None = None,
         *,
-        resolution: int = 50,
         engine: str = "auto",
     ) -> None:
         self.tech = tech or NMOS()
-        self.resolution = resolution
         # Purely a speed knob: fragments are byte-identical across strip
         # engines, so the persistent memo never needs engine-keyed entries.
         self.engine = engine
@@ -85,9 +83,7 @@ class IncrementalExtractor:
         """
         previous_keys = frozenset(self._memo)
         result, plan = _extract_with_plan(
-            source, self.tech,
-            resolution=self.resolution, cache=cache, engine=self.engine,
-            memo=self._memo,
+            source, self.tech, cache=cache, engine=self.engine, memo=self._memo
         )
         self._last_used = plan.used_keys()
 

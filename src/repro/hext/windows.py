@@ -25,7 +25,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from ..cif.layout import TOP_SYMBOL, Layout
-from ..frontend.instantiate import PlacedLabel, symbol_bboxes
+from ..frontend.instantiate import PlacedLabel, expand, symbol_bboxes
 from ..geometry import Box, Transform
 
 
@@ -48,12 +48,10 @@ class Content:
 class WindowPlanner:
     """Shared expansion machinery bound to one layout."""
 
-    def __init__(self, layout: Layout, resolution: int = 50) -> None:
+    def __init__(self, layout: Layout) -> None:
         self.layout = layout
-        self.resolution = resolution
-        self.bboxes = symbol_bboxes(layout, resolution)
-        self._fractured: dict[int, list[tuple[str, Box]]] = {}
-        self._fingerprints = _symbol_fingerprints(layout, resolution)
+        self.bboxes = symbol_bboxes(layout)
+        self._fingerprints = _symbol_fingerprints(layout)
 
     def key(self, content: Content):
         """Content key with structural (cross-layout-stable) symbol ids.
@@ -67,13 +65,6 @@ class WindowPlanner:
 
     # -- expansion -------------------------------------------------------
 
-    def _local_boxes(self, number: int) -> list[tuple[str, Box]]:
-        cached = self._fractured.get(number)
-        if cached is None:
-            cached = self.layout.symbol(number).fractured_boxes(self.resolution)
-            self._fractured[number] = cached
-        return cached
-
     def expand_one(
         self, number: int, transform: Transform
     ) -> tuple[
@@ -82,20 +73,7 @@ class WindowPlanner:
         list[PlacedLabel],
     ]:
         """Replace one instance by its constituent parts."""
-        symbol = self.layout.symbol(number)
-        geometry = [
-            (layer, transform.apply_box(box))
-            for layer, box in self._local_boxes(number)
-        ]
-        instances = [
-            (call.symbol, call.transform.then(transform))
-            for call in symbol.calls
-        ]
-        labels = []
-        for lb in symbol.labels:
-            x, y = transform.apply_point(lb.x, lb.y)
-            labels.append(PlacedLabel(lb.name, x, y, lb.layer))
-        return geometry, instances, labels
+        return expand(self.layout.symbol(number), transform)
 
     def placed_bbox(self, number: int, transform: Transform) -> Box | None:
         bbox = self.bboxes.get(number)
@@ -322,7 +300,7 @@ def content_key(
     )
 
 
-def _symbol_fingerprints(layout: Layout, resolution: int) -> dict[int, str]:
+def _symbol_fingerprints(layout: Layout) -> dict[int, str]:
     """Structural fingerprint per symbol: a digest of its expansion.
 
     Computed bottom-up over the (acyclic) call graph; two symbols -- in
@@ -338,7 +316,7 @@ def _symbol_fingerprints(layout: Layout, resolution: int) -> dict[int, str]:
         symbol = layout.symbol(number)
         hasher = hashlib.sha256()
         for layer, box in sorted(
-            symbol.fractured_boxes(resolution),
+            symbol.fractured_boxes(),
             key=lambda item: (item[0], item[1].xmin, item[1].ymin,
                               item[1].xmax, item[1].ymax),
         ):

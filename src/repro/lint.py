@@ -39,7 +39,7 @@ from .diagnostics import (
     write_json,
     write_sarif,
 )
-from .drc import ALL_RULES, DrcChecker, help_for, rules_for
+from .drc import ALL_RULES, DrcChecker, help_for
 from .pipeline import attribute as attribute_sources
 from .tech import (
     BUILTIN_DECKS,
@@ -216,7 +216,6 @@ def lint_layout(
     checker = (
         DrcChecker(
             tech,
-            rules_for(tech),
             enabled=(
                 frozenset(r for r in rule_ids if r in ALL_RULES)
                 if rule_ids is not None

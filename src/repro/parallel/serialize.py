@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 
-from ..geometry import Box
+from ..geometry import FRACTURE_RESOLUTION, Box
 from ..hext.fragment import CHANNEL, DeviceRec, Fragment, IfaceRec, LineIndex
 from ..hext.windows import Content, relative_artwork
 from ..tech import Technology, deck_to_dict
@@ -87,22 +87,22 @@ def content_payload(content: Content) -> dict:
     }
 
 
-def window_cache_key(
-    content: Content, tech: Technology, resolution: int
-) -> str:
+def window_cache_key(content: Content, tech: Technology) -> str:
     """Persistent cache key: content hash of window + process + format.
 
     Everything the extraction result depends on is hashed: the window's
     normalized artwork, the technology rules, the fracture resolution and
     the payload format version.  Placement is *not* part of the key —
     fragments are window-relative — which is exactly the memoization
-    property the cache extends across runs.
+    property the cache extends across runs.  The resolution is a
+    constant, hashed so that keys written before it was fixed still
+    match.
     """
     body = canonical_json(
         {
             "format": FORMAT_VERSION,
             "tech": technology_fingerprint(tech),
-            "resolution": resolution,
+            "resolution": FRACTURE_RESOLUTION,
             "window": content_payload(content),
         }
     )

@@ -285,7 +285,6 @@ def run(
     options: "JobOptions | None" = None,
     *,
     engine: str = "auto",
-    resolution: int = 50,
     out: "IO[str] | None" = None,
     cache: "str | None" = None,
     spill_dir: "str | None" = None,
@@ -298,7 +297,7 @@ def run(
     """Run the stage sequence over ``source`` under ``options``.
 
     Args:
-        engine, resolution: strip engine and fracture resolution.
+        engine: the strip engine.
         out: write the wirelist here instead of returning it as text;
             a streamed run writes straight through, band by band.
         cache: hext's persistent fragment cache directory.
@@ -342,7 +341,6 @@ def run(
                 name=options.name,
                 out=out,
                 keep_geometry=options.keep_geometry,
-                resolution=resolution,
                 engine=engine,
                 band_height=options.band_height,
                 spill_dir=spill_dir,
@@ -354,13 +352,7 @@ def run(
             text, phases = report.text, report.phases
         elif options.hext:
             if hext is None:
-                report = hext_extract(
-                    layout,
-                    tech,
-                    resolution=resolution,
-                    cache=cache,
-                    engine=engine,
-                )
+                report = hext_extract(layout, tech, cache=cache, engine=engine)
             else:
                 report = hext(layout)
             report.circuit  # resolve the fragment tree within this stage
@@ -377,7 +369,6 @@ def run(
                 layout,
                 tech,
                 keep_geometry=options.keep_geometry,
-                resolution=resolution,
                 strip_consumers=sweep,
                 engine=engine,
             )
@@ -407,11 +398,7 @@ def run(
                 # The hierarchical extractor works window by window; the
                 # DRC needs the whole-chip strip feed, so one flat pass.
                 extract_report(
-                    layout,
-                    tech,
-                    resolution=resolution,
-                    strip_consumers=(drc,),
-                    engine=engine,
+                    layout, tech, strip_consumers=(drc,), engine=engine
                 )
             lint = attribute(drc.report(artifact=options.name), layout)
 

@@ -77,7 +77,6 @@ def run_job(
     memos: "dict[str, IncrementalExtractor]",
     *,
     engine: str = "auto",
-    resolution: int = 50,
     report: "Callable[..., None] | None" = None,
 ) -> Outcome:
     """The job body: extract ``cif`` under ``options``.
@@ -98,9 +97,7 @@ def run_job(
         key = f"{options.deck}:{tech.lambda_}"
         extractor = memos.get(key)
         if extractor is None:
-            extractor = memos[key] = IncrementalExtractor(
-                tech, resolution=resolution, engine=engine
-            )
+            extractor = memos[key] = IncrementalExtractor(tech, engine=engine)
         return extractor.extract(layout)
 
     result = run(
@@ -108,7 +105,6 @@ def run_job(
         tech,
         options,
         engine=engine,
-        resolution=resolution,
         on_stage=lambda stage: send("stage", stage),
         hext=hext,
         progress=lambda band, bands, stats: send("band", band, bands),
@@ -144,9 +140,7 @@ def preload(engine: str) -> None:
     load_strip_engine(engine)
 
 
-def _serve(
-    conn: "Connection", body: Callable, engine: str, resolution: int
-) -> None:
+def _serve(conn: "Connection", body: Callable, engine: str) -> None:
     """A worker process: run one job per request until the daemon goes."""
     # The daemon's SIGTERM handler came with the fork; a worker dies on
     # SIGTERM, and leaves Ctrl-C to the daemon.
@@ -173,7 +167,6 @@ def _serve(
                 digest,
                 memos,
                 engine=engine,
-                resolution=resolution,
                 report=lambda *message: conn.send(message),
             )
             sizes = {key: len(memo) for key, memo in memos.items()}
@@ -200,10 +193,8 @@ class Worker:
     may call :meth:`kill` to cancel the job it is running.
     """
 
-    def __init__(
-        self, body: Callable, *, engine: str = "auto", resolution: int = 50
-    ) -> None:
-        self._args = (body, engine, resolution)
+    def __init__(self, body: Callable, *, engine: str = "auto") -> None:
+        self._args = (body, engine)
         self._lock = threading.Lock()
         self._job: "Job | None" = None
         #: why the process is gone, once the daemon knows it is

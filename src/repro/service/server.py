@@ -85,7 +85,6 @@ class ServiceConfig:
     drain_grace: float = 30.0  #: max seconds to wait for drain
     retain_jobs: int = 256
     allow_paths: bool = True  #: accept {"path": ...} submissions
-    resolution: int = 50
     engine: str = "auto"  #: strip-batch engine for every extraction
     log_stream: "IO[str] | None" = field(default=None, repr=False)
     quiet: bool = False  #: suppress structured logs entirely
@@ -137,11 +136,7 @@ class ExtractionService:
         # the job body needs already imported: every worker shares them.
         preload(self.config.engine)
         self._workers = [
-            Worker(
-                self.job_body,
-                engine=self.config.engine,
-                resolution=self.config.resolution,
-            )
+            Worker(self.job_body, engine=self.config.engine)
             for _ in range(self.config.workers)
         ]
         for index, worker in enumerate(self._workers):

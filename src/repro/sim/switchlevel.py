@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 from ..core.netlist import Circuit
 from ..core.unionfind import UnionFind
+from ..tech import NMOS, Technology
 from ..wirelist.flatten import FlatCircuit, circuit_to_flat
 
 #: Node values.
@@ -76,6 +77,7 @@ class SwitchSimulator:
         self,
         circuit: "Circuit | FlatCircuit",
         *,
+        tech: "Technology | None" = None,
         vdd_names: tuple[str, ...] = _DEFAULT_VDD,
         gnd_names: tuple[str, ...] = _DEFAULT_GND,
         charge_retention: bool = False,
@@ -92,6 +94,12 @@ class SwitchSimulator:
             else circuit_to_flat(circuit)
         )
         self._names = dict(flat.net_names)
+        #: the deck's depletion types (NMOS by default): load candidates
+        loads = {
+            rule.name
+            for rule in (tech or NMOS()).deck.device_types
+            if rule.depletion
+        }
         self._switches: list[_Switch] = []
         self._nodes: set[int] = set()
         self._vdd: set[int] = set()
@@ -107,7 +115,7 @@ class SwitchSimulator:
             for net in (device.source, device.drain, device.gate):
                 if net is not None:
                     self._nodes.add(net)
-            is_load = device.kind == "nDep" and (
+            is_load = device.kind in loads and (
                 device.gate in (device.source, device.drain)
                 or {device.source, device.drain} & self._vdd
             )

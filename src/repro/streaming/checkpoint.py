@@ -2,9 +2,9 @@
 
 A checkpoint records how far a sweep got, not the sweep itself:
 
-* an identity block (layout digest + extraction options) so a resume
-  against the wrong layout or options fails loudly instead of emitting
-  garbage;
+* an identity block (layout digest + extraction options, the deck's
+  fingerprint among them) so a resume against the wrong layout, deck or
+  options fails loudly instead of emitting garbage;
 * the band plan (its floors);
 * ``band``, the number of bands committed so far.
 
@@ -37,21 +37,22 @@ from pathlib import Path
 from ..cif import Layout, write as write_cif
 from ..parallel.serialize import canonical_json, envelope_text
 
-#: Bump to invalidate every older checkpoint on load.
-CHECKPOINT_FORMAT = 3
+#: Bump to invalidate every older checkpoint on load.  Format 4: the
+#: options name the technology deck.
+CHECKPOINT_FORMAT = 4
 
 
 class CheckpointError(RuntimeError):
     """A checkpoint cannot be used to resume this invocation."""
 
 
-def layout_digest(layout: Layout, resolution: int, lambda_: int) -> str:
-    """Identity of one extraction input: artwork + scale options.
+def layout_digest(layout: Layout, lambda_: int) -> str:
+    """Identity of one extraction input: artwork + scale.
 
     The digest hashes the layout's canonical CIF text, so the same
     artwork parsed from differently formatted sources still matches.
     """
-    body = f"{resolution}|{lambda_}|{write_cif(layout)}"
+    body = f"{lambda_}|{write_cif(layout)}"
     return hashlib.sha256(body.encode()).hexdigest()
 
 
@@ -127,7 +128,8 @@ def load_checkpoint(path: "str | os.PathLike") -> dict:
 
 
 def check_identity(state: dict, digest: str, options: dict, path) -> None:
-    """Refuse to resume against a different layout or different options."""
+    """Refuse to resume against a different layout or different options
+    (another deck among them)."""
     if state.get("digest") != digest:
         raise CheckpointError(
             f"checkpoint {path} was written for a different layout "

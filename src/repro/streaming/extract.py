@@ -52,6 +52,7 @@ from ..core.stats import ScanStats
 from ..core.stripengine import RetiredDevices
 from ..frontend.bands import plan_bands
 from ..frontend.stream import GeometryStream
+from ..parallel.serialize import technology_fingerprint
 from ..tech import NMOS, Technology
 from ..wirelist.model import primitives_for
 from . import checkpoint as ckpt
@@ -98,7 +99,6 @@ def stream_extract(
     name: str = "chip",
     out: "IO[str] | None" = None,
     keep_geometry: bool = False,
-    resolution: int = 50,
     engine: str = "auto",
     band_height: "int | None" = None,
     boundaries: "list[int] | None" = None,
@@ -123,7 +123,7 @@ def stream_extract(
         resume: finish the sweep recorded at ``checkpoint`` instead of
             starting over: sweep again with its band plan, spilling and
             checkpointing only the bands it had not committed.  The
-            layout and options must match.  The
+            layout, the deck and the options must match.  The
             string ``"auto"`` resumes when a checkpoint file exists and
             starts fresh otherwise -- the right mode for a supervisor
             that relaunches after crashes, since a kill before the
@@ -138,7 +138,7 @@ def stream_extract(
 
     layout = parse(source) if isinstance(source, str) else source
     started = perf_counter()
-    stream = GeometryStream(layout, resolution=resolution)
+    stream = GeometryStream(layout)
     streamed = perf_counter()
     scan = ScanlineEngine(
         tech,
@@ -148,10 +148,10 @@ def stream_extract(
     )
     ready = perf_counter()
 
-    digest = ckpt.layout_digest(layout, resolution, tech.lambda_)
+    digest = ckpt.layout_digest(layout, tech.lambda_)
     options = {
         "keep_geometry": bool(keep_geometry),
-        "resolution": int(resolution),
+        "tech": technology_fingerprint(tech),
         "lambda": int(tech.lambda_),
         "engine": scan.engine_name,
     }

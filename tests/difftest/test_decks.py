@@ -6,11 +6,12 @@ import json
 
 import pytest
 
-from repro.analysis import static_check
+from repro.analysis import circuit_stats, static_check
 from repro.cif.writer import write as write_cif
 from repro.core import extract
 from repro.core.stripengine import numpy_available
 from repro.difftest import generate_layout, run_difftest
+from repro.difftest.drcplant import hosts_for, run_drc_self_test
 from repro.difftest.driver import _deck_capable
 from repro.difftest.generator import (
     CANONICAL_LAYERS,
@@ -21,9 +22,12 @@ from repro.difftest.generator import (
 from repro.difftest.oracles import ORACLES, select_oracles
 from repro.drc import run_drc
 from repro.pipeline import JobOptions, run
+from repro.sim import HIGH, LOW, SwitchSimulator
 from repro.tech import CMOS, NMOS, compile_deck, deck_to_dict, nmos_deck
 from repro.tech.deck import BuriedRule, ChannelRule, ContactRule
 from repro.wirelist import flatten, parse_wirelist
+from repro.workloads import inverter
+from repro.workloads.violations import violation_snippets_for
 from tests.streaming.harness import chip_height
 
 TECH = NMOS()
@@ -269,3 +273,30 @@ class TestRenamedProcess:
         assert result.ok, [f.mismatches[0].headline() for f in result.failures]
         assert result.iterations == 10
         assert result.deck_skips == 0
+
+    def test_drc_self_test_hosts_follow_the_deck(self):
+        hosts = hosts_for(RENAMED_TECH)
+        devices = {
+            name: len(extract(draw(RENAMED_TECH.lambda_), RENAMED_TECH).devices)
+            for name, draw in hosts.items()
+        }
+        assert devices == {"inverter": 2, "nand2": 3, "single_transistor": 1}
+        result = run_drc_self_test(RENAMED_TECH, do_shrink=False)
+        assert result.clean_hosts == list(hosts)
+        assert len(result.plants) == len(hosts) * len(
+            violation_snippets_for(RENAMED_TECH)
+        )
+        assert all(plant.caught for plant in result.plants)
+
+    def test_device_roles_follow_the_deck(self):
+        renamed = remap_layout(inverter(), deck_layer_map(RENAMED_TECH))
+        circuit = extract(renamed, RENAMED_TECH)
+        nmos = extract(inverter(), TECH)
+        for tech, extracted in ((RENAMED_TECH, circuit), (None, nmos)):
+            stats = circuit_stats(extracted, tech=tech)
+            assert (stats.enhancement, stats.depletion) == (1, 1)
+            sim = SwitchSimulator(extracted, tech=tech)
+            sim.set_input("IN", LOW)
+            assert sim.simulate().of("OUT") == HIGH
+            sim.set_input("IN", HIGH)
+            assert sim.simulate().of("OUT") == LOW

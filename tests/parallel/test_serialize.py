@@ -89,20 +89,31 @@ def test_cache_key_sensitivity():
     content = next(iter(plan.primitives.values()))
     tech = NMOS()
 
-    base = window_cache_key(content, tech, 50)
-    assert base == window_cache_key(content, tech, 50)  # deterministic
-    assert base != window_cache_key(content, tech, 25)  # resolution
-    assert base != window_cache_key(content, NMOS(lambda_=100), 50)  # process
+    base = window_cache_key(content, tech)
+    assert base == window_cache_key(content, tech)  # deterministic
+    assert base != window_cache_key(content, NMOS(lambda_=100))  # process
 
     # Placement is not part of the key ...
     moved = _moved(content, 1000, 2000)
-    assert window_cache_key(moved, tech, 50) == base
+    assert window_cache_key(moved, tech) == base
     # ... but artwork is.
     moved.geometry[0] = (
         moved.geometry[0][0],
         moved.geometry[0][1].translated(1, 0),
     )
-    assert window_cache_key(moved, tech, 50) != base
+    assert window_cache_key(moved, tech) != base
+
+
+def test_cache_key_is_stable_across_the_fixed_resolution():
+    """The key still hashes resolution 50, so a fragment cache filled
+    while the resolution was an option (always 50) stays warm.  The
+    digest is the one that version computed for this window."""
+    planner = WindowPlanner(inverter())
+    plan = plan_windows(planner, planner.top_content(), HextStats())
+    (content,) = plan.primitives.values()
+    assert window_cache_key(content, NMOS()) == (
+        "9507063c2a19ee07ffc9593eb986acfec4b8bb5e3c6be689bcebd0261e504126"
+    )
 
 
 def test_technology_fingerprint_tracks_rules():

@@ -23,6 +23,7 @@ from repro.streaming import (
     save_checkpoint,
     stream_extract,
 )
+from repro.tech import CMOS
 from repro.workloads import inverter_rows
 from repro.workloads.mesh import poly_diff_mesh
 from tests.golden.cases import GOLDEN_CASES
@@ -273,13 +274,14 @@ def test_checkpoint_size_does_not_grow_with_band(engine, tmp_path):
     assert sizes[-1] - sizes[0] <= 4, sizes
 
 
-def test_resume_refuses_format_2_checkpoint(tmp_path):
+def test_resume_refuses_format_3_checkpoint(tmp_path):
+    """Format 3 did not name the deck; such a file cannot be resumed."""
     ck = tmp_path / "sweep.ck"
     stream_extract(nand2(), TECH, band_height=1000, checkpoint=str(ck))
     text = ck.read_text()
-    assert text.startswith('{"format": 3,')
-    ck.write_text(text.replace('"format": 3', '"format": 2', 1))
-    with pytest.raises(CheckpointError, match="format 2"):
+    assert text.startswith('{"format": 4,')
+    ck.write_text(text.replace('"format": 4', '"format": 3', 1))
+    with pytest.raises(CheckpointError, match="format 3"):
         stream_extract(
             nand2(),
             TECH,
@@ -337,6 +339,20 @@ def test_resume_refuses_option_mismatch(tmp_path):
             checkpoint=str(ck),
             resume=True,
             keep_geometry=True,
+        )
+
+
+def test_resume_refuses_deck_mismatch(tmp_path):
+    """A sweep stopped under NMOS does not resume under CMOS, whose
+    sweep would read the NMOS layers as unknown and mix two processes'
+    bands in one wirelist."""
+    layout = inverter_rows(4, 2)
+    ck = tmp_path / "sweep.ck"
+    abort_after(layout, {"band_height": 1000}, ck, 2)
+    assert load_checkpoint(ck)["band"] == 2
+    with pytest.raises(CheckpointError, match="options"):
+        stream_extract(
+            layout, CMOS(), band_height=1000, checkpoint=str(ck), resume=True
         )
 
 

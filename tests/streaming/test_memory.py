@@ -21,8 +21,12 @@ asymptotic claim without flaking on allocator noise.
 
 from __future__ import annotations
 
+import json
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +42,23 @@ from .harness import ENGINES, TECH, chip_height
 #: the smallest chip: O(band) predicts near-constant streamed peaks as
 #: the chip grows past it.
 BAND_HEIGHT = max(1, chip_height(inverter_rows(12, 6)) // 16)
+
+REPO = Path(__file__).resolve().parents[2]
+
+#: The module's warmup, then the short and the tall chip's streamed
+#: peaks, printed as JSON; run in a fresh interpreter.
+FRESH_PEAKS = """
+import json
+from repro.workloads import inverter_rows
+from tests.streaming.test_memory import in_memory_peak, streamed_peak
+
+streamed_peak(inverter_rows(2, 2), 5000)
+in_memory_peak(inverter_rows(2, 2))
+print(json.dumps([
+    streamed_peak(inverter_rows(12, 6)),
+    streamed_peak(inverter_rows(48, 6)),
+]))
+"""
 
 
 def alloc_peak(fn) -> int:
@@ -112,9 +133,25 @@ def test_streamed_peak_tracks_band_not_chip():
     predicts near-constant peaks while O(chip) predicts 4x.  The slack
     factor absorbs what legitimately grows with the chip: the O(nets)
     order keys and union-finds.
+
+    Both peaks are taken in a fresh interpreter.  After the rest of the
+    suite the ratio read 1.97-2.20 (once 2.2025, over the bound), alone
+    2.03-2.06: what earlier tests leave in the heap moves it.
     """
-    peak_short = streamed_peak(inverter_rows(12, 6))
-    peak_tall = streamed_peak(inverter_rows(48, 6))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO / "src"), str(REPO)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", FRESH_PEAKS],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    peak_short, peak_tall = json.loads(child.stdout)
     assert peak_tall < peak_short * 2.2, (
         f"streamed peak grew {peak_tall / peak_short:.2f}x when the chip "
         "quadrupled -- residency is tracking the chip, not the band"
