@@ -122,10 +122,6 @@ def static_check(
     """
     deck = (tech or NMOS()).deck
     erc = deck.erc
-    if vdd_names is None:
-        vdd_names = tuple(erc.vdd_names)
-    if gnd_names is None:
-        gnd_names = tuple(erc.gnd_names)
     if min_ratio is None:
         min_ratio = erc.min_ratio
     types = {
@@ -134,7 +130,9 @@ def static_check(
     }
 
     report = CheckReport()
-    vdd, gnd = _find_rails(circuit, vdd_names, gnd_names)
+    vdd, gnd = erc.find_rails(
+        {net.index: net.names for net in circuit.nets}, vdd_names, gnd_names
+    )
     _check_malformed(circuit, report)
     _check_rails(circuit, report, vdd, gnd)
     if erc.style == "complementary":
@@ -143,24 +141,6 @@ def static_check(
         _check_ratios(circuit, report, types, vdd, gnd, min_ratio)
     _check_floating(circuit, report, vdd, gnd)
     return report
-
-
-def _find_rails(
-    circuit: Circuit,
-    vdd_names: "tuple[str, ...]",
-    gnd_names: "tuple[str, ...]",
-) -> "tuple[set[int], set[int]]":
-    vdd_set = {name.casefold() for name in vdd_names}
-    gnd_set = {name.casefold() for name in gnd_names}
-    vdd: set[int] = set()
-    gnd: set[int] = set()
-    for net in circuit.nets:
-        folded = {name.casefold() for name in net.names}
-        if folded & vdd_set:
-            vdd.add(net.index)
-        if folded & gnd_set:
-            gnd.add(net.index)
-    return vdd, gnd
 
 
 def _check_malformed(circuit: Circuit, report: CheckReport) -> None:

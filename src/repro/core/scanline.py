@@ -239,14 +239,12 @@ class ScanlineEngine:
             pops_before = stats.heap_pops
             self._expire(y)
             lap("expire")
-            new_boxes = stream.fetch(y)
+            rows = stream.fetch(y)
             lap("fetch")
             self._enter_continuations(y)
-            for layer, box in new_boxes:
-                stats.boxes_in += 1
-                self._insert(
-                    layer, box.xmin, box.xmax, box.ymin, None, True, box
-                )
+            stats.boxes_in += len(rows)
+            for layer, x1, ybot, x2 in rows:
+                self._insert(layer, x1, x2, ybot, None, y)
             lap("insert")
             y_next = self._next_stop(stream, y)
             overhead = (stats.intervals_scanned - scanned_before) - (
@@ -420,7 +418,7 @@ class ScanlineEngine:
         pending = self._pending
         while pending and -pending[0][0] == y:
             _, _, layer, x1, x2, ybot, net = heapq.heappop(pending)
-            self._insert(layer, x1, x2, ybot, net, False, None)
+            self._insert(layer, x1, x2, ybot, net, None)
 
     def _insert(
         self,
@@ -429,18 +427,18 @@ class ScanlineEngine:
         x2: int,
         ybot: int,
         net: int | None,
-        fresh: bool,
-        box: Box | None,
+        top: int | None,
     ) -> None:
         """Merge one box (or continuation) into a layer's active table.
 
         ``net`` is None for fresh geometry (a net is allocated on demand
-        for net-carrying layers) and pre-bound for continuations.  ``box``
-        is the original artwork box for geometry/location bookkeeping and
-        None for continuations, whose upper part was already recorded.
-        ``fresh`` geometry additionally joins, by vertical adjacency, the
-        nets of strip-above intervals that retired at this very stop;
-        adjacency to intervals that continue below is the ordinary merge.
+        for net-carrying layers) and pre-bound for continuations.  ``top``
+        is the fresh artwork box's top edge, for geometry/location
+        bookkeeping, and None for continuations, whose upper part was
+        already recorded.  Fresh geometry additionally joins, by vertical
+        adjacency, the nets of strip-above intervals that retired at this
+        very stop; adjacency to intervals that continue below is the
+        ordinary merge.
         """
         t = self._tables.get(layer)
         if t is None:
@@ -456,7 +454,7 @@ class ScanlineEngine:
             if net is None:
                 net = self._nets.make()
                 self.stats.nets_created += 1
-            if fresh:
+            if top is not None:
                 # Vertical adjacency: new geometry starting exactly where
                 # the strip above ended joins the nets above it.  The
                 # strip-above view is reconstructed from two event-bounded
@@ -492,10 +490,12 @@ class ScanlineEngine:
                     cands.sort()
                     for _, pnet in cands:
                         net = self._nets.union(net, pnet)
-            if box is not None:
-                self.strip_engine.touch_net(net, box.xmin, box.ymax)
+            if top is not None:
+                self.strip_engine.touch_net(net, x1, top)
                 if self.keep_geometry:
-                    self._net_geo.setdefault(net, []).append((layer, box))
+                    self._net_geo.setdefault(net, []).append(
+                        (layer, Box(x1, ybot, x2, top))
+                    )
         else:
             net = None
 

@@ -2,13 +2,14 @@
 
 :func:`expand` is the one place a symbol call becomes placed artwork:
 its boxes (polygons and wires fractured) under the call's transform, its
-child calls with their transforms composed, and its labels.  The lazy
-stream (:mod:`repro.frontend.stream`) and HEXT's window planner expand
-one call at a time through it; :func:`instantiate` walks every call
-through it at once.  ACE itself avoids that (see
-:mod:`repro.frontend.stream`); the flat list is what the raster and
-region-merge baselines, the workload statistics, the source attribution
-of diagnostics, and the tests consume.
+child calls with their transforms composed, and its labels.  HEXT's
+window planner expands one call at a time through it, and
+:func:`instantiate` walks every call through it at once.  ACE itself
+avoids that (see :mod:`repro.frontend.stream`); the flat list is what
+the raster and region-merge baselines, the workload statistics, the
+source attribution of diagnostics, and the tests consume.  The lazy
+stream takes only the hierarchy half, :func:`expand_calls`, and places
+a call's boxes from per-symbol oriented runs instead.
 """
 
 from __future__ import annotations
@@ -30,6 +31,28 @@ class PlacedLabel:
     layer: str | None = None
 
 
+def expand_calls(
+    symbol: Symbol, transform: Transform
+) -> tuple[list[tuple[int, Transform]], list[PlacedLabel]]:
+    """The hierarchy half of :func:`expand`: ``(calls, labels)``, the
+    child calls with composed transforms and the labels placed, in
+    drawing order.  The lazy stream places a call's boxes itself."""
+    calls = [
+        (call.symbol, call.transform.then(transform)) for call in symbol.calls
+    ]
+    if transform.is_identity:
+        labels = [
+            PlacedLabel(lb.name, lb.x, lb.y, lb.layer) for lb in symbol.labels
+        ]
+    else:
+        apply_point = transform.apply_point
+        labels = [
+            PlacedLabel(lb.name, *apply_point(lb.x, lb.y), lb.layer)
+            for lb in symbol.labels
+        ]
+    return calls, labels
+
+
 def expand(
     symbol: Symbol, transform: Transform
 ) -> tuple[
@@ -43,24 +66,12 @@ def expand(
     its child calls as ``(symbol number, composed transform)``, and its
     labels placed, each in the symbol's drawing order.
     """
+    calls, labels = expand_calls(symbol, transform)
     boxes = symbol.fractured_boxes()
-    calls = [
-        (call.symbol, call.transform.then(transform)) for call in symbol.calls
-    ]
-    if transform.is_identity:
-        labels = [
-            PlacedLabel(lb.name, lb.x, lb.y, lb.layer) for lb in symbol.labels
-        ]
-        return boxes, calls, labels
-    apply_box, apply_point = transform.apply_box, transform.apply_point
-    return (
-        [(layer, apply_box(box)) for layer, box in boxes],
-        calls,
-        [
-            PlacedLabel(lb.name, *apply_point(lb.x, lb.y), lb.layer)
-            for lb in symbol.labels
-        ],
-    )
+    if not transform.is_identity:
+        apply_box = transform.apply_box
+        boxes = [(layer, apply_box(box)) for layer, box in boxes]
+    return boxes, calls, labels
 
 
 def _expansions(

@@ -36,9 +36,6 @@ from ..wirelist.flatten import FlatCircuit, circuit_to_flat
 #: Node values.
 LOW, HIGH, UNKNOWN = 0, 1, "X"
 
-_DEFAULT_VDD = ("VDD", "VDD!", "Vdd")
-_DEFAULT_GND = ("GND", "GND!", "Vss", "GROUND")
-
 
 @dataclass(frozen=True, slots=True)
 class _Switch:
@@ -78,8 +75,8 @@ class SwitchSimulator:
         circuit: "Circuit | FlatCircuit",
         *,
         tech: "Technology | None" = None,
-        vdd_names: tuple[str, ...] = _DEFAULT_VDD,
-        gnd_names: tuple[str, ...] = _DEFAULT_GND,
+        vdd_names: "tuple[str, ...] | None" = None,
+        gnd_names: "tuple[str, ...] | None" = None,
         charge_retention: bool = False,
     ) -> None:
         #: With charge retention on, a node left with no driven or weak
@@ -94,21 +91,15 @@ class SwitchSimulator:
             else circuit_to_flat(circuit)
         )
         self._names = dict(flat.net_names)
+        deck = (tech or NMOS()).deck
         #: the deck's depletion types (NMOS by default): load candidates
-        loads = {
-            rule.name
-            for rule in (tech or NMOS()).deck.device_types
-            if rule.depletion
-        }
+        loads = {rule.name for rule in deck.device_types if rule.depletion}
+        # Rails as the ERC finds them.
+        self._vdd, self._gnd = deck.erc.find_rails(
+            flat.net_names, vdd_names, gnd_names
+        )
         self._switches: list[_Switch] = []
         self._nodes: set[int] = set()
-        self._vdd: set[int] = set()
-        self._gnd: set[int] = set()
-        for net, names in flat.net_names.items():
-            if any(name in vdd_names for name in names):
-                self._vdd.add(net)
-            if any(name in gnd_names for name in names):
-                self._gnd.add(net)
         for device in flat.devices:
             if device.source is None or device.drain is None:
                 continue  # malformed devices conduct nothing useful

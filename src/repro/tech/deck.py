@@ -29,6 +29,7 @@ shipped under ``src/repro/tech/decks/`` and pinned by tests.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -146,6 +147,31 @@ class ErcDeck:
     min_ratio: float = 4.0
     vdd_names: tuple[str, ...] = ("VDD", "VDD!")
     gnd_names: tuple[str, ...] = ("GND", "GND!", "VSS", "GROUND")
+
+    def find_rails(
+        self,
+        net_names: "Mapping[int, Iterable[str]]",
+        vdd_names: "Iterable[str] | None" = None,
+        gnd_names: "Iterable[str] | None" = None,
+    ) -> "tuple[set[int], set[int]]":
+        """The ``(vdd, gnd)`` nets of ``{net: names}``: a net is a rail
+        when one of its names is one of the rail spellings (this
+        policy's unless given), matched case-insensitively."""
+        if vdd_names is None:
+            vdd_names = self.vdd_names
+        if gnd_names is None:
+            gnd_names = self.gnd_names
+        vdd_set = {name.casefold() for name in vdd_names}
+        gnd_set = {name.casefold() for name in gnd_names}
+        vdd: set[int] = set()
+        gnd: set[int] = set()
+        for net, names in net_names.items():
+            folded = {name.casefold() for name in names}
+            if folded & vdd_set:
+                vdd.add(net)
+            if folded & gnd_set:
+                gnd.add(net)
+        return vdd, gnd
 
 
 @dataclass(frozen=True)

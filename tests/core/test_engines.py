@@ -60,8 +60,8 @@ def box_edges(layout: Layout) -> list[int]:
     edges: set[int] = set()
     y = stream.next_top()
     while y is not None:
-        for _, box in stream.fetch(y):
-            edges.update((box.ymin, box.ymax))
+        for _, _, ybot, _ in stream.fetch(y):
+            edges.update((ybot, y))
         y = stream.next_top()
     return sorted(edges, reverse=True)
 

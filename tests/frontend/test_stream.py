@@ -39,7 +39,7 @@ class TestOrdering:
         stream = GeometryStream(layout)
         assert stream.next_top() == 10
         first = stream.fetch(10)
-        assert {layer for layer, _ in first} == {"ND", "NP"}
+        assert {layer for layer, _, _, _ in first} == {"ND", "NP"}
         assert stream.next_top() == 8
 
     def test_empty_layout(self):

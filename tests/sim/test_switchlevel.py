@@ -1,9 +1,12 @@
 """Switch-level simulator: gates, chains, and pathological circuits."""
 
+import dataclasses
+
 import pytest
 
 from repro import extract
 from repro.sim import HIGH, LOW, UNKNOWN, SwitchSimulator
+from repro.tech import compile_deck, nmos_deck
 from repro.wirelist import FlatCircuit, FlatDevice
 from repro.workloads import inverter, inverter_rows, nand2
 
@@ -161,3 +164,48 @@ class TestFlatNetlists:
         result = sim.simulate()
         assert result.of("Q") == UNKNOWN
         assert result.of("QB") == UNKNOWN
+
+
+class TestRails:
+    """The rails are the deck's ERC rails, matched as the ERC matches
+    them: case-insensitively."""
+
+    @staticmethod
+    def _renamed_rails():
+        deck = nmos_deck()
+        erc = dataclasses.replace(
+            deck.erc, vdd_names=("PWR",), gnd_names=("GND0",)
+        )
+        return compile_deck(dataclasses.replace(deck, erc=erc))
+
+    @staticmethod
+    def _relabelled_inverter(vdd, gnd):
+        layout = inverter()
+        names = {"VDD": vdd, "GND": gnd}
+        for symbol in (layout.top, *layout.symbols.values()):
+            symbol.labels[:] = [
+                dataclasses.replace(lb, name=names.get(lb.name, lb.name))
+                for lb in symbol.labels
+            ]
+        return layout
+
+    @pytest.mark.parametrize("vdd, gnd", [("PWR", "GND0"), ("pwr", "Gnd0")])
+    def test_renamed_deck_rails(self, vdd, gnd):
+        tech = self._renamed_rails()
+        circuit = extract(self._relabelled_inverter(vdd, gnd), tech)
+        sim = SwitchSimulator(circuit, tech=tech)
+        sim.set_input("IN", LOW)
+        assert sim.simulate().of("OUT") == HIGH
+        sim.set_input("IN", HIGH)
+        assert sim.simulate().of("OUT") == LOW
+
+    def test_nmos_rails_in_any_case(self):
+        flat = _flat(
+            [("nDep", 1, 0, 1), ("nEnh", 2, 1, 3)],
+            {0: ["Vdd"], 1: ["OUT"], 2: ["IN"], 3: ["Vss"]},
+        )
+        sim = SwitchSimulator(flat)
+        sim.set_input("IN", LOW)
+        assert sim.simulate().of("OUT") == HIGH
+        sim.set_input("IN", HIGH)
+        assert sim.simulate().of("OUT") == LOW

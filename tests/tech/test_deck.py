@@ -251,3 +251,18 @@ class TestDeckFiles:
     def test_unknown_builtin_name(self):
         with pytest.raises(KeyError):
             deck_by_name("bipolar")
+
+
+class TestRails:
+    """``ErcDeck.find_rails``: the one rail match the ERC and the
+    switch-level simulator share."""
+
+    NETS = {0: ["vdd"], 1: ["Gnd!", "OUT"], 2: ["IN"], 3: ["PWR", "gnd"]}
+
+    def test_deck_names_any_case(self):
+        assert ErcDeck().find_rails(self.NETS) == ({0}, {1, 3})
+
+    def test_given_names_replace_the_decks(self):
+        erc = ErcDeck()
+        assert erc.find_rails(self.NETS, ("pwr",)) == ({3}, {1, 3})
+        assert erc.find_rails(self.NETS, (), ()) == (set(), set())
