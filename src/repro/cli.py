@@ -14,9 +14,10 @@ from contextlib import contextmanager
 from typing import IO, Iterator
 
 from .analysis import static_check
+from .cif import CifError
 from .core.stripengine import ENGINE_CHOICES, EngineUnavailable
 from .pipeline import JobOptions, run
-from .tech import DeckError, compile_deck, resolve_deck
+from .tech import BUILTIN_DECKS, DeckError, compile_deck, resolve_deck
 
 
 def package_version() -> str:
@@ -110,8 +111,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--deck",
         default="nmos",
         metavar="NAME|PATH",
-        help="technology deck: a builtin name (nmos, cmos) or a deck "
-        "JSON file (default nmos)",
+        help="technology deck: a builtin name "
+        f"({', '.join(sorted(BUILTIN_DECKS))}) or a deck JSON file; a "
+        "file named like a builtin is reached as ./NAME (default nmos)",
     )
     parser.add_argument(
         "--engine",
@@ -202,6 +204,12 @@ def main(argv: "list[str] | None" = None) -> int:
             file=sys.stderr,
         )
         return 2
+    if args.band_height is not None and args.band_height < 1:
+        print(
+            f"error: --band-height must be at least 1, not {args.band_height}",
+            file=sys.stderr,
+        )
+        return 2
     if args.stream and args.resume and args.checkpoint is None:
         print(
             "error: --resume continues the sweep recorded at --checkpoint; "
@@ -232,9 +240,9 @@ def main(argv: "list[str] | None" = None) -> int:
         stream=args.stream,
         band_height=args.band_height,
     )
-    with open(args.cif) as handle:
-        text = handle.read()
     try:
+        with open(args.cif) as handle:
+            text = handle.read()
         with _output(args.output) as out:
             result = run(
                 text,
@@ -247,8 +255,11 @@ def main(argv: "list[str] | None" = None) -> int:
                 checkpoint=args.checkpoint,
                 resume="auto" if args.resume else False,
             )
-    except EngineUnavailable as exc:
+    except (EngineUnavailable, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except CifError as exc:
+        print(f"error: {args.cif}: {exc}", file=sys.stderr)
         return 2
 
     if args.plot or args.svg:

@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from ..cli import add_version_argument
-from ..tech import DeckError, compile_deck, resolve_deck
+from ..tech import BUILTIN_DECKS, DeckError, compile_deck, resolve_deck
 from .driver import run_difftest
 from .faults import KNOWN_FAULTS
 from .oracles import DEFAULT_ORACLES, ORACLES
@@ -52,10 +52,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--deck", default="nmos", metavar="NAME|PATH",
-        help="technology deck to fuzz under: a builtin name (nmos, "
-        "cmos) or a deck JSON file; generated layouts are retargeted "
-        "to the deck's layers and oracles without support for the "
-        "deck are excluded (default nmos)",
+        help="technology deck to fuzz under: a builtin name "
+        f"({', '.join(sorted(BUILTIN_DECKS))}) or a deck JSON file (a "
+        "file named like a builtin is reached as ./NAME); generated "
+        "layouts are retargeted to the deck's layers and oracles "
+        "without support for the deck are excluded (default nmos)",
     )
     parser.add_argument(
         "--max-failures", type=int, default=5,

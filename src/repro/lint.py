@@ -25,7 +25,7 @@ import argparse
 import sys
 
 from .analysis.static_check import ERC_RULE_HELP, static_check
-from .cif import Layout, parse_file
+from .cif import CifError, Layout, parse_file
 from .cli import add_version_argument
 from .core import extract_report
 from .diagnostics import (
@@ -72,8 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="nmos",
         metavar="NAME|PATH",
         help="technology deck: a builtin name "
-        f"({', '.join(sorted(BUILTIN_DECKS))}) or a deck JSON file "
-        "(default nmos)",
+        f"({', '.join(sorted(BUILTIN_DECKS))}) or a deck JSON file; a "
+        "file named like a builtin is reached as ./NAME (default nmos)",
     )
     parser.add_argument(
         "--check-deck",
@@ -350,7 +350,7 @@ def main(argv: "list[str] | None" = None) -> int:
                     attribute=not args.no_attribution,
                 )
             )
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, CifError) as exc:
             print(f"repro-lint: {path}: {exc}", file=sys.stderr)
             return INTERNAL_ERROR_EXIT
 

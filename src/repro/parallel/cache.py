@@ -27,8 +27,11 @@ replace), and a file deleted out from under a reader is just a miss.
 Budgets make the shared store self-limiting: ``max_entries`` /
 ``max_bytes`` evict the least-recently-used entries (recency is the
 file mtime, refreshed on every hit), and ``ttl_seconds`` expires
-entries by age regardless of use.  Eviction races between processes are
-benign — an unlink that loses the race is a no-op.
+entries left unread that long: the TTL reads the same mtime, so it
+counts idle time, and an entry hit at least once per TTL never expires.
+Entries are content-addressed and never go stale, so an idle timeout
+is the useful policy.  Eviction races between processes are benign — an
+unlink that loses the race is a no-op.
 
 :class:`JsonEnvelopeStore` is the generic layer (the extraction service
 builds its result cache on it); :class:`FragmentCache` specializes it to

@@ -72,7 +72,7 @@ class ResultCache:
     a restart: a memory miss falls through to disk.  Several daemons
     may share one directory (atomic replace and lock-free reads make
     concurrent access safe).  ``max_entries`` / ``max_bytes`` /
-    ``ttl_seconds`` bound the store (LRU-by-mtime eviction, age
+    ``ttl_seconds`` bound the store (LRU-by-mtime eviction, idle
     expiry) — see ``repro.parallel.cache``.
     """
 

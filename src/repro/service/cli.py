@@ -25,6 +25,7 @@ from ..core.stripengine import (
     EngineUnavailable,
     resolve_engine,
 )
+from ..tech import BUILTIN_DECKS
 from .client import JobFailed, ServiceClient, ServiceError
 from .server import DEFAULT_PORT, ExtractionService, ServiceConfig
 
@@ -86,7 +87,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="expire disk result entries older than this",
+        help="expire disk result entries unread for this long (a hit "
+        "restarts the clock)",
     )
     parser.add_argument(
         "--timeout",
@@ -192,7 +194,7 @@ def build_submit_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="NAME",
         help="builtin technology deck the daemon extracts under "
-        "(nmos, cmos; default nmos)",
+        f"({', '.join(sorted(BUILTIN_DECKS))}; default nmos)",
     )
     parser.add_argument(
         "--lint",

@@ -80,7 +80,7 @@ class ServiceConfig:
     memory_cache_entries: int = 256
     cache_max_entries: "int | None" = None  #: disk store entry budget
     cache_max_bytes: "int | None" = None  #: disk store byte budget
-    cache_ttl: "float | None" = None  #: disk entry max age, seconds
+    cache_ttl: "float | None" = None  #: disk entry max idle, seconds
     default_timeout: "float | None" = 300.0  #: per-job seconds
     drain_grace: float = 30.0  #: max seconds to wait for drain
     retain_jobs: int = 256

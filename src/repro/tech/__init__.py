@@ -1,4 +1,8 @@
-"""Technology descriptions: decks and their compiled form."""
+"""Technology descriptions: decks and their compiled form.
+
+The builtin decks are the JSON files under ``decks/``; a file's stem is
+its builtin name, so adding one needs only its file.
+"""
 
 import dataclasses
 import os
@@ -6,36 +10,20 @@ import os
 from .cmos import CMOS, cmos_deck
 from .deck import (
     ABSENT_LAYER,
+    BUILTIN_DECKS,
     DECK_RULE_HELP,
+    DEFAULT_LAMBDA,
     DeckError,
     Technology,
     TechnologyDeck,
     compile_deck,
+    deck_by_name,
     deck_from_dict,
     deck_to_dict,
     load_deck_file,
     validate_deck,
 )
-from .nmos import DEFAULT_LAMBDA, NMOS, nmos_deck
-
-#: Builtin deck factories by name; ``repro-lint --deck nmos`` and the
-#: service's ``deck`` option resolve through this registry.
-BUILTIN_DECKS = {
-    "nmos": nmos_deck,
-    "cmos": cmos_deck,
-}
-
-
-def deck_by_name(name: str, lambda_: int = DEFAULT_LAMBDA) -> TechnologyDeck:
-    """A builtin deck by registry name; raises KeyError when unknown."""
-    try:
-        factory = BUILTIN_DECKS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown technology deck {name!r}; "
-            f"choose from {sorted(BUILTIN_DECKS)}"
-        ) from None
-    return factory(lambda_)
+from .nmos import NMOS, nmos_deck
 
 
 def technology_by_name(
@@ -48,13 +36,14 @@ def technology_by_name(
 def resolve_deck(spec: str, lambda_: "int | None" = None) -> TechnologyDeck:
     """The ``--deck`` selection of every CLI: a builtin name or a file.
 
-    Anything that looks like a path (exists on disk, ends in ``.json``,
-    or contains a separator) is loaded as a deck file; otherwise the
-    builtin registry is consulted.  ``lambda_`` replaces the deck's own
-    lambda either way (None keeps the file's, or the builtin default);
-    :func:`compile_deck` then validates the deck at that lambda.  Every
-    failure -- unknown name, unreadable or unparsable file -- raises
-    :class:`DeckError`.
+    A builtin name always means the shipped deck, even where the working
+    directory holds a file or directory of that name (reach that as
+    ``./NAME``).  Anything else that looks like a path (exists on disk,
+    ends in ``.json``, or contains a separator) is loaded as a deck
+    file.  ``lambda_`` replaces the deck's own lambda either way (None
+    keeps the file's, or the builtin default); :func:`compile_deck` then
+    validates the deck at that lambda.  Every failure -- unknown name,
+    unreadable or unparsable file -- raises :class:`DeckError`.
     """
     looks_like_path = (
         os.path.exists(spec)
@@ -63,7 +52,7 @@ def resolve_deck(spec: str, lambda_: "int | None" = None) -> TechnologyDeck:
         or "/" in spec
     )
     try:
-        if not looks_like_path:
+        if spec in BUILTIN_DECKS or not looks_like_path:
             return deck_by_name(
                 spec, DEFAULT_LAMBDA if lambda_ is None else lambda_
             )

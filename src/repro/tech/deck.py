@@ -21,24 +21,31 @@ both strip engines, the DRC checker and the baselines read those roles,
 and everything else (DRC dimensions and messages, ERC policy, the
 device-type table) straight from the deck.
 
-The built-in decks live in :mod:`repro.tech.nmos` (Mead & Conway NMOS)
-and :mod:`repro.tech.cmos` (p-well CMOS); their canonical JSON forms are
-shipped under ``src/repro/tech/decks/`` and pinned by tests.
+The builtin decks are the JSON files shipped under ``decks/``: a
+file's stem is its builtin name (:data:`BUILTIN_DECKS`), and
+:func:`deck_by_name` reads it through the same :func:`deck_from_dict`
+every ``--deck FILE`` goes through.  :mod:`repro.tech.nmos` (Mead &
+Conway NMOS) and :mod:`repro.tech.cmos` (p-well CMOS) explain the two
+processes and name their factories.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Any
 
 __all__ = [
     "ABSENT_LAYER",
+    "BUILTIN_DECKS",
     "BuriedRule",
     "ChannelRule",
     "ContactRule",
     "DECK_RULE_HELP",
+    "DEFAULT_LAMBDA",
     "DeckError",
     "DeviceTypeRule",
     "DrcDeck",
@@ -47,6 +54,7 @@ __all__ = [
     "Technology",
     "TechnologyDeck",
     "compile_deck",
+    "deck_by_name",
     "deck_from_dict",
     "deck_to_dict",
     "load_deck_file",
@@ -669,6 +677,53 @@ def deck_to_dict(deck: TechnologyDeck) -> dict:
     }
 
 
+def _str_tuple(values: Iterable) -> tuple[str, ...]:
+    return tuple(str(v) for v in values)
+
+
+def _int_map(values: Mapping) -> dict[str, int]:
+    return {str(k): int(v) for k, v in values.items()}
+
+
+def _str_map(values: Mapping) -> dict[str, str]:
+    return {str(k): str(v) for k, v in values.items()}
+
+
+def _optional_str(value: Any) -> "str | None":
+    return None if value is None else str(value)
+
+
+#: The optional keys of each section, with their converters; an absent
+#: key takes the dataclass default.
+_DEVICE_KEYS = {"polarity": str, "depletion": bool}
+_DRC_KEYS = {
+    "rules": _str_tuple,
+    "min_width": _int_map,
+    "min_spacing": _int_map,
+    "gate_extension": int,
+    "contact_margin": int,
+    "buried_margin": int,
+    "marker_margin": int,
+    "messages": _str_map,
+    "help": _str_map,
+}
+_ERC_KEYS = {
+    "style": str,
+    "min_ratio": float,
+    "vdd_names": _str_tuple,
+    "gnd_names": _str_tuple,
+}
+
+
+def _present(section: Mapping, keys: Mapping) -> dict:
+    """Keyword arguments for the ``keys`` that ``section`` holds."""
+    return {
+        key: convert(section[key])
+        for key, convert in keys.items()
+        if key in section
+    }
+
+
 def deck_from_dict(data: dict) -> TechnologyDeck:
     """Parse the :func:`deck_to_dict` form; raises DeckError on shape
     errors (content errors are the validator's job)."""
@@ -676,8 +731,6 @@ def deck_from_dict(data: dict) -> TechnologyDeck:
         schema = data.get("schema", _SCHEMA_VERSION)
         if schema != _SCHEMA_VERSION:
             raise DeckError(f"unsupported deck schema version {schema!r}")
-        drc = data.get("drc", {})
-        erc = data.get("erc", {})
         buried = data.get("buried")
         return TechnologyDeck(
             name=str(data["name"]),
@@ -693,71 +746,26 @@ def deck_from_dict(data: dict) -> TechnologyDeck:
             channel=ChannelRule(
                 diffusion=str(data["channel"]["diffusion"]),
                 gate=str(data["channel"]["gate"]),
-                blocker=(
-                    None
-                    if data["channel"].get("blocker") is None
-                    else str(data["channel"]["blocker"])
-                ),
+                blocker=_optional_str(data["channel"].get("blocker")),
             ),
             device_types=tuple(
                 DeviceTypeRule(
                     name=str(r["name"]),
-                    marker=(
-                        None
-                        if r.get("marker") is None
-                        else str(r["marker"])
-                    ),
-                    polarity=str(r.get("polarity", "n")),
-                    depletion=bool(r.get("depletion", False)),
+                    marker=_optional_str(r.get("marker")),
+                    **_present(r, _DEVICE_KEYS),
                 )
                 for r in data["device_types"]
             ),
             contact=ContactRule(
                 cut=str(data["contact"]["cut"]),
-                connects=tuple(
-                    str(n) for n in data["contact"]["connects"]
-                ),
+                connects=_str_tuple(data["contact"]["connects"]),
             ),
             buried=(
                 BuriedRule(window=str(buried["window"])) if buried else None
             ),
-            ignored=tuple(str(n) for n in data.get("ignored", ())),
-            drc=DrcDeck(
-                rules=tuple(str(r) for r in drc.get("rules", ())),
-                min_width={
-                    str(k): int(v)
-                    for k, v in drc.get("min_width", {}).items()
-                },
-                min_spacing={
-                    str(k): int(v)
-                    for k, v in drc.get("min_spacing", {}).items()
-                },
-                gate_extension=int(drc.get("gate_extension", 1)),
-                contact_margin=int(drc.get("contact_margin", 0)),
-                buried_margin=int(drc.get("buried_margin", 0)),
-                marker_margin=int(drc.get("marker_margin", 1)),
-                messages={
-                    str(k): str(v)
-                    for k, v in drc.get("messages", {}).items()
-                },
-                help={
-                    str(k): str(v)
-                    for k, v in drc.get("help", {}).items()
-                },
-            ),
-            erc=ErcDeck(
-                style=str(erc.get("style", "ratio")),
-                min_ratio=float(erc.get("min_ratio", 4.0)),
-                vdd_names=tuple(
-                    str(n) for n in erc.get("vdd_names", ("VDD", "VDD!"))
-                ),
-                gnd_names=tuple(
-                    str(n)
-                    for n in erc.get(
-                        "gnd_names", ("GND", "GND!", "VSS", "GROUND")
-                    )
-                ),
-            ),
+            ignored=_str_tuple(data.get("ignored", ())),
+            drc=DrcDeck(**_present(data.get("drc", {}), _DRC_KEYS)),
+            erc=ErcDeck(**_present(data.get("erc", {}), _ERC_KEYS)),
         )
     except DeckError:
         raise
@@ -765,8 +773,8 @@ def deck_from_dict(data: dict) -> TechnologyDeck:
         raise DeckError(f"malformed technology deck: {exc!r}") from exc
 
 
-def load_deck_file(path: str) -> TechnologyDeck:
-    """Load a deck from a JSON file (shape-checked, not yet validated)."""
+def _read_deck_json(path: "str | Path") -> dict:
+    """The JSON object of a deck file."""
     try:
         with open(path) as handle:
             data = json.load(handle)
@@ -774,4 +782,41 @@ def load_deck_file(path: str) -> TechnologyDeck:
         raise DeckError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise DeckError(f"{path}: a deck file must hold a JSON object")
-    return deck_from_dict(data)
+    return data
+
+
+def load_deck_file(path: str) -> TechnologyDeck:
+    """Load a deck from a JSON file (shape-checked, not yet validated)."""
+    return deck_from_dict(_read_deck_json(path))
+
+
+# ----------------------------------------------------------------------
+# the builtin decks
+# ----------------------------------------------------------------------
+
+#: Default lambda in CIF centimicrons (2.5 micron process, Mead-Conway);
+#: every shipped deck file declares it.
+DEFAULT_LAMBDA = 250
+
+_DECKS_DIR = Path(__file__).with_name("decks")
+
+#: The builtin deck names: the stems of the files under ``decks/``.
+BUILTIN_DECKS = frozenset(path.stem for path in _DECKS_DIR.glob("*.json"))
+
+
+@functools.cache
+def _builtin_json(name: str) -> dict:
+    """The shipped file of deck ``name``, read once per process."""
+    return _read_deck_json(_DECKS_DIR / f"{name}.json")
+
+
+def deck_by_name(name: str, lambda_: int = DEFAULT_LAMBDA) -> TechnologyDeck:
+    """The builtin deck ``name`` at ``lambda_``; raises KeyError when
+    unknown.  Every call parses a fresh deck, so no two share a dict."""
+    if name not in BUILTIN_DECKS:
+        raise KeyError(
+            f"unknown technology deck {name!r}; "
+            f"choose from {sorted(BUILTIN_DECKS)}"
+        )
+    deck = deck_from_dict(_builtin_json(name))
+    return replace(deck, lambda_=lambda_)

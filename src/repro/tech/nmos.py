@@ -15,115 +15,29 @@ it does embed the NMOS *topology* rules:
 * **Buried contacts** -- buried over poly AND diffusion unions the poly
   and diffusion nets (and, by the channel rule, suppresses the channel).
 
-These rules are *data*: :func:`nmos_deck` is the declarative
-:class:`~repro.tech.deck.TechnologyDeck`, and :func:`NMOS` compiles it
-into the :class:`~repro.tech.deck.Technology` every extractor, checker
-and writer reads.  The lambda value only matters to the DRC, the raster
-baseline (grid pitch) and the workload generators; ACE itself is
-grid-free.
+These rules are *data*: the deck is the shipped file ``decks/nmos.json``,
+:func:`nmos_deck` reads it, and :func:`NMOS` compiles it into the
+:class:`~repro.tech.deck.Technology` every extractor, checker and writer
+reads.  Its layer order, device names, lambda values and diagnostic
+message text are all pinned by the goldens.  The lambda value only
+matters to the DRC, the raster baseline (grid pitch) and the workload
+generators; ACE itself is grid-free.
 """
 
 from __future__ import annotations
 
 from .deck import (
-    BuriedRule,
-    ChannelRule,
-    ContactRule,
-    DeviceTypeRule,
-    DrcDeck,
-    ErcDeck,
-    LayerSpec,
+    DEFAULT_LAMBDA,
     Technology,
     TechnologyDeck,
     compile_deck,
+    deck_by_name,
 )
-
-#: Default lambda in CIF centimicrons (2.5 micron process, Mead-Conway).
-DEFAULT_LAMBDA = 250
 
 
 def nmos_deck(lambda_: int = DEFAULT_LAMBDA) -> TechnologyDeck:
-    """The Mead & Conway NMOS deck, as declarative data.
-
-    Layer order, device names, lambda values and diagnostic message
-    text are all pinned by the goldens.
-    """
-    return TechnologyDeck(
-        name="nmos",
-        lambda_=lambda_,
-        layers=(
-            LayerSpec("NM", "metal", conducting=True),
-            LayerSpec("NP", "polysilicon", conducting=True),
-            LayerSpec("ND", "diffusion", conducting=True),
-            LayerSpec("NC", "contact cut", conducting=False),
-            LayerSpec("NI", "depletion implant", conducting=False),
-            LayerSpec("NB", "buried contact", conducting=False),
-            LayerSpec("NG", "overglass opening", conducting=False),
-        ),
-        channel=ChannelRule(diffusion="ND", gate="NP", blocker="NB"),
-        device_types=(
-            DeviceTypeRule("nEnh", marker=None, polarity="n"),
-            DeviceTypeRule(
-                "nDep", marker="NI", polarity="n", depletion=True
-            ),
-        ),
-        contact=ContactRule(cut="NC", connects=("NM", "NP", "ND")),
-        buried=BuriedRule(window="NB"),
-        ignored=("NG",),
-        drc=DrcDeck(
-            rules=(
-                "drc.width",
-                "drc.spacing",
-                "drc.gate-extension",
-                "drc.contact-enclosure",
-                "drc.buried-enclosure",
-                "drc.implant-coverage",
-            ),
-            min_width={
-                "ND": 2,
-                "NP": 2,
-                "NM": 3,
-                "NC": 2,
-                "NB": 2,
-                "NI": 2,
-            },
-            min_spacing={
-                "ND": 3,
-                "NP": 2,
-                "NM": 1,
-                "NC": 1,
-                "NB": 2,
-                "NI": 2,
-            },
-            gate_extension=1,
-            contact_margin=0,
-            buried_margin=0,
-            marker_margin=1,
-            messages={
-                "gate-extension": (
-                    "channel edge lacks the {n} lambda poly or "
-                    "diffusion extension"
-                ),
-                "contact-enclosure": (
-                    "contact cut not fully covered by metal"
-                ),
-                "buried-cover": (
-                    "buried window not fully covered by diffusion"
-                ),
-                "buried-overlap": "buried window never overlaps poly",
-                "marker-coverage": (
-                    "depletion channel not covered by implant with a "
-                    "{n} lambda margin"
-                ),
-            },
-        ),
-        erc=ErcDeck(
-            style="ratio",
-            min_ratio=4.0,
-            vdd_names=("VDD", "VDD!"),
-            gnd_names=("GND", "GND!", "VSS", "GROUND"),
-        ),
-    )
+    """The Mead & Conway NMOS deck at ``lambda_``."""
+    return deck_by_name("nmos", lambda_)
 
 
 def NMOS(lambda_: int = DEFAULT_LAMBDA) -> Technology:

@@ -3,9 +3,10 @@
 The daemon's disk result store is this class, and several daemons
 may point it at one directory, so the properties under test here are
 load-bearing for it: LRU eviction must spare the hot set, TTL must
-expire by age, a just-written entry must never be its own eviction
-victim, and two processes hammering one directory must never observe
-a torn read (atomic ``os.replace`` + full-envelope checksums).
+expire idle entries (a hit restarts the clock), a just-written entry
+must never be its own eviction victim, and two processes hammering one
+directory must never observe a torn read (atomic ``os.replace`` +
+full-envelope checksums).
 """
 
 import json
@@ -111,6 +112,17 @@ class TestTtl:
         assert store.get_payload(key_for(0)) is None
         assert store.stats.expired == 1
         assert not path.exists()
+
+    def test_hit_restarts_the_idle_clock(self, tmp_path):
+        # The TTL counts idle time: a hit refreshes the mtime it reads.
+        store = JsonEnvelopeStore(tmp_path, ttl_seconds=30.0)
+        store.put_payload(key_for(0), payload_for(0))
+        path = store.path_for(key_for(0))
+        old = time.time() - 20
+        os.utime(path, (old, old))
+        assert store.get_payload(key_for(0)) == payload_for(0)
+        assert time.time() - path.stat().st_mtime < 10
+        assert store.stats.expired == 0
 
     def test_fresh_entry_survives_ttl(self, tmp_path):
         store = JsonEnvelopeStore(tmp_path, ttl_seconds=3600.0)

@@ -1,8 +1,9 @@
 """The deck compiler's static validation pass.
 
 One test per validation rule id, each planting exactly the defect the
-rule exists to catch, plus the positive pins: both shipped decks
-validate clean, compile, and round-trip through their JSON form.
+rule exists to catch, plus the positive pins: every shipped deck file
+is its builtin deck, validates clean, compiles, and round-trips
+through its JSON form.
 """
 
 import dataclasses
@@ -11,9 +12,13 @@ from pathlib import Path
 
 import pytest
 
+from repro.parallel.serialize import technology_fingerprint
 from repro.tech import (
+    BUILTIN_DECKS,
     CMOS,
     DECK_RULE_HELP,
+    DEFAULT_LAMBDA,
+    NMOS,
     DeckError,
     cmos_deck,
     compile_deck,
@@ -52,9 +57,48 @@ class TestShippedDecks:
 
     @pytest.mark.parametrize("name", ["nmos", "cmos"])
     def test_json_file_pins_builtin(self, name):
-        """The shipped deck file IS the builtin deck, field for field."""
+        """A builtin name and its shipped file load the same deck."""
         deck = load_deck_file(str(DECKS_DIR / f"{name}.json"))
         assert deck == deck_by_name(name)
+
+    @pytest.mark.parametrize(
+        "path", sorted(DECKS_DIR.glob("*.json")), ids=lambda p: p.stem
+    )
+    def test_shipped_file_is_its_builtin(self, path):
+        deck = load_deck_file(str(path))
+        assert path.stem in BUILTIN_DECKS
+        assert deck.name == path.stem
+        assert deck.lambda_ == DEFAULT_LAMBDA
+        assert validate_deck(deck).diagnostics == []
+
+    def test_builtin_names_are_the_shipped_files(self):
+        assert BUILTIN_DECKS == {p.stem for p in DECKS_DIR.glob("*.json")}
+        assert {"nmos", "cmos"} <= BUILTIN_DECKS
+
+    def test_each_call_builds_a_fresh_deck(self):
+        edited = nmos_deck()
+        edited.drc.min_width["ND"] = 99
+        edited.drc.messages.clear()
+        fresh = nmos_deck()
+        assert fresh.drc.min_width["ND"] == 2
+        assert "gate-extension" in fresh.drc.messages
+
+    @pytest.mark.parametrize(
+        "factory, lambda_, digest",
+        [
+            (NMOS, 250, "0bfae8e73602923485beed4c4c15605e"
+             "4cdeb17a1e16672cc873c06fb0bbaa4f"),
+            (NMOS, 400, "001dceeffc2e92b006b1e36acc8afcd5"
+             "26fc92f1c5d92a2577790e94c554ce7b"),
+            (CMOS, 250, "ce711c554327d86f1c911d43ed0c0c52"
+             "e4f9f6604dc67fcf0d67fb405601d375"),
+            (CMOS, 400, "f366648bb2fd482a524a0a677b49539b"
+             "b072d363666f6ed4c8f5e8a9686c572c"),
+        ],
+    )
+    def test_fingerprint_is_pinned(self, factory, lambda_, digest):
+        # --cache directories and streaming checkpoints key on it.
+        assert technology_fingerprint(factory(lambda_)) == digest
 
     def test_compiled_cmos_device_names(self):
         tech = CMOS()
@@ -251,6 +295,39 @@ class TestDeckFiles:
     def test_unknown_builtin_name(self):
         with pytest.raises(KeyError):
             deck_by_name("bipolar")
+
+    def test_absent_optional_keys_take_the_dataclass_defaults(
+        self, tmp_path
+    ):
+        # cmos.json sets a marker margin of 2 and a complementary ERC:
+        # without those keys the file loads to the dataclass defaults.
+        data = json.loads((DECKS_DIR / "cmos.json").read_text())
+        for key in (
+            "gate_extension", "contact_margin", "buried_margin",
+            "marker_margin", "help",
+        ):
+            del data["drc"][key]
+        data["erc"] = {}
+        for rule in data["device_types"]:
+            del rule["polarity"], rule["depletion"]
+        path = tmp_path / "sparse.json"
+        path.write_text(json.dumps(data))
+        deck = load_deck_file(str(path))
+        drc = cmos_deck().drc
+        assert deck.drc == DrcDeck(
+            rules=drc.rules,
+            min_width=drc.min_width,
+            min_spacing=drc.min_spacing,
+            messages=drc.messages,
+        )
+        assert deck.drc.marker_margin == 1
+        assert deck.erc == ErcDeck()
+        default = DeviceTypeRule("x", marker=None)
+        for rule in deck.device_types:
+            assert (rule.polarity, rule.depletion) == (
+                default.polarity,
+                default.depletion,
+            )
 
 
 class TestRails:

@@ -25,6 +25,26 @@ def violations_cif(tmp_path):
     return str(path)
 
 
+#: CIF the parser refuses: geometry before any layer, and a call to an
+#: undefined symbol.
+MALFORMED_CIF = {
+    "box-before-layer": "B 10 10 5 5;\nE\n",
+    "undefined-symbol": "DS 1; L NM; B 10 10 5 5; DF;\nC 7;\nE\n",
+}
+
+
+@pytest.fixture(params=sorted(MALFORMED_CIF))
+def malformed_cif(request, tmp_path):
+    path = tmp_path / "malformed.cif"
+    path.write_text(MALFORMED_CIF[request.param])
+    return str(path)
+
+
+def one_error_line(err: str, prefix: str) -> bool:
+    """``err`` is a single line starting with ``prefix``."""
+    return err.startswith(prefix) and err.count("\n") == 1
+
+
 class TestFlat:
     def test_wirelist_to_stdout(self, inverter_cif, capsys):
         assert main([inverter_cif]) == 0
@@ -283,6 +303,12 @@ class TestReproLint:
         assert lint_main([missing]) == INTERNAL_ERROR_EXIT
         assert "nope.cif" in capsys.readouterr().err
 
+    def test_malformed_cif_is_internal_error(self, malformed_cif, capsys):
+        # Exit 1 would read as one lint error.
+        assert lint_main([malformed_cif]) == INTERNAL_ERROR_EXIT
+        err = capsys.readouterr().err
+        assert one_error_line(err, f"repro-lint: {malformed_cif}: ")
+
     def test_no_input_files_is_internal_error(self, capsys):
         assert lint_main([]) == INTERNAL_ERROR_EXIT
 
@@ -295,6 +321,28 @@ class TestReproLint:
         code = lint_main([violations_cif, "--no-erc", "--lambda", lambda_])
         assert code == INTERNAL_ERROR_EXIT
         assert "lambda must be at least 1" in capsys.readouterr().err
+
+
+class TestExtractBadInput:
+    """ace-extract refuses bad input with one ``error:`` line and exit
+    2; exit 1 is what --lint and --check findings return."""
+
+    def test_missing_file(self, tmp_path, capsys):
+        assert main([str(tmp_path / "nope.cif")]) == 2
+        err = capsys.readouterr().err
+        assert one_error_line(err, "error: ") and "nope.cif" in err
+
+    def test_malformed_cif(self, malformed_cif, capsys):
+        assert main([malformed_cif]) == 2
+        captured = capsys.readouterr()
+        assert one_error_line(captured.err, f"error: {malformed_cif}: ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("height", ["0", "-5"])
+    def test_band_height_below_one(self, inverter_cif, height, capsys):
+        assert main([inverter_cif, "--stream", "--band-height", height]) == 2
+        err = capsys.readouterr().err
+        assert one_error_line(err, "error: --band-height ")
 
 
 class TestDeckSelection:
@@ -351,6 +399,31 @@ class TestDeckSelection:
             == INTERNAL_ERROR_EXIT
         )
         assert "bipolar" in capsys.readouterr().err
+
+    def test_builtin_name_wins_over_the_working_directory(
+        self, cmos_cif, tmp_path, monkeypatch, capsys
+    ):
+        # examples/layouts/ holds a cmos/ directory, as this cwd does.
+        from repro.tech import cmos_deck, nmos_deck, resolve_deck
+
+        for name in ("nmos", "cmos"):
+            (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path)
+        assert resolve_deck("nmos") == nmos_deck()
+        assert resolve_deck("cmos") == cmos_deck()
+        assert main([cmos_cif, "--deck", "cmos"]) == 0
+        assert "(Part pEnh" in capsys.readouterr().out
+
+    def test_a_local_file_named_like_a_builtin_is_reached_as_dot_slash(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.tech import resolve_deck
+
+        nmos_json = open("src/repro/tech/decks/nmos.json").read()
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cmos").write_text(nmos_json)
+        assert resolve_deck("cmos").name == "cmos"
+        assert resolve_deck("./cmos").name == "nmos"
 
     def test_deck_rails_drive_erc(self, cmos_cif, capsys):
         # The CMOS deck inherits the default rail spellings; a bogus
