@@ -19,7 +19,7 @@ harness; wall-clock speedups are therefore only meaningful on comparable
 hardware.  A missing or malformed capture raises :class:`BaselineError`
 with the repair story instead of a raw traceback.  The counters are not
 hardware-bound: ``--check`` asserts machine-independent invariants of
-the event-heap design (every scheduled interval is popped exactly once,
+the event-heap design (every scheduled interval is removed exactly once,
 per-stop scheduling overhead is bounded by the number of tracked layers,
 never by the active-list population, and never worse than the per-size
 ``max_stop_overhead`` recorded in the committed baseline) — and, because
@@ -398,8 +398,8 @@ def check_rows(
 ) -> list[str]:
     """Machine-independent event-heap invariants; returns violations.
 
-    * conservation: every push is eventually popped, and every pop is
-      either a real expiry or a lazy discard of a merge-consumed entry;
+    * conservation: every scheduled interval is eventually removed, by a
+      real expiry or by a merge that consumes it (a lazy discard);
     * bounded overhead: at any stop the engine examines at most two
       heap heads per tracked layer beyond the entries it removes, so
       scheduling work per stop is O(layers), not O(active intervals);

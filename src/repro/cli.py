@@ -9,8 +9,11 @@ extraction statistics, and the static checker.
 from __future__ import annotations
 
 import argparse
+import os
+import stat
 import sys
-from contextlib import contextmanager
+import tempfile
+from contextlib import contextmanager, suppress
 from typing import IO, Iterator
 
 from .analysis import static_check
@@ -302,12 +305,48 @@ def main(argv: "list[str] | None" = None) -> int:
 
 @contextmanager
 def _output(path: "str | None") -> "Iterator[IO[str]]":
-    """The wirelist's destination: ``path``, or stdout."""
+    """The wirelist's destination: ``path``, or stdout.
+
+    A new or regular file is written beside itself under a temporary
+    name and moved over ``path`` once the block completes, so a run that
+    fails leaves the file it found.  Anything else that exists at
+    ``path`` (``/dev/null``, a pipe) is written in place.
+    """
     if path is None:
         yield sys.stdout
-    else:
+        return
+    if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w") as handle:
             yield handle
+        return
+    path = os.path.realpath(path)  # a link keeps pointing at the new file
+    try:
+        fd, temp = tempfile.mkstemp(
+            dir=os.path.dirname(path) or ".",
+            prefix=f".{os.path.basename(path)}.",
+            suffix=".tmp",
+        )
+    except OSError as exc:  # name the path asked for, not the temporary
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with os.fdopen(fd, "w") as handle:
+            os.chmod(temp, _file_mode(path))
+            yield handle
+        os.replace(temp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(temp)
+        raise
+
+
+def _file_mode(path: str) -> int:
+    """The permission bits ``open(path, "w")`` would leave ``path`` with:
+    its own if it exists, else the default for a new file."""
+    if os.path.exists(path):
+        return stat.S_IMODE(os.stat(path).st_mode)
+    umask = os.umask(0)
+    os.umask(umask)
+    return 0o666 & ~umask
 
 
 def _print_profile(trace) -> None:

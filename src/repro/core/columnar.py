@@ -2,14 +2,16 @@
 
 The host keeps one :class:`LayerTable` per tracked layer.  A table is a
 persistent structure-of-arrays: parallel ``array('q')`` int64 columns
-(``x1``/``x2``/``ybot``/``net``/``born``) plus a ``live`` byte mask, all
+(``x1``/``x2``/``ybot``/``net``) plus a ``live`` byte mask, all
 append-only, and a pair of small python lists (``order`` -- row ids of
 the *live* intervals in ascending-x1 order -- and ``keys`` -- their x1
-values, for ``bisect``).  Inserts append a row and splice one id into
-``order``; expiries and merge consumptions flip one ``live`` byte and
-remove one id.  ``born`` stamps the stop that allocated a row, which
+values, for ``bisect``).  Row ids grow with time, so the rows entered at
+the current stop are exactly those from the stop's first id on, which
 the host's vertical-adjacency rule reads to tell strip-above intervals
-from ones inserted at the current stop.  Nothing is ever rebuilt from
+from new ones.  An insert appends a row and splices one id into
+``order``; a merge consumption flips one ``live`` byte and replaces its
+ids by the merged row's; an expiry flips the ``live`` bytes of a whole
+bucket of rows and removes their ids.  Nothing is ever rebuilt from
 python object lists, which is the point: the numpy strip engine reads a
 column zero-copy via the buffer protocol (``np.frombuffer``) and gathers
 the live subset with a single C-level ``take`` whenever the layer's
@@ -39,7 +41,6 @@ class LayerTable:
         "x2",
         "ybot",
         "net",
-        "born",
         "live",
         "order",
         "keys",
@@ -53,7 +54,6 @@ class LayerTable:
         self.x2 = array("q")
         self.ybot = array("q")
         self.net = array("q")
-        self.born = array("q")
         self.live = bytearray()
         self.order: list[int] = []
         self.keys: list[int] = []
@@ -64,21 +64,6 @@ class LayerTable:
     def __len__(self) -> int:
         """Number of *live* intervals (the active-list length)."""
         return len(self.order)
-
-    def alloc(self, x1: int, x2: int, ybot: int, net: int, born: int) -> int:
-        """Append a live row; the caller splices it into ``order``."""
-        rid = len(self.x1)
-        self.x1.append(x1)
-        self.x2.append(x2)
-        self.ybot.append(ybot)
-        self.net.append(net)
-        self.born.append(born)
-        self.live.append(1)
-        return rid
-
-    def kill(self, rid: int) -> None:
-        """Retire a row (expiry or merge consumption)."""
-        self.live[rid] = 0
 
     def spans(self) -> list[tuple[int, int, int]]:
         """Live ``(x1, x2, net)`` tuples in x order, cached by version.

@@ -901,8 +901,8 @@ class NumpyStripEngine(StripEngine):
     # net location accumulation
     # ------------------------------------------------------------------
 
-    def touch_net(self, net: int, xmin: int, ymax: int) -> None:
-        self._tn_scalar.append((net, ymax, -xmin))
+    def touch_nets(self, sightings: "list[tuple[int, int, int]]") -> None:
+        self._tn_scalar += sightings
 
     # ------------------------------------------------------------------
     # finalize folds (step 3)

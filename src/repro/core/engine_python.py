@@ -98,7 +98,7 @@ class PythonStripEngine(StripEngine):
             if net is None:
                 net = nets.make()
                 h.stats.nets_created += 1
-            # inline touch_net: this runs once per span per strip
+            # touch the net inline: this runs once per span per strip
             loc = (y_hi, -x1)
             current = net_loc.get(net)
             if current is None or loc > current:
@@ -308,11 +308,13 @@ class PythonStripEngine(StripEngine):
         root = self.host._nets.find(net)
         rec["terms"][root] = rec["terms"].get(root, 0) + length
 
-    def touch_net(self, net: int, xmin: int, ymax: int) -> None:
-        loc = (ymax, -xmin)
-        current = self._net_loc.get(net)
-        if current is None or loc > current:
-            self._net_loc[net] = loc
+    def touch_nets(self, sightings: "list[tuple[int, int, int]]") -> None:
+        net_loc = self._net_loc
+        for net, ymax, nxmin in sightings:
+            loc = (ymax, nxmin)
+            current = net_loc.get(net)
+            if current is None or loc > current:
+                net_loc[net] = loc
 
     # ------------------------------------------------------------------
     # finalize folds (step 3)

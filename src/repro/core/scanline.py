@@ -8,7 +8,8 @@ x-intervals describes the strip; nets live in a union-find.
 The implementation follows Figure 3-2 step for step:
 
   2.a  incoming geometry is sorted by x into per-layer newGeometry lists
-       (here: delivered sorted by the stream, inserted one by one);
+       (here: delivered sorted by the stream, and a stop's rows entered
+       by one call, in stream order);
   2.b  new boxes merge into the active lists; overlapping or abutting
        boxes on one layer union their nets; when merged boxes have
        unequal bottoms, the deeper remainder is split off into a pending
@@ -20,17 +21,19 @@ The implementation follows Figure 3-2 step for step:
   2.d  next stop = max over upcoming box tops and active bottoms.
 
 Event scheduling is heap-based so a stop costs work proportional to the
-events at that stop, not to the number of active intervals: every active
-interval is registered on a per-layer bottom-edge heap when created, and
-an interval consumed by a merge is *lazily invalidated* -- its heap entry
-stays behind, marked dead, and is discarded when it surfaces.  Step 2.d
-is then a constant number of heap peeks and step "expire" pops exactly
-the intervals whose bottom edge is the current stop.  The design notes
-and invariants live in docs/SCANLINE_PERF.md.
+events at that stop, not to the number of active intervals.  Each layer
+has a bottom-edge heap with one entry per distinct bottom, naming a
+*bucket*: the ids of the rows scheduled with that bottom.  Every active
+interval joins its bucket when created; an interval consumed by a merge
+is only marked dead, and stays in its bucket until the bucket retires.
+Step 2.d is then one heap peek per layer, and step "expire" retires the
+one bucket per layer whose bottom is the current stop, skipping its dead
+rows.  The counters still count intervals, not heap entries.  The
+design notes and invariants live in docs/SCANLINE_PERF.md.
 
 Active intervals live in per-layer *columnar* tables
 (:class:`~repro.core.columnar.LayerTable`): persistent int64 columns
-plus a live mask, updated incrementally on insert/expire.  The numpy
+plus a live mask, updated incrementally as rows enter and expire.  The numpy
 strip engine gathers a layer's live rows straight from the columns
 (zero-copy buffer views) instead of re-materializing python lists every
 strip.  The host hands every strip to the engine as it reaches it, one
@@ -56,10 +59,12 @@ under its ``extract`` stage.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
+from collections.abc import Sequence
+from itertools import islice
 
 from ..frontend.instantiate import PlacedLabel
-from ..frontend.stream import GeometryStream
+from ..frontend.stream import GeometryStream, Row
 from ..geometry import Box
 from ..tech import Technology
 from .assemble import attach_net_payload
@@ -149,22 +154,35 @@ class ScanlineEngine:
         self._tables: dict[str, LayerTable] = {
             name: LayerTable() for name in tracked
         }
-        #: per-layer bottom-edge event heaps of (-ybot, seq, row id)
-        self._heaps: dict[str, list[tuple[int, int, int]]] = {
-            name: [] for name in tracked
+        #: per-layer bottom-edge event heaps: one ``-ybot`` entry per
+        #: distinct bottom of the layer's rows, naming its bucket
+        self._heaps: dict[str, list[int]] = {name: [] for name in tracked}
+        #: per-layer buckets: bottom -> ids of the rows scheduled there
+        self._buckets: dict[str, dict[int, list[int]]] = {
+            name: {} for name in tracked
         }
-        self._heap_seq = 0
         self._active_count = 0
-        self._stop = 0  #: current stop ordinal (compared against born)
         #: net-layer strip-above intervals retired during the current
-        #: stop, by expiry or merge consumption.  Together with in-list
-        #: intervals born before the stop, these reconstruct the exact
-        #: strip-above view the vertical-adjacency rule needs -- without
-        #: snapshotting the full active lists every strip.
+        #: stop, by expiry or merge consumption, as ``(x1, x2, net)`` in
+        #: ascending x1.  Together with the in-list intervals entered
+        #: before the stop, these reconstruct the exact strip-above view
+        #: the vertical-adjacency rule needs -- without snapshotting the
+        #: full active lists every strip.
         self._prev_retired: dict[str, list[tuple[int, int, int]]] = {
             name: [] for name in self._net_layers
         }
         self._ignored = set(tech.ignored)
+        #: what :meth:`_enter` unpacks once per run of same-layer rows:
+        #: the table, its columns, its schedule, and its retired list
+        #: (None on a layer that carries no net)
+        self._lanes = {
+            name: (
+                t, t.order, t.keys, t.x1, t.x2, t.ybot, t.net, t.live,
+                self._buckets[name], self._heaps[name],
+                self._prev_retired.get(name),
+            )
+            for name, t in self._tables.items()
+        }
 
         self._nets = UnionFind()
         self._devs = UnionFind()
@@ -234,17 +252,14 @@ class ScanlineEngine:
             if y_limit is not None and y <= y_limit:
                 break
             stats.stops += 1
-            self._stop += 1
             scanned_before = stats.intervals_scanned
             pops_before = stats.heap_pops
             self._expire(y)
             lap("expire")
             rows = stream.fetch(y)
             lap("fetch")
-            self._enter_continuations(y)
             stats.boxes_in += len(rows)
-            for layer, x1, ybot, x2 in rows:
-                self._insert(layer, x1, x2, ybot, None, y)
+            self._enter(y, rows)
             lap("insert")
             y_next = self._next_stop(stream, y)
             overhead = (stats.intervals_scanned - scanned_before) - (
@@ -338,28 +353,27 @@ class ScanlineEngine:
         return out
 
     def _next_stop(self, stream: GeometryStream, y: int) -> int | None:
-        """Step 2.d as a heap peek: O(#layers) plus lazy-dead cleanup."""
-        stats = self.stats
+        """Step 2.d as a heap peek: one stopping peek per layer with rows.
+
+        The top bucket of a layer always holds a live row, so its bottom
+        is the layer's next expiry: a merge that consumes a row either
+        makes a row with the same bottom or leaves that bottom's
+        remainder pending, and the remainder re-enters the bucket before
+        the scanline passes the merged row (docs/SCANLINE_PERF.md).
+        """
         best = stream.next_top()
         if self._pending:
             top = -self._pending[0][0]
             if best is None or top > best:
                 best = top
-        for layer, heap in self._heaps.items():
-            if not heap:
-                continue
-            live = self._tables[layer].live
-            while heap:
-                stats.intervals_scanned += 1
-                neg_bot, _, rid = heap[0]
-                if live[rid]:
-                    bot = -neg_bot
-                    if best is None or bot > best:
-                        best = bot
-                    break
-                heapq.heappop(heap)
-                stats.heap_pops += 1
-                stats.lazy_discards += 1
+        peeks = 0
+        for heap in self._heaps.values():
+            if heap:
+                peeks += 1
+                bot = -heap[0]
+                if best is None or bot > best:
+                    best = bot
+        self.stats.intervals_scanned += peeks
         if best is None:
             return None
         if best >= y:  # pragma: no cover - sweep invariant
@@ -371,204 +385,250 @@ class ScanlineEngine:
     # ------------------------------------------------------------------
 
     def _expire(self, y: int) -> None:
-        """Pop the intervals whose bottom edge coincides with the scanline.
+        """Retire the intervals whose bottom edge coincides with the scanline.
 
-        Only heap entries that actually retire (expiring intervals plus
-        lazily invalidated leftovers of earlier merges) are popped; one
-        extra peek per non-empty layer detects that nothing more ends
-        here.  Net-layer expiries are recorded in ``_prev_retired`` for
-        the stop's duration, feeding the vertical-adjacency rule in
-        :meth:`_insert`.
+        They are one bucket per layer, the heap's top: its live rows are
+        killed together, and the layer's ``order``/``keys`` are rebuilt
+        in one pass when more than one row leaves (one bisect when one
+        does).  Each expiry counts as one removal; a layer with rows left
+        adds one stopping peek.  Net-layer expiries are recorded in
+        ``_prev_retired`` for the stop's duration, feeding the
+        vertical-adjacency rule in :meth:`_enter`.
         """
-        stats = self.stats
-        retired = self._prev_retired
-        for layer in retired:
-            if retired[layer]:
-                retired[layer] = []
+        for retired in self._prev_retired.values():
+            if retired:
+                retired.clear()
+        expired = peeks = 0
+        lanes = self._lanes
         for layer, heap in self._heaps.items():
             if not heap:
                 continue
-            t = self._tables[layer]
-            live = t.live
-            retired_here = retired.get(layer)
-            while heap:
-                stats.intervals_scanned += 1
-                neg_bot, _, rid = heap[0]
-                if live[rid] and -neg_bot != y:
-                    break
+            (t, order, keys, tx1, tx2, _, tnet, live, buckets, heap,
+             retired) = lanes[layer]
+            if heap[0] == -y:
                 heapq.heappop(heap)
-                stats.heap_pops += 1
-                if not live[rid]:
-                    stats.lazy_discards += 1
-                    continue
-                stats.expired += 1
-                t.kill(rid)
-                # Live intervals are disjoint, so x1 is unique: bisect
-                # lands exactly on the retiring interval.
-                i = bisect_left(t.keys, t.x1[rid])
-                del t.order[i]
-                del t.keys[i]
+                bucket = buckets.pop(y)
+                # A surfacing bucket holds a live row (see _next_stop), so
+                # a bucket of one row is one expiry.
+                if len(bucket) > 1:
+                    bucket = [rid for rid in bucket if live[rid]]
+                for rid in bucket:
+                    live[rid] = 0
+                if len(bucket) == 1:
+                    # Live intervals are disjoint, so x1 is unique:
+                    # bisect lands exactly on the retiring interval.
+                    rid = bucket[0]
+                    i = bisect_left(keys, tx1[rid])
+                    del order[i]
+                    del keys[i]
+                    if retired is not None:
+                        retired.append((tx1[rid], tx2[rid], tnet[rid]))
+                else:
+                    order[:] = [rid for rid in order if live[rid]]
+                    keys[:] = [tx1[rid] for rid in order]
+                    if retired is not None:
+                        retired += [
+                            (tx1[rid], tx2[rid], tnet[rid]) for rid in bucket
+                        ]
+                        retired.sort()
                 t.version += 1
-                self._active_count -= 1
-                if retired_here is not None:
-                    retired_here.append((t.x1[rid], t.x2[rid], t.net[rid]))
+                expired += len(bucket)
+            if order:
+                peeks += 1
+        stats = self.stats
+        if expired:
+            stats.expired += expired
+            stats.heap_pops += expired
+            self._active_count -= expired
+        stats.intervals_scanned += expired + peeks
 
-    def _enter_continuations(self, y: int) -> None:
-        """Re-insert buffered lower portions whose top is the scanline."""
-        pending = self._pending
-        while pending and -pending[0][0] == y:
-            _, _, layer, x1, x2, ybot, net = heapq.heappop(pending)
-            self._insert(layer, x1, x2, ybot, net, None)
+    def _enter(self, y: int, rows: list[Row]) -> None:
+        """Merge one stop's geometry into the active tables (steps 2.a/2.b).
 
-    def _insert(
-        self,
-        layer: str,
-        x1: int,
-        x2: int,
-        ybot: int,
-        net: int | None,
-        top: int | None,
-    ) -> None:
-        """Merge one box (or continuation) into a layer's active table.
+        The continuations whose top is the scanline go first, in pending
+        order, then the fetched rows in stream order.  Every row is
+        merged as a per-box insertion would merge it, so net ids are
+        allocated and unions made in exactly that order; what the rows
+        share is the bookkeeping.  A run of same-layer rows unpacks its
+        layer's table, columns and schedule once, the stop's net
+        sightings reach the strip engine in one ``touch_nets`` call, and
+        the counters are summed once.
 
-        ``net`` is None for fresh geometry (a net is allocated on demand
-        for net-carrying layers) and pre-bound for continuations.  ``top``
-        is the fresh artwork box's top edge, for geometry/location
-        bookkeeping, and None for continuations, whose upper part was
-        already recorded.  Fresh geometry additionally joins, by vertical
-        adjacency, the nets of strip-above intervals that retired at this
-        very stop; adjacency to intervals that continue below is the
-        ordinary merge.
+        A fresh row on a net layer gets a new net and joins, by vertical
+        adjacency, the nets of strip-above intervals it overlaps: those
+        retired at this very stop (by expiry or merge consumption) and
+        the in-table survivors entered before it.  Continuations carry
+        their net and skip that rule, as their upper part was already
+        entered.  A row that overlaps or abuts live intervals merges
+        with them (step 2.b): the merged interval lives until the
+        *earliest* bottom, and the deeper remainder of every taller piece
+        re-enters from the pending buffer.  A consumed row is marked dead
+        and left in its bucket, which skips it when it retires.
         """
-        t = self._tables.get(layer)
-        if t is None:
-            if layer not in self._ignored and layer not in self._unknown_layers:
-                self._unknown_layers.add(layer)
-                self._warnings.append(f"ignoring geometry on unknown layer {layer}")
+        pending = self._pending
+        conts = []
+        while pending and pending[0][0] == -y:
+            _, _, layer, x1, x2, ybot, net = heapq.heappop(pending)
+            conts.append((layer, x1, ybot, x2, net))
+        if not conts and not rows:  # a stop at bottom edges only
             return
-        keys = t.keys
-        order = t.order
-        carries_net = layer in self._net_layers
-
-        if carries_net:
-            if net is None:
-                net = self._nets.make()
-                self.stats.nets_created += 1
-            if top is not None:
-                # Vertical adjacency: new geometry starting exactly where
-                # the strip above ended joins the nets above it.  The
-                # strip-above view is reconstructed from two event-bounded
-                # sources: intervals retired during this stop (expiry or
-                # merge consumption) and in-table survivors born before
-                # this stop.  Union order follows ascending x1, exactly
-                # as a full strip snapshot would.
-                cands: list[tuple[int, int]] | None = None
-                retired = self._prev_retired[layer]
-                if retired:
-                    cands = [
-                        (px1, pnet)
-                        for px1, px2, pnet in retired
-                        if px2 > x1 and px1 < x2
-                    ]
-                tx1, tx2 = t.x1, t.x2
-                tborn, tnet = t.born, t.net
-                i = bisect_left(keys, x1)
-                if i > 0 and tx2[order[i - 1]] > x1:
-                    i -= 1
-                n_live = len(order)
-                born_limit = self._stop
-                while i < n_live:
-                    rid = order[i]
-                    if tx1[rid] >= x2:
-                        break
-                    if tborn[rid] < born_limit and tx2[rid] > x1:
-                        if cands is None:
-                            cands = []
-                        cands.append((tx1[rid], tnet[rid]))
-                    i += 1
-                if cands:
-                    cands.sort()
-                    for _, pnet in cands:
-                        net = self._nets.union(net, pnet)
-            if top is not None:
-                self.strip_engine.touch_net(net, x1, top)
-                if self.keep_geometry:
-                    self._net_geo.setdefault(net, []).append(
-                        (layer, Box(x1, ybot, x2, top))
-                    )
-        else:
-            net = None
-
-        # Locate the run of intervals that overlap or abut [x1, x2].
-        lo = bisect_left(keys, x1)
-        if lo > 0 and t.x2[order[lo - 1]] >= x1:
-            lo -= 1
-        hi = bisect_right(keys, x2, lo=lo)
-        if lo == hi:
-            rid = t.alloc(
-                x1, x2, ybot, NO_NET if net is None else net, self._stop
-            )
-            order.insert(lo, rid)
-            keys.insert(lo, x1)
-            t.version += 1
-            self._active_count += 1
-            self._schedule(layer, rid, ybot)
-            return
-
-        # Merge the new box with the rows at order[lo:hi] (step 2.b).
-        # The merged interval lives until the *earliest* bottom; the
-        # deeper remainder of every taller piece re-enters from the
-        # pending buffer.  The consumed pieces are lazily invalidated:
-        # their heap entries stay queued, flagged dead, and are dropped
-        # when they surface.
-        self.stats.merges += 1
-        pieces = order[lo:hi]
-        tx1, tx2, tybot, tnet = t.x1, t.x2, t.ybot, t.net
-        new_x1 = min(x1, tx1[pieces[0]])
-        new_x2 = max(x2, tx2[pieces[-1]])
-        max_bot = ybot
-        for rid in pieces:
-            if tybot[rid] > max_bot:
-                max_bot = tybot[rid]
-            if carries_net:
-                net = self._nets.union(net, tnet[rid])
-        stop = self._stop
-        retired = self._prev_retired.get(layer) if carries_net else None
-        for rid in pieces:
-            t.kill(rid)
-            if retired is not None and t.born[rid] < stop:
-                # A consumed strip-above interval stays visible to later
-                # same-stop vertical-adjacency checks.
-                retired.append((tx1[rid], tx2[rid], tnet[rid]))
-            if tybot[rid] < max_bot:
-                self._push_pending(
-                    layer, tx1[rid], tx2[rid], max_bot, tybot[rid], net
-                )
-        if ybot < max_bot:
-            self._push_pending(layer, x1, x2, max_bot, ybot, net)
-        merged = t.alloc(
-            new_x1, new_x2, max_bot, NO_NET if net is None else net, stop
+        lanes = self._lanes
+        nets = self._nets
+        made = len(nets)
+        make = nets.make
+        union = nets.union
+        keep_geometry = self.keep_geometry
+        net_geo = self._net_geo
+        heappush = heapq.heappush
+        #: per layer, its first row id entered at this stop: rows below
+        #: it belong to the strip above
+        firsts: dict[str, int] = {}
+        sightings: list[tuple[int, int, int]] = []
+        seq = self._pending_seq
+        merges = splits = consumed = skipped = 0
+        batches: tuple[tuple[bool, Sequence[tuple]], ...] = (
+            (False, conts),
+            (True, rows),
         )
-        order[lo:hi] = [merged]
-        keys[lo:hi] = [new_x1]
-        t.version += 1
-        self._active_count += 1 - len(pieces)
-        self._schedule(layer, merged, max_bot)
+        net: int | None  # None on a layer that carries no net
+        for fresh, batch in batches:
+            current = None
+            lane = None
+            for row in batch:
+                if fresh:
+                    layer, x1, ybot, x2 = row
+                    net = None
+                else:
+                    layer, x1, ybot, x2, net = row
+                if layer != current:
+                    current = layer
+                    lane = lanes.get(layer)
+                    if lane is None:
+                        self._skip_layer(layer)
+                        skipped += 1
+                        continue
+                    (t, order, keys, tx1, tx2, tybot, tnet, live, buckets,
+                     heap, retired) = lane
+                    first = firsts.get(layer)
+                    if first is None:
+                        first = firsts[layer] = len(tx1)
+                    t.version += 1
+                elif lane is None:
+                    skipped += 1
+                    continue
 
-    def _schedule(self, layer: str, rid: int, ybot: int) -> None:
-        """Register a row's bottom edge on its layer's event heap."""
-        self._heap_seq += 1
-        heapq.heappush(self._heaps[layer], (-ybot, self._heap_seq, rid))
-        self.stats.heap_pushes += 1
+                # The run of intervals that overlap or abut [x1, x2].
+                lo = bisect_left(keys, x1)
+                if lo and tx2[order[lo - 1]] >= x1:
+                    lo -= 1
+                hi = bisect_right(keys, x2, lo)
+                if retired is not None and fresh:
+                    net = make()
+                    if retired or lo < hi:
+                        # Vertical adjacency, in ascending x1 as a full
+                        # strip snapshot would order it.  Both sources are
+                        # sorted and disjoint; the survivors it meets are
+                        # among order[lo:hi].
+                        cands = []
+                        if retired:
+                            j = bisect_left(retired, (x1,))
+                            if j and retired[j - 1][1] > x1:
+                                j -= 1
+                            for px1, px2, pnet in islice(retired, j, None):
+                                if px1 >= x2:
+                                    break
+                                if px2 > x1:
+                                    cands.append((px1, pnet))
+                        for rid in order[lo:hi]:
+                            if rid < first and tx2[rid] > x1 and tx1[rid] < x2:
+                                cands.append((tx1[rid], tnet[rid]))
+                        if cands:
+                            cands.sort()
+                            for _, pnet in cands:
+                                net = union(net, pnet)
+                    sightings.append((net, y, -x1))
+                    if keep_geometry:
+                        net_geo.setdefault(net, []).append(
+                            (layer, Box(x1, ybot, x2, y))
+                        )
 
-    def _push_pending(
-        self, layer: str, x1: int, x2: int, top: int, ybot: int, net: int | None
-    ) -> None:
-        self.stats.splits += 1
-        self._pending_seq += 1
-        heapq.heappush(
-            self._pending, (-top, self._pending_seq, layer, x1, x2, ybot, net)
-        )
+                rid = len(tx1)
+                if lo == hi:
+                    order.insert(lo, rid)
+                    keys.insert(lo, x1)
+                else:
+                    merges += 1
+                    pieces = order[lo:hi]
+                    if tx1[pieces[0]] < x1:
+                        x1 = tx1[pieces[0]]
+                    if tx2[pieces[-1]] > x2:
+                        x2 = tx2[pieces[-1]]
+                    bot = ybot
+                    for piece in pieces:
+                        if tybot[piece] > bot:
+                            bot = tybot[piece]
+                        if net is not None:
+                            net = union(net, tnet[piece])
+                    for piece in pieces:
+                        live[piece] = 0
+                        if retired is not None and piece < first:
+                            # A consumed strip-above interval stays visible
+                            # to later same-stop vertical-adjacency checks.
+                            insort(retired, (tx1[piece], tx2[piece], tnet[piece]))
+                        if tybot[piece] < bot:
+                            seq += 1
+                            heappush(
+                                pending,
+                                (-bot, seq, layer, tx1[piece], tx2[piece],
+                                 tybot[piece], net),
+                            )
+                            splits += 1
+                    if ybot < bot:
+                        # row is the entered box as it came, before the
+                        # merge widened x1/x2
+                        seq += 1
+                        heappush(
+                            pending, (-bot, seq, layer, row[1], row[3], ybot, net)
+                        )
+                        splits += 1
+                        ybot = bot
+                    consumed += hi - lo
+                    order[lo:hi] = [rid]
+                    keys[lo:hi] = [x1]
+                tx1.append(x1)
+                tx2.append(x2)
+                tybot.append(ybot)
+                tnet.append(NO_NET if net is None else net)
+                live.append(1)
+                # Schedule: one heap entry per distinct bottom.
+                bucket = buckets.get(ybot)
+                if bucket is None:
+                    buckets[ybot] = [rid]
+                    heappush(heap, -ybot)
+                else:
+                    bucket.append(rid)
+
+        if sightings:
+            self.strip_engine.touch_nets(sightings)
+        scheduled = len(conts) + len(rows) - skipped
+        self._active_count += scheduled - consumed
+        stats = self.stats
+        stats.nets_created += len(nets) - made
+        stats.heap_pushes += scheduled
+        if merges:
+            self._pending_seq = seq
+            stats.merges += merges
+            stats.splits += splits
+            # A consumed row leaves the schedule when it is consumed.
+            stats.heap_pops += consumed
+            stats.lazy_discards += consumed
+            stats.intervals_scanned += consumed
+
+    def _skip_layer(self, layer: str) -> None:
+        """Warn once about geometry on a layer no table tracks."""
+        if layer not in self._ignored and layer not in self._unknown_layers:
+            self._unknown_layers.add(layer)
+            self._warnings.append(f"ignoring geometry on unknown layer {layer}")
 
     # ------------------------------------------------------------------
     # strip consumers

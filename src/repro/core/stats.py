@@ -58,11 +58,15 @@ class ScanStats:
 
     # Event-heap counters (the machine-checkable complexity guardrail:
     # per-stop scheduling work must track events, not active-list size).
+    # They count intervals, not heap entries: one heap entry per
+    # (layer, bottom) schedules a bucket of intervals.
     heap_pushes: int = 0  #: intervals scheduled on a bottom-edge heap
-    heap_pops: int = 0  #: heap entries removed (expiries + lazy discards)
-    lazy_discards: int = 0  #: popped entries already invalidated by merges
+    heap_pops: int = 0  #: intervals removed (expiries + lazy discards)
+    lazy_discards: int = 0  #: intervals removed by merge consumption
     expired: int = 0  #: live intervals retired at their bottom edge
-    intervals_scanned: int = 0  #: heap entries examined across all stops
+    #: removals plus one stopping peek per layer with rows, at expiry
+    #: and at step 2.d, across all stops
+    intervals_scanned: int = 0
     max_stop_overhead: int = 0  #: max per-stop examinations beyond removals
 
     @property

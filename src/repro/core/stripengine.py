@@ -123,8 +123,12 @@ class StripEngine:
         """Step 2.c for the strip ``[y_lo, y_hi)``."""
         raise NotImplementedError
 
-    def touch_net(self, net: int, xmin: int, ymax: int) -> None:
-        """Record a net sighting for the topmost/leftmost location fold."""
+    def touch_nets(self, sightings: "list[tuple[int, int, int]]") -> None:
+        """Record net sightings for the topmost/leftmost location fold.
+
+        Each sighting is ``(net, ymax, -xmin)``; the host hands over one
+        stop's, in the order its rows entered.
+        """
         raise NotImplementedError
 
     def finalize(

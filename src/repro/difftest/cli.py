@@ -168,6 +168,7 @@ def main(argv: "list[str] | None" = None) -> int:
         progress=progress,
     )
 
+    print(f"difftest: oracles {', '.join(result.oracles)}", file=sys.stderr)
     print(
         f"difftest: {result.iterations} iterations, {result.agreed} agreed, "
         f"{len(result.failures)} failure(s), "

@@ -41,6 +41,8 @@ class DifftestResult:
 
     iterations: int = 0
     agreed: int = 0
+    #: names of the oracles cross-checked, in registry order
+    oracles: "tuple[str, ...]" = ()
     raster_skips: int = 0
     #: oracles excluded up front because they do not support the deck.
     deck_skips: int = 0
@@ -70,7 +72,7 @@ def run_difftest(
     oracles, deck_skips = _deck_capable(oracles, tech)
     if profile is None:
         profile = FAULT_HUNT_PROFILE if fault else DEFAULT_PROFILE
-    result = DifftestResult()
+    result = DifftestResult(oracles=tuple(oracle.name for oracle in oracles))
     result.deck_skips = deck_skips
 
     with inject_fault(fault):

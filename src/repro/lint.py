@@ -294,15 +294,30 @@ def _emit(reports: "list[CheckReport]", args: argparse.Namespace,
         sys.stdout.write(text)
 
 
+def _compile(args: argparse.Namespace) -> "Technology | None":
+    """The ``--deck`` compiled at ``--lambda``, or None once the reason
+    it cannot be is on stderr."""
+    try:
+        return compile_deck(resolve_deck(args.deck, args.lambda_))
+    except DeckError as exc:
+        print(f"repro-lint: --deck {args.deck}: {exc}", file=sys.stderr)
+        if exc.report is not None:
+            print(
+                "repro-lint: run with --check-deck for the full "
+                "validation report",
+                file=sys.stderr,
+            )
+        return None
+
+
 def main(argv: "list[str] | None" = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
     if args.list_rules:
-        try:
-            tech = compile_deck(resolve_deck(args.deck, args.lambda_))
-        except DeckError:
-            tech = None
+        tech = _compile(args)
+        if tech is None:
+            return INTERNAL_ERROR_EXIT
         for rule, help_text in sorted(all_rule_help(tech).items()):
             print(f"{rule}: {help_text}")
         return 0
@@ -319,16 +334,8 @@ def main(argv: "list[str] | None" = None) -> int:
         print("repro-lint: error: no input files", file=sys.stderr)
         return INTERNAL_ERROR_EXIT
 
-    try:
-        tech = compile_deck(resolve_deck(args.deck, args.lambda_))
-    except DeckError as exc:
-        print(f"repro-lint: --deck {args.deck}: {exc}", file=sys.stderr)
-        if exc.report is not None:
-            print(
-                "repro-lint: run with --check-deck for the full "
-                "validation report",
-                file=sys.stderr,
-            )
+    tech = _compile(args)
+    if tech is None:
         return INTERNAL_ERROR_EXIT
 
     rule_ids = _rule_filter(args.rules)

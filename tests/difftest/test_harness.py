@@ -116,7 +116,7 @@ class TestCli:
         for name in FAST + ("service", "ace-stream"):
             assert name in out
 
-    def test_clean_run_exits_zero(self, tmp_path):
+    def test_clean_run_exits_zero(self, tmp_path, capsys):
         rc = difftest_main(
             [
                 "-n", "5", "--seed", "33", "-q",
@@ -125,6 +125,9 @@ class TestCli:
             ]
         )
         assert rc == 0
+        # The log names what ran, so an oracle that did not register
+        # shows there.
+        assert "difftest: oracles ace, polyflat\n" in capsys.readouterr().err
 
     def test_self_test_exits_zero_on_catch(self, tmp_path):
         rc = difftest_main(

@@ -1,6 +1,7 @@
 """The ace-extract and repro-lint command-line interfaces."""
 
 import json
+import os
 
 import pytest
 
@@ -57,6 +58,34 @@ class TestFlat:
         assert main([inverter_cif, "-o", str(target)]) == 0
         assert target.read_text().startswith("(DefPart")
         assert capsys.readouterr().out == ""
+
+    def test_output_replaces_a_file_and_keeps_its_mode(
+        self, inverter_cif, tmp_path
+    ):
+        target = tmp_path / "out.wl"
+        target.write_text("stale\n")
+        target.chmod(0o640)
+        link = tmp_path / "link.wl"
+        link.symlink_to(target)
+        assert main([inverter_cif, "-o", str(link)]) == 0
+        assert link.is_symlink()
+        assert target.read_text().startswith("(DefPart")
+        assert target.stat().st_mode & 0o777 == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "inverter.cif",
+            "link.wl",
+            "out.wl",
+        ]
+
+    def test_output_to_a_device_is_written_in_place(self, inverter_cif):
+        assert main([inverter_cif, "-o", os.devnull]) == 0
+        assert os.path.exists(os.devnull)
+
+    def test_output_in_a_missing_directory(self, inverter_cif, tmp_path, capsys):
+        target = tmp_path / "missing" / "out.wl"
+        assert main([inverter_cif, "-o", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert one_error_line(err, "error: ") and f"'{target}'" in err
 
     def test_geometry_flag(self, inverter_cif, capsys):
         assert main([inverter_cif, "--geometry"]) == 0
@@ -298,6 +327,14 @@ class TestReproLint:
         assert "floating-gate" in out
         assert "deck.unknown-layer" in out
 
+    def test_list_rules_refuses_an_unknown_deck(self, capsys):
+        assert lint_main(["--list-rules", "--deck", "bipolar"]) == (
+            INTERNAL_ERROR_EXIT
+        )
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro-lint: --deck bipolar: ")
+
     def test_missing_file_is_internal_error(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.cif")
         assert lint_main([missing]) == INTERNAL_ERROR_EXIT
@@ -343,6 +380,20 @@ class TestExtractBadInput:
         assert main([inverter_cif, "--stream", "--band-height", height]) == 2
         err = capsys.readouterr().err
         assert one_error_line(err, "error: --band-height ")
+
+    @pytest.mark.parametrize("flags", [[], ["--stream"]], ids=["flat", "stream"])
+    def test_failed_run_keeps_the_old_output(
+        self, malformed_cif, tmp_path, flags, capsys
+    ):
+        target = tmp_path / "out.wl"
+        target.write_text("(DefPart previous)\n")
+        assert main([malformed_cif, "-o", str(target), *flags]) == 2
+        assert target.read_text() == "(DefPart previous)\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "malformed.cif",
+            "out.wl",
+        ]
+        assert one_error_line(capsys.readouterr().err, "error: ")
 
 
 class TestDeckSelection:
