@@ -529,6 +529,21 @@ def main(argv=None) -> int:
         return 2
     for note in notes:
         print(f"note: {note}")
+    out_path = Path(args.out)
+    # A sibling artifact CI can upload next to the main report.
+    profile_path = (
+        out_path.with_name(
+            out_path.stem + "_profile" + (out_path.suffix or ".json")
+        )
+        if args.profile
+        else None
+    )
+    # Make the report's directory before the timed runs, not after them.
+    try:
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create {out_path.parent}: {exc}", file=sys.stderr)
+        return 2
 
     rows = bench_scanline(
         sizes=args.sizes,
@@ -550,14 +565,8 @@ def main(argv=None) -> int:
         "rows": rows,
         "stream_rows": stream_rows,
     }
-    out_path = Path(args.out)
     out_path.write_text(json.dumps(report, indent=2) + "\n")
-    profile_path: Path | None = None
-    if args.profile:
-        # A sibling artifact CI can upload next to the main report.
-        profile_path = out_path.with_name(
-            out_path.stem + "_profile" + (out_path.suffix or ".json")
-        )
+    if profile_path is not None:
         profile_path.write_text(
             json.dumps(
                 {

@@ -19,6 +19,7 @@ from typing import IO, Iterator
 from .analysis import static_check
 from .cif import CifError
 from .core.stripengine import ENGINE_CHOICES, EngineUnavailable
+from .hext.extractor import NUMPY_WINDOW_BOXES
 from .pipeline import JobOptions, run
 from .tech import BUILTIN_DECKS, DeckError, compile_deck, resolve_deck
 
@@ -125,8 +126,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="strip-batch engine for the scanline core: 'numpy' "
         "vectorizes per-strip work (requires the repro[fast] extra), "
         "'python' is the dependency-free reference, 'auto' picks numpy "
-        "when importable (default).  Wirelists are byte-identical "
-        "either way.",
+        "when importable (default), and with --hierarchical runs each "
+        f"window of fewer than {NUMPY_WINDOW_BOXES} boxes on python.  "
+        "Wirelists are byte-identical either way.",
     )
     parser.add_argument(
         "--cache",
@@ -364,8 +366,14 @@ def _print_stats(args, result) -> None:
     """The ``--stats`` stderr lines; the timing is the run's root wall."""
     stats = result.stats
     if args.hierarchical:
+        flat = f"{stats.flat_calls} flat calls"
+        if stats.engine_calls:
+            flat += " (" + ", ".join(
+                f"{calls} {name}"
+                for name, calls in sorted(stats.engine_calls.items())
+            ) + ")"
         print(
-            f"hext: {stats.flat_calls} flat calls, "
+            f"hext: {flat}, "
             f"{stats.compose_calls} composes, "
             f"{stats.memo_hits} memo hits, "
             f"front-end {stats.frontend_seconds:.2f}s, "

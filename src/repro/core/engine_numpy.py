@@ -984,8 +984,13 @@ class NumpyStripEngine(StripEngine):
         scalar sightings as one more chunk."""
         chunks = list(self._tn_chunks)
         if self._tn_scalar:
-            scalar = np.array(self._tn_scalar, dtype=np.int64)
-            chunks.append((scalar[:, 0], scalar[:, 1], scalar[:, 2]))
+            # fromiter over the flattened tuples takes about half the
+            # time of np.array, which inspects each tuple as a sequence.
+            count = 3 * len(self._tn_scalar)
+            flat = np.fromiter(
+                chain.from_iterable(self._tn_scalar), np.int64, count
+            )
+            chunks.append((flat[0::3], flat[1::3], flat[2::3]))
         return chunks
 
     # ------------------------------------------------------------------

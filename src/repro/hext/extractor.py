@@ -58,14 +58,16 @@ class HextStats:
     """
 
     flat_calls: int = 0  #: calls to the (modified) flat extractor
+    #: those calls by the strip engine that ran them, ``{"python": n, ...}``
+    engine_calls: dict = field(default_factory=dict)
     compose_calls: int = 0
     memo_hits: int = 0
     windows_seen: int = 0  #: windows considered (including memo hits)
     unique_windows: int = 0
     frontend_seconds: float = 0.0  #: subdivision + canonicalization
-    #: loading the strip engine (importing numpy, for one) before the
-    #: first in-process window; none of the paper's work, so it is kept
-    #: out of the back-end and total times
+    #: loading every strip engine the run can pick (importing numpy, for
+    #: one) before its first window; none of the paper's work, so it is
+    #: kept out of the back-end and total times
     setup_seconds: float = 0.0
     flat_seconds: float = 0.0
     compose_seconds: float = 0.0
@@ -235,6 +237,16 @@ def extract_primitive(
     return _circuit_to_fragment(circuit, window)
 
 
+#: Under ``auto``, the fewest boxes a primitive window needs to run on
+#: ``resolve_engine("auto")`` (numpy when importable); a smaller window
+#: runs on the python engine.  numpy pays a fixed cost on every strip,
+#: which a window this small cannot amortize: the suite's windows of
+#: 8-23 boxes run 2.4x slower on numpy, and on ``poly_diff_mesh(n)``,
+#: the densest window of 2n boxes, numpy draws level at 22-24 boxes
+#: (EXPERIMENTS.md, "Beyond the paper -- HEXT's front half").
+NUMPY_WINDOW_BOXES = 24
+
+
 def execute_plan(
     plan: WindowPlan,
     tech: Technology,
@@ -253,6 +265,15 @@ def execute_plan(
     is looked up there first, and each fragment extracted here is
     stored for the next run.  Extraction runs in plan order, so where a
     fragment comes from can never change the composed circuit.
+
+    ``engine`` names the strip engine.  ``python`` or ``numpy`` runs
+    every window; ``auto`` runs a window of fewer than
+    :data:`NUMPY_WINDOW_BOXES` boxes on python and any other on
+    ``resolve_engine("auto")``.  The engines write byte-identical
+    fragments, so the choice moves no output byte.  Before the first
+    window, every engine the setting can pick is loaded
+    (:func:`window_engines`), and the load is billed to
+    ``stats.setup_seconds``.
     """
     memo = {} if memo is None else memo
     store = None
@@ -261,7 +282,8 @@ def execute_plan(
 
         store = FragmentCache(cache)
     started = time.perf_counter()
-    setup = None
+    setup = 0.0
+    engines = None
     for key, content in plan.primitives.items():
         if key in memo:
             continue
@@ -271,14 +293,19 @@ def execute_plan(
             if cached is not None:
                 memo[key] = cached
                 continue
-        if setup is None:
-            setup = load_engine(engine, stats)
-        fragment = extract_primitive(content, tech, engine)
+        if engines is None:
+            loading = time.perf_counter()
+            engines = window_engines(engine)
+            setup = time.perf_counter() - loading
+            stats.setup_seconds += setup
+        name = engines[len(content.geometry) >= NUMPY_WINDOW_BOXES]
+        fragment = extract_primitive(content, tech, name)
         memo[key] = fragment
         stats.flat_calls += 1
+        stats.engine_calls[name] = stats.engine_calls.get(name, 0) + 1
         if store is not None:
             store.put(cache_key, fragment)
-    stats.flat_seconds += time.perf_counter() - started - (setup or 0.0)
+    stats.flat_seconds += time.perf_counter() - started - setup
     if store is not None:
         stats.cache_hits += store.stats.hits
         stats.cache_misses += store.stats.misses + store.stats.invalid
@@ -286,16 +313,16 @@ def execute_plan(
     return memo
 
 
-def load_engine(engine: str, stats: HextStats) -> float:
-    """Load the strip engine ahead of the first window's flat clock.
+def window_engines(engine: str) -> "tuple[str, str]":
+    """Load every strip engine ``engine`` can pick for a window.
 
-    Returns the seconds taken, which are added to ``stats.setup_seconds``.
+    Returns the resolved engines for a window below and for one at or
+    above :data:`NUMPY_WINDOW_BOXES` boxes: under ``auto`` python and
+    ``resolve_engine("auto")``, otherwise ``engine`` for both.
     """
-    start = time.perf_counter()
-    load_strip_engine(engine)
-    seconds = time.perf_counter() - start
-    stats.setup_seconds += seconds
-    return seconds
+    large = load_strip_engine(engine)
+    small = load_strip_engine("python") if engine == "auto" else large
+    return small, large
 
 
 # ----------------------------------------------------------------------
@@ -358,9 +385,11 @@ def hext_extract(
         cache: directory of the persistent fragment cache; repeated runs
             over unchanged windows skip extraction entirely.
         engine: strip-batch engine for the per-window flat extractions
-            (see :mod:`repro.core.stripengine`); results are
-            byte-identical across engines, so this is purely a speed
-            knob and is deliberately excluded from memo and cache keys.
+            (see :mod:`repro.core.stripengine`).  ``auto`` picks one per
+            window by its box count (:func:`execute_plan`); ``python``
+            or ``numpy`` runs every window.  Results are byte-identical
+            across engines, so this is purely a speed knob and is
+            deliberately excluded from memo and cache keys.
 
     The three phases run plan -> execute -> compose, on one thread.  A
     warm-cache run writes the same wirelist as a cold one: the plan, and

@@ -22,6 +22,7 @@ Subdivision follows section 3 of the HEXT paper:
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from ..cif.layout import TOP_SYMBOL, Layout
@@ -169,22 +170,26 @@ class WindowPlanner:
                     next_work.append((number, transform))
             work = next_work
 
+    @staticmethod
     def _slice(
-        self,
         region: Box,
         placed: list[tuple[Box, int, Transform]],
         geometry: list[tuple[str, Box]],
         labels: list[PlacedLabel],
     ) -> list[Content]:
+        """Cut ``region`` into sub-windows along the instance-box edges.
+
+        The box edges cut the region into a grid of cells.  Each cell
+        belongs to exactly one sub-window: the instance box covering it,
+        or else a filler window of its own.  A box is clipped only
+        against the sub-windows owning the cells it overlaps, and a
+        label goes to the first sub-window, in the order they are made,
+        owning a cell whose closed extent holds it.
+        """
         windows: list[Content] = [
             Content(bbox, instances=[(number, transform)])
             for bbox, number, transform in placed
         ]
-        # Filler cells along the instance-box cut lines.  Cells covered
-        # by an instance box are marked directly from the boxes (cuts
-        # come from box edges, so every box covers whole cells).
-        from bisect import bisect_left
-
         xs = sorted(
             {region.xmin, region.xmax}
             | {b.xmin for b, _, _ in placed}
@@ -195,33 +200,47 @@ class WindowPlanner:
             | {b.ymin for b, _, _ in placed}
             | {b.ymax for b, _, _ in placed}
         )
-        covered: set[tuple[int, int]] = set()
-        for box, _, _ in placed:
-            i0 = bisect_left(xs, box.xmin)
-            i1 = bisect_left(xs, box.xmax)
+        nx, ny = len(xs) - 1, len(ys) - 1
+        # owner[i * ny + j]: index in ``windows`` of cell (i, j)'s owner.
+        # Cuts come from box edges, so every box covers whole cells.
+        owner = [-1] * (nx * ny)
+        for k, (box, _, _) in enumerate(placed):
             j0 = bisect_left(ys, box.ymin)
             j1 = bisect_left(ys, box.ymax)
-            for i in range(i0, i1):
-                for j in range(j0, j1):
-                    covered.add((i, j))
+            for i in range(bisect_left(xs, box.xmin), bisect_left(xs, box.xmax)):
+                owner[i * ny + j0 : i * ny + j1] = [k] * (j1 - j0)
         for i, (x1, x2) in enumerate(zip(xs, xs[1:])):
             for j, (y1, y2) in enumerate(zip(ys, ys[1:])):
-                if (i, j) not in covered:
+                if owner[i * ny + j] < 0:
+                    owner[i * ny + j] = len(windows)
                     windows.append(Content(Box(x1, y1, x2, y2)))
 
-        # Clip geometry into windows.
+        # Clip geometry into the windows owning the cells it overlaps:
+        # cells i0..i1-1 by j0..j1-1 share positive area with the box.
         for layer, box in geometry:
-            for window in windows:
-                clipped = box.clipped(window.region)
-                if clipped is not None:
-                    window.geometry.append((layer, clipped))
+            i0 = max(0, bisect_right(xs, box.xmin) - 1)
+            i1 = min(nx, bisect_left(xs, box.xmax))
+            j0 = max(0, bisect_right(ys, box.ymin) - 1)
+            j1 = min(ny, bisect_left(ys, box.ymax))
+            for k in {
+                owner[i * ny + j] for i in range(i0, i1) for j in range(j0, j1)
+            }:
+                window = windows[k]
+                window.geometry.append((layer, box.clipped(window.region)))
 
-        # Assign each label to the first window containing it.
+        # Cells i0..i1 by j0..j1 hold the label's point, edges included.
         for label in labels:
-            for window in windows:
-                if window.region.contains_point(label.x, label.y):
-                    window.labels.append(label)
-                    break
+            i0 = max(0, bisect_left(xs, label.x) - 1)
+            i1 = min(nx - 1, bisect_right(xs, label.x) - 1)
+            j0 = max(0, bisect_left(ys, label.y) - 1)
+            j1 = min(ny - 1, bisect_right(ys, label.y) - 1)
+            holders = [
+                owner[i * ny + j]
+                for i in range(i0, i1 + 1)
+                for j in range(j0, j1 + 1)
+            ]
+            if holders:
+                windows[min(holders)].labels.append(label)
 
         return [w for w in windows if not w.is_empty()]
 

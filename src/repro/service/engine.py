@@ -27,8 +27,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
-from ..core.stripengine import load_strip_engine
 from ..diagnostics.writers import diagnostic_to_json
+from ..hext.extractor import window_engines
 from ..hext.incremental import IncrementalExtractor
 from ..pipeline import JobOptions, Trace, run
 from ..tech import DEFAULT_LAMBDA, technology_by_name
@@ -134,10 +134,12 @@ def preload(engine: str) -> None:
     threads, and one of them may hold an import lock at that instant,
     so a worker must never need one.  Clients that import this package
     only to talk to a daemon never call this, and never pay for it.
+    Under ``auto`` that is both strip engines: a hierarchical job runs
+    its small windows on python (:func:`repro.hext.execute_plan`).
     """
     from .. import drc, streaming  # noqa: F401
 
-    load_strip_engine(engine)
+    window_engines(engine)
 
 
 def _serve(conn: "Connection", body: Callable, engine: str) -> None:

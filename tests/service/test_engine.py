@@ -1,8 +1,14 @@
 """The job body in-process, and the worker process that runs it."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cif import write as write_cif
+from repro.core.stripengine import numpy_available
 from repro.service.cache import payload_digest, result_cache_key
 from repro.service.engine import (
     JobCancelled,
@@ -110,3 +116,25 @@ class TestRunJob:
         assert stages == ["parse", "extract"]
         bands = [m[1:] for m in reports if m[0] == "band"]
         assert len(bands) >= 2 and bands[-1][0] == bands[-1][1]
+
+
+def test_preload_auto_imports_every_engine_auto_can_pick():
+    """A forked worker must never import lazily, and under ``auto`` a
+    hierarchical job runs small windows on python, flat ones on numpy."""
+    probe = (
+        "import sys; from repro.service.engine import preload; "
+        "preload('auto'); "
+        "print(' '.join(sorted(m for m in sys.modules "
+        "if m.startswith('repro.core.engine_'))))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[2] / "src")},
+    )
+    loaded = proc.stdout.split()
+    assert "repro.core.engine_python" in loaded
+    if numpy_available():
+        assert "repro.core.engine_numpy" in loaded

@@ -19,6 +19,10 @@ from repro.core.scanline import PROFILE_PHASES
 from repro.core.stripengine import numpy_available
 
 
+def _never_called(*args, **kwargs):
+    raise AssertionError("the benchmark ran")
+
+
 class TestBenchScanline:
     def test_rows_have_counters_and_speedup(self):
         rows = bench_scanline(
@@ -120,6 +124,28 @@ class TestBenchScanline:
         # The main report rows carry the same breakdown inline.
         report = json.loads(out.read_text())
         assert set(report["rows"][0]["profile"]) == set(PROFILE_PHASES)
+
+    def test_main_creates_missing_out_directory(self, tmp_path):
+        out = tmp_path / "missing" / "deeper" / "x.json"
+        assert main(["--sizes", "8", "--repeats", "1", "--engine",
+                     "python", "--out", str(out), "--profile"]) == 0
+        assert json.loads(out.read_text())["rows"][0]["n"] == 8
+        assert (out.parent / "x_profile.json").is_file()
+
+    def test_main_refuses_uncreatable_out_before_running(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        monkeypatch.setattr(
+            "repro.bench.scanline.bench_scanline", _never_called
+        )
+        code = main(["--sizes", "8", "--repeats", "1", "--engine",
+                     "python", "--out", str(blocker / "x.json")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error: cannot create" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_main_writes_report(self, tmp_path, capsys):
         out = tmp_path / "BENCH_scanline.json"
