@@ -12,6 +12,7 @@ Paper sizes were 1K..256K cells; the same shape shows at 256..16K here
 from __future__ import annotations
 
 import os
+import statistics
 
 import pytest
 
@@ -21,6 +22,10 @@ from repro.hext import hext_extract
 from repro.workloads import transistor_array
 
 MAX_CELLS = int(os.environ.get("REPRO_BENCH_HEXT_MAX", "65536"))
+
+#: timed flat passes per row; the row reads their median, as the
+#: suite's rows do (:func:`repro.bench.suite.run_suite`)
+FLAT_PASSES = 3
 
 #: Paper's measurements for reference (cells -> (hext_s, hext_minus_k_s, flat_s)).
 PAPER = {
@@ -52,13 +57,19 @@ def _hext_seconds(layout) -> tuple[float, float]:
 def series():
     # k: the cost of extracting one cell, as in the paper's table.
     k = _hext_seconds(transistor_array(1))[0]
+    # One untimed flat extraction first: it imports the strip engine,
+    # which is not the first row's sweep.
+    extract_report(transistor_array(1))
     rows = []
     cells = 1024
     while cells <= MAX_CELLS:
         side = int(cells**0.5)
         layout = transistor_array(side)
         hext_seconds, resolve_seconds = _hext_seconds(layout)
-        flat_seconds = timed(extract_report, layout).seconds
+        flat_seconds = statistics.median(
+            timed(extract_report, layout).seconds
+            for _ in range(FLAT_PASSES)
+        )
         rows.append(
             {
                 "cells": cells,

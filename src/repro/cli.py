@@ -19,7 +19,6 @@ from typing import IO, Iterator
 from .analysis import static_check
 from .cif import CifError
 from .core.stripengine import ENGINE_CHOICES, EngineUnavailable
-from .hext.extractor import NUMPY_WINDOW_BOXES
 from .pipeline import JobOptions, run
 from .tech import BUILTIN_DECKS, DeckError, compile_deck, resolve_deck
 
@@ -66,7 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--geometry",
         action="store_true",
         help="include per-net and per-device geometry in the wirelist "
-        "(flat mode only; suppressed by default, as in the paper)",
+        "(flat mode only, on the python engine whatever --engine says; "
+        "suppressed by default, as in the paper)",
     )
     parser.add_argument(
         "--stream",
@@ -123,12 +123,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=ENGINE_CHOICES,
         default="auto",
-        help="strip-batch engine for the scanline core: 'numpy' "
+        help="strip-batch engine for a flat or streamed sweep: 'numpy' "
         "vectorizes per-strip work (requires the repro[fast] extra), "
         "'python' is the dependency-free reference, 'auto' picks numpy "
-        "when importable (default), and with --hierarchical runs each "
-        f"window of fewer than {NUMPY_WINDOW_BOXES} boxes on python.  "
-        "Wirelists are byte-identical either way.",
+        "when importable (default).  --hierarchical windows and "
+        "--geometry sweeps always run on python.  Wirelists are "
+        "byte-identical either way.",
     )
     parser.add_argument(
         "--cache",
@@ -236,6 +236,12 @@ def main(argv: "list[str] | None" = None) -> int:
             "applies with --hierarchical",
             file=sys.stderr,
         )
+    if args.hierarchical and args.geometry:
+        print(
+            "note: --geometry only applies in flat mode; the hierarchical "
+            "wirelist carries no artwork",
+            file=sys.stderr,
+        )
 
     options = JobOptions(
         name=args.cif.rsplit("/", 1)[-1],
@@ -245,6 +251,11 @@ def main(argv: "list[str] | None" = None) -> int:
         stream=args.stream,
         band_height=args.band_height,
     )
+    refused: "tuple[type[Exception], ...]" = (EngineUnavailable, OSError)
+    if args.stream:  # a checkpoint this run cannot resume is refused too
+        from .streaming import CheckpointError
+
+        refused += (CheckpointError,)
     try:
         with open(args.cif) as handle:
             text = handle.read()
@@ -260,7 +271,7 @@ def main(argv: "list[str] | None" = None) -> int:
                 checkpoint=args.checkpoint,
                 resume="auto" if args.resume else False,
             )
-    except (EngineUnavailable, OSError) as exc:
+    except refused as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CifError as exc:
@@ -366,14 +377,8 @@ def _print_stats(args, result) -> None:
     """The ``--stats`` stderr lines; the timing is the run's root wall."""
     stats = result.stats
     if args.hierarchical:
-        flat = f"{stats.flat_calls} flat calls"
-        if stats.engine_calls:
-            flat += " (" + ", ".join(
-                f"{calls} {name}"
-                for name, calls in sorted(stats.engine_calls.items())
-            ) + ")"
         print(
-            f"hext: {flat}, "
+            f"hext: {stats.flat_calls} flat calls, "
             f"{stats.compose_calls} composes, "
             f"{stats.memo_hits} memo hits, "
             f"front-end {stats.frontend_seconds:.2f}s, "

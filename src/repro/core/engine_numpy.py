@@ -28,10 +28,9 @@ construction*, not by normalization afterwards:
   results converted back to native python scalars so downstream float
   formatting is bit-identical.
 
-With ``keep_geometry`` (goldens, lint CIF output) the net/device
-*binding* loops fall back to exact python replay so geometry lists keep
-the reference engine's find-at-append-time grouping; everything else
-stays batch.  See docs/ENGINES.md for the full contract.
+The host runs HEXT's window sweeps and every sweep that keeps geometry
+on the python engine, so this one never captures a window boundary or
+keeps artwork.  See docs/ENGINES.md for the full contract.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from typing import Callable, Iterator
 import numpy as np
 
 from ..frontend.stream import GeometryStream
-from ..geometry import Box
 from .netlist import DeviceColumns, NetColumns
 from .sizing import size_device
 
@@ -233,14 +231,11 @@ def _csr(
 
 
 #: a spill band's per-row device columns, and each CSR pointer column
-#: with the value columns it indexes (geometry only when the sweep
-#: keeps artwork)
+#: with the value columns it indexes
 _ROW_COLUMNS = ("area", "impl")
-_GEO_COLUMNS = ("geo_x1", "geo_y1", "geo_x2", "geo_y2")
 _CSR_COLUMNS = {
     "term_ptr": ("term_net", "term_len"),
     "gate_ptr": ("gate_net",),
-    "geo_ptr": _GEO_COLUMNS,
 }
 
 
@@ -403,9 +398,6 @@ class NumpyStripEngine(StripEngine):
         # previous strip state, as flat arrays
         self._pv_dx1 = self._pv_dx2 = self._pv_dnet = _EMPTY
         self._pv_cx1 = self._pv_cx2 = self._pv_cdev = _EMPTY
-        # previous strip state as tuple lists (keep_geometry replay only)
-        self._pv_d_list: list[tuple[int, int, int]] = []
-        self._pv_c_list: list[tuple[int, int, int]] = []
         # columnar accumulators: net location touches
         self._tn_scalar: list[tuple[int, int, int]] = []  # (id, y, -x)
         self._tn_chunks: list[tuple] = []  # (ids[], y[], -x[])
@@ -416,8 +408,6 @@ class NumpyStripEngine(StripEngine):
         self._loc_chunks: list[tuple] = []  # (dev[], y[], -x[])
         self._impl_chunks: list = []  # dev[]
         self._term_chunks: list[tuple] = []  # (dev[], net[], length[])
-        #: find-at-append-time device geometry (keep_geometry replay)
-        self._dev_geo: dict[int, list[Box]] = {}
 
     # ------------------------------------------------------------------
     # layer materialization
@@ -463,7 +453,6 @@ class NumpyStripEngine(StripEngine):
         h = self.host
         height = y_hi - y_lo
         faults = _scan.FAULTS
-        keep_geometry = h.keep_geometry
 
         dx1, dx2, _ = self._layer(h._diff)
         px1, px2, pnet = self._layer(h._poly)
@@ -496,60 +485,49 @@ class NumpyStripEngine(StripEngine):
 
         # Bind conducting spans to nets by vertical adjacency, channels
         # to device ids -- batch for the fresh/single-overlap common
-        # case, exact python replay when geometry lists must be kept.
-        if keep_geometry:
-            cond_net, cond_list = self._bind_nets_replay(
-                cond_x1, cond_x2, y_lo, y_hi
-            )
-            ch_dev, ch_list = self._bind_devs_replay(
-                ch_x1, ch_x2, y_lo, y_hi
-            )
-        else:
-            cond_net = self._bind(
-                cond_x1, cond_x2, self._pv_dx1, self._pv_dx2, self._pv_dnet,
-                h._nets, "nets_created",
-            )
-            ch_dev = self._bind(
-                ch_x1, ch_x2, self._pv_cx1, self._pv_cx2, self._pv_cdev,
-                h._devs, "devices_created",
-            )
-            cond_list = ch_list = None
-            if cond_net.shape[0]:
-                # Strips sweep strictly downward, so once an id has been
-                # touched its later (lower-y) touches can never win the
-                # per-root location max -- drop them at the source to
-                # keep the finalize lexsort input near the net count
-                # instead of nets x strips.
-                touched = self._touched
-                n_nets = len(h._nets)
-                if touched.shape[0] < n_nets:
-                    grown = np.zeros(
-                        max(n_nets, touched.shape[0] * 2), dtype=bool
+        # case.
+        cond_net = self._bind(
+            cond_x1, cond_x2, self._pv_dx1, self._pv_dx2, self._pv_dnet,
+            h._nets, "nets_created",
+        )
+        ch_dev = self._bind(
+            ch_x1, ch_x2, self._pv_cx1, self._pv_cx2, self._pv_cdev,
+            h._devs, "devices_created",
+        )
+        if cond_net.shape[0]:
+            # Strips sweep strictly downward, so once an id has been
+            # touched its later (lower-y) touches can never win the
+            # per-root location max -- drop them at the source to keep
+            # the finalize lexsort input near the net count instead of
+            # nets x strips.
+            touched = self._touched
+            n_nets = len(h._nets)
+            if touched.shape[0] < n_nets:
+                grown = np.zeros(
+                    max(n_nets, touched.shape[0] * 2), dtype=bool
+                )
+                grown[: touched.shape[0]] = touched
+                self._touched = touched = grown
+            fresh = ~touched[cond_net]
+            if fresh.all():
+                touched[cond_net] = True
+                self._tn_chunks.append(
+                    (
+                        cond_net,
+                        np.full(cond_net.shape[0], y_hi, dtype=np.int64),
+                        -cond_x1,
                     )
-                    grown[: touched.shape[0]] = touched
-                    self._touched = touched = grown
-                fresh = ~touched[cond_net]
-                if fresh.all():
-                    touched[cond_net] = True
-                    self._tn_chunks.append(
-                        (
-                            cond_net,
-                            np.full(
-                                cond_net.shape[0], y_hi, dtype=np.int64
-                            ),
-                            -cond_x1,
-                        )
+                )
+            elif fresh.any():
+                ids = cond_net[fresh]
+                touched[ids] = True
+                self._tn_chunks.append(
+                    (
+                        ids,
+                        np.full(ids.shape[0], y_hi, dtype=np.int64),
+                        -cond_x1[fresh],
                     )
-                elif fresh.any():
-                    ids = cond_net[fresh]
-                    touched[ids] = True
-                    self._tn_chunks.append(
-                        (
-                            ids,
-                            np.full(ids.shape[0], y_hi, dtype=np.int64),
-                            -cond_x1[fresh],
-                        )
-                    )
+                )
 
         n_ch = ch_dev.shape[0]
         n_cond = cond_net.shape[0]
@@ -660,26 +638,14 @@ class NumpyStripEngine(StripEngine):
                     ):
                         union(a, b)
 
-        def cond_source() -> list[tuple[int, int, int]]:
-            if cond_list is not None:
-                return cond_list
-            return list(
+        h._attach_labels(
+            y_lo,
+            y_hi,
+            stream,
+            lambda: list(
                 zip(cond_x1.tolist(), cond_x2.tolist(), cond_net.tolist())
-            )
-
-        h._attach_labels(y_lo, y_hi, stream, cond_source)
-
-        if h.window is not None:
-            h._capture_boundary(
-                y_lo,
-                y_hi,
-                cond_source(),
-                ch_list
-                if ch_list is not None
-                else list(
-                    zip(ch_x1.tolist(), ch_x2.tolist(), ch_dev.tolist())
-                ),
-            )
+            ),
+        )
 
         if h.strip_consumers:
             h._feed_consumers(
@@ -690,9 +656,6 @@ class NumpyStripEngine(StripEngine):
 
         self._pv_dx1, self._pv_dx2, self._pv_dnet = cond_x1, cond_x2, cond_net
         self._pv_cx1, self._pv_cx2, self._pv_cdev = ch_x1, ch_x2, ch_dev
-        if keep_geometry:
-            self._pv_d_list = cond_list if cond_list is not None else []
-            self._pv_c_list = ch_list if ch_list is not None else []
 
     # ------------------------------------------------------------------
     # net / device binding
@@ -745,89 +708,6 @@ class NumpyStripEngine(StripEngine):
                 values.append(ident)
             out[bound] = values
         return out
-
-    def _bind_nets_replay(
-        self,
-        cond_x1: "np.ndarray",
-        cond_x2: "np.ndarray",
-        y_lo: int,
-        y_hi: int,
-    ) -> "tuple[np.ndarray, list[tuple[int, int, int]]]":
-        """keep_geometry path: the reference engine's cond loop verbatim,
-        so ``_net_geo`` keys and append order stay identical."""
-        h = self.host
-        nets = h._nets
-        prev = self._pv_d_list
-        n_prev = len(prev)
-        cond: list[tuple[int, int, int]] = []
-        pj = 0
-        for x1, x2 in zip(cond_x1.tolist(), cond_x2.tolist()):
-            while pj < n_prev and prev[pj][1] <= x1:
-                pj += 1
-            net = None
-            k = pj
-            while k < n_prev:
-                entry = prev[k]
-                if entry[0] >= x2:
-                    break
-                net = entry[2] if net is None else nets.union(net, entry[2])
-                k += 1
-            if net is None:
-                net = nets.make()
-                h.stats.nets_created += 1
-            self._tn_scalar.append((net, y_hi, -x1))
-            h._net_geo.setdefault(net, []).append(
-                (h._diff, Box(x1, y_lo, x2, y_hi))
-            )
-            cond.append((x1, x2, net))
-        if cond:
-            net_arr = np.fromiter(
-                (entry[2] for entry in cond), np.int64, len(cond)
-            )
-        else:
-            net_arr = _EMPTY
-        return net_arr, cond
-
-    def _bind_devs_replay(
-        self,
-        ch_x1: "np.ndarray",
-        ch_x2: "np.ndarray",
-        y_lo: int,
-        y_hi: int,
-    ) -> "tuple[np.ndarray, list[tuple[int, int, int]]]":
-        """keep_geometry path: device binding with find-at-append-time
-        geometry grouping, matching the reference engine's record keys."""
-        h = self.host
-        devs = h._devs
-        prev = self._pv_c_list
-        n_prev = len(prev)
-        out: list[tuple[int, int, int]] = []
-        cj = 0
-        for x1, x2 in zip(ch_x1.tolist(), ch_x2.tolist()):
-            while cj < n_prev and prev[cj][1] <= x1:
-                cj += 1
-            dev = None
-            k = cj
-            while k < n_prev:
-                entry = prev[k]
-                if entry[0] >= x2:
-                    break
-                dev = entry[2] if dev is None else devs.union(dev, entry[2])
-                k += 1
-            if dev is None:
-                dev = devs.make()
-                h.stats.devices_created += 1
-            self._dev_geo.setdefault(devs.find(dev), []).append(
-                Box(x1, y_lo, x2, y_hi)
-            )
-            out.append((x1, x2, dev))
-        if out:
-            dev_arr = np.fromiter(
-                (entry[2] for entry in out), np.int64, len(out)
-            )
-        else:
-            dev_arr = _EMPTY
-        return dev_arr, out
 
     # ------------------------------------------------------------------
     # contact cuts
@@ -950,21 +830,7 @@ class NumpyStripEngine(StripEngine):
             kinds, dev_roots, n_dev, areas[dev_roots], impl[dev_roots],
             loc_y, loc_nx, terms, gates, order_roots.shape[0],
         )
-
-        dev_roots_l = dev_roots.tolist()
-        if self._dev_geo:
-            # find-at-append-time geometry, concatenated per raw key
-            # ascending: the reference engine's record-table fold order
-            dev_find = h._devs.find
-            geo_fold: dict[int, list[Box]] = {}
-            for key in sorted(self._dev_geo):
-                geo_fold.setdefault(dev_find(key), []).extend(
-                    self._dev_geo[key]
-                )
-            for row, root in enumerate(dev_roots_l):
-                if geo_fold.get(root):
-                    devices.geometry[row] = geo_fold[root]
-        return order_roots.tolist(), nets, dev_roots_l, devices
+        return order_roots.tolist(), nets, dev_roots.tolist(), devices
 
     def _net_columns(self) -> "tuple[np.ndarray, np.ndarray, NetColumns]":
         """Resolved net parents, net roots in canonical order, and their
@@ -1129,28 +995,6 @@ class NumpyStripEngine(StripEngine):
             "gate_ptr": _csr(g_row, rows, n)[0],
             "gate_net": g_net,
         }
-        if h.keep_geometry:
-            dev_find = h._devs.find
-            keep_geo: dict[int, list[Box]] = {}
-            geo: dict[int, list[Box]] = {}
-            # Ascending raw-key order is the finalize fold order; dead
-            # roots gain no future keys, so the restriction is exact.
-            for key in sorted(self._dev_geo):
-                r = dev_find(key)
-                if dev_live[r]:
-                    keep_geo[key] = self._dev_geo[key]
-                else:
-                    geo.setdefault(r, []).extend(self._dev_geo[key])
-            self._dev_geo = keep_geo
-            per_row = [geo.get(r, ()) for r in root.tolist()]
-            boxes = [b for row_boxes in per_row for b in row_boxes]
-            batch["geo_ptr"] = np.cumsum(
-                [0, *map(len, per_row)], dtype=np.int64
-            )
-            for name, side in zip(_GEO_COLUMNS, ("xmin", "ymin", "xmax", "ymax")):
-                batch[name] = np.array(
-                    [getattr(b, side) for b in boxes], dtype=np.int64
-                )
         return dead_locs, batch
 
     def retired_devices(self) -> "ColumnDevices":
@@ -1179,11 +1023,11 @@ class ColumnDevices(RetiredDevices):
     implant flag ``impl``, CSR terminals (``term_ptr`` into
     ``term_net``/``term_len``, summed per retire-time net root), CSR
     gate nets (``gate_ptr`` into ``gate_net``, unique retire-time
-    roots) and, when the sweep keeps artwork, CSR channel boxes
-    (``geo_ptr`` into ``geo_x1``..``geo_y2``).  The location lives only
-    in the order keys.  Emission gathers each chunk's rows from their
-    bands, resolves their nets through the final union-find, and folds
-    them with :func:`_fold_devices`, the flat finalize's fold.
+    roots).  No column carries artwork: a sweep that keeps it runs on
+    the python engine.  The location lives only in the order keys.
+    Emission gathers each chunk's rows from their bands, resolves their
+    nets through the final union-find, and folds them with
+    :func:`_fold_devices`, the flat finalize's fold.
     """
 
     def add(self, band: int, batch: "dict[str, np.ndarray]") -> dict:
@@ -1202,18 +1046,17 @@ class ColumnDevices(RetiredDevices):
     def check(self, payload) -> None:
         if not isinstance(payload, dict):
             raise ValueError("band devices are not columns")
-        csr = {
-            ptr: values
-            for ptr, values in _CSR_COLUMNS.items()
-            if ptr in payload or ptr != "geo_ptr"
-        }
-        for name in (*_ROW_COLUMNS, *csr, *chain.from_iterable(csr.values())):
+        for name in (
+            *_ROW_COLUMNS,
+            *_CSR_COLUMNS,
+            *chain.from_iterable(_CSR_COLUMNS.values()),
+        ):
             if not isinstance(payload.get(name), list):
                 raise ValueError(f"device column {name} is missing")
         n = len(payload["area"])
         if len(payload["impl"]) != n:
             raise ValueError("device columns area and impl differ in length")
-        for ptr_name, values in csr.items():
+        for ptr_name, values in _CSR_COLUMNS.items():
             ptr = payload[ptr_name]
             if (
                 len(ptr) != n + 1
@@ -1259,7 +1102,7 @@ class ColumnDevices(RetiredDevices):
             # carries its row's position in the chunk.
             area = np.empty(m, dtype=np.int64)
             impl = np.empty(m, dtype=bool)
-            terms, gates, boxes = [], [], []
+            terms, gates = [], []
             for b in np.unique(chunk_bands).tolist():
                 at = np.nonzero(chunk_bands == b)[0]
                 cols = band_rows(b)
@@ -1268,17 +1111,10 @@ class ColumnDevices(RetiredDevices):
                 impl[at] = cols["impl"][rows] != 0
                 terms.append(_gather(cols, "term_ptr", rows, at))
                 gates.append(_gather(cols, "gate_ptr", rows, at))
-                if "geo_ptr" in cols:
-                    boxes.append(_gather(cols, "geo_ptr", rows, at))
             t_pos, t_net, t_len = _concat(terms)
             g_pos, g_net = _concat(gates)
-            devices = _fold_devices(
+            yield _fold_devices(
                 kinds, np.arange(m, dtype=np.int64), m, area, impl,
                 y[part], nx[part], (t_pos, net_of[t_net], t_len),
                 (g_pos, net_of[g_net]), len(net_roots), lo,
             )
-            geometry = devices.geometry
-            for pos, *sides in boxes:
-                for p, *box in zip(pos.tolist(), *(c.tolist() for c in sides)):
-                    geometry.setdefault(p, []).append(Box(*box))
-            yield devices

@@ -5,7 +5,8 @@ back-end.  The logic is the scanline's original per-interval strip
 processing, unchanged -- single merged sweeps over sorted span lists,
 union-find calls made interval by interval in x order.  The numpy engine
 (:mod:`repro.core.engine_numpy`) replays exactly this order in batch
-form; when the two disagree, *this* file is the specification.
+form; when the two disagree, *this* file is the specification.  HEXT's
+window sweeps and every sweep that keeps geometry run only here.
 """
 
 from __future__ import annotations

@@ -47,7 +47,9 @@ The per-strip *value* computation (step 2.c and the finalize folds) is
 delegated to a pluggable :class:`~repro.core.stripengine.StripEngine`:
 the pure-python reference back-end or, when numpy is importable, a
 vectorized strip-batch back-end.  Both produce byte-identical wirelists;
-docs/ENGINES.md documents the split and the parity contract.
+docs/ENGINES.md documents the split and the parity contract.  A window
+sweep or one that keeps geometry always runs on the reference engine:
+numpy runs plain sweeps only.
 
 The host times itself with one always-on lap clock (:attr:`clock`),
 one clock read per phase boundary, billing the sweep to ``fetch`` /
@@ -77,7 +79,7 @@ from .netlist import (
     malformed_warnings,
 )
 from .stats import LapClock, ScanStats
-from .stripengine import CondSource, create_strip_engine
+from .stripengine import ENGINE_CHOICES, CondSource, create_strip_engine
 from .unionfind import UnionFind
 
 #: The host lap clock's phases, in sweep order (``ScanlineEngine.clock``).
@@ -205,7 +207,12 @@ class ScanlineEngine:
         self._y: int | None = None
         self._primed = False
 
-        #: the pluggable step-2.c back-end; see docs/ENGINES.md
+        #: the pluggable step-2.c back-end; see docs/ENGINES.md.  Window
+        #: and keep-geometry sweeps run on python whatever ``engine``
+        #: names, without resolving it (so ``auto`` imports no numpy);
+        #: an unknown name still fails in ``create_strip_engine``
+        if (window is not None or keep_geometry) and engine in ENGINE_CHOICES:
+            engine = "python"
         self.strip_engine = create_strip_engine(engine, self)
         self.engine_name = self.strip_engine.name
 

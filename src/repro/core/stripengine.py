@@ -20,7 +20,8 @@ exist:
     materializes each strip's active intervals as flat endpoint/net
     arrays and does span overlap, terminal pairing, and the finalize
     folds as batch array passes.  Available when numpy is importable
-    (the ``repro[fast]`` extra).
+    (the ``repro[fast]`` extra).  It runs plain sweeps only: the host
+    runs window and keep-geometry sweeps on python.
 
 Both engines share the host's union-find and counters and must produce
 **byte-identical wirelists** -- docs/ENGINES.md documents the contract

@@ -58,16 +58,13 @@ class HextStats:
     """
 
     flat_calls: int = 0  #: calls to the (modified) flat extractor
-    #: those calls by the strip engine that ran them, ``{"python": n, ...}``
-    engine_calls: dict = field(default_factory=dict)
     compose_calls: int = 0
     memo_hits: int = 0
     windows_seen: int = 0  #: windows considered (including memo hits)
     unique_windows: int = 0
     frontend_seconds: float = 0.0  #: subdivision + canonicalization
-    #: loading every strip engine the run can pick (importing numpy, for
-    #: one) before its first window; none of the paper's work, so it is
-    #: kept out of the back-end and total times
+    #: loading the strip engine before the first window; none of the
+    #: paper's work, so it is kept out of the back-end and total times
     setup_seconds: float = 0.0
     flat_seconds: float = 0.0
     compose_seconds: float = 0.0
@@ -212,11 +209,7 @@ def plan_windows(
 # ----------------------------------------------------------------------
 
 
-def extract_primitive(
-    content: Content,
-    tech: Technology,
-    engine: str = "auto",
-) -> Fragment:
+def extract_primitive(content: Content, tech: Technology) -> Fragment:
     """Run the modified flat extractor over a geometry-only window.
 
     The window's artwork goes in as :func:`relative_artwork` gives it:
@@ -224,7 +217,7 @@ def extract_primitive(
     and the persistent cache key hash.  Canonical net order breaks
     location ties by insertion order, so this is what makes the fragment
     a function of its key: windows drawn in different orders extract
-    identically.
+    identically.  A window sweep runs on the python strip engine.
     """
     window = Box(0, 0, content.region.width, content.region.height)
     geometry, labels = relative_artwork(content)
@@ -233,18 +226,8 @@ def extract_primitive(
         layout.top.add_box(layer, Box(x1, y1, x2, y2))
     for name, x, y, layer in labels:
         layout.top.add_label(Label(name, x, y, layer or None))
-    circuit = extract_report(layout, tech, window=window, engine=engine).circuit
+    circuit = extract_report(layout, tech, window=window).circuit
     return _circuit_to_fragment(circuit, window)
-
-
-#: Under ``auto``, the fewest boxes a primitive window needs to run on
-#: ``resolve_engine("auto")`` (numpy when importable); a smaller window
-#: runs on the python engine.  numpy pays a fixed cost on every strip,
-#: which a window this small cannot amortize: the suite's windows of
-#: 8-23 boxes run 2.4x slower on numpy, and on ``poly_diff_mesh(n)``,
-#: the densest window of 2n boxes, numpy draws level at 22-24 boxes
-#: (EXPERIMENTS.md, "Beyond the paper -- HEXT's front half").
-NUMPY_WINDOW_BOXES = 24
 
 
 def execute_plan(
@@ -254,7 +237,6 @@ def execute_plan(
     *,
     cache: "str | None" = None,
     memo: "dict | None" = None,
-    engine: str = "auto",
 ) -> dict:
     """Extract every unique primitive window in the plan.
 
@@ -266,14 +248,8 @@ def execute_plan(
     stored for the next run.  Extraction runs in plan order, so where a
     fragment comes from can never change the composed circuit.
 
-    ``engine`` names the strip engine.  ``python`` or ``numpy`` runs
-    every window; ``auto`` runs a window of fewer than
-    :data:`NUMPY_WINDOW_BOXES` boxes on python and any other on
-    ``resolve_engine("auto")``.  The engines write byte-identical
-    fragments, so the choice moves no output byte.  Before the first
-    window, every engine the setting can pick is loaded
-    (:func:`window_engines`), and the load is billed to
-    ``stats.setup_seconds``.
+    Every window runs on the python strip engine; it is loaded before
+    the first window, and the load is billed to ``stats.setup_seconds``.
     """
     memo = {} if memo is None else memo
     store = None
@@ -282,8 +258,7 @@ def execute_plan(
 
         store = FragmentCache(cache)
     started = time.perf_counter()
-    setup = 0.0
-    engines = None
+    setup: "float | None" = None  # seconds loading the engine, once loaded
     for key, content in plan.primitives.items():
         if key in memo:
             continue
@@ -293,36 +268,22 @@ def execute_plan(
             if cached is not None:
                 memo[key] = cached
                 continue
-        if engines is None:
+        if setup is None:
             loading = time.perf_counter()
-            engines = window_engines(engine)
+            load_strip_engine("python")
             setup = time.perf_counter() - loading
             stats.setup_seconds += setup
-        name = engines[len(content.geometry) >= NUMPY_WINDOW_BOXES]
-        fragment = extract_primitive(content, tech, name)
+        fragment = extract_primitive(content, tech)
         memo[key] = fragment
         stats.flat_calls += 1
-        stats.engine_calls[name] = stats.engine_calls.get(name, 0) + 1
         if store is not None:
             store.put(cache_key, fragment)
-    stats.flat_seconds += time.perf_counter() - started - setup
+    stats.flat_seconds += time.perf_counter() - started - (setup or 0.0)
     if store is not None:
         stats.cache_hits += store.stats.hits
         stats.cache_misses += store.stats.misses + store.stats.invalid
         stats.cache_invalid += store.stats.invalid
     return memo
-
-
-def window_engines(engine: str) -> "tuple[str, str]":
-    """Load every strip engine ``engine`` can pick for a window.
-
-    Returns the resolved engines for a window below and for one at or
-    above :data:`NUMPY_WINDOW_BOXES` boxes: under ``auto`` python and
-    ``resolve_engine("auto")``, otherwise ``engine`` for both.
-    """
-    large = load_strip_engine(engine)
-    small = load_strip_engine("python") if engine == "auto" else large
-    return small, large
 
 
 # ----------------------------------------------------------------------
@@ -375,7 +336,6 @@ def hext_extract(
     tech: Technology | None = None,
     *,
     cache: "str | None" = None,
-    engine: str = "auto",
 ) -> HextResult:
     """Hierarchically extract a CIF string or parsed layout.
 
@@ -384,21 +344,14 @@ def hext_extract(
         tech: process rules; defaults to standard NMOS.
         cache: directory of the persistent fragment cache; repeated runs
             over unchanged windows skip extraction entirely.
-        engine: strip-batch engine for the per-window flat extractions
-            (see :mod:`repro.core.stripengine`).  ``auto`` picks one per
-            window by its box count (:func:`execute_plan`); ``python``
-            or ``numpy`` runs every window.  Results are byte-identical
-            across engines, so this is purely a speed knob and is
-            deliberately excluded from memo and cache keys.
 
-    The three phases run plan -> execute -> compose, on one thread.  A
+    The three phases run plan -> execute -> compose, on one thread, and
+    every primitive window runs on the python strip engine.  A
     warm-cache run writes the same wirelist as a cold one: the plan, and
     with it the composition order, is the same, and a cached fragment
     is byte for byte the one extraction would produce.
     """
-    result, _ = _extract_with_plan(
-        source, tech or NMOS(), cache=cache, engine=engine
-    )
+    result, _ = _extract_with_plan(source, tech or NMOS(), cache=cache)
     return result
 
 
@@ -407,7 +360,6 @@ def _extract_with_plan(
     tech: Technology,
     *,
     cache: "str | None",
-    engine: str,
     memo: "dict | None" = None,
 ) -> "tuple[HextResult, WindowPlan]":
     """Plan, execute and compose: the one HEXT driver.
@@ -426,9 +378,7 @@ def _extract_with_plan(
     top = planner.top_content()
     stats.frontend_seconds += time.perf_counter() - planner_start
     plan = plan_windows(planner, top, stats, seen=set(memo) if memo else None)
-    memo = execute_plan(
-        plan, tech, stats, cache=cache, memo=memo, engine=engine
-    )
+    memo = execute_plan(plan, tech, stats, cache=cache, memo=memo)
     fragment = compose_plan(plan, memo, tech, stats)
     result = HextResult(
         fragment=fragment,

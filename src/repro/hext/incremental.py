@@ -51,16 +51,8 @@ class IncrementalStats:
 class IncrementalExtractor:
     """A HEXT front door whose memo table survives between calls."""
 
-    def __init__(
-        self,
-        tech: Technology | None = None,
-        *,
-        engine: str = "auto",
-    ) -> None:
+    def __init__(self, tech: Technology | None = None) -> None:
         self.tech = tech or NMOS()
-        # Purely a speed knob: fragments are byte-identical across strip
-        # engines, so the persistent memo never needs engine-keyed entries.
-        self.engine = engine
         self._memo: dict[object, object] = {}
         self._last_used: set[object] = set()
         self.last_stats: IncrementalStats | None = None
@@ -83,7 +75,7 @@ class IncrementalExtractor:
         """
         previous_keys = frozenset(self._memo)
         result, plan = _extract_with_plan(
-            source, self.tech, cache=cache, engine=self.engine, memo=self._memo
+            source, self.tech, cache=cache, memo=self._memo
         )
         self._last_used = plan.used_keys()
 

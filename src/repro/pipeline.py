@@ -297,7 +297,10 @@ def run(
     """Run the stage sequence over ``source`` under ``options``.
 
     Args:
-        engine: the strip engine.
+        engine: the strip engine of a plain sweep: a flat or streamed
+            one, or the DRC pass of a hierarchical lint.  HEXT's windows
+            and a sweep that keeps geometry run on python whatever it
+            names.
         out: write the wirelist here instead of returning it as text;
             a streamed run writes straight through, band by band.
         cache: hext's persistent fragment cache directory.
@@ -352,7 +355,7 @@ def run(
             text, phases = report.text, report.phases
         elif options.hext:
             if hext is None:
-                report = hext_extract(layout, tech, cache=cache, engine=engine)
+                report = hext_extract(layout, tech, cache=cache)
             else:
                 report = hext(layout)
             report.circuit  # resolve the fragment tree within this stage

@@ -108,10 +108,11 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=ENGINE_CHOICES,
         default="auto",
-        help="strip-batch engine for every extraction this daemon runs "
-        "(default %(default)s: numpy when importable).  Results are "
-        "byte-identical across engines, so the choice never splits the "
-        "result cache.",
+        help="strip-batch engine for the flat and streamed sweeps this "
+        "daemon runs (default %(default)s: numpy when importable); "
+        "hierarchical windows and keep-geometry sweeps always run on "
+        "python.  Results are byte-identical across engines, so the "
+        "choice never splits the result cache.",
     )
     parser.add_argument(
         "--quiet", action="store_true", help="suppress structured logs"
@@ -204,7 +205,8 @@ def build_submit_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--geometry",
         action="store_true",
-        help="include per-net and per-device geometry (flat mode only)",
+        help="include per-net and per-device geometry (flat mode only; "
+        "run on the python engine whatever the daemon's --engine)",
     )
     parser.add_argument(
         "--timeout",

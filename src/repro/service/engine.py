@@ -27,8 +27,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
+from ..core.stripengine import load_strip_engine
 from ..diagnostics.writers import diagnostic_to_json
-from ..hext.extractor import window_engines
 from ..hext.incremental import IncrementalExtractor
 from ..pipeline import JobOptions, Trace, run
 from ..tech import DEFAULT_LAMBDA, technology_by_name
@@ -97,7 +97,7 @@ def run_job(
         key = f"{options.deck}:{tech.lambda_}"
         extractor = memos.get(key)
         if extractor is None:
-            extractor = memos[key] = IncrementalExtractor(tech, engine=engine)
+            extractor = memos[key] = IncrementalExtractor(tech)
         return extractor.extract(layout)
 
     result = run(
@@ -134,12 +134,13 @@ def preload(engine: str) -> None:
     threads, and one of them may hold an import lock at that instant,
     so a worker must never need one.  Clients that import this package
     only to talk to a daemon never call this, and never pay for it.
-    Under ``auto`` that is both strip engines: a hierarchical job runs
-    its small windows on python (:func:`repro.hext.execute_plan`).
+    That is ``engine``'s strip engine and, under every setting, the
+    python one: hierarchical and keep-geometry jobs run on it.
     """
     from .. import drc, streaming  # noqa: F401
 
-    window_engines(engine)
+    load_strip_engine(engine)
+    load_strip_engine("python")
 
 
 def _serve(conn: "Connection", body: Callable, engine: str) -> None:

@@ -4,13 +4,19 @@ The contract under test is docs/ENGINES.md's: engine choice is purely a
 speed knob — ``auto`` silently degrades to python when numpy is absent,
 an *explicit* numpy request without numpy is a clean error, and every
 engine produces byte-identical wirelists and identical host counters.
+Window and keep-geometry sweeps run on python whatever is asked for.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.cif import Layout, parse
+from repro.cif import Layout, parse, write
 from repro.core import extract, extract_report
 from repro.core.scanline import ScanlineEngine
 from repro.core.stripengine import (
@@ -22,14 +28,14 @@ from repro.core.stripengine import (
 from repro.difftest.generator import generate_layout, iteration_seed
 from repro.frontend.stream import GeometryStream
 from repro.geometry import Box, Transform
-from repro.hext import hext_extract
-from repro.hext.wirelist import to_hierarchical_wirelist
+from repro.pipeline import JobOptions, run
 from repro.tech import NMOS
 from repro.wirelist import to_wirelist, write_wirelist
+from repro.workloads import build_chip
 from repro.workloads.cells import inverter, nand2
 from repro.workloads.mesh import poly_diff_mesh
 
-from tests.golden.cases import GOLDEN_CASES, render_case
+from tests.golden.cases import GOLDEN_CASES, render_case, tech_for
 
 TECH = NMOS()
 
@@ -113,14 +119,22 @@ class TestCrossEngineParity:
     def test_goldens_byte_identical(self, name):
         assert render_case(name, "python") == render_case(name, "numpy")
 
-    @pytest.mark.parametrize("name", ("inverter", "nand2"))
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
     def test_goldens_byte_identical_without_geometry(self, name):
+        # The goldens keep geometry, so they run on python alone; here
+        # numpy extracts the same cells.
         layout = GOLDEN_CASES[name]()
+        tech = tech_for(name)
+        reports = {
+            eng: extract_report(layout, tech, engine=eng)
+            for eng in ("python", "numpy")
+        }
+        assert reports["numpy"].options["engine"] == "numpy"
         texts = [
             write_wirelist(
-                to_wirelist(extract(layout, TECH, engine=eng), name=name)
+                to_wirelist(report.circuit, name=name, tech=tech)
             )
-            for eng in ("python", "numpy")
+            for report in reports.values()
         ]
         assert texts[0] == texts[1]
 
@@ -142,19 +156,6 @@ class TestCrossEngineParity:
                 reports["numpy"].stats
             )
 
-    def test_window_extraction_parity(self):
-        # Boundary/partial-device paths (the rowwise build) agree too.
-        layout = inverter()
-        window = Box(0, 0, 10, 14)
-        texts = []
-        for eng in ("python", "numpy"):
-            engine = ScanlineEngine(TECH, window=window, engine=eng)
-            circuit = engine.run(GeometryStream(layout))
-            texts.append(
-                write_wirelist(to_wirelist(circuit, name="window"))
-            )
-        assert texts[0] == texts[1]
-
     @pytest.mark.parametrize(
         "layout, window",
         [
@@ -167,7 +168,8 @@ class TestCrossEngineParity:
     )
     def test_finalize_columns_agree(self, layout, window):
         # The column contract itself, not just the text it renders to:
-        # every column, the CSR lists, and the boundary rows.
+        # every column, the CSR lists, and the boundary rows.  A window
+        # sweep runs on python under either request.
         cols = [
             ScanlineEngine(TECH, window=window, engine=eng).run(
                 GeometryStream(layout)
@@ -191,17 +193,14 @@ class TestCrossEngineParity:
         )
         assert cols[0].boundary == cols[1].boundary
 
-    def test_kept_geometry_parity_on_fuzzed_layouts(self):
-        # With artwork kept, numpy binds nets and devices by python
-        # replay; fuzzed layouts reach corners the goldens do not.
+    def test_parity_on_fuzzed_layouts(self):
+        # Fuzzed layouts reach corners the goldens do not.
         for index in range(50):
             case = generate_layout(iteration_seed(1983, index))
             texts = [
                 write_wirelist(
                     to_wirelist(
-                        extract(
-                            case.layout, TECH, keep_geometry=True, engine=eng
-                        ),
+                        extract(case.layout, TECH, engine=eng),
                         name="case",
                         tech=TECH,
                     )
@@ -211,13 +210,11 @@ class TestCrossEngineParity:
             assert texts[0] == texts[1], f"seed {case.seed}"
 
     def test_hext_parity(self):
-        layout = nand2()
+        # A hierarchical run's windows run on python under either request.
         texts = [
-            write_wirelist(
-                to_hierarchical_wirelist(
-                    hext_extract(layout, TECH, engine=eng), name="nand2"
-                )
-            )
+            run(
+                nand2(), TECH, JobOptions(name="nand2", hext=True), engine=eng
+            ).text
             for eng in ("python", "numpy")
         ]
         assert texts[0] == texts[1]
@@ -245,6 +242,52 @@ class TestCrossEngineParity:
         assert write_wirelist(
             to_wirelist(circuits["python"], name="l")
         ) == write_wirelist(to_wirelist(circuits["numpy"], name="l"))
+
+
+class TestReferenceSweeps:
+    """Window and keep-geometry sweeps run on python, whatever is asked."""
+
+    @pytest.mark.parametrize(
+        "layout, kwargs",
+        [
+            (inverter(), {"window": Box(0, 0, 10, 14)}),
+            (nand2(), {"keep_geometry": True}),
+            (poly_diff_mesh(6), {"keep_geometry": True}),
+        ],
+        ids=["window", "geometry-nand2", "geometry-mesh"],
+    )
+    def test_numpy_request_runs_python(self, layout, kwargs):
+        texts = {}
+        for eng in ENGINE_CHOICES:
+            report = extract_report(layout, TECH, engine=eng, **kwargs)
+            assert report.options["engine"] == "python", eng
+            texts[eng] = write_wirelist(
+                to_wirelist(report.circuit, name="case", tech=TECH)
+            )
+        assert len(set(texts.values())) == 1
+
+    def test_unknown_engine_still_refused(self):
+        with pytest.raises(ValueError, match="unknown strip engine"):
+            ScanlineEngine(TECH, keep_geometry=True, engine="fortran")
+
+    @pytest.mark.parametrize("flag", ["--hierarchical", "--geometry"])
+    def test_cli_run_leaves_numpy_unimported(self, flag, tmp_path):
+        cif = tmp_path / "testram.cif"
+        cif.write_text(write(build_chip("testram", 1 / 32)))
+        probe = (
+            "import sys; from repro.cli import main; "
+            f"code = main([{str(cif)!r}, {flag!r}, '-o', {os.devnull!r}]); "
+            "print(code, 'numpy' in sys.modules)"
+        )
+        src = Path(__file__).parents[2] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.stdout.split() == ["0", "False"]
 
 
 class TestOneStripPath:

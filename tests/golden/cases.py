@@ -18,9 +18,8 @@ from repro.cif import Layout
 from repro.core import extract
 from repro.diagnostics import format_text
 from repro.difftest.generator import generate_layout
-from repro.hext import hext_extract
-from repro.hext.wirelist import to_hierarchical_wirelist
 from repro.lint import lint_layout
+from repro.pipeline import JobOptions, run
 from repro.tech import CMOS, NMOS, Technology
 from repro.wirelist import to_wirelist, write_wirelist
 from repro.workloads.builder import LayoutBuilder
@@ -181,9 +180,9 @@ LINT_CASES: "dict[str, callable]" = {
 def render_case(name: str, engine: str = "auto") -> str:
     """The wirelist text a snapshot pins: extract + flat CMU format.
 
-    ``engine`` selects the strip-batch engine; every engine must render
-    byte-identical text, so the goldens double as the engine-parity
-    fixture (see tests/golden/test_wirelists.py).
+    The snapshot keeps geometry, so it runs on the python strip engine
+    whatever ``engine`` asks for; the engines' parity without geometry
+    is tests/core/test_engines.py's.
     """
     layout = GOLDEN_CASES[name]()
     tech = tech_for(name)
@@ -192,9 +191,14 @@ def render_case(name: str, engine: str = "auto") -> str:
 
 
 def render_hext_case(name: str, engine: str = "auto") -> str:
-    """The hierarchical wirelist text a ``<case>.hext`` snapshot pins."""
-    result = hext_extract(HEXT_CASES[name](), tech_for(name), engine=engine)
-    return write_wirelist(to_hierarchical_wirelist(result, name=name))
+    """The hierarchical wirelist text a ``<case>.hext`` snapshot pins.
+
+    ``engine`` is the run's strip-engine request (``ace-extract
+    --engine``); HEXT's windows run on the python strip engine whatever
+    it names, so every request must render the same bytes.
+    """
+    options = JobOptions(name=name, hext=True)
+    return run(HEXT_CASES[name](), tech_for(name), options, engine=engine).text
 
 
 def render_lint_case(name: str) -> str:

@@ -21,8 +21,10 @@ from .cases import GOLDEN_CASES, HEXT_CASES, render_case, render_hext_case
 GOLDEN_DIR = Path(__file__).parent
 REGEN = "PYTHONPATH=src python tools/regen_golden.py"
 
-#: Every strip engine importable here; the goldens must be byte-for-byte
-#: identical on all of them (the engine contract of docs/ENGINES.md).
+#: Every strip engine importable here; asked for any of them, a flat
+#: golden, which keeps geometry, and a ``.hext`` golden, whose windows
+#: run on python, are written byte for byte the same (the engine
+#: contract of docs/ENGINES.md).
 ENGINES = ("python", "numpy") if numpy_available() else ("python",)
 
 

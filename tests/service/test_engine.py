@@ -119,22 +119,30 @@ class TestRunJob:
 
 
 def test_preload_auto_imports_every_engine_auto_can_pick():
-    """A forked worker must never import lazily, and under ``auto`` a
-    hierarchical job runs small windows on python, flat ones on numpy."""
-    probe = (
-        "import sys; from repro.service.engine import preload; "
-        "preload('auto'); "
-        "print(' '.join(sorted(m for m in sys.modules "
-        "if m.startswith('repro.core.engine_'))))"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", probe],
-        capture_output=True,
-        text=True,
-        check=True,
-        env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[2] / "src")},
-    )
-    loaded = proc.stdout.split()
-    assert "repro.core.engine_python" in loaded
+    """A forked worker must never import lazily.  Under every setting a
+    hierarchical or keep-geometry job runs on python, and a flat one on
+    the setting's engine, numpy under ``auto`` when importable."""
+    settings = {"auto": set(), "python": set()}
     if numpy_available():
-        assert "repro.core.engine_numpy" in loaded
+        settings["auto"].add("repro.core.engine_numpy")
+        settings["numpy"] = {"repro.core.engine_numpy"}
+    # the child sees this interpreter's path, numpy hidden or not
+    path = [str(Path(__file__).parents[2] / "src")]
+    if os.environ.get("PYTHONPATH"):
+        path.append(os.environ["PYTHONPATH"])
+    for engine, modules in settings.items():
+        probe = (
+            "import sys; from repro.service.engine import preload; "
+            f"preload({engine!r}); "
+            "print(' '.join(sorted(m for m in sys.modules "
+            "if m.startswith('repro.core.engine_'))))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+        )
+        expected = {"repro.core.engine_python", *modules}
+        assert set(proc.stdout.split()) == expected, engine

@@ -217,6 +217,15 @@ class TestHierarchical:
         assert main([inverter_cif, "--cache", str(tmp_path / "c")]) == 0
         assert "--hierarchical" in capsys.readouterr().err
 
+    def test_geometry_noted_in_hierarchical_mode(self, inverter_cif, capsys):
+        assert main([inverter_cif, "--hierarchical"]) == 0
+        plain = capsys.readouterr()
+        assert "note:" not in plain.err
+        assert main([inverter_cif, "--hierarchical", "--geometry"]) == 0
+        captured = capsys.readouterr()
+        assert "note: --geometry only applies in flat mode" in captured.err
+        assert captured.out == plain.out
+
 
 class TestCheckFailures:
     def test_malformed_design_fails_check(self, tmp_path, capsys):
@@ -582,6 +591,31 @@ class TestStreaming:
         captured = capsys.readouterr()
         assert captured.out == first
         assert "(resumed)" in captured.err
+
+    def test_resume_with_other_options_is_an_error(
+        self, inverter_cif, tmp_path, capsys
+    ):
+        from repro.streaming import stream_extract
+
+        class Stop(Exception):
+            pass
+
+        def stop(done, total, stats):
+            if done == 2:  # band 1 spilled, band 0 committed
+                raise Stop
+
+        ck = tmp_path / "sweep.ck"
+        with pytest.raises(Stop):  # a sweep torn after its first band
+            stream_extract(
+                inverter(), band_height=500, checkpoint=str(ck), progress=stop
+            )
+        assert ck.exists()
+        argv = [inverter_cif, "--stream", "--band-height", "500",
+                "--checkpoint", str(ck), "--resume", "--geometry"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint") and "options" in err
+        assert err.count("\n") == 1
 
     def test_stream_rejects_hierarchical(self, inverter_cif, capsys):
         assert main([inverter_cif, "--stream", "--hierarchical"]) == 2
