@@ -16,7 +16,8 @@ reports.
 from __future__ import annotations
 
 from ..cif import Layout
-from ..core.netlist import Circuit
+from ..core.assemble import assemble_circuit
+from ..core.netlist import Circuit, DeviceRec
 from ..core.unionfind import UnionFind
 from ..frontend import instantiate
 from ..geometry import Box, normalize_region, subtract_region
@@ -91,30 +92,23 @@ def extract_polyflat(layout: Layout, tech: Technology | None = None) -> Circuit:
             comp_dev[comp] = dev
         dev_of[i] = dev
 
-    dev_rec: dict[int, dict] = {
-        dev: {"area": 0, "gates": set(), "terms": {}, "loc": None, "impl": False, "geo": []}
-        for dev in comp_dev.values()
-    }
+    dev_rec = {dev: DeviceRec() for dev in comp_dev.values()}
     for i, cbox in enumerate(channel_boxes):
         rec = dev_rec[dev_of[i]]
-        rec["area"] += cbox.area
-        rec["geo"].append(cbox)
-        loc = (cbox.ymax, -cbox.xmin)
-        if rec["loc"] is None or loc > rec["loc"]:
-            rec["loc"] = loc
+        rec.area += cbox.area
+        rec.geo.append(cbox)
+        rec.touch((cbox.ymax, -cbox.xmin))
         for j, pbox in enumerate(by_layer[poly]):
             if cbox.overlaps(pbox):
-                rec["gates"].add(net_of[(poly, j)])
+                rec.gates.add(net_of[(poly, j)])
         for ibox in by_layer[implant]:
             if cbox.overlaps(ibox):
-                rec["impl"] = True
+                rec.impl = True
         # Terminals: shared edges with conducting diffusion.
         for j, dbox in enumerate(cond_boxes):
             length = _shared_edge(cbox, dbox)
             if length > 0:
-                net = net_of[(diff, j)]
-                root = nets.find(net)
-                rec["terms"][root] = rec["terms"].get(root, 0) + length
+                rec.add_terminal(nets.find(net_of[(diff, j)]), length)
 
     # Contact cuts and buried contacts.  A cut ties two conductors only
     # where they overlap each other inside the cut (pointwise rule).
@@ -154,7 +148,7 @@ def extract_polyflat(layout: Layout, tech: Technology | None = None) -> Circuit:
             if net not in net_loc or loc > net_loc[net]:
                 net_loc[net] = loc
     net_names: dict[int, list[str]] = {}
-    warnings: list[str] = []
+    unattached = []
     for label in labels:
         order = (label.layer,) if label.layer else (metal, poly, diff)
         net = None
@@ -166,14 +160,13 @@ def extract_polyflat(layout: Layout, tech: Technology | None = None) -> Circuit:
             if net is not None:
                 break
         if net is None:
-            warnings.append(
-                f"label {label.name!r} at ({label.x}, {label.y}) "
-                f"matches no conducting geometry"
-            )
+            unattached.append(label)
         else:
             net_names.setdefault(net, []).append(label.name)
 
-    return _finalize(tech, nets, devs, net_loc, net_names, dev_rec, warnings)
+    return assemble_circuit(
+        tech, nets, devs, net_loc, net_names, dev_rec, unattached
+    )
 
 
 def _components(boxes: list[Box]) -> list[int]:
@@ -208,10 +201,3 @@ def _shared_edge(a: Box, b: Box) -> int:
         return x_overlap
     return 0
 
-
-def _finalize(tech, nets, devs, net_loc, net_names, dev_rec, warnings):
-    from ..core.assemble import assemble_circuit
-
-    return assemble_circuit(
-        tech, nets, devs, net_loc, net_names, dev_rec, warnings
-    )

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from ..cif import Layout
 from ..core.assemble import assemble_circuit
-from ..core.netlist import Circuit
+from ..core.netlist import Circuit, DeviceRec
 from ..core.unionfind import UnionFind
 from ..frontend import instantiate
 from ..tech import NMOS, Technology
@@ -57,7 +57,7 @@ def extract_raster(
 
     stack = [(bit_of[layer], box) for layer, box in boxes if layer in bit_of]
     if not stack:
-        return Circuit(nets=[], devices=[])
+        return Circuit()
     y_top = max(box.ymax for _, box in stack)
     y_bot = min(box.ymin for _, box in stack)
     stack.sort(key=lambda item: -item[1].ymax)
@@ -66,7 +66,7 @@ def extract_raster(
     devs = UnionFind()
     net_loc: dict[int, tuple[int, int]] = {}
     net_names: dict[int, list[str]] = {}
-    dev_rec: dict[int, dict] = {}
+    dev_rec: dict[int, DeviceRec] = {}
     unattached = []
 
     labels_left = sorted(labels, key=lambda lb: -lb.y)
@@ -148,24 +148,16 @@ def extract_raster(
                         dev = above
                     else:
                         dev = devs.make()
-                        dev_rec[dev] = {
-                            "area": 0,
-                            "gates": set(),
-                            "terms": {},
-                            "loc": None,
-                            "impl": False,
-                        }
+                        dev_rec[dev] = DeviceRec()
                 elif above is not None:
                     dev = devs.union(dev, above)
                 cur_chan[col] = dev
                 rec = dev_rec[devs.find(dev)]
-                rec["area"] += cell_area
-                rec["gates"].add(cur_poly[col])
+                rec.area += cell_area
+                rec.gates.add(cur_poly[col])
                 if bits & _IMPL:
-                    rec["impl"] = True
-                loc = (row_top, -col * pitch)
-                if rec["loc"] is None or loc > rec["loc"]:
-                    rec["loc"] = loc
+                    rec.impl = True
+                rec.touch((row_top, -col * pitch))
             if bits & _CUT:  # contact cut: union whatever conducts here
                 present = [
                     table[col]
@@ -184,17 +176,14 @@ def extract_raster(
                 cur_diff.get(col + 1),
                 prev_diff.get(col),
             ):
-                if dnet is None:
-                    continue
-                rec = dev_rec[devs.find(dev)]
-                root = nets.find(dnet)
-                rec["terms"][root] = rec["terms"].get(root, 0) + pitch
+                if dnet is not None:
+                    dev_rec[devs.find(dev)].add_terminal(
+                        nets.find(dnet), pitch
+                    )
         for col, dnet in cur_diff.items():
             above = prev_chan.get(col)
             if above is not None:
-                rec = dev_rec[devs.find(above)]
-                root = nets.find(dnet)
-                rec["terms"][root] = rec["terms"].get(root, 0) + pitch
+                dev_rec[devs.find(above)].add_terminal(nets.find(dnet), pitch)
 
         # Labels falling inside this row.
         while label_pos < len(labels_left) and labels_left[label_pos].y >= row_bot:
@@ -229,11 +218,6 @@ def extract_raster(
         )
         row_top = row_bot
 
-    warnings = [
-        f"label {label.name!r} at ({label.x}, {label.y}) "
-        f"matches no conducting geometry"
-        for label in unattached
-    ]
     return assemble_circuit(
-        tech, nets, devs, net_loc, net_names, dev_rec, warnings
+        tech, nets, devs, net_loc, net_names, dev_rec, unattached
     )

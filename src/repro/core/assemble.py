@@ -2,8 +2,10 @@
 
 All the extractors (ACE's scanline, the raster baseline, the region
 baseline, HEXT's resolve) and the streamed emitter accumulate the same
-working state: net/device union-finds plus per-id attribute tables.
-This module folds that state into canonical-order
+working state: net/device union-finds, per-id net locations and one
+:class:`~repro.core.netlist.DeviceRec` per device id (the numpy engine
+keeps the same state as int columns, and folds it itself).  This
+module folds that state into canonical-order
 :class:`~repro.core.netlist.NetColumns` /
 :class:`~repro.core.netlist.DeviceColumns`, so net numbering, device
 ordering, and sizing conventions are identical everywhere -- a
@@ -13,11 +15,21 @@ wirelists.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
-from .netlist import Circuit, DeviceColumns, NetColumns
+from .netlist import (
+    Circuit,
+    DeviceColumns,
+    DeviceRec,
+    NetColumns,
+    malformed_warnings,
+    unattached_warnings,
+)
 from .sizing import size_device
 from .unionfind import UnionFind
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..frontend.instantiate import PlacedLabel
 
 
 def fold_locations(
@@ -75,28 +87,21 @@ def attach_net_payload(
 
 
 def fold_records(
-    records: "dict[int, dict]", find: Callable[[int], int]
-) -> "dict[int, dict]":
-    """Re-key device records by root, merging in table order."""
-    folded: dict[int, dict] = {}
+    records: "dict[int, DeviceRec]", find: Callable[[int], int]
+) -> "dict[int, DeviceRec]":
+    """Re-key device records by root, absorbing in table order.
+
+    The first record seen for a root becomes its fold and absorbs the
+    rest in place, so the table's records are the caller's to give up.
+    """
+    folded: dict[int, DeviceRec] = {}
     for ident, rec in records.items():
         root = find(ident)
         into = folded.get(root)
-        if into is None or into is rec:
+        if into is None:
             folded[root] = rec
-            continue
-        into["area"] += rec["area"]
-        into["gates"] |= rec["gates"]
-        terms = into["terms"]
-        for net, length in rec["terms"].items():
-            terms[net] = terms.get(net, 0) + length
-        if "geo" in into and "geo" in rec:
-            into["geo"].extend(rec["geo"])
-        if rec["loc"] is not None and (
-            into["loc"] is None or rec["loc"] > into["loc"]
-        ):
-            into["loc"] = rec["loc"]
-        into["impl"] = into["impl"] or rec["impl"]
+        elif into is not rec:
+            into.absorb(rec)
     return folded
 
 
@@ -109,7 +114,7 @@ def device_order(locs: "dict[int, tuple[int, int] | None]") -> list[int]:
 
 
 def device_columns(
-    records: "Iterable[dict]",
+    records: "Iterable[DeviceRec]",
     find: Callable[[int], int],
     index_of: "dict[int, int]",
     kinds: "tuple[str, str]",
@@ -124,27 +129,27 @@ def device_columns(
     cols = DeviceColumns(kinds=kinds, start=start)
     for row, rec in enumerate(records):
         terms: dict[int, int] = {}
-        for net, length in rec["terms"].items():
+        for net, length in rec.terms.items():
             idx = index_of.get(find(net))
             if idx is not None:
                 terms[idx] = terms.get(idx, 0) + length
         gates = sorted(
-            {index_of[g] for g in map(find, rec["gates"]) if g in index_of}
+            {index_of[g] for g in map(find, rec.gates) if g in index_of}
         )
-        loc = rec["loc"]
+        loc = rec.loc
         cols.append(
-            rec["impl"], gates[0] if gates else None,
-            size_device(rec["area"], terms),
-            (-loc[1], loc[0]) if loc else None, rec["area"], terms, gates,
+            rec.impl, gates[0] if gates else None,
+            size_device(rec.area, terms),
+            (-loc[1], loc[0]) if loc else None, rec.area, terms, gates,
         )
-        if rec.get("geo"):
-            cols.geometry[row] = list(rec["geo"])
+        if rec.geo:
+            cols.geometry[row] = list(rec.geo)
     return cols
 
 
 def fold_columns(
     net_loc: "dict[int, tuple[int, int]]",
-    dev_rec: "dict[int, dict]",
+    dev_rec: "dict[int, DeviceRec]",
     net_find: Callable[[int], int],
     dev_find: Callable[[int], int],
     kinds: "tuple[str, str]",
@@ -154,15 +159,15 @@ def fold_columns(
     Returns what :meth:`~repro.core.stripengine.StripEngine.finalize`
     returns: net roots with location columns and device roots with
     sized device columns.  ``net_loc`` maps net id to ``(ymax, -xmin)``
-    of its topmost-leftmost geometry; ``dev_rec`` maps device id to a
-    record with keys ``area``, ``gates`` (net ids), ``terms`` (net id ->
-    contact perimeter), ``loc``, ``impl`` and optionally ``geo``.
+    of its topmost-leftmost geometry; ``dev_rec`` maps device id to its
+    :class:`~repro.core.netlist.DeviceRec`, whose net ids resolve
+    through ``net_find``.
     """
     locations = fold_locations(net_loc, net_find)
     net_roots = net_order(locations)
     index_of = {root: i + 1 for i, root in enumerate(net_roots)}
     folded = fold_records(dev_rec, dev_find)
-    dev_roots = device_order({r: rec["loc"] for r, rec in folded.items()})
+    dev_roots = device_order({r: rec.loc for r, rec in folded.items()})
     devices = device_columns(
         [folded[r] for r in dev_roots], net_find, index_of, kinds
     )
@@ -175,11 +180,14 @@ def assemble_circuit(
     devs: UnionFind,
     net_loc: "dict[int, tuple[int, int]]",
     net_names: "dict[int, list[str]]",
-    dev_rec: "dict[int, dict]",
-    warnings: "list[str]",
-    net_geo: "dict[int, list] | None" = None,
+    dev_rec: "dict[int, DeviceRec]",
+    unattached: "Iterable[PlacedLabel]",
 ) -> Circuit:
-    """Fold working state (see :func:`fold_columns`) into a Circuit."""
+    """Fold working state (see :func:`fold_columns`) into a Circuit.
+
+    The warnings are the flat finalize's: malformed devices in device
+    order, then the ``unattached`` labels.
+    """
     roots, net_cols, _, dev_cols = fold_columns(
         net_loc, dev_rec, nets.find, devs.find,
         tech.kinds,
@@ -188,8 +196,10 @@ def assemble_circuit(
         net_cols,
         {root: i + 1 for i, root in enumerate(roots)},
         nets.fold(net_names),
-        nets.fold(net_geo) if net_geo else {},
+        {},
     )
     return Circuit(
-        warnings=list(warnings), net_columns=net_cols, device_columns=dev_cols
+        warnings=malformed_warnings(dev_cols) + unattached_warnings(unattached),
+        net_columns=net_cols,
+        device_columns=dev_cols,
     )

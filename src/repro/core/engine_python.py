@@ -21,7 +21,13 @@ from .assemble import (
     fold_locations,
     fold_records,
 )
-from .netlist import DeviceColumns, NetColumns
+from .netlist import (
+    DeviceColumns,
+    DeviceRec,
+    NetColumns,
+    device_from_payload,
+    device_payload,
+)
 
 from . import scanline as _scan
 from .scanline import (
@@ -43,7 +49,7 @@ class PythonStripEngine(StripEngine):
         self._prev_diff: list[tuple[int, int, int]] = []
         self._prev_channels: list[tuple[int, int, int]] = []
         self._net_loc: dict[int, tuple[int, int]] = {}  # id -> (ymax, -xmin)
-        self._dev: dict[int, dict] = {}  # device id -> attribute record
+        self._dev: dict[int, DeviceRec] = {}  # device id -> record
 
     # ------------------------------------------------------------------
     # strip processing (step 2.c)
@@ -130,26 +136,17 @@ class PythonStripEngine(StripEngine):
             if dev is None:
                 dev = h._devs.make()
                 h.stats.devices_created += 1
-                self._dev[dev] = {
-                    "area": 0,
-                    "gates": set(),
-                    "terms": {},
-                    "geo": [],
-                    "loc": None,
-                    "impl": False,
-                }
+                self._dev[dev] = DeviceRec()
             rec = self._dev[h._devs.find(dev)]
-            rec["area"] += (x2 - x1) * height
-            rec["gates"].add(find(poly_net))
+            rec.area += (x2 - x1) * height
+            rec.gates.add(find(poly_net))
             if h.keep_geometry:
-                rec["geo"].append(Box(x1, y_lo, x2, y_hi))
-            loc = (y_hi, -x1)
-            if rec["loc"] is None or loc > rec["loc"]:
-                rec["loc"] = loc
+                rec.geo.append(Box(x1, y_lo, x2, y_hi))
+            rec.touch((y_hi, -x1))
             while ij < n_implant and ni[ij][1] <= x1:
                 ij += 1
             if ij < n_implant and ni[ij][0] < x2:
-                rec["impl"] = True
+                rec.impl = True
             strip_channels.append((x1, x2, dev))
 
         # Terminal contacts.
@@ -305,9 +302,8 @@ class PythonStripEngine(StripEngine):
             prev_is_channel, prev_end, prev_ident = is_channel, span[1], span[2]
 
     def _add_terminal(self, dev: int, net: int, length: int) -> None:
-        rec = self._dev[self.host._devs.find(dev)]
-        root = self.host._nets.find(net)
-        rec["terms"][root] = rec["terms"].get(root, 0) + length
+        h = self.host
+        self._dev[h._devs.find(dev)].add_terminal(h._nets.find(net), length)
 
     def touch_nets(self, sightings: "list[tuple[int, int, int]]") -> None:
         net_loc = self._net_loc
@@ -344,9 +340,8 @@ class PythonStripEngine(StripEngine):
 
     def retire(
         self, live_nets: "set[int]", live_devs: "set[int]"
-    ) -> "tuple[dict[int, tuple[int, int]], dict[int, dict]]":
-        """Dead device roots fold into one attribute record each
-        (``area``/``gates``/``terms``/``geo``/``loc``/``impl``)."""
+    ) -> "tuple[dict[int, tuple[int, int]], dict[int, DeviceRec]]":
+        """Dead device roots fold into one :class:`DeviceRec` each."""
         h = self.host
         find = h._nets.find
         dev_find = h._devs.find
@@ -364,8 +359,8 @@ class PythonStripEngine(StripEngine):
         # finalize fold restricted to them); live records stay keyed by
         # their raw ids so future lookups and geometry append order are
         # untouched.
-        keep_devs: dict[int, dict] = {}
-        dead: dict[int, dict] = {}
+        keep_devs: dict[int, DeviceRec] = {}
+        dead: dict[int, DeviceRec] = {}
         for ident, rec in self._dev.items():
             live = dev_find(ident) in live_devs
             (keep_devs if live else dead)[ident] = rec
@@ -375,62 +370,38 @@ class PythonStripEngine(StripEngine):
     def retired_devices(self) -> "RecordDevices":
         return RecordDevices()
 
+
 class RecordDevices(RetiredDevices):
     """The reference engine's retired devices: one record per spill row.
 
     A band's payload is the list of its dead roots' folded records, in
-    the order :meth:`PythonStripEngine.retire` returned them.  Gate and
-    terminal net ids are whatever the engine held at retire time --
-    possibly non-root for nets that were still live then -- and
-    emission resolves them through the final union-find in
-    :func:`~repro.core.assemble.device_columns`, the fold the flat
-    finalize uses.
+    the order :meth:`PythonStripEngine.retire` returned them, each
+    written by :func:`~repro.core.netlist.device_payload`, the codec
+    HEXT's fragment cache uses.  Gate and terminal net ids are whatever
+    the engine held at retire time -- possibly non-root for nets that
+    were still live then -- and emission resolves them through the
+    final union-find in :func:`~repro.core.assemble.device_columns`,
+    the fold the flat finalize uses.
     """
 
-    def add(self, band: int, batch: "dict[int, dict]") -> list:
-        locs = [rec["loc"] or (0, 0) for rec in batch.values()]
+    def add(self, band: int, batch: "dict[int, DeviceRec]") -> list:
+        locs = [rec.loc or (0, 0) for rec in batch.values()]
         self._index(
             band, list(batch), [y for y, _ in locs], [nx for _, nx in locs]
         )
-        return [
-            {
-                "area": rec["area"],
-                "gates": sorted(rec["gates"]),
-                "terms": [
-                    [net, length] for net, length in rec["terms"].items()
-                ],
-                "geo": [[b.xmin, b.ymin, b.xmax, b.ymax] for b in rec["geo"]],
-                "loc": list(rec["loc"]) if rec["loc"] else None,
-                "impl": bool(rec["impl"]),
-            }
-            for rec in batch.values()
-        ]
+        return [device_payload(rec) for rec in batch.values()]
 
     def check(self, payload) -> None:
         if not isinstance(payload, list):
             raise ValueError("band devices are not a record list")
 
-    def decode(self, payload: list) -> "list[dict]":
-        return [
-            {
-                "area": int(rec["area"]),
-                "gates": list(rec["gates"]),
-                "terms": {
-                    int(net): int(length) for net, length in rec["terms"]
-                },
-                "geo": [
-                    Box(x1, y1, x2, y2) for x1, y1, x2, y2 in rec["geo"]
-                ],
-                "loc": tuple(rec["loc"]) if rec["loc"] else None,
-                "impl": bool(rec["impl"]),
-            }
-            for rec in payload
-        ]
+    def decode(self, payload: list) -> "list[DeviceRec]":
+        return [device_from_payload(item) for item in payload]
 
     def chunks(
         self,
         step: int,
-        band_rows: "Callable[[int], list[dict]]",
+        band_rows: "Callable[[int], list[DeviceRec]]",
         nets: UnionFind,
         net_roots: "list[int]",
         kinds: "tuple[str, str]",

@@ -4,6 +4,12 @@ This is the back-end's output *before* wirelist formatting: canonical
 integer net indices, device records with computed sizes, and (in window
 mode) the boundary records HEXT's compose step consumes.
 
+Before sizing, every record-based extractor (the python strip engine,
+both baselines, HEXT's windows, compose and resolve) accumulates a
+transistor as one :class:`DeviceRec`, which spill rows and the fragment
+cache store through one codec (:func:`device_payload`,
+:func:`device_from_payload`).
+
 Extractors hand the result over as parallel columns in canonical order
 (:class:`NetColumns`, :class:`DeviceColumns`).  The flat wirelist
 writer, the counts, and HEXT's fragment adapter read the columns
@@ -14,12 +20,17 @@ comparator).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 from ..geometry import Box
 from .sizing import SizedDevice
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..frontend.instantiate import PlacedLabel
 
 #: Pseudo-layer name used for transistor channels in boundary records and
 #: geometry tables.  Not a mask layer; chosen to be impossible as CIF.
@@ -53,6 +64,122 @@ class BoundaryRecord:
     @property
     def length(self) -> int:
         return self.hi - self.lo
+
+
+@dataclass(slots=True)
+class DeviceRec:
+    """A transistor channel before sizing, tracked "exactly like a net".
+
+    ``terms`` maps net id to contact perimeter and ``gates`` holds the
+    net ids of poly over the channel; ``loc`` is the ``(ymax, -xmin)``
+    ordering key of its topmost-leftmost span, ``impl`` the depletion
+    flag and ``geo`` the kept channel boxes.  Net ids are whatever the
+    holder numbers nets by: union-find ids in a sweep, local ids in a
+    HEXT fragment.
+    """
+
+    area: int = 0
+    terms: dict[int, int] = field(default_factory=dict)
+    gates: set[int] = field(default_factory=set)
+    impl: bool = False
+    loc: "tuple[int, int] | None" = None
+    geo: list[Box] = field(default_factory=list)
+
+    def add_terminal(self, net: int, length: int) -> None:
+        """Add ``length`` of contact perimeter with ``net``."""
+        terms = self.terms
+        terms[net] = terms.get(net, 0) + length
+
+    def touch(self, loc: "tuple[int, int]") -> None:
+        """Keep the topmost-leftmost (largest) ordering key."""
+        if self.loc is None or loc > self.loc:
+            self.loc = loc
+
+    def absorb(self, other: "DeviceRec") -> None:
+        """Merge ``other`` into this record (the fold of two channels)."""
+        self.area += other.area
+        self.gates |= other.gates
+        terms = self.terms
+        for net, length in other.terms.items():
+            terms[net] = terms.get(net, 0) + length
+        if other.loc is not None:
+            self.touch(other.loc)
+        self.impl = self.impl or other.impl
+        if other.geo:
+            self.geo.extend(other.geo)
+
+    def shifted(self, dx: int, dy: int, net_offset: int) -> "DeviceRec":
+        """A copy moved by ``(dx, dy)``, its net ids raised by
+        ``net_offset``; never this record, which may be shared."""
+        loc = self.loc
+        if net_offset:
+            terms = {net + net_offset: p for net, p in self.terms.items()}
+            gates = {net + net_offset for net in self.gates}
+        else:
+            terms, gates = dict(self.terms), set(self.gates)
+        return DeviceRec(
+            self.area, terms, gates, self.impl,
+            None if loc is None else (loc[0] + dy, loc[1] - dx),
+            [b.translated(dx, dy) for b in self.geo] if self.geo else [],
+        )
+
+    def merged_with(self, other: "DeviceRec") -> "DeviceRec":
+        """A new record holding both; neither input changes."""
+        merged = self.shifted(0, 0, 0)
+        merged.absorb(other)
+        return merged
+
+
+def checked_int(value) -> int:
+    """``value`` when it is a plain int (bools are not); else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected int, got {value!r}")
+    return value
+
+
+def checked_id(value, limit: int) -> int:
+    """An int id in ``range(limit)``; else ValueError."""
+    ident = checked_int(value)
+    if not 0 <= ident < limit:
+        raise ValueError(f"id {ident} out of range (limit {limit})")
+    return ident
+
+
+def device_payload(rec: DeviceRec) -> dict:
+    """A record as JSON-able lists and ints; ``geo`` only when kept."""
+    payload = {
+        "area": rec.area,
+        "terms": sorted([net, per] for net, per in rec.terms.items()),
+        "gates": sorted(rec.gates),
+        "impl": bool(rec.impl),
+        "loc": None if rec.loc is None else list(rec.loc),
+    }
+    if rec.geo:
+        payload["geo"] = [[b.xmin, b.ymin, b.xmax, b.ymax] for b in rec.geo]
+    return payload
+
+
+def device_from_payload(item: dict, net_count: "int | None" = None) -> DeviceRec:
+    """The record :func:`device_payload` wrote.
+
+    With ``net_count``, every net id must lie in ``range(net_count)``.
+    Malformed input raises ValueError, TypeError or KeyError.
+    """
+
+    def net(value) -> int:
+        if net_count is None:
+            return checked_int(value)
+        return checked_id(value, net_count)
+
+    loc = item["loc"]
+    return DeviceRec(
+        checked_int(item["area"]),
+        {net(ident): checked_int(per) for ident, per in item["terms"]},
+        {net(ident) for ident in item["gates"]},
+        bool(item["impl"]),
+        None if loc is None else (checked_int(loc[0]), checked_int(loc[1])),
+        [Box(*map(checked_int, box)) for box in item.get("geo", ())],
+    )
 
 
 @dataclass(slots=True)
@@ -207,6 +334,15 @@ class DeviceColumns:
         )
 
 
+def unattached_warnings(labels: "Iterable[PlacedLabel]") -> list[str]:
+    """One warning per label that names no conducting geometry."""
+    return [
+        f"label {label.name!r} at ({label.x}, {label.y}) "
+        f"matches no conducting geometry"
+        for label in labels
+    ]
+
+
 def malformed_warnings(devices: DeviceColumns) -> list[str]:
     """One warning per device that is not a clean 3-terminal transistor.
 
@@ -236,14 +372,11 @@ class Circuit:
 
     Extractors build circuits from columns (``net_columns`` /
     ``device_columns``); ``nets`` and ``devices`` are object views built
-    on first access.  A circuit built from object lists derives its
-    columns the same lazy way.
+    on first access.
     """
 
     def __init__(
         self,
-        nets: "list[Net] | None" = None,
-        devices: "list[Device] | None" = None,
         boundary: "list[BoundaryRecord] | None" = None,
         warnings: "list[str] | None" = None,
         *,
@@ -252,45 +385,10 @@ class Circuit:
     ) -> None:
         self.boundary = [] if boundary is None else boundary
         self.warnings = [] if warnings is None else warnings
-        # Whatever is given pre-fills its cached property; the other
-        # representation is derived from it on first access.
-        given = {
-            "nets": nets,
-            "devices": devices,
-            "net_columns": net_columns,
-            "device_columns": device_columns,
-        }
-        self.__dict__.update((k, v) for k, v in given.items() if v is not None)
-
-    @cached_property
-    def net_columns(self) -> NetColumns:
-        cols = NetColumns()
-        for row, net in enumerate(self.__dict__.get("nets", ())):
-            x, y = net.location or (None, None)
-            cols.x.append(x)
-            cols.y.append(y)
-            if net.names:
-                cols.names[row] = list(net.names)
-            if net.geometry:
-                cols.geometry[row] = net.geometry
-        return cols
-
-    @cached_property
-    def device_columns(self) -> DeviceColumns:
-        devices = self.__dict__.get("devices", ())
-        kinds = {d.depletion: d.kind for d in devices}
-        cols = DeviceColumns((kinds.get(False, "nEnh"), kinds.get(True, "nDep")))
-        for row, d in enumerate(devices):
-            sized = SizedDevice(d.source, d.drain, d.width, d.length)
-            cols.append(
-                d.depletion, d.gate, sized, d.location, d.area, d.terminals,
-                d.gates,
-            )
-            if d.touches_boundary:
-                cols.boundary.add(row)
-            if d.geometry:
-                cols.geometry[row] = d.geometry
-        return cols
+        self.net_columns = NetColumns() if net_columns is None else net_columns
+        self.device_columns = (
+            DeviceColumns() if device_columns is None else device_columns
+        )
 
     @cached_property
     def nets(self) -> list[Net]:

@@ -77,6 +77,7 @@ from .netlist import (
     Circuit,
     Face,
     malformed_warnings,
+    unattached_warnings,
 )
 from .stats import LapClock, ScanStats
 from .stripengine import ENGINE_CHOICES, CondSource, create_strip_engine
@@ -839,11 +840,7 @@ class ScanlineEngine:
 
         warnings = list(self._warnings)
         warnings.extend(malformed_warnings(dev_cols))
-        for label in self._unattached:
-            warnings.append(
-                f"label {label.name!r} at ({label.x}, {label.y}) "
-                f"matches no conducting geometry"
-            )
+        warnings.extend(unattached_warnings(self._unattached))
         return Circuit(
             boundary=_coalesce_boundary(boundary),
             warnings=warnings,

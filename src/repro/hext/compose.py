@@ -78,13 +78,10 @@ def compose(a: Placed, b: Placed, tech: Technology) -> Fragment:
     pb = len(b.fragment.partials)
     devs = UnionFind()
     devs.extend(pa + pb)
-    # Cross-boundary terminal contacts, keyed by *raw* partial id; they
-    # are folded through the union-find only after all unions are known.
-    extra_terms: dict[int, dict[int, int]] = defaultdict(dict)
-
-    def add_term(pid: int, net: int, length: int) -> None:
-        bucket = extra_terms[pid]
-        bucket[net] = bucket.get(net, 0) + length
+    # Cross-boundary terminal contacts, as terminal-only records keyed by
+    # *raw* partial id; they are folded through the union-find only after
+    # all unions are known.
+    extra_terms: dict[int, DeviceRec] = defaultdict(DeviceRec)
 
     def on_same_layer(ra: IfaceRec, rb: IfaceRec, overlap: int) -> None:
         if ra.layer == CHANNEL:
@@ -93,10 +90,10 @@ def compose(a: Placed, b: Placed, tech: Technology) -> Fragment:
             equivalences.append((ra.ident, rb.ident))
 
     def a_channel_b_diff(ra: IfaceRec, rb: IfaceRec, overlap: int) -> None:
-        add_term(ra.ident, rb.ident, overlap)
+        extra_terms[ra.ident].add_terminal(rb.ident, overlap)
 
     def a_diff_b_channel(ra: IfaceRec, rb: IfaceRec, overlap: int) -> None:
-        add_term(pa + rb.ident, ra.ident, overlap)
+        extra_terms[pa + rb.ident].add_terminal(ra.ident, overlap)
 
     # Steps 1+2: match touching spans.  Each of b's lines meets at most
     # a's facing line on the same layer (plus diffusion against channel);
@@ -159,7 +156,7 @@ def _settle_partials(
     b: Placed,
     na: int,
     devs: UnionFind,
-    extra_terms: dict[int, dict[int, int]],
+    extra_terms: dict[int, DeviceRec],
     lines_a: dict,
     lines_b: dict,
 ) -> tuple[list[DeviceRec], list[DeviceRec]]:
@@ -185,16 +182,13 @@ def _settle_partials(
         else:
             merged[root] = rec
     copied: set[int] = set()
-    for pid, terms in extra_terms.items():
+    for pid, extra in extra_terms.items():
         root = devs.find(pid)
         rec = merged[root]
         if root not in copied:
             copied.add(root)
-            rec = merged[root] = DeviceRec(
-                rec.area, dict(rec.terms), rec.gates, rec.impl, rec.loc
-            )
-        for net, length in terms.items():
-            rec.terms[net] = rec.terms.get(net, 0) + length
+            rec = merged[root] = rec.shifted(0, 0, 0)
+        rec.absorb(extra)
 
     sides = ((lines_a, 0), (lines_b, pa))
     boundary_roots = {

@@ -30,7 +30,6 @@ from ..cif import Layout, parse
 from ..cif.layout import Label
 from ..core.assemble import assemble_circuit
 from ..core.extractor import extract_report
-from ..core.netlist import CHANNEL as CORE_CHANNEL
 from ..core.netlist import Circuit
 from ..core.stripengine import load_strip_engine
 from ..core.unionfind import UnionFind
@@ -438,7 +437,7 @@ def _circuit_to_fragment(circuit: Circuit, window: Box) -> Fragment:
 
     interface = []
     for rec in circuit.boundary:
-        if rec.layer == CORE_CHANNEL:
+        if rec.layer == CHANNEL:
             mapped = partial_id.get(rec.ident)
             if mapped is None:
                 continue  # coalesced away; device completed internally
@@ -470,24 +469,18 @@ def _circuit_to_fragment(circuit: Circuit, window: Box) -> Fragment:
 def resolve(
     fragment: Fragment, origin: tuple[int, int], tech: Technology
 ) -> Circuit:
-    """Expand a fragment tree into a flat Circuit (linear in devices)."""
+    """Expand a fragment tree into a flat Circuit (linear in devices).
+
+    The warnings are the flat finalize's malformed-transistor warnings;
+    fragments keep no window labels, so none is about a label.
+    """
     nets = UnionFind()
     for _ in range(fragment.net_count):
         nets.make()
     net_loc: dict[int, tuple[int, int]] = {}
     net_names: dict[int, list[str]] = {}
     devs = UnionFind()
-    dev_rec: dict[int, dict] = {}
-
-    def add_device(rec: DeviceRec, base: int, ox: int, oy: int) -> None:
-        ident = devs.make()
-        dev_rec[ident] = {
-            "area": rec.area,
-            "gates": {base + g for g in rec.gates},
-            "terms": {base + n: p for n, p in rec.terms.items()},
-            "loc": (rec.loc[0] + oy, rec.loc[1] - ox) if rec.loc else None,
-            "impl": rec.impl,
-        }
+    dev_rec: dict[int, DeviceRec] = {}
 
     stack: list[tuple[Fragment, int, int, int]] = [
         (fragment, 0, origin[0], origin[1])
@@ -504,15 +497,15 @@ def resolve(
             if current is None or key > current:
                 net_loc[base + ident] = key
         for rec in frag.devices:
-            add_device(rec, base, ox, oy)
+            dev_rec[devs.make()] = rec.shifted(ox, oy, base)
         for child in frag.children:
             stack.append(
                 (child.fragment, base + child.net_offset, ox + child.dx, oy + child.dy)
             )
     # Channels still on the chip boundary are legitimate devices.
     for rec in fragment.partials:
-        add_device(rec, 0, origin[0], origin[1])
+        dev_rec[devs.make()] = rec.shifted(origin[0], origin[1], 0)
 
     return assemble_circuit(
-        tech, nets, devs, net_loc, net_names, dev_rec, warnings=[]
+        tech, nets, devs, net_loc, net_names, dev_rec, ()
     )

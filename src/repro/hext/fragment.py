@@ -24,11 +24,11 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 
+from ..core.netlist import CHANNEL, DeviceRec
 from ..geometry import Box
 
-#: Interface record layers: conducting mask layers plus the channel
-#: pseudo-layer (partial transistors).
-CHANNEL = "__channel__"
+# Interface records lie on conducting mask layers or on CHANNEL, where
+# they name partial transistors (DeviceRecs, indexed by partial id).
 
 # Faces, matching repro.core.netlist.Face values.
 LEFT, RIGHT, TOP, BOTTOM = "L", "R", "T", "B"
@@ -135,53 +135,6 @@ class LineIndex:
                 for r in line
             )
         return LineIndex(lines, self.end + rank_offset)
-
-
-@dataclass
-class DeviceRec:
-    """A transistor record, sizing-ready (mirrors the scanline's state).
-
-    ``terms`` maps local net id to contact perimeter; ``gates`` holds
-    local net ids of poly over the channel.
-    """
-
-    area: int
-    terms: dict[int, int]
-    gates: set[int]
-    impl: bool
-    loc: tuple[int, int] | None  # (ymax, -xmin) ordering key, like core
-
-    def shifted(self, dx: int, dy: int, net_offset: int) -> "DeviceRec":
-        if dx == 0 and dy == 0 and net_offset == 0:
-            return DeviceRec(
-                area=self.area,
-                terms=dict(self.terms),
-                gates=set(self.gates),
-                impl=self.impl,
-                loc=self.loc,
-            )
-        return DeviceRec(
-            area=self.area,
-            terms={net + net_offset: p for net, p in self.terms.items()},
-            gates={net + net_offset for net in self.gates},
-            impl=self.impl,
-            loc=(self.loc[0] + dy, self.loc[1] - dx) if self.loc else None,
-        )
-
-    def merged_with(self, other: "DeviceRec") -> "DeviceRec":
-        terms = dict(self.terms)
-        for net, perimeter in other.terms.items():
-            terms[net] = terms.get(net, 0) + perimeter
-        loc = self.loc
-        if other.loc is not None and (loc is None or other.loc > loc):
-            loc = other.loc
-        return DeviceRec(
-            area=self.area + other.area,
-            terms=terms,
-            gates=self.gates | other.gates,
-            impl=self.impl or other.impl,
-            loc=loc,
-        )
 
 
 @dataclass(frozen=True, slots=True)

@@ -23,8 +23,15 @@ from __future__ import annotations
 import hashlib
 import json
 
+from ..core.netlist import (
+    CHANNEL,
+    checked_id,
+    checked_int,
+    device_from_payload,
+    device_payload,
+)
 from ..geometry import FRACTURE_RESOLUTION, Box
-from ..hext.fragment import CHANNEL, DeviceRec, Fragment, IfaceRec, LineIndex
+from ..hext.fragment import Fragment, IfaceRec, LineIndex
 from ..hext.windows import Content, relative_artwork
 from ..tech import Technology, deck_to_dict
 
@@ -133,8 +140,8 @@ def fragment_payload(fragment: Fragment) -> dict:
             [ident, loc[0], loc[1]]
             for ident, loc in fragment.net_locs.items()
         ),
-        "devices": [_device_payload(rec) for rec in fragment.devices],
-        "partials": [_device_payload(rec) for rec in fragment.partials],
+        "devices": [device_payload(rec) for rec in fragment.devices],
+        "partials": [device_payload(rec) for rec in fragment.partials],
         "interface": [
             [rec.face, rec.layer, rec.fixed, rec.lo, rec.hi, rec.ident]
             for rec in fragment.interface
@@ -149,31 +156,30 @@ def fragment_from_payload(payload: dict) -> Fragment:
             raise SerializationError(
                 f"format {payload['format']!r} != {FORMAT_VERSION}"
             )
-        net_count = _as_int(payload["net_count"])
+        net_count = checked_int(payload["net_count"])
         region = tuple(
-            Box(_as_int(x1), _as_int(y1), _as_int(x2), _as_int(y2))
-            for x1, y1, x2, y2 in payload["region"]
+            Box(*map(checked_int, box)) for box in payload["region"]
         )
         if not region:
             raise SerializationError("fragment has no region")
         equivalences = tuple(
-            (_net_id(a, net_count), _net_id(b, net_count))
+            (checked_id(a, net_count), checked_id(b, net_count))
             for a, b in payload["equivalences"]
         )
         net_names = {
-            _net_id(ident, net_count): [str(n) for n in names]
+            checked_id(ident, net_count): [str(n) for n in names]
             for ident, names in payload["net_names"]
         }
         net_locs = {
-            _net_id(ident, net_count): (_as_int(a), _as_int(b))
+            checked_id(ident, net_count): (checked_int(a), checked_int(b))
             for ident, a, b in payload["net_locs"]
         }
         devices = tuple(
-            _device_from_payload(item, net_count)
+            device_from_payload(item, net_count)
             for item in payload["devices"]
         )
         partials = tuple(
-            _device_from_payload(item, net_count)
+            device_from_payload(item, net_count)
             for item in payload["partials"]
         )
         index = LineIndex.of(
@@ -196,30 +202,6 @@ def fragment_from_payload(payload: dict) -> Fragment:
     )
 
 
-def _device_payload(rec: DeviceRec) -> dict:
-    return {
-        "area": rec.area,
-        "terms": sorted([net, per] for net, per in rec.terms.items()),
-        "gates": sorted(rec.gates),
-        "impl": rec.impl,
-        "loc": list(rec.loc) if rec.loc is not None else None,
-    }
-
-
-def _device_from_payload(item: dict, net_count: int) -> DeviceRec:
-    loc = item["loc"]
-    return DeviceRec(
-        area=_as_int(item["area"]),
-        terms={
-            _net_id(net, net_count): _as_int(per)
-            for net, per in item["terms"]
-        },
-        gates={_net_id(net, net_count) for net in item["gates"]},
-        impl=bool(item["impl"]),
-        loc=(_as_int(loc[0]), _as_int(loc[1])) if loc is not None else None,
-    )
-
-
 def _iface_from_payload(
     item: list, rank: int, net_count: int, partials: int
 ) -> IfaceRec:
@@ -227,26 +209,7 @@ def _iface_from_payload(
     if face not in _FACES:
         raise SerializationError(f"bad interface face {face!r}")
     limit = partials if layer == CHANNEL else net_count
-    if not 0 <= _as_int(ident) < limit:
-        raise SerializationError(
-            f"interface ident {ident} out of range for {layer!r}"
-        )
     return IfaceRec(
-        str(face), str(layer), _as_int(fixed), _as_int(lo), _as_int(hi),
-        _as_int(ident), rank,
+        str(face), str(layer), checked_int(fixed), checked_int(lo),
+        checked_int(hi), checked_id(ident, limit), rank,
     )
-
-
-def _as_int(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SerializationError(f"expected int, got {value!r}")
-    return value
-
-
-def _net_id(value, net_count: int) -> int:
-    ident = _as_int(value)
-    if not 0 <= ident < net_count:
-        raise SerializationError(
-            f"net id {ident} out of range (net_count={net_count})"
-        )
-    return ident

@@ -31,8 +31,10 @@ from ..parallel.cache import JsonEnvelopeStore
 from ..parallel.serialize import SerializationError, canonical_json
 from .jobs import JobOptions
 
-#: Bump to orphan every previously stored result envelope.
-RESULT_FORMAT_VERSION = 1
+#: Bump to orphan every previously stored result envelope.  Version 2:
+#: a hierarchical result's ``warnings`` carry the malformed-transistor
+#: warnings the flat finalize reports.
+RESULT_FORMAT_VERSION = 2
 
 
 def payload_digest(cif_text: str) -> str:

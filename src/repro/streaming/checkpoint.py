@@ -38,8 +38,11 @@ from ..cif import Layout, write as write_cif
 from ..parallel.serialize import canonical_json, envelope_text
 
 #: Bump to invalidate every older checkpoint on load.  Format 4: the
-#: options name the technology deck.
-CHECKPOINT_FORMAT = 4
+#: options name the technology deck.  Format 5: the python engine's
+#: spill rows are :func:`~repro.core.netlist.device_payload` records
+#: (``SpillStore.format_version`` 3), so a format-4 sweep's band files
+#: cannot be read back.
+CHECKPOINT_FORMAT = 5
 
 
 class CheckpointError(RuntimeError):

@@ -47,6 +47,7 @@ from time import perf_counter
 from typing import IO, Callable
 
 from ..cif import Layout, parse
+from ..core.netlist import unattached_warnings
 from ..core.scanline import ScanlineEngine
 from ..core.stats import ScanStats
 from ..core.stripengine import RetiredDevices
@@ -242,11 +243,7 @@ def stream_extract(
     # malformed-device warnings in device order, then unattached labels.
     warnings = list(scan._warnings)
     warnings.extend(emitted.warnings)
-    for label in [*scan._unattached, *scan._labels]:
-        warnings.append(
-            f"label {label.name!r} at ({label.x}, {label.y}) "
-            f"matches no conducting geometry"
-        )
+    warnings.extend(unattached_warnings([*scan._unattached, *scan._labels]))
 
     return StreamReport(
         stats=scan.stats,

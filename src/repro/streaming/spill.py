@@ -72,7 +72,9 @@ class SpillStore(JsonEnvelopeStore):
     root.
     """
 
-    format_version = 2
+    #: Version 3: the python engine's device rows are
+    #: :func:`~repro.core.netlist.device_payload` records.
+    format_version = 3
     payload_field = "band"
 
     #: decoded band payloads kept during emission.  Emission reads the

@@ -20,7 +20,7 @@ from __future__ import annotations
 from io import StringIO
 from typing import Callable, Iterable
 
-from ..core.netlist import Circuit, DeviceColumns, NetColumns
+from ..core.netlist import CHANNEL, Circuit, DeviceColumns, NetColumns
 from ..geometry import Box
 from ..tech import Technology
 from .model import DefPart, Wirelist, primitives_for
@@ -252,7 +252,7 @@ def _device_rows(cols: DeviceColumns, include_geometry: bool) -> str:
             _net_name(cols.drain[i]),
             cols.length[i],
             cols.width[i],
-            geometry_to_cif([("__channel__", b) for b in geometry], True)
+            geometry_to_cif([(CHANNEL, b) for b in geometry], True)
             if geometry
             else None,
         )

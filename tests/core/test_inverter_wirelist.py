@@ -3,7 +3,6 @@
 import pytest
 
 from repro import extract
-from repro.core import Circuit
 from repro.wirelist import parse_wirelist, to_wirelist, write_wirelist
 
 
@@ -83,17 +82,6 @@ class TestWirelistText:
             to_wirelist(circuit, name="inv", include_geometry=False)
         )
         assert "CIF" not in text
-
-    def test_object_built_circuit_writes_the_same_text(self, circuit):
-        # A circuit handed over as Net/Device lists derives its columns
-        # from them; the writer must not be able to tell the difference.
-        rebuilt = Circuit(list(circuit.nets), list(circuit.devices))
-        for geometry in (True, False):
-            assert write_wirelist(
-                to_wirelist(rebuilt, name="inv", include_geometry=geometry)
-            ) == write_wirelist(
-                to_wirelist(circuit, name="inv", include_geometry=geometry)
-            )
 
     def test_flat_model_is_parsed_from_the_text(self, circuit):
         wirelist = to_wirelist(circuit, name="inv")

@@ -23,6 +23,7 @@ from repro.streaming import (
     save_checkpoint,
     stream_extract,
 )
+from repro.streaming.checkpoint import CHECKPOINT_FORMAT
 from repro.tech import CMOS
 from repro.workloads import inverter_rows
 from repro.workloads.mesh import poly_diff_mesh
@@ -279,8 +280,9 @@ def test_resume_refuses_format_3_checkpoint(tmp_path):
     ck = tmp_path / "sweep.ck"
     stream_extract(nand2(), TECH, band_height=1000, checkpoint=str(ck))
     text = ck.read_text()
-    assert text.startswith('{"format": 4,')
-    ck.write_text(text.replace('"format": 4', '"format": 3', 1))
+    current = f'"format": {CHECKPOINT_FORMAT}'
+    assert text.startswith("{" + current + ",")
+    ck.write_text(text.replace(current, '"format": 3', 1))
     with pytest.raises(CheckpointError, match="format 3"):
         stream_extract(
             nand2(),

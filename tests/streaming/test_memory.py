@@ -8,15 +8,22 @@ keep the measurement honest:
   anything is measured;
 * streamed runs write to a real file sink, so the wirelist *text*
   (inherently O(chip)) does not masquerade as sweep state;
-* runs keep geometry, making net artwork the dominant per-net payload —
-  exactly the state the spill store exists to evict.  What remains
-  resident by contract is O(band) sweep state plus the O(nets)
-  order-key maps and union-finds (a few ints per retired net), which is
-  why the scaling assertion allows slow growth rather than none.
+* most runs keep geometry, making net artwork the dominant per-net
+  payload — exactly the state the spill store exists to evict.  A
+  keep-geometry sweep runs on the python engine whatever the request,
+  so those runs measure python only.  What remains resident by
+  contract is O(band) sweep state plus the O(nets) order-key maps and
+  union-finds (a few ints per retired net), which is why the scaling
+  assertion allows slow growth rather than none;
+* without artwork each engine is measured on its own, against a looser
+  bound: the O(nets) order keys are then most of what a streamed sweep
+  holds.
 
 Margins are deliberately loose (the measured in-memory/streamed ratio
-at this size is ~5x, the assertion demands 3x) so the test pins the
-asymptotic claim without flaking on allocator noise.
+with artwork at this size is ~5x, the assertion demands 3x; without
+artwork 0.69-0.73 of the in-memory peak was measured, the assertion
+demands under 0.85) so the tests pin the claims without flaking on
+allocator noise.
 """
 
 from __future__ import annotations
@@ -31,7 +38,6 @@ from pathlib import Path
 import pytest
 
 from repro.core import extract
-from repro.core.stripengine import resolve_engine
 from repro.streaming import stream_extract
 from repro.wirelist import to_wirelist, write_wirelist
 from repro.workloads import inverter_rows
@@ -72,16 +78,25 @@ def alloc_peak(fn) -> int:
     return peak
 
 
-def in_memory_peak(layout, engine: str = "auto") -> int:
+def in_memory_peak(
+    layout, engine: str = "auto", keep_geometry: bool = True
+) -> int:
     def run():
-        circuit = extract(layout, TECH, keep_geometry=True, engine=engine)
-        write_wirelist(to_wirelist(circuit, name="case"))
+        circuit = extract(
+            layout, TECH, keep_geometry=keep_geometry, engine=engine
+        )
+        write_wirelist(
+            to_wirelist(circuit, name="case", include_geometry=keep_geometry)
+        )
 
     return alloc_peak(run)
 
 
 def streamed_peak(
-    layout, band_height: int = BAND_HEIGHT, engine: str = "auto"
+    layout,
+    band_height: int = BAND_HEIGHT,
+    engine: str = "auto",
+    keep_geometry: bool = True,
 ) -> int:
     def run():
         with open(os.devnull, "w") as out:
@@ -90,7 +105,7 @@ def streamed_peak(
                 TECH,
                 name="case",
                 band_height=band_height,
-                keep_geometry=True,
+                keep_geometry=keep_geometry,
                 out=out,
                 engine=engine,
             )
@@ -103,26 +118,50 @@ def warmup():
     """Pay import-time and first-call allocations before measuring."""
     streamed_peak(inverter_rows(2, 2), 5000)
     in_memory_peak(inverter_rows(2, 2))
+    for engine in ENGINES:
+        streamed_peak(inverter_rows(2, 2), 5000, engine, False)
+        in_memory_peak(inverter_rows(2, 2), engine, False)
 
 
-def test_streamed_peak_is_fraction_of_in_memory():
-    """The module's fine bands, and 16 bands on every engine.
+def _band_heights(layout) -> list[int]:
+    """The module's fine bands, and 16 bands.
 
     At 16 bands one band holds a sixteenth of the chip, so emission's
     decoded-band cache, not the sweep, sets the streamed peak.
     """
+    return [BAND_HEIGHT, max(1, chip_height(layout) // 16)]
+
+
+def test_streamed_peak_is_fraction_of_in_memory():
+    """With artwork, at both band heights; kept artwork runs on the
+    python engine, so this measures python."""
     layout = inverter_rows(48, 6)
-    full = {eng: in_memory_peak(layout, eng) for eng in ENGINES}
-    sixteen = max(1, chip_height(layout) // 16)
-    inputs = [(resolve_engine("auto"), BAND_HEIGHT)]
-    inputs += [(eng, sixteen) for eng in ENGINES]
-    for engine, band_height in inputs:
-        banded = streamed_peak(layout, band_height, engine)
-        assert banded < full[engine] / 3, (
-            f"{engine} at band height {band_height}: streamed peak "
+    full = in_memory_peak(layout, "python")
+    for band_height in _band_heights(layout):
+        banded = streamed_peak(layout, band_height, "python")
+        assert banded < full / 3, (
+            f"python at band height {band_height}: streamed peak "
             f"{banded / 1e6:.2f}MB is not well under the in-memory peak "
-            f"{full[engine] / 1e6:.2f}MB -- retirement is not evicting "
-            "state"
+            f"{full / 1e6:.2f}MB -- retirement is not evicting state"
+        )
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_streamed_peak_without_artwork(engine):
+    """Without artwork, on each engine, at both band heights.
+
+    What a streamed sweep keeps is then mostly the O(nets) order keys
+    (the ROADMAP's streaming item), so the bound is loose: under 0.85
+    of the same engine's in-memory peak.
+    """
+    layout = inverter_rows(48, 6)
+    full = in_memory_peak(layout, engine, keep_geometry=False)
+    for band_height in _band_heights(layout):
+        banded = streamed_peak(layout, band_height, engine, False)
+        assert banded < full * 0.85, (
+            f"{engine} at band height {band_height}, no artwork: streamed "
+            f"peak {banded / 1e6:.2f}MB is not under 0.85 of the "
+            f"in-memory peak {full / 1e6:.2f}MB"
         )
 
 

@@ -617,6 +617,40 @@ class TestStreaming:
         assert err.startswith("error: checkpoint") and "options" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("engine", ["python", "auto"])
+    def test_resume_of_an_older_format_is_an_error(
+        self, engine, inverter_cif, tmp_path, capsys
+    ):
+        """A checkpoint of the previous format names band files this
+        version cannot read back, so the resume is refused up front
+        rather than failing in emission."""
+        from repro.streaming import stream_extract
+        from repro.streaming.checkpoint import CHECKPOINT_FORMAT
+
+        class Stop(Exception):
+            pass
+
+        def stop(done, total, stats):
+            if done == 2:
+                raise Stop
+
+        ck = tmp_path / "sweep.ck"
+        with pytest.raises(Stop):
+            stream_extract(
+                inverter(), band_height=500, checkpoint=str(ck),
+                engine=engine, progress=stop,
+            )
+        current = f'"format": {CHECKPOINT_FORMAT}'
+        older = f'"format": {CHECKPOINT_FORMAT - 1}'
+        ck.write_text(ck.read_text().replace(current, older, 1))
+        argv = [inverter_cif, "--stream", "--band-height", "500",
+                "--engine", engine, "--checkpoint", str(ck), "--resume"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert one_error_line(captured.err, f"error: checkpoint {ck} ")
+        assert f"format {CHECKPOINT_FORMAT - 1}" in captured.err
+        assert captured.out == ""
+
     def test_stream_rejects_hierarchical(self, inverter_cif, capsys):
         assert main([inverter_cif, "--stream", "--hierarchical"]) == 2
         assert "flat-only" in capsys.readouterr().err

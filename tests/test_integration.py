@@ -9,7 +9,12 @@ import pytest
 
 from repro import extract
 from repro.baselines import extract_polyflat, extract_raster
-from repro.cif import parse, write
+from repro.cif import Layout, parse, write
+from repro.cif.layout import Label
+from repro.cli import main as cli_main
+from repro.core import extract_report
+from repro.core.stripengine import numpy_available
+from repro.geometry import Box
 from repro.hext import hext_extract
 from repro.hext.wirelist import to_hierarchical_wirelist
 from repro.wirelist import (
@@ -20,6 +25,10 @@ from repro.wirelist import (
     to_wirelist,
     write_wirelist,
 )
+from repro.service.cache import payload_digest
+from repro.service.engine import run_job
+from repro.service.jobs import JobOptions
+from repro.tech import NMOS
 from repro.workloads import (
     build_chip,
     inverter,
@@ -86,3 +95,42 @@ def test_geometry_option_does_not_change_netlist():
     plain = circuit_to_flat(extract(layout))
     with_geometry = circuit_to_flat(extract(layout, keep_geometry=True))
     assert compare_netlists(plain, with_geometry).equivalent
+
+
+def _one_terminal_channel() -> Layout:
+    """Diffusion with poly over its right end -- a channel with one
+    terminal -- plus a label on no geometry."""
+    lam = NMOS().lambda_
+    layout = Layout()
+    layout.top.add_box("ND", Box(0, 0, 4 * lam, 2 * lam))
+    layout.top.add_box("NP", Box(2 * lam, -2 * lam, 4 * lam, 4 * lam))
+    layout.top.add_label(Label("X", 10 * lam, 10 * lam, None))
+    return layout
+
+
+def test_every_extractor_reports_the_malformed_transistor(tmp_path, capsys):
+    """Every record-based extractor assembles the flat finalize's
+    warnings: the malformed device, then the unattached label.  HEXT's
+    fragments keep no window labels, so it reports the device alone --
+    in the circuit, on ace-extract's stderr and in a daemon job."""
+    layout = _one_terminal_channel()
+    malformed = "malformed transistor at (500, 500): 1 gate nets, 1 terminals"
+    label = "label 'X' at (2500, 2500) matches no conducting geometry"
+    flat = [malformed, label]
+    for engine in ["python"] + (["numpy"] if numpy_available() else []):
+        report = extract_report(layout, engine=engine)
+        assert report.options["engine"] == engine
+        assert report.circuit.warnings == flat
+    assert extract_raster(layout).warnings == flat
+    assert extract_polyflat(layout).warnings == flat
+    assert hext_extract(layout).circuit.warnings == [malformed]
+
+    cif = write(layout)
+    path = tmp_path / "one_terminal.cif"
+    path.write_text(cif)
+    out = tmp_path / "out.wl"
+    assert cli_main([str(path), "--hierarchical", "-o", str(out)]) == 0
+    assert capsys.readouterr().err == f"warning: {malformed}\n"
+    options = JobOptions(hext=True)
+    payload = run_job(cif, options, payload_digest(cif), {}).result
+    assert payload["warnings"] == [malformed]
