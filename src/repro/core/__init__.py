@@ -1,18 +1,16 @@
 """ACE's back-end: the edge-based scanline extraction engine."""
 
 from .extractor import ExtractionReport, extract, extract_report
-from .netlist import CHANNEL, BoundaryRecord, Circuit, Device, Face, Net
+from .netlist import CHANNEL, Circuit, Device, Net
 from .sizing import SizedDevice, size_device
 from .stats import ScanStats
 from .unionfind import UnionFind
 
 __all__ = [
     "CHANNEL",
-    "BoundaryRecord",
     "Circuit",
     "Device",
     "ExtractionReport",
-    "Face",
     "Net",
     "ScanStats",
     "SizedDevice",

@@ -10,7 +10,8 @@ module folds that state into canonical-order
 :class:`~repro.core.netlist.DeviceColumns`, so net numbering, device
 ordering, and sizing conventions are identical everywhere -- a
 precondition for the netlist-equivalence tests and for byte-identical
-wirelists.
+wirelists.  A window sweep folds with the same functions, and numbers
+its records' nets with the same :func:`renumbered`, but sizes nothing.
 """
 
 from __future__ import annotations
@@ -64,26 +65,31 @@ def net_columns(
     )
 
 
+def named_rows(
+    names: "dict[int, list[str]]", row_of: "dict[int, int]"
+) -> "dict[int, list[str]]":
+    """A root-keyed name fold keyed by row (``row_of``), each list
+    deduplicated, in row order: the order consumers iterate them in."""
+    named = [
+        (row_of[root], raw)
+        for root, raw in names.items()
+        if raw and root in row_of
+    ]
+    return {row: list(dict.fromkeys(raw)) for row, raw in sorted(named)}
+
+
 def attach_net_payload(
     nets: NetColumns,
-    index_of: "dict[int, int]",
+    row_of: "dict[int, int]",
     names: "dict[int, list[str]]",
     geometry: "dict[int, list]",
 ) -> None:
-    """Set the sparse name/artwork columns from root-keyed folds.
-
-    Names are keyed in row order, the order consumers iterate them in.
-    """
-    named = [
-        (index_of[root] - 1, raw)
-        for root, raw in names.items()
-        if raw and root in index_of
-    ]
-    for row, raw in sorted(named):
-        nets.names[row] = list(dict.fromkeys(raw))
+    """Set the sparse name/artwork columns from root-keyed folds;
+    ``row_of`` maps a root to its 0-based row."""
+    nets.names.update(named_rows(names, row_of))
     for root, geo in geometry.items():
-        if geo and root in index_of:
-            nets.geometry[index_of[root] - 1] = geo
+        if geo and root in row_of:
+            nets.geometry[row_of[root]] = geo
 
 
 def fold_records(
@@ -113,6 +119,23 @@ def device_order(locs: "dict[int, tuple[int, int] | None]") -> list[int]:
     )
 
 
+def renumbered(
+    rec: DeviceRec, find: Callable[[int], int], index_of: "dict[int, int]"
+) -> "tuple[dict[int, int], set[int]]":
+    """A record's terminals and gate nets under ``index_of``'s numbers.
+
+    Net ids resolve through ``find`` (the final union-find) to roots,
+    and ``index_of`` numbers the roots; ids of nets it does not number
+    drop out, and terminals on one net add up.
+    """
+    terms: dict[int, int] = {}
+    for net, length in rec.terms.items():
+        idx = index_of.get(find(net))
+        if idx is not None:
+            terms[idx] = terms.get(idx, 0) + length
+    return terms, {index_of[g] for g in map(find, rec.gates) if g in index_of}
+
+
 def device_columns(
     records: "Iterable[DeviceRec]",
     find: Callable[[int], int],
@@ -122,20 +145,13 @@ def device_columns(
 ) -> DeviceColumns:
     """Size folded device records (in canonical order) into columns.
 
-    Terminal and gate net ids resolve through ``find`` (the final
-    union-find) and ``index_of`` (root -> 1-based net index); ids of
-    nets that are not in the wirelist drop out.
+    Terminal and gate nets are :func:`renumbered` to ``index_of``'s
+    1-based net indices.
     """
     cols = DeviceColumns(kinds=kinds, start=start)
     for row, rec in enumerate(records):
-        terms: dict[int, int] = {}
-        for net, length in rec.terms.items():
-            idx = index_of.get(find(net))
-            if idx is not None:
-                terms[idx] = terms.get(idx, 0) + length
-        gates = sorted(
-            {index_of[g] for g in map(find, rec.gates) if g in index_of}
-        )
+        terms, gate_set = renumbered(rec, find, index_of)
+        gates = sorted(gate_set)
         loc = rec.loc
         cols.append(
             rec.impl, gates[0] if gates else None,
@@ -153,12 +169,12 @@ def fold_columns(
     net_find: Callable[[int], int],
     dev_find: Callable[[int], int],
     kinds: "tuple[str, str]",
-) -> "tuple[list[int], NetColumns, list[int], DeviceColumns]":
+) -> "tuple[list[int], NetColumns, DeviceColumns]":
     """Fold per-id working state into canonical-order columns.
 
     Returns what :meth:`~repro.core.stripengine.StripEngine.finalize`
-    returns: net roots with location columns and device roots with
-    sized device columns.  ``net_loc`` maps net id to ``(ymax, -xmin)``
+    returns: net roots with location columns, and sized device columns.
+    ``net_loc`` maps net id to ``(ymax, -xmin)``
     of its topmost-leftmost geometry; ``dev_rec`` maps device id to its
     :class:`~repro.core.netlist.DeviceRec`, whose net ids resolve
     through ``net_find``.
@@ -171,7 +187,7 @@ def fold_columns(
     devices = device_columns(
         [folded[r] for r in dev_roots], net_find, index_of, kinds
     )
-    return net_roots, net_columns(net_roots, locations), dev_roots, devices
+    return net_roots, net_columns(net_roots, locations), devices
 
 
 def assemble_circuit(
@@ -188,13 +204,13 @@ def assemble_circuit(
     The warnings are the flat finalize's: malformed devices in device
     order, then the ``unattached`` labels.
     """
-    roots, net_cols, _, dev_cols = fold_columns(
+    roots, net_cols, dev_cols = fold_columns(
         net_loc, dev_rec, nets.find, devs.find,
         tech.kinds,
     )
     attach_net_payload(
         net_cols,
-        {root: i + 1 for i, root in enumerate(roots)},
+        {root: row for row, root in enumerate(roots)},
         nets.fold(net_names),
         {},
     )

@@ -790,12 +790,12 @@ class NumpyStripEngine(StripEngine):
 
     def finalize(
         self, kinds: "tuple[str, str]"
-    ) -> "tuple[list[int], NetColumns, list[int], DeviceColumns]":
+    ) -> "tuple[list[int], NetColumns, DeviceColumns]":
         h = self.host
         nparent, order_roots, nets = self._net_columns()
         n_dev = len(h._devs)
         if n_dev == 0:
-            return order_roots.tolist(), nets, [], DeviceColumns(kinds)
+            return order_roots.tolist(), nets, DeviceColumns(kinds)
         dparent = _resolve_parents(
             np.array(h._devs.parent_snapshot(), dtype=np.int64)
         )
@@ -830,7 +830,7 @@ class NumpyStripEngine(StripEngine):
             kinds, dev_roots, n_dev, areas[dev_roots], impl[dev_roots],
             loc_y, loc_nx, terms, gates, order_roots.shape[0],
         )
-        return order_roots.tolist(), nets, dev_roots.tolist(), devices
+        return order_roots.tolist(), nets, devices
 
     def _net_columns(self) -> "tuple[np.ndarray, np.ndarray, NetColumns]":
         """Resolved net parents, net roots in canonical order, and their

@@ -319,7 +319,7 @@ class PythonStripEngine(StripEngine):
 
     def finalize(
         self, kinds: "tuple[str, str]"
-    ) -> "tuple[list[int], NetColumns, list[int], DeviceColumns]":
+    ) -> "tuple[list[int], NetColumns, DeviceColumns]":
         h = self.host
         return fold_columns(
             self._net_loc, self._dev, h._nets.find, h._devs.find, kinds

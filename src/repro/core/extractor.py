@@ -2,9 +2,9 @@
 
 :func:`extract` is the whole of ACE: CIF text or a parsed layout in, a
 :class:`~repro.core.netlist.Circuit` out.  :func:`extract_report` adds
-the run's phase seconds and counters; given a ``window`` it is the
-modified ACE that HEXT calls per primitive window (it additionally
-captures the window's boundary records).
+the run's phase seconds and counters.  The modified ACE that HEXT runs
+per primitive window is a :class:`~repro.core.scanline.ScanlineEngine`
+given the window, closed by its ``finish_window``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from time import perf_counter
 
 from ..cif import Layout, parse
 from ..frontend import GeometryStream
-from ..geometry import Box
 from ..tech import NMOS, Technology
 from .netlist import Circuit
 from .scanline import ScanlineEngine
@@ -72,7 +71,6 @@ def extract_report(
     tech: Technology | None = None,
     *,
     keep_geometry: bool = False,
-    window: Box | None = None,
     strip_consumers: tuple = (),
     engine: str = "auto",
 ) -> ExtractionReport:
@@ -90,7 +88,6 @@ def extract_report(
     scan = ScanlineEngine(
         tech,
         keep_geometry=keep_geometry,
-        window=window,
         strip_consumers=strip_consumers,
         engine=engine,
     )
@@ -107,7 +104,6 @@ def extract_report(
         frontend_stats=stream.stats,
         options={
             "keep_geometry": keep_geometry,
-            "window": window,
             "engine": scan.engine_name,
         },
     )

@@ -1,8 +1,9 @@
 """Extraction result model: nets, devices, and the circuit they form.
 
 This is the back-end's output *before* wirelist formatting: canonical
-integer net indices, device records with computed sizes, and (in window
-mode) the boundary records HEXT's compose step consumes.
+integer net indices and device records with computed sizes.  A window
+sweep (HEXT's modified ACE) ends in a :class:`WindowResult` instead: the
+records of a fragment, unsized, with the boundary spans compose reads.
 
 Before sizing, every record-based extractor (the python strip engine,
 both baselines, HEXT's windows, compose and resolve) accumulates a
@@ -12,17 +13,15 @@ cache store through one codec (:func:`device_payload`,
 
 Extractors hand the result over as parallel columns in canonical order
 (:class:`NetColumns`, :class:`DeviceColumns`).  The flat wirelist
-writer, the counts, and HEXT's fragment adapter read the columns
-directly; :class:`Net`/:class:`Device` objects are a view built on first
-access for consumers that want them (the simulator, analysis, the
-comparator).
+writer and the counts read the columns directly; :class:`Net`/
+:class:`Device` objects are a view built on first access for consumers
+that want them (the simulator, analysis, the comparator).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -36,34 +35,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: geometry tables.  Not a mask layer; chosen to be impossible as CIF.
 CHANNEL = "__channel__"
 
-
-class Face(str, Enum):
-    """Window boundary faces, named from inside the window."""
-
-    LEFT = "L"
-    RIGHT = "R"
-    TOP = "T"
-    BOTTOM = "B"
-
-
-@dataclass(frozen=True, slots=True)
-class BoundaryRecord:
-    """One conducting span (or channel span) touching a window face.
-
-    ``lo``/``hi`` are a y-range for LEFT/RIGHT faces and an x-range for
-    TOP/BOTTOM faces.  ``ident`` is a net index for conducting layers and
-    a device index for :data:`CHANNEL` records.
-    """
-
-    face: Face
-    layer: str
-    lo: int
-    hi: int
-    ident: int
-
-    @property
-    def length(self) -> int:
-        return self.hi - self.lo
+#: Window boundary faces, named from inside the window, as HEXT's
+#: fragments and their payloads spell them.
+LEFT, RIGHT, TOP, BOTTOM = FACES = ("L", "R", "T", "B")
 
 
 @dataclass(slots=True)
@@ -203,8 +177,8 @@ class Device:
 
     ``width`` is the mean of the source and drain contact-edge lengths and
     ``length`` is channel area / width, exactly as in section 3 of the
-    paper.  ``terminals`` maps net index to total contact perimeter, kept
-    so HEXT can re-derive sizes after merging partial devices.
+    paper.  ``terminals`` maps net index to total contact perimeter.  HEXT
+    never builds these: its fragments keep unsized ``DeviceRec``s.
     """
 
     index: int
@@ -219,7 +193,6 @@ class Device:
     terminals: dict[int, int] = field(default_factory=dict)
     gates: list[int] = field(default_factory=list)
     geometry: list[Box] = field(default_factory=list)
-    touches_boundary: bool = False
     depletion: bool = False
 
     @property
@@ -263,8 +236,7 @@ class DeviceColumns:
     location.  Terminals and gate nets are CSR-packed: row ``i``'s
     terminals are ``term_net[term_ptr[i]:term_ptr[i + 1]]`` with contact
     perimeters in ``term_len``, and its ascending gate nets slice
-    ``gate_net`` by ``gate_ptr``.  ``boundary`` holds the rows whose
-    channel touches a window boundary; ``geometry`` maps rows to kept
+    ``gate_net`` by ``gate_ptr``.  ``geometry`` maps rows to kept
     channel boxes.
     """
 
@@ -283,7 +255,6 @@ class DeviceColumns:
     term_len: list = field(default_factory=list)
     gate_ptr: list = field(default_factory=lambda: [0])
     gate_net: list = field(default_factory=list)
-    boundary: set = field(default_factory=set)
     geometry: dict[int, list[Box]] = field(default_factory=dict)
     start: int = 0
 
@@ -330,8 +301,40 @@ class DeviceColumns:
             self.location(row),
             dict(zip(self.term_net[lo:hi], self.term_len[lo:hi])),
             self.gate_net[self.gate_ptr[row]:self.gate_ptr[row + 1]],
-            self.geometry.get(row, []), row in self.boundary, dep,
+            self.geometry.get(row, []), dep,
         )
+
+
+@dataclass(slots=True)
+class WindowResult:
+    """What a window sweep hands HEXT: one fragment's records, unsized.
+
+    Nets are numbered from 0 in canonical order; ``net_names`` and
+    ``net_locs`` (``(ymax, -xmin)`` keys) are keyed by that number.
+    ``devices`` are the complete transistors and ``partials`` those
+    whose channel touches the window boundary, each in device order,
+    their nets so numbered.  ``interface`` holds the coalesced
+    ``(face, layer, fixed, lo, hi, ident)`` spans on the window
+    boundary, in the order compose ranks them: ``fixed`` is the
+    boundary line's coordinate and ``ident`` a net number, or on
+    :data:`CHANNEL` a partial's index.  ``skipped`` names the unknown
+    layers the sweep ignored and ``unattached`` holds the labels it
+    bound to no net, as the flat finalize reports them.
+    """
+
+    net_count: int
+    net_names: dict[int, list[str]]
+    net_locs: dict[int, tuple[int, int]]
+    devices: list[DeviceRec]
+    partials: list[DeviceRec]
+    interface: list[tuple[str, str, int, int, int, int]]
+    skipped: list[str]
+    unattached: "list[PlacedLabel]"
+
+
+def skipped_warnings(layers: Iterable[str]) -> list[str]:
+    """One warning per unknown layer whose geometry a sweep ignored."""
+    return [f"ignoring geometry on unknown layer {layer}" for layer in layers]
 
 
 def unattached_warnings(labels: "Iterable[PlacedLabel]") -> list[str]:
@@ -346,9 +349,8 @@ def unattached_warnings(labels: "Iterable[PlacedLabel]") -> list[str]:
 def malformed_warnings(devices: DeviceColumns) -> list[str]:
     """One warning per device that is not a clean 3-terminal transistor.
 
-    Partial devices on a window boundary are skipped.  A device without
-    a drain has fewer than two terminals, so C-level list scans settle
-    the common all-clean case.
+    A device without a drain has fewer than two terminals, so C-level
+    list scans settle the common all-clean case.
     """
     gp, tp = devices.gate_ptr, devices.term_ptr
     if 0 not in devices.drain and gp == list(range(len(devices) + 1)):
@@ -358,17 +360,15 @@ def malformed_warnings(devices: DeviceColumns) -> list[str]:
         f"{gp[row + 1] - gp[row]} gate nets, "
         f"{tp[row + 1] - tp[row]} terminals"
         for row, drain in enumerate(devices.drain)
-        if (gp[row + 1] - gp[row] != 1 or not drain)
-        and row not in devices.boundary
+        if gp[row + 1] - gp[row] != 1 or not drain
     ]
 
 
 class Circuit:
     """A complete extraction result.
 
-    ``boundary`` is empty for whole-chip extraction and carries the window
-    interface records in HEXT's window mode.  ``warnings`` collects
-    non-fatal extraction oddities (unattached labels, floating devices).
+    ``warnings`` collects non-fatal extraction oddities (unknown layers,
+    malformed devices, unattached labels).
 
     Extractors build circuits from columns (``net_columns`` /
     ``device_columns``); ``nets`` and ``devices`` are object views built
@@ -377,13 +377,11 @@ class Circuit:
 
     def __init__(
         self,
-        boundary: "list[BoundaryRecord] | None" = None,
         warnings: "list[str] | None" = None,
         *,
         net_columns: "NetColumns | None" = None,
         device_columns: "DeviceColumns | None" = None,
     ) -> None:
-        self.boundary = [] if boundary is None else boundary
         self.warnings = [] if warnings is None else warnings
         self.net_columns = NetColumns() if net_columns is None else net_columns
         self.device_columns = (

@@ -40,8 +40,9 @@ strip.  The host hands every strip to the engine as it reaches it, one
 :meth:`StripEngine.process_strip` call per strip, top to bottom.
 
 In *window mode* (HEXT's modified ACE) the engine also records every
-conducting span and channel span that touches the window boundary; those
-records become the window's interface.
+conducting span and channel span that touches the window boundary, and
+:meth:`ScanlineEngine.finish_window` hands them to HEXT with the window's
+folded records, unsized: those records become the window's fragment.
 
 The per-strip *value* computation (step 2.c and the finalize folds) is
 delegated to a pluggable :class:`~repro.core.stripengine.StripEngine`:
@@ -64,24 +65,42 @@ import heapq
 from bisect import bisect_left, bisect_right, insort
 from collections.abc import Sequence
 from itertools import islice
+from operator import itemgetter
+from typing import TYPE_CHECKING, cast
 
 from ..frontend.instantiate import PlacedLabel
 from ..frontend.stream import GeometryStream, Row
 from ..geometry import Box
 from ..tech import Technology
-from .assemble import attach_net_payload
+from .assemble import (
+    attach_net_payload,
+    device_order,
+    fold_locations,
+    fold_records,
+    named_rows,
+    net_order,
+    renumbered,
+)
 from .columnar import NO_NET, LayerTable
 from .netlist import (
+    BOTTOM,
     CHANNEL,
-    BoundaryRecord,
+    LEFT,
+    RIGHT,
+    TOP,
     Circuit,
-    Face,
+    DeviceRec,
+    WindowResult,
     malformed_warnings,
+    skipped_warnings,
     unattached_warnings,
 )
 from .stats import LapClock, ScanStats
 from .stripengine import ENGINE_CHOICES, CondSource, create_strip_engine
 from .unionfind import UnionFind
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .engine_python import PythonStripEngine
 
 #: The host lap clock's phases, in sweep order (``ScanlineEngine.clock``).
 PROFILE_PHASES = ("fetch", "expire", "insert", "schedule", "strip", "finalize")
@@ -197,9 +216,10 @@ class ScanlineEngine:
         self._labels: list[PlacedLabel] = []
         self._labels_taken = 0
         self._unattached: list[PlacedLabel] = []
-        self._boundary: list[tuple[Face, str, int, int, int]] = []
-        self._warnings: list[str] = []
-        self._unknown_layers: set[str] = set()
+        #: ``(face, layer, lo, hi, id)`` per strip span on a window face
+        self._boundary: list[tuple[str, str, int, int, int]] = []
+        #: unknown layers whose geometry was ignored, in sweep order
+        self._skipped: list[str] = []
 
         #: suspension point for banded sweeps: the next stop to process
         #: (None once the event sources are exhausted) and whether the
@@ -288,6 +308,13 @@ class ScanlineEngine:
             y = y_next
 
         self._y = y
+        if y is None:
+            # The labels still queued lie below all geometry, with any
+            # placed after the last strip (all of them, in a layout
+            # without geometry, which has no strip to take them).
+            self._take_labels(stream)
+            self._unattached.extend(self._labels)
+            self._labels = []
         return y is not None
 
     def finish(self) -> Circuit:
@@ -298,6 +325,69 @@ class ScanlineEngine:
         circuit = self._finalize()
         self.clock.lap("finalize")
         return circuit
+
+    def finish_window(self) -> WindowResult:
+        """Close a window sweep: its fragment's records, unsized.
+
+        The python engine's net locations and device records fold as in
+        the flat finalize.  Nets are numbered from 0 in canonical order
+        and the records :func:`~repro.core.assemble.renumbered` to
+        match.  The boundary spans map to those numbers (channel spans
+        to their device), and the pieces the strips cut a span into
+        coalesce.  Devices with a channel span are the partials,
+        numbered in device order, which channel spans then name.
+        """
+        self.clock.start()
+        window = self.window
+        assert window is not None
+        # python: a window sweep runs on no other engine
+        engine = cast("PythonStripEngine", self.strip_engine)
+        nets, devs = self._nets, self._devs
+        locations = fold_locations(engine._net_loc, nets.find)
+        net_roots = net_order(locations)
+        net_row = {root: row for row, root in enumerate(net_roots)}
+        folded = fold_records(engine._dev, devs.find)
+        dev_roots = device_order({r: rec.loc for r, rec in folded.items()})
+        dev_row = {root: row for row, root in enumerate(dev_roots)}
+
+        spans = []
+        for face, layer, lo, hi, ident in self._boundary:
+            if layer == CHANNEL:
+                ident = dev_row[devs.find(ident)]
+            else:
+                ident = net_row[nets.find(ident)]
+            spans.append((face, layer, lo, hi, ident))
+        spans = _coalesced(spans)
+        rows = sorted({span[4] for span in spans if span[1] == CHANNEL})
+        partial_of = {row: i for i, row in enumerate(rows)}
+        devices: list[DeviceRec] = []
+        partials: list[DeviceRec] = []
+        for row, root in enumerate(dev_roots):
+            rec = folded[root]
+            terms, gates = renumbered(rec, nets.find, net_row)
+            (partials if row in partial_of else devices).append(
+                DeviceRec(rec.area, terms, gates, rec.impl, rec.loc)
+            )
+        fixed = {
+            LEFT: window.xmin, RIGHT: window.xmax,
+            TOP: window.ymax, BOTTOM: window.ymin,
+        }
+        result = WindowResult(
+            net_count=len(net_roots),
+            net_names=named_rows(nets.fold(self._net_names), net_row),
+            net_locs={row: locations[r] for row, r in enumerate(net_roots)},
+            devices=devices,
+            partials=partials,
+            interface=[
+                (face, layer, fixed[face], lo, hi,
+                 partial_of[ident] if layer == CHANNEL else ident)
+                for face, layer, lo, hi, ident in spans
+            ],
+            skipped=list(self._skipped),
+            unattached=self._unattached,
+        )
+        self.clock.lap("finalize")
+        return result
 
     # ------------------------------------------------------------------
     # banded sweeps: liveness and retirement
@@ -633,10 +723,9 @@ class ScanlineEngine:
             stats.intervals_scanned += consumed
 
     def _skip_layer(self, layer: str) -> None:
-        """Warn once about geometry on a layer no table tracks."""
-        if layer not in self._ignored and layer not in self._unknown_layers:
-            self._unknown_layers.add(layer)
-            self._warnings.append(f"ignoring geometry on unknown layer {layer}")
+        """Note once that geometry on a layer no table tracks was seen."""
+        if layer not in self._ignored and layer not in self._skipped:
+            self._skipped.append(layer)
 
     # ------------------------------------------------------------------
     # strip consumers
@@ -673,10 +762,7 @@ class ScanlineEngine:
         diffusion spans ``(x1, x2, net)``; batch engines only pay for
         the list when a label actually lands in the strip.
         """
-        fresh = stream.labels()
-        if len(fresh) > self._labels_taken:
-            self._labels.extend(fresh[self._labels_taken :])
-            self._labels_taken = len(fresh)
+        self._take_labels(stream)
         if not self._labels:
             return
         remaining: list[PlacedLabel] = []
@@ -697,6 +783,13 @@ class ScanlineEngine:
                 else:
                     self._net_names.setdefault(net, []).append(label.name)
         self._labels = remaining
+
+    def _take_labels(self, stream: GeometryStream) -> None:
+        """Queue the labels the stream placed since the last call."""
+        fresh = stream.labels()
+        if len(fresh) > self._labels_taken:
+            self._labels.extend(fresh[self._labels_taken :])
+            self._labels_taken = len(fresh)
 
     def _net_at_point(
         self,
@@ -753,46 +846,46 @@ class ScanlineEngine:
             i = bisect_left(keys, wx1)
             if i < len(keys) and keys[i] == wx1:
                 records.append(
-                    (Face.LEFT, layer, y_lo, y_hi, t.net[order[i]])
+                    (LEFT, layer, y_lo, y_hi, t.net[order[i]])
                 )
             j = bisect_right(keys, wx2) - 1
             if j >= 0 and t.x2[order[j]] == wx2:
                 records.append(
-                    (Face.RIGHT, layer, y_lo, y_hi, t.net[order[j]])
+                    (RIGHT, layer, y_lo, y_hi, t.net[order[j]])
                 )
         for x1, x2, net in cond:
             if x1 == wx1:
-                records.append((Face.LEFT, self._diff, y_lo, y_hi, net))
+                records.append((LEFT, self._diff, y_lo, y_hi, net))
             if x2 == wx2:
-                records.append((Face.RIGHT, self._diff, y_lo, y_hi, net))
+                records.append((RIGHT, self._diff, y_lo, y_hi, net))
         for x1, x2, dev in strip_channels:
             if x1 == wx1:
-                records.append((Face.LEFT, CHANNEL, y_lo, y_hi, dev))
+                records.append((LEFT, CHANNEL, y_lo, y_hi, dev))
             if x2 == wx2:
-                records.append((Face.RIGHT, CHANNEL, y_lo, y_hi, dev))
+                records.append((RIGHT, CHANNEL, y_lo, y_hi, dev))
 
         if y_hi == window.ymax:
             for layer in self._net_layers:
                 t = self._tables[layer]
                 for rid in t.order:
                     records.append(
-                        (Face.TOP, layer, t.x1[rid], t.x2[rid], t.net[rid])
+                        (TOP, layer, t.x1[rid], t.x2[rid], t.net[rid])
                     )
             for x1, x2, net in cond:
-                records.append((Face.TOP, self._diff, x1, x2, net))
+                records.append((TOP, self._diff, x1, x2, net))
             for x1, x2, dev in strip_channels:
-                records.append((Face.TOP, CHANNEL, x1, x2, dev))
+                records.append((TOP, CHANNEL, x1, x2, dev))
         if y_lo == window.ymin:
             for layer in self._net_layers:
                 t = self._tables[layer]
                 for rid in t.order:
                     records.append(
-                        (Face.BOTTOM, layer, t.x1[rid], t.x2[rid], t.net[rid])
+                        (BOTTOM, layer, t.x1[rid], t.x2[rid], t.net[rid])
                     )
             for x1, x2, net in cond:
-                records.append((Face.BOTTOM, self._diff, x1, x2, net))
+                records.append((BOTTOM, self._diff, x1, x2, net))
             for x1, x2, dev in strip_channels:
-                records.append((Face.BOTTOM, CHANNEL, x1, x2, dev))
+                records.append((BOTTOM, CHANNEL, x1, x2, dev))
 
     # ------------------------------------------------------------------
     # finalize (step 3)
@@ -800,50 +893,24 @@ class ScanlineEngine:
 
     def _finalize(self) -> Circuit:
         nets = self._nets
-        for label in self._labels:  # below all geometry
-            self._unattached.append(label)
-        self._labels = []
-
         # The engine owns the location and device folds and hands back
-        # canonical-order columns; names, kept net artwork, and window
-        # boundary records are host state, mapped onto rows by root.
-        kinds = self.tech.kinds
-        net_roots, net_cols, dev_roots, dev_cols = (
-            self.strip_engine.finalize(kinds)
+        # canonical-order columns; names and kept net artwork are host
+        # state, mapped onto rows by root.
+        net_roots, net_cols, dev_cols = self.strip_engine.finalize(
+            self.tech.kinds
         )
         geometry = self._net_geo if self.keep_geometry else {}
-        index_of: dict[int, int] = {}
-        if self._net_names or geometry or self._boundary:
-            index_of = dict(zip(net_roots, range(1, len(net_roots) + 1)))
+        if self._net_names or geometry:
             attach_net_payload(
                 net_cols,
-                index_of,
+                {root: row for row, root in enumerate(net_roots)},
                 nets.fold(self._net_names),
                 nets.fold(geometry),
             )
-
-        boundary = []
-        if self._boundary:
-            dev_find = self._devs.find
-            row_of = {root: row for row, root in enumerate(dev_roots)}
-            for face, layer, lo, hi, ident in self._boundary:
-                if layer == CHANNEL:
-                    mapped = row_of.get(dev_find(ident))
-                    if mapped is not None:
-                        dev_cols.boundary.add(mapped)
-                else:
-                    mapped = index_of.get(nets.find(ident))
-                if mapped is not None:
-                    boundary.append(
-                        BoundaryRecord(face, layer, lo, hi, mapped)
-                    )
-
-        warnings = list(self._warnings)
-        warnings.extend(malformed_warnings(dev_cols))
-        warnings.extend(unattached_warnings(self._unattached))
         return Circuit(
-            boundary=_coalesce_boundary(boundary),
-            warnings=warnings,
+            warnings=skipped_warnings(self._skipped)
+            + malformed_warnings(dev_cols)
+            + unattached_warnings(self._unattached),
             net_columns=net_cols,
             device_columns=dev_cols,
         )
@@ -931,23 +998,24 @@ def _subtract_diff(
     return out
 
 
-def _coalesce_boundary(records: list[BoundaryRecord]) -> list[BoundaryRecord]:
-    """Join per-strip boundary records that continue one another."""
-    records.sort(key=lambda r: (r.face.value, r.layer, r.ident, r.lo))
-    out: list[BoundaryRecord] = []
-    for rec in records:
-        prev = out[-1] if out else None
-        if (
-            prev is not None
-            and prev.face == rec.face
-            and prev.layer == rec.layer
-            and prev.ident == rec.ident
-            and prev.hi >= rec.lo
-        ):
-            if rec.hi > prev.hi:
-                out[-1] = BoundaryRecord(
-                    prev.face, prev.layer, prev.lo, rec.hi, prev.ident
-                )
-        else:
-            out.append(rec)
+def _coalesced(
+    spans: list[tuple[str, str, int, int, int]],
+) -> list[tuple[str, str, int, int, int]]:
+    """Join the ``(face, layer, lo, hi, id)`` boundary spans of
+    successive strips that continue one another."""
+    spans.sort(key=itemgetter(0, 1, 4, 2))
+    out: list[tuple[str, str, int, int, int]] = []
+    for span in spans:
+        if out:
+            face, layer, lo, hi, ident = out[-1]
+            if (
+                span[0] == face
+                and span[1] == layer
+                and span[4] == ident
+                and span[2] <= hi
+            ):
+                if span[3] > hi:
+                    out[-1] = (face, layer, lo, span[3], ident)
+                continue
+        out.append(span)
     return out

@@ -134,18 +134,18 @@ class StripEngine:
 
     def finalize(
         self, kinds: "tuple[str, str]"
-    ) -> "tuple[list[int], NetColumns, list[int], DeviceColumns]":
+    ) -> "tuple[list[int], NetColumns, DeviceColumns]":
         """The folded circuit as columns in canonical order.
 
-        Returns ``(net_roots, nets, device_roots, devices)``: net roots
-        sorted topmost-then-leftmost (the wirelist's net numbering) with
-        the aligned location columns, and device roots in device order
-        with the sized device columns (``kinds`` names the enhancement
-        and depletion parts).  Device geometry is filled in when the
-        sweep kept it; net names, net artwork, and boundary flags are
-        host state, which the host attaches by root.  The columns are
-        plain lists, so a batch back-end converts each of its fold
-        arrays once instead of building one object per device.
+        Returns ``(net_roots, nets, devices)``: net roots sorted
+        topmost-then-leftmost (the wirelist's net numbering) with the
+        aligned location columns, and the sized device columns in device
+        order (``kinds`` names the enhancement and depletion parts).
+        Device geometry is filled in when the sweep kept it; net names
+        and net artwork are host state, which the host attaches by root.
+        The columns are plain lists, so a batch back-end converts each
+        of its fold arrays once instead of building one object per
+        device.
         """
         raise NotImplementedError
 

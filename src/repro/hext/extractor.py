@@ -29,15 +29,16 @@ from dataclasses import dataclass, field
 from ..cif import Layout, parse
 from ..cif.layout import Label
 from ..core.assemble import assemble_circuit
-from ..core.extractor import extract_report
-from ..core.netlist import Circuit
+from ..core.netlist import Circuit, skipped_warnings
+from ..core.scanline import ScanlineEngine
 from ..core.stripengine import load_strip_engine
 from ..core.unionfind import UnionFind
+from ..frontend import GeometryStream
+from ..frontend.instantiate import PlacedLabel
 from ..geometry import Box
 from ..tech import NMOS, Technology
 from .compose import compose
 from .fragment import (
-    CHANNEL,
     ChildRef,
     DeviceRec,
     Fragment,
@@ -216,7 +217,9 @@ def extract_primitive(content: Content, tech: Technology) -> Fragment:
     and the persistent cache key hash.  Canonical net order breaks
     location ties by insertion order, so this is what makes the fragment
     a function of its key: windows drawn in different orders extract
-    identically.  A window sweep runs on the python strip engine.
+    identically.  A window sweep runs on the python strip engine, and
+    its :meth:`~repro.core.scanline.ScanlineEngine.finish_window` result
+    is the fragment's content.
     """
     window = Box(0, 0, content.region.width, content.region.height)
     geometry, labels = relative_artwork(content)
@@ -225,8 +228,22 @@ def extract_primitive(content: Content, tech: Technology) -> Fragment:
         layout.top.add_box(layer, Box(x1, y1, x2, y2))
     for name, x, y, layer in labels:
         layout.top.add_label(Label(name, x, y, layer or None))
-    circuit = extract_report(layout, tech, window=window).circuit
-    return _circuit_to_fragment(circuit, window)
+    scan = ScanlineEngine(tech, window=window)
+    scan.advance(GeometryStream(layout))
+    result = scan.finish_window()
+    return Fragment(
+        region=(window,),
+        net_count=result.net_count,
+        net_names=result.net_names,
+        net_locs=result.net_locs,
+        devices=tuple(result.devices),
+        partials=tuple(result.partials),
+        index=LineIndex.of(
+            IfaceRec(*span, rank) for rank, span in enumerate(result.interface)
+        ),
+        skipped=tuple(result.skipped),
+        unattached=tuple(result.unattached),
+    )
 
 
 def execute_plan(
@@ -405,74 +422,14 @@ def _wrap_fragment(placed: Placed) -> Fragment:
     )
 
 
-def _circuit_to_fragment(circuit: Circuit, window: Box) -> Fragment:
-    """Adapt the modified flat extractor's columns to a Fragment.
-
-    Column net indices are 1-based; fragment net ids are 0-based.
-    """
-    fixed_of = {"L": window.xmin, "R": window.xmax, "T": window.ymax, "B": window.ymin}
-    nets = circuit.net_columns
-    devs = circuit.device_columns
-    tp, tn, tl = devs.term_ptr, devs.term_net, devs.term_len
-    gp, gn = devs.gate_ptr, devs.gate_net
-    complete: list[DeviceRec] = []
-    partial: list[DeviceRec] = []
-    partial_id: dict[int, int] = {}  # circuit device row -> partial id
-    for row, (impl, x, y) in enumerate(zip(devs.depletion, devs.x, devs.y)):
-        rec = DeviceRec(
-            area=devs.area[row],
-            terms={
-                net - 1: p
-                for net, p in zip(tn[tp[row]:tp[row + 1]], tl[tp[row]:tp[row + 1]])
-            },
-            gates={g - 1 for g in gn[gp[row]:gp[row + 1]]},
-            impl=impl,
-            loc=None if x is None else (y, -x),
-        )
-        if row in devs.boundary:
-            partial_id[row] = len(partial)
-            partial.append(rec)
-        else:
-            complete.append(rec)
-
-    interface = []
-    for rec in circuit.boundary:
-        if rec.layer == CHANNEL:
-            mapped = partial_id.get(rec.ident)
-            if mapped is None:
-                continue  # coalesced away; device completed internally
-            layer, ident = CHANNEL, mapped
-        else:
-            layer, ident = rec.layer, rec.ident - 1
-        interface.append(
-            IfaceRec(
-                rec.face.value, layer, fixed_of[rec.face.value],
-                rec.lo, rec.hi, ident, len(interface),
-            )
-        )
-
-    return Fragment(
-        region=(window,),
-        net_count=len(nets),
-        net_names={row: list(names) for row, names in nets.names.items()},
-        net_locs={
-            row: (y, -x)
-            for row, (x, y) in enumerate(zip(nets.x, nets.y))
-            if x is not None
-        },
-        devices=tuple(complete),
-        partials=tuple(partial),
-        index=LineIndex.of(interface),
-    )
-
-
 def resolve(
     fragment: Fragment, origin: tuple[int, int], tech: Technology
 ) -> Circuit:
     """Expand a fragment tree into a flat Circuit (linear in devices).
 
-    The warnings are the flat finalize's malformed-transistor warnings;
-    fragments keep no window labels, so none is about a label.
+    The warnings are the flat finalize's: each unknown layer a window
+    skipped, once; the malformed transistors; and each unattached label
+    of a window, once per placement.
     """
     nets = UnionFind()
     for _ in range(fragment.net_count):
@@ -481,6 +438,8 @@ def resolve(
     net_names: dict[int, list[str]] = {}
     devs = UnionFind()
     dev_rec: dict[int, DeviceRec] = {}
+    skipped: dict[str, None] = {}
+    unattached: list[PlacedLabel] = []
 
     stack: list[tuple[Fragment, int, int, int]] = [
         (fragment, 0, origin[0], origin[1])
@@ -498,6 +457,13 @@ def resolve(
                 net_loc[base + ident] = key
         for rec in frag.devices:
             dev_rec[devs.make()] = rec.shifted(ox, oy, base)
+        if frag.skipped:
+            skipped.update(dict.fromkeys(frag.skipped))
+        if frag.unattached:
+            unattached.extend(
+                PlacedLabel(label.name, label.x + ox, label.y + oy, label.layer)
+                for label in frag.unattached
+            )
         for child in frag.children:
             stack.append(
                 (child.fragment, base + child.net_offset, ox + child.dx, oy + child.dy)
@@ -506,6 +472,8 @@ def resolve(
     for rec in fragment.partials:
         dev_rec[devs.make()] = rec.shifted(origin[0], origin[1], 0)
 
-    return assemble_circuit(
-        tech, nets, devs, net_loc, net_names, dev_rec, ()
+    circuit = assemble_circuit(
+        tech, nets, devs, net_loc, net_names, dev_rec, unattached
     )
+    circuit.warnings[:0] = skipped_warnings(skipped)
+    return circuit

@@ -24,14 +24,12 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 
-from ..core.netlist import CHANNEL, DeviceRec
+from ..core.netlist import BOTTOM, CHANNEL, LEFT, RIGHT, TOP, DeviceRec
+from ..frontend.instantiate import PlacedLabel
 from ..geometry import Box
 
 # Interface records lie on conducting mask layers or on CHANNEL, where
 # they name partial transistors (DeviceRecs, indexed by partial id).
-
-# Faces, matching repro.core.netlist.Face values.
-LEFT, RIGHT, TOP, BOTTOM = "L", "R", "T", "B"
 
 _OPPOSITE = {LEFT: RIGHT, RIGHT: LEFT, TOP: BOTTOM, BOTTOM: TOP}
 
@@ -162,6 +160,10 @@ class Fragment:
         partials: device records whose channels still touch the boundary,
             indexed by local partial id (dense).
         index: surviving boundary records, by line.
+        skipped: unknown layers whose geometry the window sweep ignored
+            (primitive only).
+        unattached: labels the window sweep bound to no net (primitive
+            only).
     """
 
     region: tuple[Box, ...]
@@ -173,6 +175,8 @@ class Fragment:
     devices: tuple[DeviceRec, ...] = ()
     partials: tuple[DeviceRec, ...] = ()
     index: LineIndex = field(default_factory=LineIndex)
+    skipped: tuple[str, ...] = ()
+    unattached: tuple[PlacedLabel, ...] = ()
 
     @property
     def interface(self) -> tuple[IfaceRec, ...]:

@@ -25,11 +25,13 @@ import json
 
 from ..core.netlist import (
     CHANNEL,
+    FACES,
     checked_id,
     checked_int,
     device_from_payload,
     device_payload,
 )
+from ..frontend.instantiate import PlacedLabel
 from ..geometry import FRACTURE_RESOLUTION, Box
 from ..hext.fragment import Fragment, IfaceRec, LineIndex
 from ..hext.windows import Content, relative_artwork
@@ -38,9 +40,9 @@ from ..tech import Technology, deck_to_dict
 #: Bump when the fragment payload or cache key derivation changes shape,
 #: or when extraction changes what a key's fragment holds.  Version 2:
 #: primitive windows are extracted in their canonical artwork order.
-FORMAT_VERSION = 2
-
-_FACES = frozenset("LRTB")
+#: Version 3: a fragment keeps its window's skipped layers and
+#: unattached labels.
+FORMAT_VERSION = 3
 
 
 class SerializationError(ValueError):
@@ -146,6 +148,11 @@ def fragment_payload(fragment: Fragment) -> dict:
             [rec.face, rec.layer, rec.fixed, rec.lo, rec.hi, rec.ident]
             for rec in fragment.interface
         ],
+        "skipped": list(fragment.skipped),
+        "unattached": [
+            [label.name, label.x, label.y, label.layer or ""]
+            for label in fragment.unattached
+        ],
     }
 
 
@@ -186,6 +193,14 @@ def fragment_from_payload(payload: dict) -> Fragment:
             _iface_from_payload(item, rank, net_count, len(partials))
             for rank, item in enumerate(payload["interface"])
         )
+        skipped = tuple(_checked_str(layer) for layer in payload["skipped"])
+        unattached = tuple(
+            PlacedLabel(
+                _checked_str(name), checked_int(x), checked_int(y),
+                _checked_str(layer) or None,
+            )
+            for name, x, y, layer in payload["unattached"]
+        )
     except SerializationError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -199,14 +214,22 @@ def fragment_from_payload(payload: dict) -> Fragment:
         devices=devices,
         partials=partials,
         index=index,
+        skipped=skipped,
+        unattached=unattached,
     )
+
+
+def _checked_str(value) -> str:
+    if not isinstance(value, str):
+        raise SerializationError(f"expected str, got {value!r}")
+    return value
 
 
 def _iface_from_payload(
     item: list, rank: int, net_count: int, partials: int
 ) -> IfaceRec:
     face, layer, fixed, lo, hi, ident = item
-    if face not in _FACES:
+    if face not in FACES:
         raise SerializationError(f"bad interface face {face!r}")
     limit = partials if layer == CHANNEL else net_count
     return IfaceRec(

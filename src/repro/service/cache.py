@@ -33,8 +33,9 @@ from .jobs import JobOptions
 
 #: Bump to orphan every previously stored result envelope.  Version 2:
 #: a hierarchical result's ``warnings`` carry the malformed-transistor
-#: warnings the flat finalize reports.
-RESULT_FORMAT_VERSION = 2
+#: warnings the flat finalize reports.  Version 3: and its unknown-layer
+#: and unattached-label warnings.
+RESULT_FORMAT_VERSION = 3
 
 
 def payload_digest(cif_text: str) -> str:

@@ -47,7 +47,7 @@ from time import perf_counter
 from typing import IO, Callable
 
 from ..cif import Layout, parse
-from ..core.netlist import unattached_warnings
+from ..core.netlist import skipped_warnings, unattached_warnings
 from ..core.scanline import ScanlineEngine
 from ..core.stats import ScanStats
 from ..core.stripengine import RetiredDevices
@@ -241,9 +241,9 @@ def stream_extract(
 
     # Warning order matches the in-memory finalize: host warnings, then
     # malformed-device warnings in device order, then unattached labels.
-    warnings = list(scan._warnings)
+    warnings = skipped_warnings(scan._skipped)
     warnings.extend(emitted.warnings)
-    warnings.extend(unattached_warnings([*scan._unattached, *scan._labels]))
+    warnings.extend(unattached_warnings(scan._unattached))
 
     return StreamReport(
         stats=scan.stats,

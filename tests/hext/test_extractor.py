@@ -1,9 +1,15 @@
 """HEXT end-to-end: netlist equivalence with flat ACE and statistics."""
 
+from unittest import mock
+
 import pytest
 
 from repro import extract
-from repro.hext import hext_extract
+from repro.core import sizing
+from repro.hext import HextStats, hext_extract
+from repro.hext.extractor import execute_plan, plan_windows
+from repro.hext.windows import WindowPlanner
+from repro.tech import NMOS
 from repro.wirelist import circuit_to_flat, compare_netlists
 from repro.workloads import (
     LayoutBuilder,
@@ -145,3 +151,23 @@ class TestStats:
     def test_circuit_cached(self):
         result = hext_extract(inverter())
         assert result.circuit is result.circuit
+
+
+def test_window_sweeps_size_no_device():
+    """A window's records go into its fragment unsized: executing a
+    plan sizes nothing, though its windows hold devices."""
+    layout = build_chip("schip2", scale=0.03)
+    planner = WindowPlanner(layout)
+    plan = plan_windows(planner, planner.top_content(), HextStats())
+    calls = []
+    size_device = sizing.size_device
+
+    def counting(*args):
+        calls.append(args)
+        return size_device(*args)
+
+    with mock.patch("repro.core.assemble.size_device", counting), \
+            mock.patch("repro.core.sizing.size_device", counting):
+        memo = execute_plan(plan, NMOS(), HextStats())
+    assert any(memo[key].devices or memo[key].partials for key in plan.primitives)
+    assert calls == []

@@ -14,7 +14,7 @@ from unittest import mock
 import pytest
 
 from repro.cif import Layout
-from repro.core import extract_report
+from repro.core.scanline import ScanlineEngine
 from repro.core.stripengine import numpy_available
 from repro.difftest.generator import GenProfile, generate_layout
 from repro.geometry import Transform
@@ -57,11 +57,11 @@ def _hext_text(
     ran: Counter = Counter()
 
     def recording(*args, **kw):
-        report = extract_report(*args, **kw)
-        ran[report.options["engine"]] += 1
-        return report
+        scan = ScanlineEngine(*args, **kw)
+        ran[scan.engine_name] += 1
+        return scan
 
-    with mock.patch("repro.hext.extractor.extract_report", recording):
+    with mock.patch("repro.hext.extractor.ScanlineEngine", recording):
         result = run(
             layout,
             NMOS(),

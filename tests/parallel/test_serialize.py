@@ -105,14 +105,15 @@ def test_cache_key_sensitivity():
 
 
 def test_cache_key_is_stable_across_the_fixed_resolution():
-    """The key still hashes resolution 50, so a fragment cache filled
-    while the resolution was an option (always 50) stays warm.  The
-    digest is the one that version computed for this window."""
+    """The key still hashes resolution 50, as it did while the
+    resolution was an option (always 50).  The digest is the one format
+    3 computes for this window; format 2's derivation, which differs
+    only in that number, gave 9507063c2a19...e504126."""
     planner = WindowPlanner(inverter())
     plan = plan_windows(planner, planner.top_content(), HextStats())
     (content,) = plan.primitives.values()
     assert window_cache_key(content, NMOS()) == (
-        "9507063c2a19ee07ffc9593eb986acfec4b8bb5e3c6be689bcebd0261e504126"
+        "4d3e7c95cfbf4c9ef2d75320adc583bfe7d86d1ffa0f1708815720d8b7a36d4e"
     )
 
 
